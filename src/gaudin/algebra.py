@@ -14,11 +14,16 @@ compatibility condition survives analytic continuation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractionLimitError, DegenerateLevelError, DomainError
+from .errors import (
+    CollisionError,
+    ContractionLimitError,
+    DegenerateLevelError,
+    DomainError,
+)
 
 # Coordinates closer than this are treated as colliding: denominators below
 # this scale destroy Newton conditioning at double precision.
@@ -127,13 +132,21 @@ def dz_dv(kind, u, v):
     return (1.0 + u * u) / (d * d)
 
 
-def dz_du(kind, u, v):
-    """Derivative of pair_z(kind, u, v) with respect to the first coordinate."""
-    _check_kind(kind)
-    d = u - v
-    if kind == RATIONAL:
-        return -1.0 / (d * d)
-    return -(1.0 + v * v) / (d * d)
+def check_collisions(sites, rapidities):
+    """Raise CollisionError if a rapidity lies within COLLISION_TOL of a site
+    or of another rapidity; the error's pair is ("level", i, a) or
+    ("rapidity", a, b), for the first collision in rapidity order."""
+    for a, w in enumerate(rapidities):
+        for i, e in enumerate(sites):
+            if abs(w - e) < COLLISION_TOL:
+                raise CollisionError(
+                    f"rapidity {a} collides with level {i} at {e}", pair=("level", i, a)
+                )
+        for b in range(a + 1, len(rapidities)):
+            if abs(w - rapidities[b]) < COLLISION_TOL:
+                raise CollisionError(
+                    f"rapidities {a} and {b} collide at {w}", pair=("rapidity", a, b)
+                )
 
 
 def _fill_pairwise(kind, coords):
@@ -164,21 +177,9 @@ def build_gaudin(kind, levels):
 
 def extend_with_rapidities(matrices, levels, rapidities):
     """Extend to the (m + N)-dimensional matrices over levels and rapidities."""
-    from .errors import CollisionError
-
-    values = np.asarray(list(rapidities.values), dtype=complex)
+    check_collisions(levels.etas, rapidities.values)
+    values = np.asarray(rapidities.values, dtype=complex)
     etas = np.asarray(levels.etas)
-    for a, w in enumerate(values):
-        for i, e in enumerate(etas):
-            if abs(w - e) < COLLISION_TOL:
-                raise CollisionError(
-                    f"rapidity {a} collides with level {i} at {e}", pair=("level", i, a)
-                )
-        for b in range(a + 1, len(values)):
-            if abs(w - values[b]) < COLLISION_TOL:
-                raise CollisionError(
-                    f"rapidities {a} and {b} collide at {w}", pair=("rapidity", a, b)
-                )
     coords = np.concatenate([etas.astype(complex), values])
     x, z = _fill_pairwise(matrices.kind, coords)
     # keep the original m x m block bit-identical

@@ -15,7 +15,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,6 +99,30 @@ def parse_spec(path):
     return _spec_from_dict(kv)
 
 
+def _list(kv, key):
+    value = kv[key]
+    if not isinstance(value, list):
+        raise SpecFormatError(f"key {key!r} expects a list, got {value!r}")
+    return tuple(value)
+
+
+def _number(kv, key):
+    value = kv[key]
+    if isinstance(value, list):
+        raise SpecFormatError(f"key {key!r} expects a number, got a list")
+    try:
+        return float(value)
+    except ValueError:
+        raise SpecFormatError(f"key {key!r} expects a number, got {value!r}")
+
+
+def _integer(kv, key):
+    value = _number(kv, key)
+    if not value.is_integer():
+        raise SpecFormatError(f"key {key!r} expects an integer, got {kv[key]!r}")
+    return int(value)
+
+
 def _spec_from_dict(kv):
     model = kv.get("model")
     if model == "dicke":
@@ -109,11 +133,11 @@ def _spec_from_dict(kv):
             if req not in kv:
                 raise SpecFormatError(f"model=dicke requires key {req!r}")
         return rg_core.DickeSpec(
-            tuple(kv["epsilons"]),
-            tuple(kv["spins"]),
-            float(kv["G"]),
-            float(kv["hbar_omega"]),
-            int(float(kv["N"])),
+            _list(kv, "epsilons"),
+            _list(kv, "spins"),
+            _number(kv, "G"),
+            _number(kv, "hbar_omega"),
+            _integer(kv, "N"),
         )
     if model == "rg":
         unknown = set(kv) - _RG_KEYS
@@ -123,15 +147,15 @@ def _spec_from_dict(kv):
             if req not in kv:
                 raise SpecFormatError(f"model=rg requires key {req!r}")
         if "spins" in kv:
-            levels = algebra.LevelSet.from_spins(tuple(kv["etas"]), tuple(kv["spins"]))
+            levels = algebra.LevelSet.from_spins(_list(kv, "etas"), _list(kv, "spins"))
         elif "degeneracies" in kv:
             levels = algebra.LevelSet.from_degeneracies(
-                tuple(kv["etas"]), tuple(kv["degeneracies"])
+                _list(kv, "etas"), _list(kv, "degeneracies")
             )
         else:
             raise SpecFormatError("model=rg requires 'spins' or 'degeneracies'")
         return rg_core.ModelSpec(
-            levels, str(kv["kind"]), int(float(kv["N"])), float(kv["g"])
+            levels, str(kv["kind"]), _integer(kv, "N"), _number(kv, "g")
         )
     raise SpecFormatError(f"model must be 'dicke' or 'rg', got {model!r}")
 
@@ -170,7 +194,6 @@ class RunConfig:
     branch: int | None = None
     occupation: list | None = None
     seed: int = 0
-    parallel_branches: int | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -269,9 +292,7 @@ def run_solve_dicke(config, spec):
             {"occupation": config.occupation, "rapidities": final, "report": report}
         ]
     else:
-        branches = solver.enumerate_dicke_branches(
-            spec, policy=policy, max_workers=config.parallel_branches
-        )
+        branches = solver.enumerate_dicke_branches(spec, policy=policy)
     if config.branch is not None:
         if not 0 <= config.branch < len(branches):
             raise ValidationError(
@@ -439,8 +460,6 @@ def build_parser():
                         help="comma-separated secular-root indices")
     parser.add_argument("--seed", type=int, default=0,
                         help="echoed into the output stamp for reproducibility")
-    parser.add_argument("--parallel-branches", type=int, default=None,
-                        help="worker count for concurrent branch continuations")
     return parser
 
 
@@ -470,7 +489,6 @@ def main(argv=None):
             branch=args.branch,
             occupation=occupation,
             seed=args.seed,
-            parallel_branches=args.parallel_branches,
         )
         text, code = run(config)
     except (SpecFormatError, ValidationError, OSError, ValueError) as exc:

@@ -10,7 +10,7 @@ contraction limit (coupling G, level terms eps_k) with no leftover factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

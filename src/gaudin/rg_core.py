@@ -8,14 +8,14 @@ rapidities for fixed model parameters).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra
-from .algebra import COLLISION_TOL, LevelSet, dz_du, dz_dv, pair_z
+from .algebra import COLLISION_TOL, LevelSet
+from .algebra import pair_z  # noqa: F401  (rg_core.pair_z is the solver's secular Z)
 from .errors import (
-    CollisionError,
     ContractionLimitError,
     DomainError,
     ValidationError,
@@ -121,59 +121,84 @@ def _require_frame(r, frame):
         raise ValidationError(f"expected rapidities in frame {frame!r}, got {r.frame!r}")
 
 
-def _check_collisions(site_coords, w):
-    for a, wa in enumerate(w):
-        for i, e in enumerate(site_coords):
-            if abs(wa - e) < COLLISION_TOL:
-                raise CollisionError(
-                    f"rapidity {a} collides with level {i}", pair=("level", i, a)
-                )
-        for b in range(a + 1, len(w)):
-            if abs(wa - w[b]) < COLLISION_TOL:
-                raise CollisionError(
-                    f"rapidities {a} and {b} collide", pair=("rapidity", a, b)
-                )
+def _gaudin_residual(kind, sites, weights, g_site, g_pair, w, jacobian,
+                     const=1.0, lin=0.0, scale=1.0):
+    """The one residual kernel behind every family:
 
+        r_a = const + lin*u_a + g_site sum_i weights_i Z(e_i, u_a)
+              - g_pair sum_{b != a} Z(u_b, u_a)
 
-def _rg_like(kind, etas, weights, g_site, g_pair, w, jacobian=True):
-    """Shared kernel: residual_a = 1 + g_site*sum_i Z(eta_i, w_a)*weights_i
-    - g_pair*sum_{b != a} Z(w_b, w_a), plus its holomorphic Jacobian."""
-    etas = np.asarray(etas, dtype=float)
-    w = np.asarray(w, dtype=complex)
-    _check_collisions(etas, w)
-    n = len(w)
-    res = np.ones(n, dtype=complex)
-    jac = np.zeros((n, n), dtype=complex) if jacobian else None
-    for a in range(n):
-        for i in range(len(etas)):
-            res[a] += g_site * weights[i] * pair_z(kind, etas[i], w[a])
-            if jacobian:
-                jac[a, a] += g_site * weights[i] * dz_dv(kind, etas[i], w[a])
-        for b in range(n):
-            if b == a:
-                continue
-            res[a] -= g_pair * pair_z(kind, w[b], w[a])
-            if jacobian:
-                jac[a, a] -= g_pair * dz_dv(kind, w[b], w[a])
-                jac[a, b] -= g_pair * dz_du(kind, w[b], w[a])
-    return res, jac
+    at u = scale*w, e = scale*sites, with Z(u, v) = (1 + c u v)/(u - v), c = 0
+    (rational) or 1 (trigonometric).  Collisions are checked on the unscaled
+    coordinates.  Returns (residuals, max modulus, Jacobian in w or None); the
+    Jacobian in w is scale times the holomorphic derivative in u.  With
+    g_pair == 0 the pair sum is skipped, so the Jacobian is exactly diagonal.
+    """
+    algebra.check_collisions(sites, w)
+    c = 0.0 if kind == algebra.RATIONAL else 1.0
+    # Python scalars throughout: numpy scalars would make every term slower
+    g_site, g_pair, const, lin, scale = map(float, (g_site, g_pair, const, lin, scale))
+    e = [scale * s for s in sites]
+    u = [scale * v for v in w]
+    n = len(u)
+    # Z(e, u) = (1 + c e^2)/(e - u) - c e: the site sum is one division per term
+    gw = [g_site * float(wt) for wt in weights]
+    num = [gi * (1.0 + c * ei * ei) for gi, ei in zip(gw, e)]
+    base = const - c * sum(gi * ei for gi, ei in zip(gw, e))
+    res = [0j] * n
+    jac = [[0j] * n for _ in range(n)] if jacobian else None
+    for a, ua in enumerate(u):
+        r = base + lin * ua
+        diag = lin
+        for ei, ni in zip(e, num):
+            d = ei - ua
+            q = ni / d
+            r += q
+            diag += q / d
+        res[a] = r
+        if jacobian:
+            jac[a][a] = diag
+    if g_pair:
+        # Z is antisymmetric, so each unordered pair is evaluated once
+        for a in range(n):
+            ua = u[a]
+            for b in range(a + 1, n):
+                ub = u[b]
+                d = ub - ua
+                z = g_pair * (1.0 + c * ua * ub) / d
+                res[a] -= z
+                res[b] += z
+                if jacobian:
+                    dd = g_pair / (d * d)
+                    jab = dd * (1.0 + c * ua * ua)
+                    jba = dd * (1.0 + c * ub * ub)
+                    jac[a][b] = jab
+                    jac[b][a] = jba
+                    jac[a][a] -= jba
+                    jac[b][b] -= jab
+    max_abs = max(map(abs, res))
+    res = np.array(res, dtype=complex)
+    if jacobian:
+        jac = np.array(jac, dtype=complex)
+        if scale != 1.0:
+            jac *= scale
+    return res, max_abs, jac
 
 
 def rg_residual(spec, r, jacobian=True):
     """Bethe equations 1 + g sum_i Z_{ia} s_i - g sum_{b!=a} Z_{ba} = 0."""
     _require_frame(r, RG_ETA)
     g = spec.coupling_g
-    res, jac = _rg_like(
-        spec.kind, spec.levels.etas, spec.levels.spins, g, g, r.as_array(), jacobian
-    )
-    return ResidualReport(res, float(np.max(np.abs(res))), jac)
+    return ResidualReport(*_gaudin_residual(
+        spec.kind, spec.levels.etas, spec.levels.spins, g, g, r.values, jacobian
+    ))
 
 
 def deformed_rg_residual(spec, xi, r, jacobian=True):
     """Pseudo-deformed equations 1 + g sum_i Z_{ia} xi*s_i(xi) - g xi sum Z_{ba} = 0.
 
     Reduces to rg_residual at xi = 1 and to tda_residual at xi = 0 exactly
-    (same code path, identical arithmetic).
+    (same kernel, identical arguments).
     """
     if not 0.0 <= xi <= 1.0:
         raise DomainError(f"xi = {xi} outside [0, 1]")
@@ -183,47 +208,32 @@ def deformed_rg_residual(spec, xi, r, jacobian=True):
         xi * s + (1.0 - xi) * omega
         for s, omega in zip(spec.levels.spins, spec.levels.degeneracies)
     ]
-    res, jac = _rg_like(
-        spec.kind, spec.levels.etas, weights, g, g * xi, r.as_array(), jacobian
+    return ResidualReport(
+        *_gaudin_residual(spec.kind, spec.levels.etas, weights, g, g * xi, r.values,
+                          jacobian),
+        decoupled=(xi == 0.0),
     )
-    return ResidualReport(res, float(np.max(np.abs(res))), jac, decoupled=(xi == 0.0))
 
 
 def tda_residual(spec, r, jacobian=True):
     """Decoupled secular equations 1 + g sum_i Z_{ia} Omega_i = 0."""
     _require_frame(r, RG_ETA)
-    g = spec.coupling_g
-    res, jac = _rg_like(
-        spec.kind, spec.levels.etas, spec.levels.degeneracies, g, 0.0, r.as_array(),
-        jacobian,
+    return ResidualReport(
+        *_gaudin_residual(spec.kind, spec.levels.etas, spec.levels.degeneracies,
+                          spec.coupling_g, 0.0, r.values, jacobian),
+        decoupled=True,
     )
-    return ResidualReport(res, float(np.max(np.abs(res))), jac, decoupled=True)
 
 
 def dicke_rg_residual(spec, r, jacobian=True):
     """Dicke equations (hw - x_a) - 2G^2 sum_k s_k/(eps_k - x_a)
     + 2G^2 sum_{b!=a} 1/(x_b - x_a) = 0, in energy units."""
     _require_frame(r, DICKE_X)
-    x = r.as_array()
-    eps = np.asarray(spec.epsilons)
-    s = np.asarray(spec.spins)
-    _check_collisions(eps, x)
-    n = len(x)
-    gg2 = 2.0 * spec.coupling_G**2
-    res = np.empty(n, dtype=complex)
-    jac = np.zeros((n, n), dtype=complex) if jacobian else None
-    for a in range(n):
-        res[a] = spec.hbar_omega - x[a] - gg2 * np.sum(s / (eps - x[a]))
-        if jacobian:
-            jac[a, a] = -1.0 - gg2 * np.sum(s / (eps - x[a]) ** 2)
-        for b in range(n):
-            if b == a:
-                continue
-            res[a] += gg2 / (x[b] - x[a])
-            if jacobian:
-                jac[a, a] += gg2 / (x[b] - x[a]) ** 2
-                jac[a, b] -= gg2 / (x[b] - x[a]) ** 2
-    return ResidualReport(res, float(np.max(np.abs(res))), jac)
+    gg2 = -2.0 * spec.coupling_G**2
+    return ResidualReport(*_gaudin_residual(
+        algebra.RATIONAL, spec.epsilons, spec.spins, gg2, gg2, r.values, jacobian,
+        const=spec.hbar_omega, lin=-1.0,
+    ))
 
 
 def contraction_scales(spec, xi, omega0):
@@ -260,32 +270,10 @@ def deformed_dicke_residual(spec, xi, r, omega0=2.0, jacobian=True):
             "xi = 0 is the exact contraction limit; use dicke_rg_residual"
         )
     lam, g, s0 = contraction_scales(spec, xi, omega0)
-    x = r.as_array()
-    eps = np.asarray(spec.epsilons)
-    _check_collisions(eps, x)
-    eta_k = -lam * eps
-    eta_a = -lam * x
-    kind = algebra.TRIGONOMETRIC
-    n = len(x)
-    res = np.empty(n, dtype=complex)
-    jac = np.zeros((n, n), dtype=complex) if jacobian else None
-    spins = spec.spins
-    for a in range(n):
-        res[a] = 1.0 + g * eta_a[a] * s0
-        if jacobian:
-            jac[a, a] = -lam * g * s0
-        for k in range(len(eps)):
-            res[a] += g * spins[k] * pair_z(kind, eta_k[k], eta_a[a])
-            if jacobian:
-                jac[a, a] += -lam * g * spins[k] * dz_dv(kind, eta_k[k], eta_a[a])
-        for b in range(n):
-            if b == a:
-                continue
-            res[a] -= g * pair_z(kind, eta_a[b], eta_a[a])
-            if jacobian:
-                jac[a, a] -= -lam * g * dz_dv(kind, eta_a[b], eta_a[a])
-                jac[a, b] -= -lam * g * dz_du(kind, eta_a[b], eta_a[a])
-    return ResidualReport(res, float(np.max(np.abs(res))), jac)
+    return ResidualReport(*_gaudin_residual(
+        algebra.TRIGONOMETRIC, spec.epsilons, spec.spins, g, g, r.values, jacobian,
+        lin=g * s0, scale=-lam,
+    ))
 
 
 def extended_dicke_residual(spec, tau, r, omega0=2.0, xi=1.0, jacobian=True):
@@ -302,31 +290,10 @@ def extended_dicke_residual(spec, tau, r, omega0=2.0, xi=1.0, jacobian=True):
     if not 0.0 <= tau <= 1.0:
         raise DomainError(f"tau = {tau} outside [0, 1]")
     lam, g, s0 = contraction_scales(spec, xi, omega0)
-    x = r.as_array()
-    eps = np.asarray(spec.epsilons)
-    _check_collisions(eps, x)
-    eta_k = -lam * eps
-    eta_a = -lam * x
-    kind = algebra.TRIGONOMETRIC
     w0 = tau * s0 + (1.0 - tau) * (2.0 * s0 + 1.0)
     weights = [tau * s + (1.0 - tau) * (2.0 * s + 1.0) for s in spec.spins]
-    n = len(x)
-    res = np.empty(n, dtype=complex)
-    jac = np.zeros((n, n), dtype=complex) if jacobian else None
-    for a in range(n):
-        res[a] = 1.0 + g * eta_a[a] * w0
-        if jacobian:
-            jac[a, a] = -lam * g * w0
-        for k in range(len(eps)):
-            res[a] += g * weights[k] * pair_z(kind, eta_k[k], eta_a[a])
-            if jacobian:
-                jac[a, a] += -lam * g * weights[k] * dz_dv(kind, eta_k[k], eta_a[a])
-        if tau != 0.0:
-            for b in range(n):
-                if b == a:
-                    continue
-                res[a] -= g * tau * pair_z(kind, eta_a[b], eta_a[a])
-                if jacobian:
-                    jac[a, a] -= -lam * g * tau * dz_dv(kind, eta_a[b], eta_a[a])
-                    jac[a, b] -= -lam * g * tau * dz_du(kind, eta_a[b], eta_a[a])
-    return ResidualReport(res, float(np.max(np.abs(res))), jac, decoupled=(tau == 0.0))
+    return ResidualReport(
+        *_gaudin_residual(algebra.TRIGONOMETRIC, spec.epsilons, weights, g, g * tau,
+                          r.values, jacobian, lin=g * w0, scale=-lam),
+        decoupled=(tau == 0.0),
+    )

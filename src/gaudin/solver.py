@@ -8,13 +8,13 @@ along the homotopy parameter to the coupled equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
 from . import rg_core
-from .algebra import COLLISION_TOL
+from .algebra import COLLISION_TOL, TRIGONOMETRIC, dz_dv
 from .errors import (
     CollisionError,
     ConvergenceError,
@@ -75,14 +75,14 @@ class SolutionTrace:
         return self.path[-1]
 
 
-def newton_solve(residual_fn, r0, tol=1e-10, max_iters=50, frame=None):
+def newton_solve(residual_fn, w0, tol=1e-10, max_iters=50):
     """Damped Newton iteration on a holomorphic residual system.
 
     residual_fn maps a complex rapidity array to a ResidualReport with an
-    analytic Jacobian.  Returns (values, report, iterations).
+    analytic Jacobian; w0 is the complex starting array.  Returns
+    (values, report, iterations).
     """
-    frame = frame if frame is not None else r0.frame
-    w = r0.as_array().copy()
+    w = np.array(w0, dtype=complex)
     report = residual_fn(w)
     if report.max_abs <= tol:
         return w, report, 0
@@ -210,7 +210,7 @@ def _lift_duplicates(values, lift=DEFAULT_LIFT):
     return values
 
 
-def solve_tda(spec, occupation=None, tol=1e-12, lift=DEFAULT_LIFT):
+def solve_tda(spec, occupation=None, lift=DEFAULT_LIFT):
     """Solve the decoupled secular equations and pick N seed rapidities.
 
     The scalar secular function 1 + g sum_i Z(eta_i, w) Omega_i has up to m
@@ -250,7 +250,7 @@ def tda_roots_dicke(spec, omega0=2.0, xi=1.0):
     def f(eta):
         v = 1.0 + g * eta * w0
         for ek, wk in zip(eta_k, weights):
-            v += g * wk * rg_core.pair_z(rg_core.algebra.TRIGONOMETRIC, ek, eta)
+            v += g * wk * rg_core.pair_z(TRIGONOMETRIC, ek, eta)
         return v
 
     eta_roots = _real_roots(f, eta_k)
@@ -264,7 +264,7 @@ def _continue_path(residual_at, t_start, t_end, values, policy):
     if report.max_abs > policy.newton_tol:
         frame_vals, report, _ = newton_solve(
             lambda w: residual_at(t_start, w),
-            _wrap(frame_vals),
+            frame_vals,
             policy.newton_tol,
             policy.max_newton_iters,
         )
@@ -281,7 +281,7 @@ def _continue_path(residual_at, t_start, t_end, values, policy):
         try:
             new_vals, report, iters = newton_solve(
                 lambda w: residual_at(t_next, w),
-                _wrap(predicted),
+                predicted,
                 policy.newton_tol,
                 policy.max_newton_iters,
             )
@@ -304,17 +304,6 @@ def _continue_path(residual_at, t_start, t_end, values, policy):
         if iters <= 3:
             step = min(step * policy.step_grow, policy.max_step)
     return path, "converged"
-
-
-class _wrap:
-    """Minimal rapidity-array adapter for newton_solve."""
-
-    def __init__(self, values):
-        self.values = tuple(values)
-        self.frame = "internal"
-
-    def as_array(self):
-        return np.asarray(self.values, dtype=complex)
 
 
 def _euler_predict(residual_at, t, values, dt):
@@ -372,7 +361,7 @@ def continue_in_xi(spec, policy, r_start, family, omega0=2.0):
             vals = path[-1][1]
             vals, report, iters = newton_solve(
                 lambda w: rg_core.dicke_rg_residual(spec, RapiditySet(tuple(w), DICKE_X)),
-                _wrap(vals),
+                vals,
                 policy.newton_tol,
                 policy.max_newton_iters,
             )
@@ -393,7 +382,7 @@ def solve_rg(spec, policy=None, occupation=None):
     an independent rg_residual evaluation.
     """
     policy = policy or ContinuationPolicy(xi_start=0.0, xi_end=1.0)
-    seeds = solve_tda(spec, occupation=occupation, tol=policy.newton_tol)
+    seeds = solve_tda(spec, occupation=occupation)
     trace = continue_in_xi(spec, policy, seeds, ALL_COPIES_DEFORMED)
     if trace.status != "converged":
         raise ConvergenceError(
@@ -412,8 +401,7 @@ def solve_rg(spec, policy=None, occupation=None):
     return final, trace
 
 
-def solve_dicke_branch(spec, occupation, omega0=2.0, policy=None, lift=DEFAULT_LIFT,
-                       xi_start=1.0):
+def solve_dicke_branch(spec, occupation, omega0=2.0, policy=None, xi_start=1.0):
     """Solve one Bethe branch of the Dicke equations.
 
     Pipeline: decoupled roots of the extended construction at xi = xi_start,
@@ -441,11 +429,11 @@ def solve_dicke_branch(spec, occupation, omega0=2.0, policy=None, lift=DEFAULT_L
         eta_k = -lam * np.asarray(spec.epsilons)
         w0 = 2.0 * s0 + 1.0
         wk = np.array([2.0 * s + 1.0 for s in spec.spins])
-        kind = rg_core.algebra.TRIGONOMETRIC
+        kind = TRIGONOMETRIC
 
         def fprime(x):
             return -lam * g * (
-                w0 + sum(w * rg_core.dz_dv(kind, e, -lam * x) for e, w in zip(eta_k, wk))
+                w0 + sum(w * dz_dv(kind, e, -lam * x) for e, w in zip(eta_k, wk))
             )
 
         def dfdt(x):
@@ -486,19 +474,15 @@ def solve_dicke_branch(spec, occupation, omega0=2.0, policy=None, lift=DEFAULT_L
 XI_START_LADDER = (1.0, 0.5, 0.25, 0.1, 0.04)
 
 
-def enumerate_dicke_branches(spec, omega0=2.0, policy=None, lift=DEFAULT_LIFT,
-                             xi_starts=XI_START_LADDER, max_workers=None):
+def enumerate_dicke_branches(spec, omega0=2.0, policy=None, xi_starts=XI_START_LADDER):
     """Attempt every occupation multiset of the extended secular roots and
     return the distinct converged branches, sorted by energy (sum of x).
 
     Patterns that fail at xi_start = 1 (typically branches escaping to
     infinity because the deformed copy is too small) or converge onto an
     already-found branch are retried at smaller xi_start values, where the
-    larger deformed copy holds every finite solution.  Within one ladder level
-    the patterns are independent; max_workers > 1 runs them concurrently, with
-    results folded in in deterministic pattern order either way.
+    larger deformed copy holds every finite solution.
     """
-    from concurrent.futures import ThreadPoolExecutor
     from itertools import combinations_with_replacement
 
     n = spec.n_excitations
@@ -509,7 +493,7 @@ def enumerate_dicke_branches(spec, omega0=2.0, policy=None, lift=DEFAULT_LIFT,
     def attempt(pattern, xi_start):
         try:
             final, report, trace = solve_dicke_branch(
-                spec, list(pattern), omega0, policy, lift, xi_start
+                spec, list(pattern), omega0, policy, xi_start
             )
             return final, report
         except (ConvergenceError, SingularJacobianError, CollisionError,
@@ -519,13 +503,9 @@ def enumerate_dicke_branches(spec, omega0=2.0, policy=None, lift=DEFAULT_LIFT,
     for xi_start in xi_starts:
         if not pending:
             break
-        if max_workers is not None and max_workers > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                results = list(pool.map(lambda p: attempt(p, xi_start), pending))
-        else:
-            results = [attempt(p, xi_start) for p in pending]
         still = []
-        for pattern, res in zip(pending, results):
+        for pattern in pending:
+            res = attempt(pattern, xi_start)
             if res is None:
                 still.append(pattern)
                 continue

@@ -68,6 +68,28 @@ def test_spec_rejects_unknown_and_missing_keys(tmp_path):
         parse_spec(_write(tmp_path, "c.spec", "model = other\n"))
 
 
+def _assert_key_rejected(tmp_path, text, key, capsys):
+    path = _write(tmp_path, "bad.spec", text)
+    with pytest.raises(SpecFormatError, match=repr(key)):
+        parse_spec(path)
+    assert cli.main(["--mode", "solve-dicke", "--spec", path]) == 1
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_spec_list_for_scalar_key_is_format_error(tmp_path, capsys):
+    _assert_key_rejected(tmp_path, JC_SPEC.replace("G = 0.5", "G = [0.2]"), "G", capsys)
+    _assert_key_rejected(tmp_path, JC_SPEC.replace("N = 1", "N = [1]"), "N", capsys)
+
+
+def test_spec_fractional_excitation_number_is_format_error(tmp_path, capsys):
+    _assert_key_rejected(tmp_path, JC_SPEC.replace("N = 1", "N = 2.7"), "N", capsys)
+
+
+def test_spec_scalar_for_list_key_is_format_error(tmp_path, capsys):
+    text = JC_SPEC.replace("epsilons = [1.0]", "epsilons = 1")
+    _assert_key_rejected(tmp_path, text, "epsilons", capsys)
+
+
 def test_solve_dicke_document_contents(tmp_path):
     config = RunConfig("solve-dicke", _write(tmp_path, "jc.spec", JC_SPEC))
     text, code = run(config)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaudin import rg_core
+from gaudin import algebra, rg_core
 from gaudin.algebra import LevelSet, RATIONAL, TRIGONOMETRIC
 from gaudin.errors import (
     CollisionError,
@@ -218,31 +218,122 @@ def test_extended_dicke_endpoints():
     assert np.max(np.abs(at0.jacobian - np.diag(np.diag(at0.jacobian)))) == 0.0
 
 
-@pytest.mark.parametrize("family", ["rg", "deformed_rg", "tda", "dicke",
-                                    "deformed_dicke", "extended_dicke"])
-def test_analytic_jacobians_match_finite_differences(family):
-    rng = np.random.default_rng(5)
+RG_FAMILIES = ("rg", "deformed_rg", "tda")
+DICKE_FAMILIES = ("dicke", "deformed_dicke", "extended_dicke")
+
+
+def _family_fn(family, kind, n):
+    """The residual of one family at fixed model parameters, as fn(w)."""
     ls = LevelSet.from_spins((0.9, 2.1, 3.3), (0.5, 1.0, 0.5))
-    mspec = ModelSpec(ls, TRIGONOMETRIC, 2, -0.12)
-    dspec = DickeSpec((0.8, 1.3), (0.5, 0.5), 0.2, 1.0, 2)
+    mspec = ModelSpec(ls, kind or TRIGONOMETRIC, n, -0.12)
+    dspec = DickeSpec((0.8, 1.3), (0.5, 0.5), 0.2, 1.0, n)
+    if family == "rg":
+        return lambda v: rg_residual(mspec, RapiditySet(tuple(v), RG_ETA))
+    if family == "deformed_rg":
+        return lambda v: deformed_rg_residual(mspec, 0.6, RapiditySet(tuple(v), RG_ETA))
+    if family == "tda":
+        return lambda v: tda_residual(mspec, RapiditySet(tuple(v), RG_ETA))
+    if family == "dicke":
+        return lambda v: dicke_rg_residual(dspec, RapiditySet(tuple(v), DICKE_X))
+    if family == "deformed_dicke":
+        return lambda v: deformed_dicke_residual(dspec, 0.3, RapiditySet(tuple(v), DICKE_X))
+    return lambda v: extended_dicke_residual(dspec, 0.4, RapiditySet(tuple(v), DICKE_X))
+
+
+def _jacobian_cases():
+    # the trigonometric N = 2 case of each family keeps the bare family id
+    for family in RG_FAMILIES + DICKE_FAMILIES:
+        for kind in (TRIGONOMETRIC, RATIONAL) if family in RG_FAMILIES else (None,):
+            for n in (2, 3):
+                tag = [family] + (["rational"] if kind == RATIONAL else [])
+                tag += [f"N{n}"] if n != 2 else []
+                yield pytest.param(family, kind, n, id="-".join(tag))
+
+
+@pytest.mark.parametrize("family, kind, n", list(_jacobian_cases()))
+def test_analytic_jacobians_match_finite_differences(family, kind, n):
+    rng = np.random.default_rng(5)
+    fn = _family_fn(family, kind, n)
     for _ in range(20):
-        w = rng.uniform(-1.5, 4.5, 2) + 1j * rng.uniform(0.3, 1.2, 2)
-        if family == "rg":
-            fn = lambda v: rg_residual(mspec, RapiditySet(tuple(v), RG_ETA))
-        elif family == "deformed_rg":
-            fn = lambda v: deformed_rg_residual(mspec, 0.6, RapiditySet(tuple(v), RG_ETA))
-        elif family == "tda":
-            fn = lambda v: tda_residual(mspec, RapiditySet(tuple(v), RG_ETA))
-        elif family == "dicke":
-            fn = lambda v: dicke_rg_residual(dspec, RapiditySet(tuple(v), DICKE_X))
-        elif family == "deformed_dicke":
-            fn = lambda v: deformed_dicke_residual(dspec, 0.3, RapiditySet(tuple(v), DICKE_X))
-        else:
-            fn = lambda v: extended_dicke_residual(dspec, 0.4, RapiditySet(tuple(v), DICKE_X))
+        w = rng.uniform(-1.5, 4.5, n) + 1j * rng.uniform(0.3, 1.2, n)
         rep = fn(w)
         fd = fd_jacobian(fn, w)
         scale = max(1.0, np.max(np.abs(rep.jacobian)))
         assert np.max(np.abs(rep.jacobian - fd)) / scale < 1e-6
+
+
+def _brute_rg(kind, etas, weights, g_site, g_pair, w):
+    return [
+        1.0
+        + g_site * sum(wt * algebra.pair_z(kind, e, wa) for e, wt in zip(etas, weights))
+        - g_pair * sum(algebra.pair_z(kind, wb, wa) for b, wb in enumerate(w) if b != a)
+        for a, wa in enumerate(w)
+    ]
+
+
+def _brute_single_copy(spec, x, xi, tau):
+    """Extended Dicke family written out with algebra.pair_z (tau = 1 is the
+    deformed Dicke family)."""
+    lam, g, s0 = contraction_scales(spec, xi, 2.0)
+    eta = [-lam * v for v in x]
+    w0 = tau * s0 + (1.0 - tau) * (2.0 * s0 + 1.0)
+    out = []
+    for a, ea in enumerate(eta):
+        r = 1.0 + g * ea * w0
+        for ek, s in zip(spec.epsilons, spec.spins):
+            weight = tau * s + (1.0 - tau) * (2.0 * s + 1.0)
+            r += g * weight * algebra.pair_z(TRIGONOMETRIC, -lam * ek, ea)
+        for b, eb in enumerate(eta):
+            if b != a:
+                r -= g * tau * algebra.pair_z(TRIGONOMETRIC, eb, ea)
+        out.append(r)
+    return out
+
+
+@pytest.mark.parametrize("family", RG_FAMILIES + DICKE_FAMILIES)
+def test_residual_values_match_brute_force_sums(family):
+    rng = np.random.default_rng(11)
+    ls = LevelSet.from_spins((0.9, 2.1, 3.3), (0.5, 1.0, 0.5))
+    dspec = DickeSpec((0.8, 1.3, 1.7), (0.5, 1.0, 0.5), 0.2, 1.3, 3)
+    for trial in range(12):
+        w = rng.uniform(-1.5, 4.5, 3) + 1j * rng.uniform(-1.2, 1.2, 3)
+        kind = (TRIGONOMETRIC, RATIONAL)[trial % 2]
+        spec = ModelSpec(ls, kind, 3, -0.12)
+        r_eta = RapiditySet(tuple(w), RG_ETA)
+        r_x = RapiditySet(tuple(w), DICKE_X)
+        # parameter endpoints first, then random interior values
+        t = (0.0, 1.0)[trial] if trial < 2 else rng.uniform(0.05, 0.95)
+        if family == "rg":
+            got = rg_residual(spec, r_eta)
+            ref = _brute_rg(kind, ls.etas, ls.spins, -0.12, -0.12, w)
+        elif family == "deformed_rg":
+            got = deformed_rg_residual(spec, t, r_eta)
+            weights = [t * s + (1.0 - t) * o for s, o in zip(ls.spins, ls.degeneracies)]
+            ref = _brute_rg(kind, ls.etas, weights, -0.12, -0.12 * t, w)
+        elif family == "tda":
+            got = tda_residual(spec, r_eta)
+            ref = _brute_rg(kind, ls.etas, ls.degeneracies, -0.12, 0.0, w)
+        elif family == "dicke":
+            got = dicke_rg_residual(dspec, r_x)
+            gg2 = 2.0 * dspec.coupling_G**2
+            ref = [
+                dspec.hbar_omega - xa
+                - gg2 * sum(s * algebra.pair_z(RATIONAL, e, xa)
+                            for e, s in zip(dspec.epsilons, dspec.spins))
+                + gg2 * sum(algebra.pair_z(RATIONAL, xb, xa)
+                            for b, xb in enumerate(w) if b != a)
+                for a, xa in enumerate(w)
+            ]
+        elif family == "deformed_dicke":
+            xi = 1.0 if trial < 2 else t
+            got = deformed_dicke_residual(dspec, xi, r_x)
+            ref = _brute_single_copy(dspec, w, xi, 1.0)
+        else:
+            xi = (1.0, 0.25)[trial % 2]
+            got = extended_dicke_residual(dspec, t, r_x, xi=xi)
+            ref = _brute_single_copy(dspec, w, xi, t)
+        ref = np.asarray(ref, dtype=complex)
+        assert np.max(np.abs(got.residuals - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_vacuum_energy():

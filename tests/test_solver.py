@@ -90,14 +90,14 @@ def test_solve_tda_bad_occupation():
 
 def test_newton_zero_iterations_at_exact_root():
     fn = lambda w: dicke_rg_residual(JC, RapiditySet(tuple(w), DICKE_X))
-    w, rep, iters = newton_solve(fn, RapiditySet((0.5,), DICKE_X))
+    w, rep, iters = newton_solve(fn, RapiditySet((0.5,), DICKE_X).as_array())
     assert iters == 0
     assert w[0] == 0.5 + 0.0j
 
 
 def test_newton_quadratic_convergence_on_jc():
     fn = lambda w: dicke_rg_residual(JC, RapiditySet(tuple(w), DICKE_X))
-    w, rep, iters = newton_solve(fn, RapiditySet((0.4,), DICKE_X), tol=1e-12)
+    w, rep, iters = newton_solve(fn, RapiditySet((0.4,), DICKE_X).as_array(), tol=1e-12)
     assert abs(w[0] - 0.5) < 1e-12
     assert iters <= 6
 
@@ -105,7 +105,7 @@ def test_newton_quadratic_convergence_on_jc():
 def test_newton_collision_start_raises():
     fn = lambda w: dicke_rg_residual(JC, RapiditySet(tuple(w), DICKE_X))
     with pytest.raises(CollisionError):
-        newton_solve(fn, RapiditySet((1.0,), DICKE_X))
+        newton_solve(fn, RapiditySet((1.0,), DICKE_X).as_array())
 
 
 def test_continue_zero_length_path():
@@ -172,18 +172,10 @@ def test_enumerate_m2_finds_all_four_states():
     assert sums == sorted(sums)
     # known structure: two conjugate pairs, one real split pair, one real pair
     gs = branches[0]["rapidities"].as_array()
-    assert np.allclose(np.sort_complex(gs), np.sort_complex(np.conj(gs)), atol=1e-10)
+    # closed under conjugation: every conjugate lies on some rapidity (an
+    # order-free check; sorting flips on real parts equal to rounding)
+    assert all(np.min(np.abs(gs - np.conj(v))) < 1e-10 for v in gs)
     assert abs(gs[0].imag) > 1e-3
-
-
-def test_enumerate_parallel_matches_sequential():
-    spec = DickeSpec((0.8, 1.3), (0.5, 0.5), 0.2, 1.0, 2)
-    seq = enumerate_dicke_branches(spec)
-    par = enumerate_dicke_branches(spec, max_workers=4)
-    assert len(seq) == len(par)
-    for a, b in zip(seq, par):
-        assert a["occupation"] == b["occupation"]
-        assert np.allclose(a["rapidities"].as_array(), b["rapidities"].as_array())
 
 
 def test_tavis_cummings_branches():
