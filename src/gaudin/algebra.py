@@ -43,6 +43,13 @@ def _is_half_integer(x, tol=1e-12):
     return abs(2 * x - round(2 * x)) < tol
 
 
+def _integer_degeneracies(values):
+    for o in values:
+        if not float(o).is_integer():
+            raise DegenerateLevelError(f"degeneracy {o} is not an integer")
+    return tuple(int(o) for o in values)
+
+
 @dataclass(frozen=True)
 class LevelSet:
     """The m spin levels: coordinates eta_i, spins s_i, degeneracies 2 s_i + 1."""
@@ -54,7 +61,7 @@ class LevelSet:
     def __post_init__(self):
         etas = tuple(float(e) for e in self.etas)
         spins = tuple(float(s) for s in self.spins)
-        degeneracies = tuple(int(o) for o in self.degeneracies)
+        degeneracies = _integer_degeneracies(self.degeneracies)
         object.__setattr__(self, "etas", etas)
         object.__setattr__(self, "spins", spins)
         object.__setattr__(self, "degeneracies", degeneracies)
@@ -83,7 +90,7 @@ class LevelSet:
 
     @classmethod
     def from_degeneracies(cls, etas, degeneracies):
-        degeneracies = tuple(int(o) for o in degeneracies)
+        degeneracies = _integer_degeneracies(degeneracies)
         return cls(tuple(etas), tuple((o - 1) / 2 for o in degeneracies), degeneracies)
 
     @property

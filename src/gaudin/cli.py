@@ -353,10 +353,12 @@ def run_ed_spectrum(config, spec):
                 lines.append("row = %d  %s" % (m_val, _fmt(ev)))
     else:
         charges = ed_oracle.realize_rg_charges(spec, 1.0)
+        sectors = sorted(set(charges[0].basis.excitation_numbers()))
         lines += [""] + _spec_section(spec)
         lines += ["", "[spectrum]", "columns = charge, eigenvalue"]
         for i, op in enumerate(charges):
-            for ev in ed_oracle.spectrum(op):
+            evs = np.concatenate([ed_oracle.sector_spectrum(op, m) for m in sectors])
+            for ev in np.sort(evs):
                 lines.append("row = %d  %s" % (i, _fmt(ev)))
     lines += [""] + _environment_section(config)
     return "\n".join(lines) + "\n", 0

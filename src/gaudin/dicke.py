@@ -156,7 +156,7 @@ def realize_deformed_charge0(spec, xi, boson_cutoff, omega0=2.0):
         )
     basis = ed_oracle.HilbertBasis.deformed_dicke(spec, boson_cutoff, round(2 * s0) / 2.0)
     op = ed_oracle.realize(expr, basis)
-    return ed_oracle.MatrixOperator(spec.hbar_omega * op.matrix, basis, hermitian=True)
+    return ed_oracle.MatrixOperator(spec.hbar_omega * op.csr, basis, hermitian=True)
 
 
 @dataclass(frozen=True)
@@ -192,19 +192,19 @@ def bethe_coefficients(state, boson_cutoff):
     basis = ed_oracle.HilbertBasis.dicke(spec, boson_cutoff)
     bdag = ed_oracle.realize(
         OperatorExpression(((1.0, (("bdag", None),)),)), basis
-    ).matrix
+    ).csr
     raisers = [
-        ed_oracle.realize(OperatorExpression(((1.0, (("sp", k),)),)), basis).matrix
+        ed_oracle.realize(OperatorExpression(((1.0, (("sp", k),)),)), basis).csr
         for k in range(spec.m)
     ]
     # |theta>: boson vacuum, every spin at lowest weight -> basis index 0
     v = np.zeros(basis.total_dim, dtype=complex)
     v[0] = 1.0
     for xa in x:
-        factor = bdag.copy()
+        w = bdag @ v
         for k in range(spec.m):
-            factor -= spec.coupling_G / (spec.epsilons[k] - xa) * raisers[k]
-        v = factor @ v
+            w -= spec.coupling_G / (spec.epsilons[k] - xa) * (raisers[k] @ v)
+        v = w
     if state.normalization == "unit":
         nv = np.linalg.norm(v)
         if nv == 0.0:

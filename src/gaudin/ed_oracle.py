@@ -1,16 +1,22 @@
 """Exact-diagonalization oracle on truncated tensor-product Hilbert spaces.
 
-Every operator expression is realized as a dense complex matrix; spectra,
-commutator norms, and eigenvector residuals anchor the numerical claims made
-by the solver.  Dense matrices only: this is a correctness oracle at desk
-scale, not a performance component.
+Every operator expression is realized as a sparse complex CSR matrix on the
+full truncated product basis: one routine, `embed`, places per-site operators
+among identities and takes their sparse Kronecker product.  Spectra are taken
+per excitation sector, densifying one sector block at a time, so the oracle
+reaches product spaces (m = 10 spin-1/2 levels at boson cutoff 20, 21504
+states) whose dense matrices would not fit in memory.  Spectra, commutator
+norms and eigenvector residuals anchor the numerical claims made by the
+solver.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import algebra
 from .algebra import grid_index
@@ -135,23 +141,32 @@ class RestrictedBasis:
 
 @dataclass
 class MatrixOperator:
-    """Dense complex matrix over a HilbertBasis."""
+    """Complex matrix over a HilbertBasis, stored as CSR whether it is given
+    dense or sparse."""
 
-    matrix: np.ndarray
+    csr: sparse.csr_array
     basis: HilbertBasis
     hermitian: bool = False
 
     def __post_init__(self):
-        if self.matrix.shape != (self.basis.total_dim, self.basis.total_dim):
+        self.csr = sparse.csr_array(self.csr, dtype=complex)
+        if self.csr.shape != (self.basis.total_dim, self.basis.total_dim):
             raise BasisMismatchError("matrix dimension does not match basis")
         if self.hermitian:
-            dev = np.max(np.abs(self.matrix - self.matrix.conj().T))
-            if dev > 1e-12 * max(1.0, np.max(np.abs(self.matrix))):
+            dev = abs(self.csr - self.csr.conj().T).max()
+            if dev > 1e-12 * max(1.0, abs(self.csr).max()):
                 raise ValidationError(f"hermitian flag set but deviation is {dev:.3e}")
 
+    @property
+    def matrix(self):
+        """Read-only dense copy of the whole operator."""
+        dense = self.csr.toarray()
+        dense.flags.writeable = False
+        return dense
+
     def restrict(self, indices):
-        """Sector sub-matrix; callers diagonalize it directly."""
-        return self.matrix[np.ix_(indices, indices)]
+        """Sparse sub-matrix on the given basis indices."""
+        return self.csr[indices][:, indices]
 
 
 def _factor_index(basis, symbol, level):
@@ -169,11 +184,35 @@ def _factor_index(basis, symbol, level):
     return idx
 
 
+def embed(dims, per_site):
+    """Sparse Kronecker product over factors of the given dimensions, with the
+    dense matrix per_site[i] on factor i and the identity wherever per_site[i]
+    is None.
+
+    Nonzeros are combined factor by factor: a combined index times the next
+    factor's dimension plus its local index, the ordering of np.kron.
+    """
+    rows = cols = np.zeros(1, dtype=np.int64)
+    data = np.ones(1, dtype=complex)
+    for d, op in zip(dims, per_site):
+        if op is None:
+            r = c = np.arange(d)
+            v = np.ones(d)
+        else:
+            r, c = np.nonzero(op)
+            v = op[r, c]
+        rows = (rows[:, None] * d + r).ravel()
+        cols = (cols[:, None] * d + c).ravel()
+        data = (data[:, None] * v).ravel()
+    n = int(np.prod(dims))
+    return sparse.csr_array((data, (rows, cols)), shape=(n, n))
+
+
 def realize(expr, basis, hermitian=None):
-    """Realize an OperatorExpression as a dense matrix on the given basis."""
+    """Realize an OperatorExpression as a sparse matrix on the given basis."""
     dims = [f.dim for f in basis.factors]
     local = [_local_ops(f) for f in basis.factors]
-    total = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
+    total = sparse.csr_array((basis.total_dim, basis.total_dim), dtype=complex)
     for coeff, factors in expr.terms:
         per_site = [None] * len(dims)
         for symbol, level in factors:
@@ -184,17 +223,13 @@ def realize(expr, basis, hermitian=None):
                 )
             op = local[idx][symbol]
             per_site[idx] = op if per_site[idx] is None else per_site[idx] @ op
-        term = np.array([[1.0 + 0j]])
-        for idx, d in enumerate(dims):
-            site = per_site[idx] if per_site[idx] is not None else np.eye(d)
-            term = np.kron(term, site)
-        total += coeff * term
+        total += coeff * embed(dims, per_site)
     flag = expr.hermitian if hermitian is None else hermitian
     return MatrixOperator(total, basis, hermitian=flag)
 
 
 def spectrum(op):
-    """Sorted real eigenvalues of a hermitian operator."""
+    """Sorted real eigenvalues of a hermitian operator (full dense diagonalization)."""
     if not op.hermitian:
         raise ValidationError("spectrum requires a hermitian operator")
     return np.sort(np.linalg.eigvalsh(op.matrix))
@@ -207,13 +242,23 @@ def eigensystem(op):
 
 
 def sector_spectrum(op, m_value):
-    """Eigenvalues of the restriction to the excitation-number-M sector."""
+    """Eigenvalues of the restriction to the excitation-number-M sector.
+
+    The sector must be invariant: an operator with a nonzero entry between
+    the sector and any other state is refused, since its restriction would
+    not carry a part of its spectrum.
+    """
     if not op.hermitian:
         raise ValidationError("sector_spectrum requires a hermitian operator")
-    idx = op.basis.sector_indices(m_value)
+    inside = op.basis.excitation_numbers() == m_value
+    idx = np.nonzero(inside)[0]
     if len(idx) == 0:
         return np.array([])
-    return np.sort(np.linalg.eigvalsh(op.matrix[np.ix_(idx, idx)]))
+    coo = op.csr.tocoo()
+    nonzero = coo.data != 0
+    if np.any(inside[coo.row[nonzero]] != inside[coo.col[nonzero]]):
+        raise ValidationError(f"operator links sector M = {m_value} to other sectors")
+    return np.sort(np.linalg.eigvalsh(op.restrict(idx).toarray()))
 
 
 def restrict_to_closed_sectors(op):
@@ -230,15 +275,15 @@ def restrict_to_closed_sectors(op):
         return op
     keep = np.nonzero(basis.excitation_numbers() <= min(caps))[0]
     sub = RestrictedBasis(basis, keep)
-    return MatrixOperator(op.matrix[np.ix_(keep, keep)], sub, hermitian=op.hermitian)
+    return MatrixOperator(op.restrict(keep), sub, hermitian=op.hermitian)
 
 
 def commutator_norm(a, b):
     """Frobenius norm of AB - BA."""
-    if a.matrix.shape != b.matrix.shape:
+    if a.csr.shape != b.csr.shape:
         raise BasisMismatchError("operators live on different bases")
-    c = a.matrix @ b.matrix - b.matrix @ a.matrix
-    return float(np.linalg.norm(c))
+    c = a.csr @ b.csr - b.csr @ a.csr
+    return float(np.linalg.norm(c.data))
 
 
 def eigencheck(op, v):
@@ -247,7 +292,7 @@ def eigencheck(op, v):
     nv = np.linalg.norm(v)
     if nv == 0.0:
         raise ValidationError("eigencheck needs a nonzero vector")
-    ov = op.matrix @ v
+    ov = op.csr @ v
     rayleigh = np.vdot(v, ov) / (nv * nv)
     if op.hermitian:
         rayleigh = rayleigh.real
@@ -268,26 +313,30 @@ def realize_rg_charges(spec, xi, boson_cutoffs=None):
         if boson_cutoffs is None:
             raise DomainError("xi = 0 charges need boson cutoffs per level")
         basis = HilbertBasis.bosons(list(boson_cutoffs))
-        local = [_local_ops(f) for f in basis.factors]
-        dims = [f.dim for f in basis.factors]
+    elif xi == 1.0:
+        basis = HilbertBasis.spins(levels.spins)
+    else:
+        # a unitary grid point: spin irreps of the canonical triple
+        ns = [grid_index(omega, xi) for omega in levels.degeneracies]
+        if any(n is None for n in ns):
+            raise RepresentationError(
+                f"xi = {xi} is not on the unitary grid of every level"
+            )
+        basis = HilbertBasis.spins([s + n / 2.0 for s, n in zip(levels.spins, ns)])
+    dims = [f.dim for f in basis.factors]
+    local = [_local_ops(f) for f in basis.factors]
 
-        def site(idx, name):
-            term = np.array([[1.0 + 0j]])
-            for j, d in enumerate(dims):
-                term = np.kron(term, local[j][name] if j == idx else np.eye(d))
-            return term
+    @functools.cache
+    def site(idx, name):
+        per_site = [None] * len(dims)
+        per_site[idx] = local[idx][name]
+        return embed(dims, per_site)
 
+    charges = []
+    if xi == 0.0:
         omegas = levels.degeneracies
-        # the quadratic forms conserve total occupation; sectors with total
-        # occupation <= min cutoff are exactly closed under every hop, so the
-        # truncation edge never leaks into them.  Restricting there makes the
-        # charges exact (and exactly commuting); outside, [b, b'] != 1 at the
-        # cutoff row and commutation fails as a pure truncation artifact.
-        keep = np.nonzero(basis.excitation_numbers() <= min(boson_cutoffs))[0]
-        sub = RestrictedBasis(basis, keep)
-        charges = []
         for i in range(m):
-            mat = site(i, "n").astype(complex)
+            mat = site(i, "n").copy()
             for k in range(m):
                 if k == i:
                     continue
@@ -296,36 +345,16 @@ def realize_rg_charges(spec, xi, boson_cutoffs=None):
                 mat -= g * 0.25 * z[i, k] * (
                     omegas[i] * site(k, "n") + omegas[k] * site(i, "n")
                 )
+            # the quadratic forms conserve total occupation; outside the sectors
+            # that fit under the smallest cutoff, [b, b'] != 1 at the cutoff row
+            # and commutation fails as a pure truncation artifact
             charges.append(
-                MatrixOperator(mat[np.ix_(keep, keep)], sub, hermitian=True)
+                restrict_to_closed_sectors(MatrixOperator(mat, basis, hermitian=True))
             )
         return charges
-
-    # xi = 1 or a unitary grid point: spin irreps of the canonical triple
-    if xi == 1.0:
-        eff_spins = list(levels.spins)
-        g_eff = g
-    else:
-        ns = [grid_index(omega, xi) for omega in levels.degeneracies]
-        if any(n is None for n in ns):
-            raise RepresentationError(
-                f"xi = {xi} is not on the unitary grid of every level"
-            )
-        eff_spins = [s + n / 2.0 for s, n in zip(levels.spins, ns)]
-        g_eff = g * xi
-    basis = HilbertBasis.spins(eff_spins)
-    local = [_local_ops(f) for f in basis.factors]
-    dims = [f.dim for f in basis.factors]
-
-    def site(idx, name):
-        term = np.array([[1.0 + 0j]])
-        for j, d in enumerate(dims):
-            term = np.kron(term, local[j][name] if j == idx else np.eye(d))
-        return term
-
-    charges = []
+    g_eff = g * xi  # exactly g at xi = 1
     for i in range(m):
-        mat = site(i, "sz").astype(complex)
+        mat = site(i, "sz").copy()
         for k in range(m):
             if k == i:
                 continue

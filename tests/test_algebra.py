@@ -31,6 +31,14 @@ def test_levelset_validates_degeneracy_relation():
         LevelSet((1.0, 2.0), (0.5, 0.5), (2, 3))
 
 
+def test_levelset_rejects_fractional_degeneracy():
+    with pytest.raises(DegenerateLevelError, match="2.7"):
+        LevelSet.from_degeneracies((1.0, 2.0), (2.7, 2))
+    with pytest.raises(DegenerateLevelError, match="2.7"):
+        LevelSet((1.0, 2.0), (0.5, 0.5), (2.7, 2))
+    assert LevelSet.from_degeneracies((1.0, 2.0), (2.0, 3)).spins == (0.5, 1.0)
+
+
 def test_levelset_rejects_duplicate_etas():
     with pytest.raises(DegenerateLevelError):
         LevelSet.from_spins((1.0, 1.0), (0.5, 0.5))

@@ -90,6 +90,15 @@ def test_spec_scalar_for_list_key_is_format_error(tmp_path, capsys):
     _assert_key_rejected(tmp_path, text, "epsilons", capsys)
 
 
+def test_spec_fractional_degeneracy_exits_1(tmp_path, capsys):
+    text = RG_SPEC.replace(
+        "spins = [0.5, 0.5, 0.5, 0.5]", "degeneracies = [2.7, 2, 2, 2]"
+    )
+    path = _write(tmp_path, "bad.spec", text)
+    assert cli.main(["--mode", "solve-rg", "--spec", path]) == 1
+    assert "2.7" in capsys.readouterr().err
+
+
 def test_solve_dicke_document_contents(tmp_path):
     config = RunConfig("solve-dicke", _write(tmp_path, "jc.spec", JC_SPEC))
     text, code = run(config)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaudin import dicke, ed_oracle, rg_core
-from gaudin.algebra import LevelSet, RATIONAL, TRIGONOMETRIC
+from gaudin.algebra import LevelSet, RATIONAL, TRIGONOMETRIC, build_gaudin, grid_index
 from gaudin.dicke import OperatorExpression, build_dicke_hamiltonian, excitation_number
 from gaudin.ed_oracle import (
     HilbertBasis,
@@ -110,6 +110,17 @@ def test_hamiltonian_commutes_with_excitation_number():
         assert commutator_norm(ham, num) < 1e-12
 
 
+def test_sector_spectrum_refuses_non_invariant_sector():
+    basis = HilbertBasis.spins([0.5])
+    sx = realize(
+        OperatorExpression(((1.0, (("sp", 0),)), (1.0, (("sm", 0),))), hermitian=True),
+        basis,
+    )
+    with pytest.raises(ValidationError):
+        sector_spectrum(sx, 0)
+    assert np.allclose(spectrum(sx), [-1.0, 1.0], atol=1e-14)
+
+
 def test_sector_closure():
     spec = DickeSpec((0.8, 1.3), (0.5, 0.5), 0.2, 1.0, 2)
     basis = HilbertBasis.dicke(spec, 6)
@@ -208,3 +219,133 @@ def test_hermitian_flag_verified():
     mat = realize(_op("bdag"), basis).matrix
     with pytest.raises(ValidationError):
         MatrixOperator(mat, basis, hermitian=True)
+
+
+# -- dense np.kron reference, written independently of the sparse oracle ----
+
+
+def _raising(spin, dim):
+    """Raising matrix and weights on the lowest dim weights of spin `spin`."""
+    mu = -spin + np.arange(dim)
+    up = np.zeros((dim, dim))
+    for i in range(dim - 1):
+        up[i + 1, i] = np.sqrt(spin * (spin + 1) - mu[i] * (mu[i] + 1))
+    return up, mu
+
+
+def _on(dims, ops):
+    """np.kron chain with ops[i] on factor i and the identity elsewhere."""
+    out = np.ones((1, 1), dtype=complex)
+    for i, d in enumerate(dims):
+        out = np.kron(out, ops.get(i, np.eye(d)))
+    return out
+
+
+def _dense_mode_plus_spins(spec, mode_up, mode_weights, level_coeffs, mode_coeffs):
+    """sum_k [level_coeffs[k] Sz_k + mode_coeffs[k] (M' S_k + S'_k M)] + diag(mode_weights)
+    on a mode factor with raising matrix mode_up, followed by the spin levels."""
+    spins = [_raising(s, int(round(2 * s + 1))) for s in spec.spins]
+    dims = [len(mode_weights)] + [len(mu) for _, mu in spins]
+    out = _on(dims, {0: np.diag(mode_weights)})
+    for k, (up, mu) in enumerate(spins):
+        out = out + level_coeffs[k] * _on(dims, {k + 1: np.diag(mu)})
+        out = out + mode_coeffs[k] * (
+            _on(dims, {0: mode_up, k + 1: up.T}) + _on(dims, {0: mode_up.T, k + 1: up})
+        )
+    return out, dims, spins
+
+
+def test_dicke_hamiltonian_matches_dense_kron_reference():
+    spec = DickeSpec((0.8, 1.3, 1.7), (0.5, 1.0, 0.5), 0.23, 1.1, 2)
+    cutoff = 5
+    bdag = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), -1)
+    ref, _, _ = _dense_mode_plus_spins(
+        spec, bdag, spec.hbar_omega * np.arange(cutoff + 1.0), spec.epsilons,
+        [spec.coupling_G] * spec.m,
+    )
+    ham = realize(build_dicke_hamiltonian(spec), HilbertBasis.dicke(spec, cutoff))
+    assert np.max(np.abs(ham.matrix - ref)) < 1e-12
+
+
+def test_deformed_charge0_matches_dense_kron_reference():
+    spec = DickeSpec((0.8, 1.3), (0.5, 1.0), 0.2, 1.0, 2)
+    cutoff = 4
+    xi = dicke.contraction_grid_xi(2.0, 3)
+    lam, g, s0 = rg_core.contraction_scales(spec, xi, 2.0)
+    up, a0 = _raising(s0, cutoff + 1)
+    eta = -lam * np.asarray(spec.epsilons)
+    # hw [A0 + g sum_k (X_0k (A' S_k + S'_k A)/2 + Z_0k A0 Sz_k)], X_0k = sqrt(1 + eta_k^2)
+    ref, dims, spins = _dense_mode_plus_spins(
+        spec, up, a0, [0.0] * spec.m, 0.5 * g * np.sqrt(1.0 + eta**2)
+    )
+    for k, (_, mu) in enumerate(spins):
+        ref = ref + g * eta[k] * _on(dims, {0: np.diag(a0), k + 1: np.diag(mu)})
+    r0 = dicke.realize_deformed_charge0(spec, xi, cutoff)
+    assert np.max(np.abs(r0.matrix - spec.hbar_omega * ref)) < 1e-12
+
+
+def _dense_rg_charges(spec, xi, cutoffs=None):
+    levels, g = spec.levels, spec.coupling_g
+    mats = build_gaudin(spec.kind, levels)
+    x, z, m = mats.x, mats.z, levels.m
+    charges = []
+    if xi == 0.0:
+        dims = [c + 1 for c in cutoffs]
+        bdag = [np.diag(np.sqrt(np.arange(1.0, d)), -1) for d in dims]
+        num = [np.diag(np.arange(float(d))) for d in dims]
+        omegas = levels.degeneracies
+        occupation = np.array([sum(t) for t in itertools.product(*map(range, dims))])
+        keep = np.nonzero(occupation <= min(cutoffs))[0]
+        for i in range(m):
+            q = _on(dims, {i: num[i]})
+            for k in range(m):
+                if k != i:
+                    hop = _on(dims, {i: bdag[i], k: bdag[k].T})
+                    hop = hop + _on(dims, {k: bdag[k], i: bdag[i].T})
+                    q = q + 0.25 * g * x[i, k] * np.sqrt(omegas[i] * omegas[k]) * hop
+                    q = q - 0.25 * g * z[i, k] * (
+                        omegas[i] * _on(dims, {k: num[k]}) + omegas[k] * _on(dims, {i: num[i]})
+                    )
+            charges.append(q[np.ix_(keep, keep)])
+        return charges
+    spins = [
+        s + grid_index(omega, xi) / 2.0 for s, omega in zip(levels.spins, levels.degeneracies)
+    ]
+    ladders = [_raising(s, int(round(2 * s + 1))) for s in spins]
+    dims = [len(mu) for _, mu in ladders]
+    up = [u for u, _ in ladders]
+    sz = [np.diag(mu) for _, mu in ladders]
+    for i in range(m):
+        q = _on(dims, {i: sz[i]})
+        for k in range(m):
+            if k != i:
+                mix = _on(dims, {k: up[k], i: up[i].T}) + _on(dims, {i: up[i], k: up[k].T})
+                q = q + g * xi * (
+                    0.5 * x[i, k] * mix + z[i, k] * _on(dims, {i: sz[i], k: sz[k]})
+                )
+        charges.append(q)
+    return charges
+
+
+@pytest.mark.parametrize("xi", [1.0, 0.5, 0.0])
+def test_rg_charges_match_dense_kron_reference(xi):
+    ls = LevelSet.from_spins((0.7, 1.9, 3.2), (0.5, 1.0, 0.5))
+    spec = ModelSpec(ls, TRIGONOMETRIC, 1, 0.37)
+    cutoffs = (4, 5, 4) if xi == 0.0 else None
+    kw = {"boson_cutoffs": cutoffs} if xi == 0.0 else {}
+    ops = realize_rg_charges(spec, xi, **kw)
+    refs = _dense_rg_charges(spec, xi, cutoffs)
+    assert len(ops) == len(refs) == 3
+    for op, ref in zip(ops, refs):
+        assert op.matrix.shape == ref.shape
+        assert np.max(np.abs(op.matrix - ref)) < 1e-12
+
+
+def test_sector_spectrum_at_m10_cutoff20():
+    # 21 x 2^10 = 21504 product states: the dense complex matrix would take 7.4 GB
+    spec = DickeSpec(tuple(0.5 + 0.1 * k for k in range(10)), (0.5,) * 10, 0.2, 1.0, 3)
+    ham = realize(build_dicke_hamiltonian(spec), HilbertBasis.dicke(spec, 20))
+    assert ham.basis.total_dim == 21504
+    assert MatrixOperator(ham.csr, ham.basis, hermitian=True).hermitian
+    ev = sector_spectrum(ham, 3)
+    assert len(ev) == 176 and np.all(np.isfinite(ev))
