@@ -130,15 +130,6 @@ def pair_z(kind, u, v):
     return (1.0 + u * v) / d
 
 
-def dz_dv(kind, u, v):
-    """Derivative of pair_z(kind, u, v) with respect to the second coordinate."""
-    _check_kind(kind)
-    d = u - v
-    if kind == RATIONAL:
-        return 1.0 / (d * d)
-    return (1.0 + u * u) / (d * d)
-
-
 def check_collisions(sites, rapidities):
     """Raise CollisionError if a rapidity lies within COLLISION_TOL of a site
     or of another rapidity; the error's pair is ("level", i, a) or

@@ -146,12 +146,13 @@ def _spec_from_dict(kv):
         for req in ("kind", "etas", "g", "N"):
             if req not in kv:
                 raise SpecFormatError(f"model=rg requires key {req!r}")
-        if "spins" in kv:
-            levels = algebra.LevelSet.from_spins(_list(kv, "etas"), _list(kv, "spins"))
+        etas = _list(kv, "etas")
+        if "spins" in kv and "degeneracies" in kv:
+            levels = algebra.LevelSet(etas, _list(kv, "spins"), _list(kv, "degeneracies"))
+        elif "spins" in kv:
+            levels = algebra.LevelSet.from_spins(etas, _list(kv, "spins"))
         elif "degeneracies" in kv:
-            levels = algebra.LevelSet.from_degeneracies(
-                _list(kv, "etas"), _list(kv, "degeneracies")
-            )
+            levels = algebra.LevelSet.from_degeneracies(etas, _list(kv, "degeneracies"))
         else:
             raise SpecFormatError("model=rg requires 'spins' or 'degeneracies'")
         return rg_core.ModelSpec(
@@ -202,15 +203,22 @@ class RunConfig:
             raise ValidationError(f"unknown format {self.out_format!r}")
         if self.newton_tol <= 0:
             raise ValidationError("newton_tol must be positive")
+        if self.xi_steps is not None and self.xi_steps < 1:
+            raise ValidationError(f"--xi-steps must be >= 1, got {self.xi_steps}")
 
 
 def _policy(config, **overrides):
     kw = {"newton_tol": config.newton_tol}
-    if config.xi_steps:
+    if config.xi_steps is not None:
         kw["max_step"] = 1.0 / config.xi_steps
         kw["initial_step"] = min(1e-2, kw["max_step"])
     kw.update(overrides)
     return solver.ContinuationPolicy(**kw)
+
+
+def _boson_cutoff(config, spec):
+    """--boson-cutoff, or N + 12 photons by default."""
+    return spec.n_excitations + 12 if config.boson_cutoff is None else config.boson_cutoff
 
 
 def _header(config, extra=()):
@@ -280,9 +288,7 @@ def _dicke_branch_records(config, spec, branches, cutoff):
 def run_solve_dicke(config, spec):
     if not isinstance(spec, rg_core.DickeSpec):
         raise ValidationError("solve-dicke needs a model=dicke spec")
-    cutoff = config.boson_cutoff
-    if cutoff is None:
-        cutoff = spec.n_excitations + 12
+    cutoff = _boson_cutoff(config, spec)
     policy = _policy(config, xi_start=1.0, xi_end=0.0)
     if config.occupation is not None:
         final, report, trace = solver.solve_dicke_branch(
@@ -340,9 +346,7 @@ def run_sweep_xi(config, spec):
 def run_ed_spectrum(config, spec):
     lines = _header(config)
     if isinstance(spec, rg_core.DickeSpec):
-        cutoff = config.boson_cutoff
-        if cutoff is None:
-            cutoff = spec.n_excitations + 12
+        cutoff = _boson_cutoff(config, spec)
         lines[-1:] = [lines[-1], "boson_cutoff = %d" % cutoff]
         basis = ed_oracle.HilbertBasis.dicke(spec, cutoff)
         ham = ed_oracle.realize(dicke.build_dicke_hamiltonian(spec), basis)

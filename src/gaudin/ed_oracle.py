@@ -83,6 +83,11 @@ class HilbertBasis:
         if not self.factors:
             raise ValidationError("basis needs at least one factor")
         self.total_dim = int(np.prod([f.dim for f in self.factors]))
+        total = np.zeros(1)
+        for f in self.factors:
+            total = (total[:, None] + f.excitation_weights()[None, :]).ravel()
+        self._excitations = total.astype(int)
+        self._excitations.flags.writeable = False
 
     @classmethod
     def dicke(cls, spec, boson_cutoff):
@@ -113,17 +118,15 @@ class HilbertBasis:
         return cls(factors)
 
     def excitation_numbers(self):
-        """Excitation count (boson n plus spin weight above lowest) per basis state."""
-        total = np.zeros(1)
-        for f in self.factors:
-            total = (total[:, None] + f.excitation_weights()[None, :]).ravel()
-        return total.astype(int)
+        """Excitation count (boson n plus spin weight above lowest) per basis
+        state; computed once per basis, read-only."""
+        return self._excitations
 
     def sector_indices(self, m_value):
         return np.nonzero(self.excitation_numbers() == m_value)[0]
 
 
-class RestrictedBasis:
+class RestrictedBasis(HilbertBasis):
     """Subspace of a HilbertBasis spanned by a fixed index set."""
 
     def __init__(self, parent, indices):
@@ -131,12 +134,8 @@ class RestrictedBasis:
         self.indices = np.asarray(indices, dtype=int)
         self.factors = parent.factors
         self.total_dim = len(self.indices)
-
-    def excitation_numbers(self):
-        return self.parent.excitation_numbers()[self.indices]
-
-    def sector_indices(self, m_value):
-        return np.nonzero(self.excitation_numbers() == m_value)[0]
+        self._excitations = parent.excitation_numbers()[self.indices]
+        self._excitations.flags.writeable = False
 
 
 @dataclass
@@ -250,10 +249,11 @@ def sector_spectrum(op, m_value):
     """
     if not op.hermitian:
         raise ValidationError("sector_spectrum requires a hermitian operator")
-    inside = op.basis.excitation_numbers() == m_value
-    idx = np.nonzero(inside)[0]
+    idx = op.basis.sector_indices(m_value)
     if len(idx) == 0:
         return np.array([])
+    inside = np.zeros(op.basis.total_dim, dtype=bool)
+    inside[idx] = True
     coo = op.csr.tocoo()
     nonzero = coo.data != 0
     if np.any(inside[coo.row[nonzero]] != inside[coo.col[nonzero]]):

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import algebra
 from .algebra import COLLISION_TOL, LevelSet
-from .algebra import pair_z  # noqa: F401  (rg_core.pair_z is the solver's secular Z)
+# no caller in the package: kept because perfbench/tracing.py patches this name
+from .algebra import pair_z  # noqa: F401
 from .errors import (
     ContractionLimitError,
     DomainError,
@@ -121,6 +122,29 @@ def _require_frame(r, frame):
         raise ValidationError(f"expected rapidities in frame {frame!r}, got {r.frame!r}")
 
 
+def _site_sum(kind, sites, weights, g_site, const, lin, scale):
+    """u -> (r, dr/du) with r = const + lin*u + g_site sum_i weights_i Z(e_i, u),
+    e = scale*sites, for a scalar u or elementwise on an array.  Written as
+    Z(e, u) = (1 + c e^2)/(e - u) - c e, so each site costs one division."""
+    c = 0.0 if kind == algebra.RATIONAL else 1.0
+    e = [scale * s for s in sites]
+    gw = [g_site * float(wt) for wt in weights]
+    num = [gi * (1.0 + c * ei * ei) for gi, ei in zip(gw, e)]
+    base = const - c * sum(gi * ei for gi, ei in zip(gw, e))
+
+    def row(u):
+        r = base + lin * u
+        dr = lin
+        for ei, ni in zip(e, num):
+            d = ei - u
+            q = ni / d
+            r += q
+            dr += q / d
+        return r, dr
+
+    return row
+
+
 def _gaudin_residual(kind, sites, weights, g_site, g_pair, w, jacobian,
                      const=1.0, lin=0.0, scale=1.0):
     """The one residual kernel behind every family:
@@ -138,24 +162,13 @@ def _gaudin_residual(kind, sites, weights, g_site, g_pair, w, jacobian,
     c = 0.0 if kind == algebra.RATIONAL else 1.0
     # Python scalars throughout: numpy scalars would make every term slower
     g_site, g_pair, const, lin, scale = map(float, (g_site, g_pair, const, lin, scale))
-    e = [scale * s for s in sites]
+    row = _site_sum(kind, sites, weights, g_site, const, lin, scale)
     u = [scale * v for v in w]
     n = len(u)
-    # Z(e, u) = (1 + c e^2)/(e - u) - c e: the site sum is one division per term
-    gw = [g_site * float(wt) for wt in weights]
-    num = [gi * (1.0 + c * ei * ei) for gi, ei in zip(gw, e)]
-    base = const - c * sum(gi * ei for gi, ei in zip(gw, e))
     res = [0j] * n
     jac = [[0j] * n for _ in range(n)] if jacobian else None
     for a, ua in enumerate(u):
-        r = base + lin * ua
-        diag = lin
-        for ei, ni in zip(e, num):
-            d = ei - ua
-            q = ni / d
-            r += q
-            diag += q / d
-        res[a] = r
+        res[a], diag = row(ua)
         if jacobian:
             jac[a][a] = diag
     if g_pair:
@@ -183,6 +196,23 @@ def _gaudin_residual(kind, sites, weights, g_site, g_pair, w, jacobian,
         if scale != 1.0:
             jac *= scale
     return res, max_abs, jac
+
+
+def secular_row(w, kind, sites, weights, g_site, const=1.0, lin=0.0, scale=1.0):
+    """The kernel's row for one rapidity with no partner, the decoupled
+    secular equation r(w) = const + lin*u + g_site sum_i weights_i Z(e_i, u)
+    at u = scale*w.  Elementwise on a scalar or an array w (real w and
+    parameters give a real row); returns (r, dr/dw).  Poles are not checked.
+    """
+    row = _site_sum(kind, sites, weights, g_site, const, lin, scale)
+    r, dr = row(scale * np.asarray(w))
+    return r, scale * dr
+
+
+def tda_params(spec):
+    """Secular-row parameters of the decoupled equations 1 + g sum_i Z_{ia} Omega_i."""
+    return dict(kind=spec.kind, sites=spec.levels.etas,
+                weights=spec.levels.degeneracies, g_site=spec.coupling_g)
 
 
 def rg_residual(spec, r, jacobian=True):
@@ -219,8 +249,7 @@ def tda_residual(spec, r, jacobian=True):
     """Decoupled secular equations 1 + g sum_i Z_{ia} Omega_i = 0."""
     _require_frame(r, RG_ETA)
     return ResidualReport(
-        *_gaudin_residual(spec.kind, spec.levels.etas, spec.levels.degeneracies,
-                          spec.coupling_g, 0.0, r.values, jacobian),
+        *_gaudin_residual(g_pair=0.0, w=r.values, jacobian=jacobian, **tda_params(spec)),
         decoupled=True,
     )
 
@@ -276,6 +305,16 @@ def deformed_dicke_residual(spec, xi, r, omega0=2.0, jacobian=True):
     ))
 
 
+def extended_dicke_params(spec, tau, omega0=2.0, xi=1.0):
+    """Secular-row parameters of extended_dicke_residual at tau, whose
+    rapidity coupling is tau * g_site."""
+    lam, g, s0 = contraction_scales(spec, xi, omega0)
+    w0 = tau * s0 + (1.0 - tau) * (2.0 * s0 + 1.0)
+    weights = [tau * s + (1.0 - tau) * (2.0 * s + 1.0) for s in spec.spins]
+    return dict(kind=algebra.TRIGONOMETRIC, sites=spec.epsilons, weights=weights,
+                g_site=g, lin=g * w0, scale=-lam)
+
+
 def extended_dicke_residual(spec, tau, r, omega0=2.0, xi=1.0, jacobian=True):
     """Homotopy family used to seed a starting point of the Dicke construction.
 
@@ -289,11 +328,8 @@ def extended_dicke_residual(spec, tau, r, omega0=2.0, xi=1.0, jacobian=True):
     _require_frame(r, DICKE_X)
     if not 0.0 <= tau <= 1.0:
         raise DomainError(f"tau = {tau} outside [0, 1]")
-    lam, g, s0 = contraction_scales(spec, xi, omega0)
-    w0 = tau * s0 + (1.0 - tau) * (2.0 * s0 + 1.0)
-    weights = [tau * s + (1.0 - tau) * (2.0 * s + 1.0) for s in spec.spins]
+    p = extended_dicke_params(spec, tau, omega0, xi)
     return ResidualReport(
-        *_gaudin_residual(algebra.TRIGONOMETRIC, spec.epsilons, weights, g, g * tau,
-                          r.values, jacobian, lin=g * w0, scale=-lam),
+        *_gaudin_residual(g_pair=p["g_site"] * tau, w=r.values, jacobian=jacobian, **p),
         decoupled=(tau == 0.0),
     )

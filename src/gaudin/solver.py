@@ -1,9 +1,10 @@
 """Root finding and adiabatic continuation along the deformation parameter.
 
 The solve pipeline follows the deformation strategy: the decoupled secular
-equations are solved by scalar bracketing, the roots seed a damped-Newton
-corrector, and an adaptive first-order predictor-corrector tracks the solution
-along the homotopy parameter to the coupled equations.
+equation (rg_core.secular_row with a family's kernel parameters) is solved by
+bracketing between its poles, the roots seed a damped-Newton corrector, and
+an adaptive first-order predictor-corrector tracks the solution along the
+homotopy parameter to the coupled equations.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import rg_core
-from .algebra import COLLISION_TOL, TRIGONOMETRIC, dz_dv
+from .algebra import COLLISION_TOL
 from .errors import (
     CollisionError,
     ConvergenceError,
@@ -29,7 +30,7 @@ ALL_COPIES_DEFORMED = "all_copies_deformed"
 SINGLE_COPY_DICKE = "single_copy_dicke"
 
 # magnitude of the symmetric complex lift applied to repeated seed roots
-DEFAULT_LIFT = 1e-4
+SEED_LIFT = 1e-4
 
 # below this xi the single-copy family is numerically indistinguishable from
 # the exact contraction limit; the final polish switches to the Dicke residual
@@ -121,10 +122,15 @@ def newton_solve(residual_fn, w0, tol=1e-10, max_iters=50):
     )
 
 
-def _real_roots(f, poles, span_factor=50.0, samples=400):
-    """All real roots of a scalar function with known poles, by sign-change
-    bracketing on each pole-free interval plus two outer windows."""
-    poles = np.sort(np.asarray(poles, dtype=float))
+def _real_roots(row, span_factor=50.0, samples=400):
+    """All real roots of the secular row with kernel parameters `row`, by
+    sign-change bracketing on each interval between its poles (the sites)
+    plus two outer windows."""
+
+    def f(w):
+        return rg_core.secular_row(w, **row)[0]
+
+    poles = np.sort(np.asarray(row["sites"], dtype=float))
     span = max(poles[-1] - poles[0], 1.0)
     edges = np.concatenate(
         [[poles[0] - span_factor * span], poles, [poles[-1] + span_factor * span]]
@@ -136,7 +142,7 @@ def _real_roots(f, poles, span_factor=50.0, samples=400):
         if b <= a:
             continue
         ts = np.linspace(a, b, samples)
-        vals = np.array([f(t) for t in ts])
+        vals = f(ts)
         good = np.isfinite(vals)
         ts, vals = ts[good], vals[good]
         for i in range(len(ts) - 1):
@@ -160,101 +166,84 @@ def _assign_pattern(roots, n, occupation):
     return np.array([roots[i] for i in occupation], dtype=complex)
 
 
-def _cluster_seeds(values, t_start, fprime, dfdt, pair_coeff):
-    """Leading-order seeds for rapidities sharing a secular root, at a small
-    homotopy value t_start.
-
-    k rapidities on a simple root x0 split as x0 + shift + sigma * u_a with
-    sigma^2 = t_start * pair_coeff(x0) / F'(x0), u_a the zeros of the Hermite
-    polynomial H_k, and shift = -t_start * dF/dt / F'.  The sign of sigma^2
-    decides between a real split and a complex-conjugate pair, so the seed set
-    stays closed under conjugation either way.
-    """
-    values = np.asarray(values, dtype=complex)
-    order = np.argsort(values.real)
+def _equal_groups(values):
+    """Index lists of the seeds that share a real part, in ascending order."""
     groups = {}
-    for idx in order:
-        key = round(values[idx].real / max(COLLISION_TOL, 1e-12))
-        groups.setdefault(key, []).append(idx)
+    for idx in np.argsort(values.real):
+        groups.setdefault(round(values[idx].real / COLLISION_TOL), []).append(idx)
+    return list(groups.values())
+
+
+def _cluster_seeds(spec, values, t_start, omega0, xi):
+    """Leading-order seeds for rapidities sharing a root of the extended Dicke
+    secular row, at a small homotopy value t_start.
+
+    k rapidities on a simple root x0 of F = row(tau = 0) split as x0 + shift +
+    sigma * u_a with sigma^2 = t_start * P(x0) / F'(x0), P the coefficient of
+    sum_b 1/(x_b - x_a) in the rapidity coupling at tau = 1, u_a the zeros of
+    the Hermite polynomial H_k, and shift = -t_start * dF/dtau / F', where
+    dF/dtau = row(1) - row(0) as the family is affine in tau.  The sign of
+    sigma^2 decides between a real split and a complex-conjugate pair, so the
+    seed set stays closed under conjugation either way.
+    """
+    start = rg_core.extended_dicke_params(spec, 0.0, omega0, xi)
+    end = rg_core.extended_dicke_params(spec, 1.0, omega0, xi)
+    values = np.asarray(values, dtype=complex)
     out = values.copy()
-    for members in groups.values():
+    for members in _equal_groups(values):
         x0 = values[members[0]]
-        fp = fprime(x0)
-        shift = -t_start * dfdt(x0) / fp
+        f0, fp = rg_core.secular_row(x0, **start)
+        f1, _ = rg_core.secular_row(x0, **end)
+        shift = -t_start * (f1 - f0) / fp
         k = len(members)
         if k == 1:
             out[members[0]] = x0 + shift
             continue
-        sigma = np.sqrt(complex(t_start * pair_coeff(x0) / fp))
+        # -g Z(u_b, u_a) = -g (1 + u_a u_b) / (scale (x_b - x_a)), u = scale*x
+        u = end["scale"] * x0
+        pair = -end["g_site"] * (1.0 + u * u) / end["scale"]
+        sigma = np.sqrt(complex(t_start * pair / fp))
         herm = np.polynomial.hermite.hermroots([0.0] * k + [1.0])
-        for u, idx in zip(herm, members):
-            out[idx] = x0 + shift + sigma * u
+        for h, idx in zip(herm, members):
+            out[idx] = x0 + shift + sigma * h
     return out
 
 
-def _lift_duplicates(values, lift=DEFAULT_LIFT):
+def _lift_duplicates(values):
     """Split repeated seeds by a symmetric imaginary perturbation so the seed
     set stays closed under complex conjugation."""
     values = np.asarray(values, dtype=complex).copy()
-    order = np.argsort(values.real)
-    groups = {}
-    for idx in order:
-        key = round(values[idx].real / max(COLLISION_TOL, 1e-12))
-        groups.setdefault(key, []).append(idx)
-    for members in groups.values():
+    for members in _equal_groups(values):
         k = len(members)
-        if k == 1:
-            continue
         for j, idx in enumerate(members):
-            values[idx] += 1j * lift * (j - (k - 1) / 2.0) * 2.0
+            values[idx] += 1j * SEED_LIFT * (j - (k - 1) / 2.0) * 2.0
     return values
 
 
-def solve_tda(spec, occupation=None, lift=DEFAULT_LIFT):
+def solve_tda(spec, occupation=None):
     """Solve the decoupled secular equations and pick N seed rapidities.
 
-    The scalar secular function 1 + g sum_i Z(eta_i, w) Omega_i has up to m
-    real roots; the occupation pattern selects a multiset of them (default:
-    lowest first).  Repeated roots are lifted by a symmetric complex split.
+    The secular row 1 + g sum_i Z(eta_i, w) Omega_i has up to m real roots;
+    the occupation pattern selects a multiset of them (default: lowest
+    first).  Repeated roots are lifted by a symmetric complex split.
     """
-    g = spec.coupling_g
-    etas = np.asarray(spec.levels.etas)
-    omegas = np.asarray(spec.levels.degeneracies, dtype=float)
-    if g == 0.0:
+    if spec.coupling_g == 0.0:
         raise InsufficientModesError("secular equation 1 = 0 has no roots at g = 0")
-
-    def f(w):
-        return 1.0 + g * sum(
-            om * rg_core.pair_z(spec.kind, e, w) for e, om in zip(etas, omegas)
-        )
-
-    roots = _real_roots(f, etas)
+    roots = _real_roots(rg_core.tda_params(spec))
     n = spec.n_excitations
     if not roots:
         raise InsufficientModesError("secular equation has no real roots")
     values = _assign_pattern(roots, n, occupation)
-    values = _lift_duplicates(values, lift)
+    values = _lift_duplicates(values)
     values = values[np.argsort(values.real)]
     return RapiditySet(tuple(values), RG_ETA)
 
 
 def tda_roots_dicke(spec, omega0=2.0, xi=1.0):
     """Real roots of the decoupled (tau = 0) secular equation of the extended
-    Dicke construction at deformation xi, in the physical x frame."""
-    lam, g, s0 = rg_core.contraction_scales(spec, xi, omega0)
-    eps = np.asarray(spec.epsilons)
-    eta_k = -lam * eps
-    w0 = 2.0 * s0 + 1.0
-    weights = [2.0 * s + 1.0 for s in spec.spins]
-
-    def f(eta):
-        v = 1.0 + g * eta * w0
-        for ek, wk in zip(eta_k, weights):
-            v += g * wk * rg_core.pair_z(TRIGONOMETRIC, ek, eta)
-        return v
-
-    eta_roots = _real_roots(f, eta_k)
-    return sorted(-np.asarray(eta_roots) / lam)
+    Dicke construction at deformation xi, scanned in the physical x frame,
+    where its poles are the eps_k."""
+    return _real_roots(rg_core.extended_dicke_params(spec, 0.0, omega0, xi))
 
 
 def _continue_path(residual_at, t_start, t_end, values, policy):
@@ -423,34 +412,12 @@ def solve_dicke_branch(spec, occupation, omega0=2.0, policy=None, xi_start=1.0):
         )
 
     tau0 = 0.0
-    if len(np.unique(np.round(x_seed.real, 9))) < len(x_seed):
+    if len(_equal_groups(x_seed)) < len(x_seed):
         # repeated secular roots: seed the cluster split at a small tau > 0
-        lam, g, s0 = rg_core.contraction_scales(spec, xi_start, omega0)
-        eta_k = -lam * np.asarray(spec.epsilons)
-        w0 = 2.0 * s0 + 1.0
-        wk = np.array([2.0 * s + 1.0 for s in spec.spins])
-        kind = TRIGONOMETRIC
-
-        def fprime(x):
-            return -lam * g * (
-                w0 + sum(w * dz_dv(kind, e, -lam * x) for e, w in zip(eta_k, wk))
-            )
-
-        def dfdt(x):
-            return -g * (
-                -lam * x * (s0 + 1.0)
-                + sum((s + 1.0) * rg_core.pair_z(kind, e, -lam * x)
-                      for e, s in zip(eta_k, spec.spins))
-            )
-
-        def pair_coeff(x):
-            return g * (1.0 + (lam * x) ** 2) / lam
-
         tau0 = 1e-3
-        x_seed = _cluster_seeds(x_seed, tau0, fprime, dfdt, pair_coeff)
+        x_seed = _cluster_seeds(spec, x_seed, tau0, omega0, xi_start)
 
-    inner_policy = replace(policy, xi_start=tau0, xi_end=1.0)
-    path, status = _continue_path(inner, tau0, 1.0, x_seed, inner_policy)
+    path, status = _continue_path(inner, tau0, 1.0, x_seed, policy)
     if status != "converged":
         raise ConvergenceError(
             f"inner homotopy {status} at tau = {path[-1][0]:.6g}",

@@ -236,3 +236,25 @@ def test_log_env_enables_logging(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "jc.spec", JC_SPEC)
     assert cli.main(["--mode", "ed-spectrum", "--spec", path]) == 0
     capsys.readouterr()
+
+
+def test_spec_spins_and_degeneracies_must_agree(tmp_path, capsys):
+    spins = "spins = [0.5, 0.5, 0.5, 0.5]"
+    agree = RG_SPEC.replace(spins, spins + "\ndegeneracies = [2, 2, 2, 2]")
+    out = str(tmp_path / "out.txt")
+    path = _write(tmp_path, "agree.spec", agree)
+    assert cli.main(["--mode", "solve-rg", "--spec", path, "--out", out]) == 0
+    clash = RG_SPEC.replace(spins, spins + "\ndegeneracies = [3, 5, 2, 2]")
+    path = _write(tmp_path, "clash.spec", clash)
+    assert cli.main(["--mode", "solve-rg", "--spec", path, "--out", out]) == 1
+    assert "degeneracy 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_xi_steps_below_one_exits_1(tmp_path, capsys, steps):
+    path = _write(tmp_path, "rg.spec", RG_SPEC)
+    with pytest.raises(ValidationError, match="--xi-steps"):
+        RunConfig("solve-rg", path, xi_steps=steps)
+    argv = ["--mode", "solve-rg", "--spec", path, "--xi-steps", str(steps)]
+    assert cli.main(argv) == 1
+    assert "--xi-steps" in capsys.readouterr().err

@@ -349,3 +349,17 @@ def test_sector_spectrum_at_m10_cutoff20():
     assert MatrixOperator(ham.csr, ham.basis, hermitian=True).hermitian
     ev = sector_spectrum(ham, 3)
     assert len(ev) == 176 and np.all(np.isfinite(ev))
+
+
+def test_excitation_numbers_computed_once_per_basis():
+    basis = HilbertBasis.dicke(DickeSpec((0.8, 1.3), (0.5, 1.0), 0.2, 1.0, 2), 4)
+    nums = basis.excitation_numbers()
+    assert basis.excitation_numbers() is nums
+    assert not nums.flags.writeable
+    keep = np.nonzero(nums <= 3)[0]
+    sub = ed_oracle.RestrictedBasis(basis, keep)
+    assert sub.excitation_numbers() is sub.excitation_numbers()
+    assert np.array_equal(sub.excitation_numbers(), nums[keep])
+    for m in range(4):
+        assert np.array_equal(sub.sector_indices(m), np.nonzero(nums[keep] == m)[0])
+        assert np.array_equal(keep[sub.sector_indices(m)], basis.sector_indices(m))

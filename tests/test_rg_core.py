@@ -290,7 +290,7 @@ def _brute_single_copy(spec, x, xi, tau):
     return out
 
 
-@pytest.mark.parametrize("family", RG_FAMILIES + DICKE_FAMILIES)
+@pytest.mark.parametrize("family", RG_FAMILIES + DICKE_FAMILIES + ("secular_row",))
 def test_residual_values_match_brute_force_sums(family):
     rng = np.random.default_rng(11)
     ls = LevelSet.from_spins((0.9, 2.1, 3.3), (0.5, 1.0, 0.5))
@@ -328,10 +328,20 @@ def test_residual_values_match_brute_force_sums(family):
             xi = 1.0 if trial < 2 else t
             got = deformed_dicke_residual(dspec, xi, r_x)
             ref = _brute_single_copy(dspec, w, xi, 1.0)
-        else:
+        elif family == "extended_dicke":
             xi = (1.0, 0.25)[trial % 2]
             got = extended_dicke_residual(dspec, t, r_x, xi=xi)
             ref = _brute_single_copy(dspec, w, xi, t)
+        else:
+            # elementwise: the TDA row and the extended row at t, one rapidity each
+            xi = (1.0, 0.25)[trial % 2]
+            tda_row = rg_core.secular_row(w, **rg_core.tda_params(spec))[0]
+            ext_row = rg_core.secular_row(
+                w, **rg_core.extended_dicke_params(dspec, t, xi=xi))[0]
+            got = rg_core.ResidualReport(np.concatenate([tda_row, ext_row]), 0.0)
+            ref = [_brute_rg(kind, ls.etas, ls.degeneracies, -0.12, 0.0, [wa])[0]
+                   for wa in w]
+            ref += [_brute_single_copy(dspec, [wa], xi, t)[0] for wa in w]
         ref = np.asarray(ref, dtype=complex)
         assert np.max(np.abs(got.residuals - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -339,3 +349,37 @@ def test_residual_values_match_brute_force_sums(family):
 def test_vacuum_energy():
     spec = DickeSpec((0.8, 1.3), (0.5, 1.0), 0.2, 1.0, 2)
     assert spec.vacuum_energy() == pytest.approx(-(0.8 * 0.5 + 1.3 * 1.0))
+
+
+def _secular_row_cases():
+    ls = LevelSet.from_spins((0.9, 2.1, 3.3), (0.5, 1.0, 0.5))
+    dspec = DickeSpec((0.8, 1.3, 1.7), (0.5, 1.0, 0.5), 0.2, 1.3, 1)
+    for kind in (RATIONAL, TRIGONOMETRIC):
+        yield pytest.param(rg_core.tda_params(ModelSpec(ls, kind, 1, -0.12)),
+                           id="tda-" + kind)
+    for tau in (0.0, 1.0):
+        for xi in (1.0, 0.25):
+            yield pytest.param(rg_core.extended_dicke_params(dspec, tau, xi=xi),
+                               id=f"extended-tau{tau:g}-xi{xi:g}")
+    for kind in (RATIONAL, TRIGONOMETRIC):
+        # every kernel parameter away from its default
+        yield pytest.param(dict(kind=kind, sites=(0.8, 1.3), weights=(0.5, 1.0),
+                                g_site=-0.08, const=1.3, lin=-1.0, scale=-0.7),
+                           id="general-" + kind)
+
+
+@pytest.mark.parametrize("params", list(_secular_row_cases()))
+def test_secular_row_is_the_kernel_at_one_rapidity(params):
+    rng = np.random.default_rng(7)
+    real = rng.uniform(-1.5, 4.5, 8)
+    for w in (real, real + 1j * rng.uniform(-1.2, 1.2, 8)):
+        row, drow = rg_core.secular_row(w, **params)
+        assert row.shape == drow.shape == w.shape
+        assert np.isrealobj(row) == np.isrealobj(w)
+        # one rapidity has no partner, whatever the pair coupling
+        kernel = [rg_core._gaudin_residual(g_pair=params["g_site"], w=[wa],
+                                           jacobian=True, **params) for wa in w]
+        res = np.array([k[0][0] for k in kernel])
+        jac = np.array([k[2][0, 0] for k in kernel])
+        assert np.max(np.abs(row - res)) <= 1e-13 * np.max(np.abs(res))
+        assert np.max(np.abs(drow - jac)) <= 1e-13 * np.max(np.abs(jac))

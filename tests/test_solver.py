@@ -185,3 +185,17 @@ def test_tavis_cummings_branches():
     assert vals == pytest.approx(
         [1.0 - 1.0 / np.sqrt(2.0), 1.0 + 1.0 / np.sqrt(2.0)], abs=1e-10
     )
+
+
+def test_tda_roots_dicke_are_zeros_of_the_decoupled_extended_family():
+    for spec in (DickeSpec((0.8, 1.3, 1.7), (0.5, 1.0, 0.5), 0.2, 1.3, 2),
+                 DickeSpec((0.7, 1.2), (1.0, 0.5), 0.25, 1.1, 3)):
+        for xi in solver.XI_START_LADDER:
+            roots = solver.tda_roots_dicke(spec, 2.0, xi)
+            # m poles and a linear term: one root below each level and one above
+            assert len(roots) == spec.m + 1
+            assert all(a < b for a, b in zip(roots, roots[1:]))
+            for x in roots:
+                rep = rg_core.extended_dicke_residual(
+                    spec, 0.0, RapiditySet((x,), DICKE_X), xi=xi)
+                assert abs(rep.residuals[0]) <= 1e-12 * abs(rep.jacobian[0, 0])
