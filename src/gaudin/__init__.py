@@ -9,13 +9,13 @@ claim against an exact-diagonalization oracle.
 __version__ = "0.1.0"
 
 from .algebra import (
-    DeformationPoint,
     GaudinMatrices,
     LevelSet,
     build_gaudin,
-    deformed_spin,
+    deformed_weight,
     eta0_infinity_row,
     extend_with_rapidities,
+    grid_label,
     unitary_xi,
 )
 from .rg_core import (

@@ -10,6 +10,10 @@ which satisfy X^2 - Z^2 = c with c = 0 and c = 1 respectively, together with
 the compatibility condition X_ij X_jk - X_ik (Z_ij + Z_jk) = 0.  Complex
 coordinates are allowed; the square root is taken per coordinate so the
 compatibility condition survives analytic continuation.
+
+The pseudo-deformation s -> s(xi) = s + (1/xi - 1)*omega is written once: the
+equations see xi*s(xi) (`deformed_weight`), the matrices the irrep label s(xi)
+on the unitary grid (`grid_label`).
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ import numpy as np
 
 from .errors import (
     CollisionError,
-    ContractionLimitError,
     DegenerateLevelError,
     DomainError,
+    RepresentationError,
 )
 
 # Coordinates closer than this are treated as colliding: denominators below
@@ -41,6 +45,20 @@ def _check_kind(kind):
 
 def _is_half_integer(x, tol=1e-12):
     return abs(2 * x - round(2 * x)) < tol
+
+
+def check_levels(coords, spins):
+    """Raise DegenerateLevelError unless every spin is a positive half-integer
+    and no two level coordinates lie within COLLISION_TOL of each other."""
+    for s in spins:
+        if s <= 0 or not _is_half_integer(s):
+            raise DegenerateLevelError(f"spin {s} is not a positive half-integer")
+    for i in range(len(coords)):
+        for j in range(i + 1, len(coords)):
+            if abs(coords[i] - coords[j]) < COLLISION_TOL:
+                raise DegenerateLevelError(
+                    f"levels {i} and {j} coincide: {coords[i]}, {coords[j]}"
+                )
 
 
 def _integer_degeneracies(values):
@@ -70,18 +88,10 @@ class LevelSet:
             raise DegenerateLevelError("need at least one level")
         if len(spins) != m or len(degeneracies) != m:
             raise DegenerateLevelError("etas, spins, degeneracies must have equal length")
+        check_levels(etas, spins)
         for s, omega in zip(spins, degeneracies):
-            if s <= 0 or not _is_half_integer(s):
-                raise DegenerateLevelError(f"spin {s} is not a positive half-integer")
             if omega != round(2 * s + 1):
                 raise DegenerateLevelError(f"degeneracy {omega} != 2*{s} + 1")
-        arr = np.asarray(etas)
-        for i in range(m):
-            for j in range(i + 1, m):
-                if abs(arr[i] - arr[j]) < COLLISION_TOL:
-                    raise DegenerateLevelError(
-                        f"levels {i} and {j} coincide: eta = {arr[i]}, {arr[j]}"
-                    )
 
     @classmethod
     def from_spins(cls, etas, spins):
@@ -186,14 +196,21 @@ def extend_with_rapidities(matrices, levels, rapidities):
     return GaudinMatrices(kind=matrices.kind, dim=len(coords), x=x, z=z)
 
 
-def eta0_infinity_row(levels):
+def eta0_infinity_row(etas):
     """Trigonometric X_{0k}, Z_{0k} rows in the eta_0 -> infinity limit.
 
     X_{0k} = sqrt(1 + eta_k^2), Z_{0k} = eta_k; together with the finite block
     these still satisfy the compatibility condition.
     """
-    etas = np.asarray(levels.etas)
+    etas = np.asarray(etas)
     return np.sqrt(1.0 + etas * etas), etas.copy()
+
+
+def deformed_weight(xi, s, omega):
+    """xi * s(xi) = xi*s + (1 - xi)*omega, the weight a level of spin s(1) = s
+    carries in the deformed equations; finite on all of [0, 1], where s(xi)
+    itself diverges at xi = 0."""
+    return xi * s + (1.0 - xi) * omega
 
 
 def unitary_xi(omega, n):
@@ -211,33 +228,14 @@ def grid_index(omega, xi, tol=1e-9):
     return int(round(n)) if abs(n - round(n)) < tol else None
 
 
-@dataclass(frozen=True)
-class DeformationPoint:
-    """A deformation value xi together with the degeneracy of the deformed copy."""
-
-    xi: float
-    omega: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.xi <= 1.0:
-            raise DomainError(f"xi = {self.xi} outside [0, 1]")
-        if self.omega < 1 or int(self.omega) != self.omega:
-            raise DomainError(f"omega must be a positive integer, got {self.omega}")
-
-    def s(self, s1):
-        """Deformed irrep label s(xi) = s(1) + (1/xi - 1) * omega; diverges at xi=0."""
-        if self.xi == 0.0:
-            raise ContractionLimitError("s(xi) diverges at xi = 0; use xi_s instead")
-        return s1 + (1.0 / self.xi - 1.0) * self.omega
-
-    def xi_s(self, s1):
-        """xi * s(xi) = xi*s(1) + (1 - xi)*omega; finite on all of [0, 1]."""
-        return self.xi * s1 + (1.0 - self.xi) * self.omega
-
-
-def deformed_spin(point, s1):
-    """Return (s(xi), xi*s(xi)) for the given deformation point."""
-    return point.s(s1), point.xi_s(s1)
+def grid_label(s, omega, xi):
+    """Deformed irrep label s(xi) = s + (1/xi - 1)*omega = s + n/2 at the
+    unitary point xi = xi_n; raises RepresentationError off the grid (which
+    includes xi outside (0, 1])."""
+    n = grid_index(omega, xi)
+    if n is None:
+        raise RepresentationError(f"xi = {xi} is off the unitary grid of omega = {omega}")
+    return s + n / 2.0
 
 
 def gaudin_residual(matrices):

@@ -3,9 +3,10 @@ the partially deformed charge R0(xi), and Bethe product-state amplitudes.
 
 Operator expressions are symbolic sums of elementary-operator products; the
 oracle realizes them as matrices.  The deformed copy is handled through the
-canonical su(2) triple with label s0(xi) = omega0/(4 xi), the unique choice
-for which hbar_omega * R0(xi) reproduces the Dicke Hamiltonian in the
-contraction limit (coupling G, level terms eps_k) with no leftover factors.
+canonical su(2) triple, labelled by the levels' deformation map with
+s(1) = Omega = OMEGA0/4: s0(xi) = OMEGA0/(4 xi), the unique choice for which
+hbar_omega * R0(xi) reproduces the Dicke Hamiltonian in the contraction limit
+(coupling G, level terms eps_k) with no leftover factors.
 """
 
 from __future__ import annotations
@@ -14,17 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ed_oracle, rg_core
+from . import algebra, ed_oracle, rg_core
 from .errors import (
     CutoffError,
     DegenerateLevelError,
     DomainError,
-    RepresentationError,
     ValidationError,
 )
 
-# symbol order used for the canonical factor ordering: mode first, spins by level
-_MODE_SYMBOLS = ("bdag", "b", "n", "Adag", "A", "A0")
+
+def _canonical(factors):
+    """Canonical factor order: mode factors first, then spin factors by level."""
+    return tuple(sorted(
+        factors, key=lambda f: (-1, 0) if f[0] in ed_oracle.MODE_SYMBOLS else (f[1], 1)
+    ))
 
 
 @dataclass(frozen=True)
@@ -40,22 +44,12 @@ class OperatorExpression:
             coeff = complex(coeff)
             if not np.isfinite(coeff):
                 raise ValidationError("coefficients must be finite")
-            factors = tuple(factors)
-            # boson/deformed-mode factors first, then spin factors by level
-            factors = tuple(
-                sorted(
-                    factors,
-                    key=lambda f: (-1, 0) if f[0] in _MODE_SYMBOLS else (f[1], 1),
-                )
-            )
-            canon.append((coeff, factors))
+            canon.append((coeff, _canonical(factors)))
         object.__setattr__(self, "terms", tuple(canon))
 
     def coefficient(self, *factors):
         """Sum of coefficients of terms whose factor product matches exactly."""
-        want = tuple(
-            sorted(factors, key=lambda f: (-1, 0) if f[0] in _MODE_SYMBOLS else (f[1], 1))
-        )
+        want = _canonical(factors)
         return sum(c for c, fs in self.terms if fs == want)
 
 
@@ -118,26 +112,19 @@ def deformed_copy_label(xi, omega0):
 
 
 def contraction_grid_xi(omega0, k):
-    """Deformation values xi = omega0/(omega0 + 2k) at which s0(xi) gains k/2.
-
-    These are the unitary points of the single-copy construction (the subset
-    n = 4k of the 2*omega/(n + 2*omega) grid).
-    """
-    if k < 0 or int(k) != k:
-        raise DomainError("grid index must be a nonnegative integer")
-    return omega0 / (omega0 + 2.0 * k)
+    """Deformation values xi = omega0/(omega0 + 2k) at which s0(xi) gains k/2:
+    the unitary grid of the copy's map, Omega = omega0/4."""
+    return algebra.unitary_xi(omega0 / 4.0, k)
 
 
-def build_deformed_charge0(spec, xi, omega0=2.0):
+def build_deformed_charge0(spec, xi):
     """R0(xi) = A0 + g sum_k [ X_0k (A' S_k + S'_k A)/2 + Z_0k A0 Sz_k ],
     with the xi-dependent coupling and level rescalings of the contraction
     construction.  Returns (expression, s0_label); the expression is in units
     of hbar_omega (hbar_omega * R0 -> H_Dicke as xi -> 0, up to the divergent
     constant)."""
-    lam, g, s0 = rg_core.contraction_scales(spec, xi, omega0)
-    eta_k = -lam * np.asarray(spec.epsilons)
-    x0 = np.sqrt(1.0 + eta_k**2)
-    z0 = eta_k
+    lam, g, s0 = rg_core.contraction_scales(spec, xi)
+    x0, z0 = algebra.eta0_infinity_row(-lam * np.asarray(spec.epsilons))
     terms = [(1.0, (("A0", None),))]
     for k in range(spec.m):
         terms.append((0.5 * g * x0[k], (("Adag", None), ("sm", k))))
@@ -146,15 +133,13 @@ def build_deformed_charge0(spec, xi, omega0=2.0):
     return OperatorExpression(tuple(terms), hermitian=True), s0
 
 
-def realize_deformed_charge0(spec, xi, boson_cutoff, omega0=2.0):
+def realize_deformed_charge0(spec, xi, boson_cutoff):
     """Matrix of hbar_omega * R0(xi) on the truncated deformed-copy basis,
-    requiring xi on the unitary grid (half-integer s0(xi))."""
-    expr, s0 = build_deformed_charge0(spec, xi, omega0)
-    if abs(2 * s0 - round(2 * s0)) > 1e-9:
-        raise RepresentationError(
-            f"s0(xi) = {s0} is not half-integer; xi = {xi} is off the unitary grid"
-        )
-    basis = ed_oracle.HilbertBasis.deformed_dicke(spec, boson_cutoff, round(2 * s0) / 2.0)
+    requiring xi on the copy's unitary grid."""
+    expr, _ = build_deformed_charge0(spec, xi)
+    omega = rg_core.OMEGA0 / 4.0
+    label = algebra.grid_label(omega, omega, xi)
+    basis = ed_oracle.HilbertBasis.deformed_dicke(spec, boson_cutoff, label)
     op = ed_oracle.realize(expr, basis)
     return ed_oracle.MatrixOperator(spec.hbar_omega * op.csr, basis, hermitian=True)
 

@@ -19,7 +19,6 @@ import numpy as np
 from scipy import sparse
 
 from . import algebra
-from .algebra import grid_index
 from .errors import (
     BasisMismatchError,
     DomainError,
@@ -71,8 +70,8 @@ def _local_ops(factor):
     return ops
 
 
-_BOSON_SYMBOLS = {"bdag", "b", "n", "Adag", "A", "A0"}
-_SPIN_SYMBOLS = {"sp", "sm", "sz"}
+# symbols acting on the mode factor (a boson or the deformed copy), factor 0
+MODE_SYMBOLS = frozenset({"bdag", "b", "n", "Adag", "A", "A0"})
 
 
 class HilbertBasis:
@@ -170,7 +169,7 @@ class MatrixOperator:
 
 def _factor_index(basis, symbol, level):
     has_mode = basis.factors[0].kind in (BOSON, TRUNC_SPIN)
-    if symbol in _BOSON_SYMBOLS:
+    if symbol in MODE_SYMBOLS:
         f = basis.factors[0]
         if symbol in ("bdag", "b", "n") and f.kind != BOSON:
             raise BasisMismatchError(f"symbol {symbol} needs a boson factor")
@@ -252,13 +251,18 @@ def sector_spectrum(op, m_value):
     idx = op.basis.sector_indices(m_value)
     if len(idx) == 0:
         return np.array([])
+    csr = op.csr
+    rows = csr[idx]
+    block = rows[:, idx]
     inside = np.zeros(op.basis.total_dim, dtype=bool)
     inside[idx] = True
-    coo = op.csr.tocoo()
-    nonzero = coo.data != 0
-    if np.any(inside[coo.row[nonzero]] != inside[coo.col[nonzero]]):
+    # invariant iff neither the sector's rows nor its columns hold a nonzero off
+    # the block; both are checked, as the hermitian flag allows some asymmetry
+    n_block = np.count_nonzero(block.data)
+    if (np.count_nonzero(rows.data) != n_block
+            or np.count_nonzero(csr.data[inside[csr.indices]]) != n_block):
         raise ValidationError(f"operator links sector M = {m_value} to other sectors")
-    return np.sort(np.linalg.eigvalsh(op.restrict(idx).toarray()))
+    return np.sort(np.linalg.eigvalsh(block.toarray()))
 
 
 def restrict_to_closed_sectors(op):
@@ -317,12 +321,10 @@ def realize_rg_charges(spec, xi, boson_cutoffs=None):
         basis = HilbertBasis.spins(levels.spins)
     else:
         # a unitary grid point: spin irreps of the canonical triple
-        ns = [grid_index(omega, xi) for omega in levels.degeneracies]
-        if any(n is None for n in ns):
-            raise RepresentationError(
-                f"xi = {xi} is not on the unitary grid of every level"
-            )
-        basis = HilbertBasis.spins([s + n / 2.0 for s, n in zip(levels.spins, ns)])
+        basis = HilbertBasis.spins([
+            algebra.grid_label(s, omega, xi)
+            for s, omega in zip(levels.spins, levels.degeneracies)
+        ])
     dims = [f.dim for f in basis.factors]
     local = [_local_ops(f) for f in basis.factors]
 

@@ -5,10 +5,6 @@ class GaudinError(Exception):
     """Base class for all package errors."""
 
 
-class DegenerateLevelError(GaudinError):
-    """Two level coordinates coincide, so Gaudin denominators vanish."""
-
-
 class CollisionError(GaudinError):
     """A rapidity collides with a level coordinate or another rapidity."""
 
@@ -68,6 +64,10 @@ class SpecFormatError(GaudinError):
 
 class ValidationError(GaudinError):
     """A parsed spec violates a model invariant."""
+
+
+class DegenerateLevelError(ValidationError):
+    """Level coordinates coincide, or a spin or degeneracy is no su(2) label."""
 
 
 class VerificationError(GaudinError):

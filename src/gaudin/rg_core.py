@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .algebra import COLLISION_TOL, LevelSet
+from .algebra import LevelSet, deformed_weight
 # no caller in the package: kept because perfbench/tracing.py patches this name
 from .algebra import pair_z  # noqa: F401
 from .errors import (
@@ -24,6 +24,10 @@ from .errors import (
 
 RG_ETA = "rg_eta"
 DICKE_X = "dicke_x"
+
+# the single-copy contraction's deformed copy has s(1) = Omega = OMEGA0/4; any
+# other value restates xi, as the equations see xi and OMEGA0 only as xi/OMEGA0
+OMEGA0 = 2.0
 
 
 @dataclass(frozen=True)
@@ -61,13 +65,7 @@ class DickeSpec:
         object.__setattr__(self, "spins", spins)
         if len(epsilons) < 1 or len(epsilons) != len(spins):
             raise ValidationError("epsilons and spins must be nonempty, equal length")
-        for i in range(len(epsilons)):
-            for j in range(i + 1, len(epsilons)):
-                if abs(epsilons[i] - epsilons[j]) < COLLISION_TOL:
-                    raise ValidationError("levels must be distinct")
-        for s in spins:
-            if s <= 0 or abs(2 * s - round(2 * s)) > 1e-12:
-                raise ValidationError(f"spin {s} is not a positive half-integer")
+        algebra.check_levels(epsilons, spins)
         if self.hbar_omega <= 0:
             raise ValidationError("hbar_omega must be positive")
         if not np.isfinite(self.coupling_G):
@@ -235,7 +233,7 @@ def deformed_rg_residual(spec, xi, r, jacobian=True):
     _require_frame(r, RG_ETA)
     g = spec.coupling_g
     weights = [
-        xi * s + (1.0 - xi) * omega
+        deformed_weight(xi, s, omega)
         for s, omega in zip(spec.levels.spins, spec.levels.degeneracies)
     ]
     return ResidualReport(
@@ -265,57 +263,57 @@ def dicke_rg_residual(spec, r, jacobian=True):
     ))
 
 
-def contraction_scales(spec, xi, omega0):
+def contraction_scales(spec, xi):
     """xi-dependent rescalings of the single-copy contraction construction.
 
-    Returns (lam, g, s0) with lam = sqrt(2 xi / (omega0 G^2)), the renormalized
-    dimensionless coupling g = sqrt(8 xi / (omega0 G^2)) G^2 / (hbar omega), and
-    the deformed-copy label s0(xi) = omega0 / (4 xi), for which xi*s0(xi) is
-    exactly omega0/4 at every xi (the value the contraction limit requires).
+    Returns (lam, g, s0) with lam = sqrt(2 xi / (OMEGA0 G^2)), the renormalized
+    dimensionless coupling g = sqrt(8 xi / (OMEGA0 G^2)) G^2 / (hbar omega), and
+    the deformed-copy label s0(xi) = OMEGA0 / (4 xi): the grid label of the
+    copy with s(1) = Omega = OMEGA0/4, so that xi*s0(xi) is exactly OMEGA0/4 at
+    every xi (the value the contraction limit requires).
     """
     if xi <= 0.0 or xi > 1.0:
         raise DomainError(f"xi = {xi} outside (0, 1]")
-    if omega0 <= 0:
-        raise DomainError("omega0 must be positive")
     if spec.coupling_G == 0.0:
         raise DomainError("contraction rescalings are undefined at G = 0")
-    lam = np.sqrt(2.0 * xi / (omega0 * spec.coupling_G**2))
+    lam = np.sqrt(2.0 * xi / (OMEGA0 * spec.coupling_G**2))
     g = 2.0 * lam * spec.coupling_G**2 / spec.hbar_omega
-    s0 = omega0 / (4.0 * xi)
+    s0 = OMEGA0 / (4.0 * xi)
     return lam, g, s0
 
 
-def deformed_dicke_residual(spec, xi, r, omega0=2.0, jacobian=True):
+def deformed_dicke_residual(spec, xi, r, jacobian=True):
     """Single-copy deformed equations in the physical x frame.
 
     residual_a = 1 + g Z_{0a} s0(xi) + g sum_k Z_{ka} s_k - g sum_{b!=a} Z_{ba},
     with Z entries from the trigonometric parametrization at the rescaled
     coordinates eta = -lam * energy and Z_{0a} = eta_a (eta_0 -> infinity row).
-    hbar_omega * residual converges to dicke_rg_residual as xi -> 0.
+    This is extended_dicke_residual at tau = 1.  hbar_omega * residual
+    converges to dicke_rg_residual as xi -> 0.
     """
     _require_frame(r, DICKE_X)
     if xi == 0.0:
         raise ContractionLimitError(
             "xi = 0 is the exact contraction limit; use dicke_rg_residual"
         )
-    lam, g, s0 = contraction_scales(spec, xi, omega0)
+    p = extended_dicke_params(spec, 1.0, xi)
     return ResidualReport(*_gaudin_residual(
-        algebra.TRIGONOMETRIC, spec.epsilons, spec.spins, g, g, r.values, jacobian,
-        lin=g * s0, scale=-lam,
+        g_pair=p["g_site"], w=r.values, jacobian=jacobian, **p
     ))
 
 
-def extended_dicke_params(spec, tau, omega0=2.0, xi=1.0):
+def extended_dicke_params(spec, tau, xi=1.0):
     """Secular-row parameters of extended_dicke_residual at tau, whose
-    rapidity coupling is tau * g_site."""
-    lam, g, s0 = contraction_scales(spec, xi, omega0)
-    w0 = tau * s0 + (1.0 - tau) * (2.0 * s0 + 1.0)
-    weights = [tau * s + (1.0 - tau) * (2.0 * s + 1.0) for s in spec.spins]
+    rapidity coupling is tau * g_site; every weight, the copy's w0 included,
+    follows the deformation map in tau from s to its degeneracy 2s + 1."""
+    lam, g, s0 = contraction_scales(spec, xi)
+    w0 = deformed_weight(tau, s0, 2.0 * s0 + 1.0)
+    weights = [deformed_weight(tau, s, 2.0 * s + 1.0) for s in spec.spins]
     return dict(kind=algebra.TRIGONOMETRIC, sites=spec.epsilons, weights=weights,
                 g_site=g, lin=g * w0, scale=-lam)
 
 
-def extended_dicke_residual(spec, tau, r, omega0=2.0, xi=1.0, jacobian=True):
+def extended_dicke_residual(spec, tau, r, xi=1.0, jacobian=True):
     """Homotopy family used to seed a starting point of the Dicke construction.
 
     At tau = 1 this equals deformed_dicke_residual(spec, xi, ...); at tau = 0
@@ -328,7 +326,7 @@ def extended_dicke_residual(spec, tau, r, omega0=2.0, xi=1.0, jacobian=True):
     _require_frame(r, DICKE_X)
     if not 0.0 <= tau <= 1.0:
         raise DomainError(f"tau = {tau} outside [0, 1]")
-    p = extended_dicke_params(spec, tau, omega0, xi)
+    p = extended_dicke_params(spec, tau, xi)
     return ResidualReport(
         *_gaudin_residual(g_pair=p["g_site"] * tau, w=r.values, jacobian=jacobian, **p),
         decoupled=(tau == 0.0),

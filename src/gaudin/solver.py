@@ -174,7 +174,7 @@ def _equal_groups(values):
     return list(groups.values())
 
 
-def _cluster_seeds(spec, values, t_start, omega0, xi):
+def _cluster_seeds(spec, values, t_start, xi):
     """Leading-order seeds for rapidities sharing a root of the extended Dicke
     secular row, at a small homotopy value t_start.
 
@@ -186,8 +186,8 @@ def _cluster_seeds(spec, values, t_start, omega0, xi):
     sigma^2 decides between a real split and a complex-conjugate pair, so the
     seed set stays closed under conjugation either way.
     """
-    start = rg_core.extended_dicke_params(spec, 0.0, omega0, xi)
-    end = rg_core.extended_dicke_params(spec, 1.0, omega0, xi)
+    start = rg_core.extended_dicke_params(spec, 0.0, xi)
+    end = rg_core.extended_dicke_params(spec, 1.0, xi)
     values = np.asarray(values, dtype=complex)
     out = values.copy()
     for members in _equal_groups(values):
@@ -239,11 +239,11 @@ def solve_tda(spec, occupation=None):
     return RapiditySet(tuple(values), RG_ETA)
 
 
-def tda_roots_dicke(spec, omega0=2.0, xi=1.0):
+def tda_roots_dicke(spec, xi=1.0):
     """Real roots of the decoupled (tau = 0) secular equation of the extended
     Dicke construction at deformation xi, scanned in the physical x frame,
     where its poles are the eps_k."""
-    return _real_roots(rg_core.extended_dicke_params(spec, 0.0, omega0, xi))
+    return _real_roots(rg_core.extended_dicke_params(spec, 0.0, xi))
 
 
 def _continue_path(residual_at, t_start, t_end, values, policy):
@@ -318,7 +318,7 @@ def _euler_predict(residual_at, t, values, dt):
         return values
 
 
-def continue_in_xi(spec, policy, r_start, family, omega0=2.0):
+def continue_in_xi(spec, policy, r_start, family):
     """Track a solution of the chosen deformed family from xi_start to xi_end.
 
     all_copies_deformed: ModelSpec, typically xi 0 -> 1 (TDA seeds to the full
@@ -337,9 +337,7 @@ def continue_in_xi(spec, policy, r_start, family, omega0=2.0):
                                       r_start.as_array(), policy)
     elif family == SINGLE_COPY_DICKE:
         def residual_at(t, w):
-            return rg_core.deformed_dicke_residual(
-                spec, t, RapiditySet(tuple(w), DICKE_X), omega0
-            )
+            return rg_core.deformed_dicke_residual(spec, t, RapiditySet(tuple(w), DICKE_X))
 
         frame = DICKE_X
         exact_end = policy.xi_end == 0.0
@@ -390,7 +388,7 @@ def solve_rg(spec, policy=None, occupation=None):
     return final, trace
 
 
-def solve_dicke_branch(spec, occupation, omega0=2.0, policy=None, xi_start=1.0):
+def solve_dicke_branch(spec, occupation, policy=None, xi_start=1.0):
     """Solve one Bethe branch of the Dicke equations.
 
     Pipeline: decoupled roots of the extended construction at xi = xi_start,
@@ -401,21 +399,21 @@ def solve_dicke_branch(spec, occupation, omega0=2.0, policy=None, xi_start=1.0):
     Returns (RapiditySet in the x frame, final ResidualReport, trace).
     """
     policy = policy or ContinuationPolicy(xi_start=xi_start, xi_end=0.0)
-    roots = tda_roots_dicke(spec, omega0, xi_start)
+    roots = tda_roots_dicke(spec, xi_start)
     if not roots:
         raise InsufficientModesError("extended secular equation has no real roots")
     x_seed = _assign_pattern(roots, spec.n_excitations, occupation)
 
     def inner(t, w):
         return rg_core.extended_dicke_residual(
-            spec, t, RapiditySet(tuple(w), DICKE_X), omega0, xi_start
+            spec, t, RapiditySet(tuple(w), DICKE_X), xi_start
         )
 
     tau0 = 0.0
     if len(_equal_groups(x_seed)) < len(x_seed):
         # repeated secular roots: seed the cluster split at a small tau > 0
         tau0 = 1e-3
-        x_seed = _cluster_seeds(spec, x_seed, tau0, omega0, xi_start)
+        x_seed = _cluster_seeds(spec, x_seed, tau0, xi_start)
 
     path, status = _continue_path(inner, tau0, 1.0, x_seed, policy)
     if status != "converged":
@@ -426,7 +424,7 @@ def solve_dicke_branch(spec, occupation, omega0=2.0, policy=None, xi_start=1.0):
         )
     r_at_start = RapiditySet(tuple(path[-1][1]), DICKE_X)
     outer_policy = replace(policy, xi_start=xi_start, xi_end=0.0)
-    trace = continue_in_xi(spec, outer_policy, r_at_start, SINGLE_COPY_DICKE, omega0)
+    trace = continue_in_xi(spec, outer_policy, r_at_start, SINGLE_COPY_DICKE)
     if trace.status != "converged":
         raise ConvergenceError(
             f"outer continuation {trace.status} at xi = {trace.final.xi:.6g}",
@@ -441,7 +439,7 @@ def solve_dicke_branch(spec, occupation, omega0=2.0, policy=None, xi_start=1.0):
 XI_START_LADDER = (1.0, 0.5, 0.25, 0.1, 0.04)
 
 
-def enumerate_dicke_branches(spec, omega0=2.0, policy=None, xi_starts=XI_START_LADDER):
+def enumerate_dicke_branches(spec, policy=None):
     """Attempt every occupation multiset of the extended secular roots and
     return the distinct converged branches, sorted by energy (sum of x).
 
@@ -453,21 +451,19 @@ def enumerate_dicke_branches(spec, omega0=2.0, policy=None, xi_starts=XI_START_L
     from itertools import combinations_with_replacement
 
     n = spec.n_excitations
-    n_roots = len(tda_roots_dicke(spec, omega0, xi_starts[0]))
+    n_roots = len(tda_roots_dicke(spec, XI_START_LADDER[0]))
     pending = list(combinations_with_replacement(range(n_roots), n))
     branches = []
 
     def attempt(pattern, xi_start):
         try:
-            final, report, trace = solve_dicke_branch(
-                spec, list(pattern), omega0, policy, xi_start
-            )
+            final, report, trace = solve_dicke_branch(spec, list(pattern), policy, xi_start)
             return final, report
         except (ConvergenceError, SingularJacobianError, CollisionError,
                 SelectionError):
             return None
 
-    for xi_start in xi_starts:
+    for xi_start in XI_START_LADDER:
         if not pending:
             break
         still = []

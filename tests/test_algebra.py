@@ -5,23 +5,22 @@ from gaudin import algebra
 from gaudin.algebra import (
     RATIONAL,
     TRIGONOMETRIC,
-    DeformationPoint,
     LevelSet,
     build_gaudin,
-    deformed_spin,
+    deformed_weight,
     eta0_infinity_row,
     extend_with_rapidities,
     gaudin_residual,
     grid_index,
+    grid_label,
     unitary_xi,
 )
 from gaudin.errors import (
     CollisionError,
-    ContractionLimitError,
     DegenerateLevelError,
-    DomainError,
+    RepresentationError,
 )
-from gaudin.rg_core import RG_ETA, RapiditySet
+from gaudin.rg_core import RG_ETA, DickeSpec, RapiditySet
 
 
 def test_levelset_validates_degeneracy_relation():
@@ -37,6 +36,18 @@ def test_levelset_rejects_fractional_degeneracy():
     with pytest.raises(DegenerateLevelError, match="2.7"):
         LevelSet((1.0, 2.0), (0.5, 0.5), (2.7, 2))
     assert LevelSet.from_degeneracies((1.0, 2.0), (2.0, 3)).spins == (0.5, 1.0)
+
+
+@pytest.mark.parametrize("coords, spins", [
+    pytest.param((1.0, 1.0), (0.5, 0.5), id="coincident"),
+    pytest.param((1.0, 2.0), (0.5, 0.6), id="spin0.6"),
+    pytest.param((1.0, 2.0), (0.5, 0.0), id="spin0"),
+])
+def test_levelset_and_dicke_spec_share_level_checks(coords, spins):
+    with pytest.raises(DegenerateLevelError):
+        LevelSet.from_spins(coords, spins)
+    with pytest.raises(DegenerateLevelError):
+        DickeSpec(coords, spins, 0.1, 1.0, 1)
 
 
 def test_levelset_rejects_duplicate_etas():
@@ -125,16 +136,16 @@ def test_extend_rejects_collision_with_level():
 
 
 def test_eta0_infinity_row_values():
-    x0, z0 = eta0_infinity_row(LevelSet.from_spins((0.0,), (0.5,)))
+    x0, z0 = eta0_infinity_row((0.0,))
     assert x0[0] == pytest.approx(1.0) and z0[0] == pytest.approx(0.0)
-    x0, z0 = eta0_infinity_row(LevelSet.from_spins((-0.75,), (0.5,)))
+    x0, z0 = eta0_infinity_row((-0.75,))
     assert x0[0] == pytest.approx(1.25) and z0[0] == pytest.approx(-0.75)
 
 
 def test_eta0_row_reconstructs_trigonometric_block():
     ls = LevelSet.from_spins((1.0, 2.0, -0.3), (0.5, 0.5, 0.5))
     mats = build_gaudin(TRIGONOMETRIC, ls)
-    x0, z0 = eta0_infinity_row(ls)
+    x0, z0 = eta0_infinity_row(ls.etas)
     for i in range(3):
         for k in range(3):
             if i == k:
@@ -145,34 +156,32 @@ def test_eta0_row_reconstructs_trigonometric_block():
 
 
 def test_deformed_spin_endpoints_and_midpoint():
-    p1 = DeformationPoint(1.0, 2)
-    assert deformed_spin(p1, 0.5) == (0.5, 0.5)
-    p_half = DeformationPoint(0.5, 2)
-    s_xi, xi_s = deformed_spin(p_half, 0.5)
-    assert s_xi == pytest.approx(2.5)
-    assert xi_s == pytest.approx(1.25)
+    assert (grid_label(0.5, 2, 1.0), deformed_weight(1.0, 0.5, 2)) == (0.5, 0.5)
+    assert grid_label(0.5, 2, 0.5) == pytest.approx(2.5)
+    assert deformed_weight(0.5, 0.5, 2) == pytest.approx(1.25)
 
 
 def test_xi_s_linear_with_limit_omega():
     omega = 2
     s1 = 0.5
     xis = np.linspace(0.0, 1.0, 11)
-    vals = [DeformationPoint(x, omega).xi_s(s1) for x in xis]
+    vals = [deformed_weight(x, s1, omega) for x in xis]
     expect = [x * s1 + (1.0 - x) * omega for x in xis]
     assert np.allclose(vals, expect, atol=1e-15)
-    assert DeformationPoint(0.0, omega).xi_s(s1) == pytest.approx(float(omega))
+    assert deformed_weight(0.0, s1, omega) == pytest.approx(float(omega))
 
 
 def test_s_xi_diverges_at_zero():
-    with pytest.raises(ContractionLimitError):
-        DeformationPoint(0.0, 2).s(0.5)
+    # s(xi) has no finite value, hence no irrep, at xi = 0
+    with pytest.raises(RepresentationError):
+        grid_label(0.5, 2, 0.0)
 
 
 def test_xi_out_of_range_rejected():
-    with pytest.raises(DomainError):
-        DeformationPoint(1.5, 2)
-    with pytest.raises(DomainError):
-        DeformationPoint(-0.1, 2)
+    with pytest.raises(RepresentationError):
+        grid_label(0.5, 2, 1.5)
+    with pytest.raises(RepresentationError):
+        grid_label(0.5, 2, -0.1)
 
 
 def test_unitary_grid_gives_half_integer_spins():
@@ -180,11 +189,13 @@ def test_unitary_grid_gives_half_integer_spins():
     for n in range(9):
         xi_n = unitary_xi(omega, n)
         assert xi_n == pytest.approx(2.0 * omega / (n + 2.0 * omega))
-        s_xi = DeformationPoint(xi_n, omega).s(0.5)
+        s_xi = grid_label(0.5, omega, xi_n)
         assert s_xi == pytest.approx(0.5 + n / 2.0, abs=1e-12)
         assert abs(2 * s_xi - round(2 * s_xi)) < 1e-9
         assert grid_index(omega, xi_n) == n
     assert grid_index(omega, 0.77) is None
+    with pytest.raises(RepresentationError):
+        grid_label(0.5, omega, 0.77)
 
 
 def test_random_level_sets_satisfy_identities():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaudin import dicke, ed_oracle, rg_core, solver
+from gaudin.algebra import grid_label, unitary_xi
 from gaudin.dicke import (
     BetheProductState,
     bethe_coefficients,
@@ -103,7 +104,7 @@ def test_deformed_charge0_coefficient_limits():
     # hw * (g/2) X_0k sqrt(2 s0) -> G and the S0 coefficient is eps_k exactly
     for xi in (0.5, 1e-3, 1e-6):
         expr, s0 = build_deformed_charge0(JC, xi)
-        lam, g, _ = rg_core.contraction_scales(JC, xi, 2.0)
+        lam, g, _ = rg_core.contraction_scales(JC, xi)
         coupling = JC.hbar_omega * expr.coefficient(("Adag", None), ("sm", 0))
         assert coupling * np.sqrt(2.0 * s0) == pytest.approx(
             JC.coupling_G, rel=2.0 * xi
@@ -143,6 +144,19 @@ def test_grid_xi_values():
     assert contraction_grid_xi(2.0, 0) == pytest.approx(1.0)
     assert contraction_grid_xi(2.0, 1) == pytest.approx(0.5)
     assert dicke.deformed_copy_label(contraction_grid_xi(2.0, 5), 2.0) == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("omega0", [1.0, 2.0])
+def test_copy_label_is_the_levels_deformation_map(omega0):
+    # the copy is a level with s(1) = Omega = omega0/4: its grid is the unitary
+    # grid of Omega, and s0(xi) is its grid label Omega + k/2, which
+    # deformed_copy_label reproduces to rounding
+    big = omega0 / 4.0
+    for k in range(201):
+        xi = contraction_grid_xi(omega0, k)
+        assert xi == unitary_xi(big, k)
+        label = dicke.deformed_copy_label(xi, omega0)
+        assert grid_label(big, big, xi) == big + round(2 * (label - big)) / 2
 
 
 def test_bethe_coefficients_single_factor():

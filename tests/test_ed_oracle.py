@@ -271,7 +271,7 @@ def test_deformed_charge0_matches_dense_kron_reference():
     spec = DickeSpec((0.8, 1.3), (0.5, 1.0), 0.2, 1.0, 2)
     cutoff = 4
     xi = dicke.contraction_grid_xi(2.0, 3)
-    lam, g, s0 = rg_core.contraction_scales(spec, xi, 2.0)
+    lam, g, s0 = rg_core.contraction_scales(spec, xi)
     up, a0 = _raising(s0, cutoff + 1)
     eta = -lam * np.asarray(spec.epsilons)
     # hw [A0 + g sum_k (X_0k (A' S_k + S'_k A)/2 + Z_0k A0 Sz_k)], X_0k = sqrt(1 + eta_k^2)

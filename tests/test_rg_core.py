@@ -153,13 +153,13 @@ def test_dicke_spec_validation():
 
 
 def test_contraction_scales_relations():
-    lam, g, s0 = contraction_scales(JC, 0.25, 2.0)
+    lam, g, s0 = contraction_scales(JC, 0.25)
     assert lam == pytest.approx(np.sqrt(2.0 * 0.25 / (2.0 * 0.25)))
     assert g == pytest.approx(2.0 * lam * 0.25)
     assert s0 == pytest.approx(2.0)
     # xi * s0(xi) is constant in xi
     for xi in (1.0, 0.5, 0.01):
-        assert xi * contraction_scales(JC, xi, 2.0)[2] == pytest.approx(0.5)
+        assert xi * contraction_scales(JC, xi)[2] == pytest.approx(0.5)
 
 
 def test_deformed_dicke_gap_shrinks_linearly_in_xi():
@@ -181,13 +181,6 @@ def test_deformed_dicke_gap_shrinks_linearly_in_xi():
     assert gaps[1] < 1e-2
 
 
-def test_omega0_doubling_equals_xi_halving():
-    r = RapiditySet((0.37 + 0.1j,), DICKE_X)
-    a = deformed_dicke_residual(JC, 0.2, r, omega0=4.0)
-    b = deformed_dicke_residual(JC, 0.1, r, omega0=2.0)
-    assert np.max(np.abs(a.residuals - b.residuals)) == 0.0
-
-
 def test_deformed_dicke_xi_zero_delegates():
     with pytest.raises(ContractionLimitError):
         deformed_dicke_residual(JC, 0.0, RapiditySet((0.5,), DICKE_X))
@@ -197,7 +190,7 @@ def test_deformed_dicke_matches_explicit_two_copy_model():
     # xi = 1 single-copy family vs an explicit 2-copy trigonometric model with
     # a very large eta_0 standing in for the eta_0 -> infinity row
     xi = 1.0
-    lam, g, s0 = contraction_scales(JC, xi, 2.0)
+    lam, g, s0 = contraction_scales(JC, xi)
     eta0 = 1e8
     x = 0.82 + 0.11j
     ls = LevelSet((-lam * 1.0, eta0), (0.5, s0), (2, int(round(2 * s0 + 1))))
@@ -274,7 +267,7 @@ def _brute_rg(kind, etas, weights, g_site, g_pair, w):
 def _brute_single_copy(spec, x, xi, tau):
     """Extended Dicke family written out with algebra.pair_z (tau = 1 is the
     deformed Dicke family)."""
-    lam, g, s0 = contraction_scales(spec, xi, 2.0)
+    lam, g, s0 = contraction_scales(spec, xi)
     eta = [-lam * v for v in x]
     w0 = tau * s0 + (1.0 - tau) * (2.0 * s0 + 1.0)
     out = []

@@ -191,7 +191,7 @@ def test_tda_roots_dicke_are_zeros_of_the_decoupled_extended_family():
     for spec in (DickeSpec((0.8, 1.3, 1.7), (0.5, 1.0, 0.5), 0.2, 1.3, 2),
                  DickeSpec((0.7, 1.2), (1.0, 0.5), 0.25, 1.1, 3)):
         for xi in solver.XI_START_LADDER:
-            roots = solver.tda_roots_dicke(spec, 2.0, xi)
+            roots = solver.tda_roots_dicke(spec, xi)
             # m poles and a linear term: one root below each level and one above
             assert len(roots) == spec.m + 1
             assert all(a < b for a, b in zip(roots, roots[1:]))
