@@ -48,8 +48,12 @@ def _is_half_integer(x, tol=1e-12):
 
 
 def check_levels(coords, spins):
-    """Raise DegenerateLevelError unless every spin is a positive half-integer
-    and no two level coordinates lie within COLLISION_TOL of each other."""
+    """Raise DegenerateLevelError unless every level coordinate is finite,
+    every spin is a positive half-integer and no two level coordinates lie
+    within COLLISION_TOL of each other."""
+    for c in coords:
+        if not np.isfinite(c):
+            raise DegenerateLevelError(f"level coordinate {c} is not finite")
     for s in spins:
         if s <= 0 or not _is_half_integer(s):
             raise DegenerateLevelError(f"spin {s} is not a positive half-integer")

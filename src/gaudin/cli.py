@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -189,7 +190,7 @@ class RunConfig:
     spec_path: str
     out_path: str | None = None
     out_format: str = "structured-text"
-    xi_steps: int | None = None
+    xi_steps: int = 10
     newton_tol: float = 1e-10
     boson_cutoff: int | None = None
     branch: int | None = None
@@ -201,19 +202,19 @@ class RunConfig:
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.out_format not in FORMATS:
             raise ValidationError(f"unknown format {self.out_format!r}")
-        if self.newton_tol <= 0:
-            raise ValidationError("newton_tol must be positive")
-        if self.xi_steps is not None and self.xi_steps < 1:
-            raise ValidationError(f"--xi-steps must be >= 1, got {self.xi_steps}")
+        if not 0.0 < self.newton_tol < math.inf:
+            raise ValidationError(
+                f"--newton-tol must be finite and positive, got {self.newton_tol}"
+            )
+        if self.xi_steps < 1 or 1.0 / self.xi_steps < solver.MIN_STEP:
+            raise ValidationError(
+                f"--xi-steps must be >= 1 with a step 1/xi-steps >= {solver.MIN_STEP}, "
+                f"got {self.xi_steps}"
+            )
 
 
-def _policy(config, **overrides):
-    kw = {"newton_tol": config.newton_tol}
-    if config.xi_steps is not None:
-        kw["max_step"] = 1.0 / config.xi_steps
-        kw["initial_step"] = min(1e-2, kw["max_step"])
-    kw.update(overrides)
-    return solver.ContinuationPolicy(**kw)
+def _policy(config):
+    return solver.ContinuationPolicy(config.newton_tol, 1.0 / config.xi_steps)
 
 
 def _boson_cutoff(config, spec):
@@ -249,8 +250,7 @@ def _environment_section(config):
 def run_solve_rg(config, spec):
     if not isinstance(spec, rg_core.ModelSpec):
         raise ValidationError("solve-rg needs a model=rg spec")
-    policy = _policy(config, xi_start=0.0, xi_end=1.0)
-    final, trace = solver.solve_rg(spec, policy, occupation=config.occupation)
+    final, trace = solver.solve_rg(spec, _policy(config), occupation=config.occupation)
     report = rg_core.rg_residual(spec, final, jacobian=False)
     lines = _header(config)
     lines += [""] + _spec_section(spec)
@@ -289,7 +289,7 @@ def run_solve_dicke(config, spec):
     if not isinstance(spec, rg_core.DickeSpec):
         raise ValidationError("solve-dicke needs a model=dicke spec")
     cutoff = _boson_cutoff(config, spec)
-    policy = _policy(config, xi_start=1.0, xi_end=0.0)
+    policy = _policy(config)
     if config.occupation is not None:
         final, report, trace = solver.solve_dicke_branch(
             spec, config.occupation, policy=policy
@@ -315,9 +315,8 @@ def run_solve_dicke(config, spec):
 def run_sweep_xi(config, spec):
     if not isinstance(spec, rg_core.ModelSpec):
         raise ValidationError("sweep-xi needs a model=rg spec")
-    policy = _policy(config, xi_start=0.0, xi_end=1.0)
     seeds = solver.solve_tda(spec, occupation=config.occupation)
-    trace = solver.continue_in_xi(spec, policy, seeds, solver.ALL_COPIES_DEFORMED)
+    trace = solver.continue_in_xi(spec, _policy(config), seeds)
     rows = []
     for p in trace.path:
         cells = [_fmt(p.xi)]
@@ -456,7 +455,7 @@ def build_parser():
                         help="model-spec file (or result document for verify)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", default="structured-text", choices=FORMATS)
-    parser.add_argument("--xi-steps", type=int, default=None,
+    parser.add_argument("--xi-steps", type=int, default=10,
                         help="cap continuation steps at 1/xi-steps")
     parser.add_argument("--newton-tol", type=float, default=1e-10)
     parser.add_argument("--boson-cutoff", type=int, default=None)

@@ -150,13 +150,10 @@ class BetheProductState:
 
     spec: object
     rapidities: object
-    normalization: str = "unit"  # raw | unit
 
     def __post_init__(self):
         if self.rapidities.frame != rg_core.DICKE_X:
             raise ValidationError("Bethe rapidities must be in the dicke_x frame")
-        if self.normalization not in ("raw", "unit"):
-            raise ValidationError(f"unknown normalization {self.normalization!r}")
         x = self.rapidities.as_array()
         for e in self.spec.epsilons:
             if np.min(np.abs(x - e)) < 1e-12:
@@ -190,9 +187,7 @@ def bethe_coefficients(state, boson_cutoff):
         for k in range(spec.m):
             w -= spec.coupling_G / (spec.epsilons[k] - xa) * (raisers[k] @ v)
         v = w
-    if state.normalization == "unit":
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            raise ValidationError("Bethe expansion collapsed to the zero vector")
-        v = v / nv
-    return v, basis
+    nv = np.linalg.norm(v)
+    if nv == 0.0:
+        raise ValidationError("Bethe expansion collapsed to the zero vector")
+    return v / nv, basis

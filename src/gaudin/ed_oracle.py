@@ -206,7 +206,7 @@ def embed(dims, per_site):
     return sparse.csr_array((data, (rows, cols)), shape=(n, n))
 
 
-def realize(expr, basis, hermitian=None):
+def realize(expr, basis):
     """Realize an OperatorExpression as a sparse matrix on the given basis."""
     dims = [f.dim for f in basis.factors]
     local = [_local_ops(f) for f in basis.factors]
@@ -222,8 +222,7 @@ def realize(expr, basis, hermitian=None):
             op = local[idx][symbol]
             per_site[idx] = op if per_site[idx] is None else per_site[idx] @ op
         total += coeff * embed(dims, per_site)
-    flag = expr.hermitian if hermitian is None else hermitian
-    return MatrixOperator(total, basis, hermitian=flag)
+    return MatrixOperator(total, basis, hermitian=expr.hermitian)
 
 
 def spectrum(op):

@@ -66,8 +66,8 @@ class DickeSpec:
         if len(epsilons) < 1 or len(epsilons) != len(spins):
             raise ValidationError("epsilons and spins must be nonempty, equal length")
         algebra.check_levels(epsilons, spins)
-        if self.hbar_omega <= 0:
-            raise ValidationError("hbar_omega must be positive")
+        if not 0.0 < self.hbar_omega < np.inf:
+            raise ValidationError("hbar_omega must be finite and positive")
         if not np.isfinite(self.coupling_G):
             raise ValidationError("coupling G must be finite")
         if self.n_excitations < 1:
@@ -112,7 +112,6 @@ class ResidualReport:
     residuals: np.ndarray
     max_abs: float
     jacobian: np.ndarray | None = None
-    decoupled: bool = False
 
 
 def _require_frame(r, frame):
@@ -236,19 +235,16 @@ def deformed_rg_residual(spec, xi, r, jacobian=True):
         deformed_weight(xi, s, omega)
         for s, omega in zip(spec.levels.spins, spec.levels.degeneracies)
     ]
-    return ResidualReport(
-        *_gaudin_residual(spec.kind, spec.levels.etas, weights, g, g * xi, r.values,
-                          jacobian),
-        decoupled=(xi == 0.0),
-    )
+    return ResidualReport(*_gaudin_residual(
+        spec.kind, spec.levels.etas, weights, g, g * xi, r.values, jacobian
+    ))
 
 
 def tda_residual(spec, r, jacobian=True):
     """Decoupled secular equations 1 + g sum_i Z_{ia} Omega_i = 0."""
     _require_frame(r, RG_ETA)
     return ResidualReport(
-        *_gaudin_residual(g_pair=0.0, w=r.values, jacobian=jacobian, **tda_params(spec)),
-        decoupled=True,
+        *_gaudin_residual(g_pair=0.0, w=r.values, jacobian=jacobian, **tda_params(spec))
     )
 
 
@@ -328,6 +324,5 @@ def extended_dicke_residual(spec, tau, r, xi=1.0, jacobian=True):
         raise DomainError(f"tau = {tau} outside [0, 1]")
     p = extended_dicke_params(spec, tau, xi)
     return ResidualReport(
-        *_gaudin_residual(g_pair=p["g_site"] * tau, w=r.values, jacobian=jacobian, **p),
-        decoupled=(tau == 0.0),
+        *_gaudin_residual(g_pair=p["g_site"] * tau, w=r.values, jacobian=jacobian, **p)
     )

@@ -3,13 +3,19 @@
 The solve pipeline follows the deformation strategy: the decoupled secular
 equation (rg_core.secular_row with a family's kernel parameters) is solved by
 bracketing between its poles, the roots seed a damped-Newton corrector, and
-an adaptive first-order predictor-corrector tracks the solution along the
-homotopy parameter to the coupled equations.
+one adaptive first-order predictor-corrector, _continue_path, tracks the
+solution along the homotopy parameter to the coupled equations.  It
+evaluates every accepted point once, in the corrector, and takes the
+predictor's tangent from that evaluation.  The RG path runs xi 0 -> 1
+(continue_in_xi); the Dicke path runs tau 0 -> 1 and then xi down to 0
+(solve_dicke_branch).  A ContinuationPolicy sets the Newton tolerance and
+the largest step; the rest of the step control is fixed below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -26,9 +32,6 @@ from .errors import (
 )
 from .rg_core import DICKE_X, RG_ETA, RapiditySet
 
-ALL_COPIES_DEFORMED = "all_copies_deformed"
-SINGLE_COPY_DICKE = "single_copy_dicke"
-
 # magnitude of the symmetric complex lift applied to repeated seed roots
 SEED_LIFT = 1e-4
 
@@ -36,26 +39,31 @@ SEED_LIFT = 1e-4
 # the exact contraction limit; the final polish switches to the Dicke residual
 XI_HANDOFF = 1e-4
 
+# step control: a rejected step shrinks, a step accepted within three Newton
+# iterations grows, and a path stalls once its step falls below MIN_STEP;
+# newton_solve gives up after MAX_NEWTON_ITERS iterations
+MIN_STEP = 1e-8
+STEP_SHRINK = 0.5
+STEP_GROW = 1.3
+MAX_NEWTON_ITERS = 50
+
 
 @dataclass(frozen=True)
 class ContinuationPolicy:
-    """Step-control knobs for the adiabatic tracking."""
+    """Newton tolerance and largest step of the adiabatic tracking."""
 
-    xi_start: float = 0.0
-    xi_end: float = 1.0
-    initial_step: float = 1e-2
-    min_step: float = 1e-8
-    max_step: float = 0.1
     newton_tol: float = 1e-10
-    max_newton_iters: int = 50
-    step_shrink: float = 0.5
-    step_grow: float = 1.3
+    max_step: float = 0.1
 
     def __post_init__(self):
-        if not (0.0 < self.min_step <= self.initial_step <= self.max_step):
-            raise DomainError("need 0 < min_step <= initial_step <= max_step")
-        if self.newton_tol <= 0.0:
-            raise DomainError("newton_tol must be positive")
+        if not 0.0 < self.newton_tol < math.inf:
+            raise DomainError("newton_tol must be finite and positive")
+        if not MIN_STEP <= self.max_step < math.inf:
+            raise DomainError(f"max_step must be finite and >= MIN_STEP = {MIN_STEP}")
+
+    @property
+    def initial_step(self):
+        return min(1e-2, self.max_step)
 
 
 @dataclass
@@ -63,7 +71,6 @@ class TracePoint:
     xi: float
     rapidities: RapiditySet
     max_abs: float
-    newton_iters: int
 
 
 @dataclass
@@ -76,7 +83,7 @@ class SolutionTrace:
         return self.path[-1]
 
 
-def newton_solve(residual_fn, w0, tol=1e-10, max_iters=50):
+def newton_solve(residual_fn, w0, tol=1e-10):
     """Damped Newton iteration on a holomorphic residual system.
 
     residual_fn maps a complex rapidity array to a ResidualReport with an
@@ -87,7 +94,7 @@ def newton_solve(residual_fn, w0, tol=1e-10, max_iters=50):
     report = residual_fn(w)
     if report.max_abs <= tol:
         return w, report, 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_NEWTON_ITERS + 1):
         jac = report.jacobian
         if np.linalg.cond(jac) > 1e14:
             raise SingularJacobianError(
@@ -116,13 +123,14 @@ def newton_solve(residual_fn, w0, tol=1e-10, max_iters=50):
         if report.max_abs <= tol:
             return w, report, it
     raise ConvergenceError(
-        f"no convergence in {max_iters} iterations (residual {report.max_abs:.3e})",
+        f"no convergence in {MAX_NEWTON_ITERS} iterations "
+        f"(residual {report.max_abs:.3e})",
         best=w,
         max_abs=report.max_abs,
     )
 
 
-def _real_roots(row, span_factor=50.0, samples=400):
+def _real_roots(row):
     """All real roots of the secular row with kernel parameters `row`, by
     sign-change bracketing on each interval between its poles (the sites)
     plus two outer windows."""
@@ -131,17 +139,15 @@ def _real_roots(row, span_factor=50.0, samples=400):
         return rg_core.secular_row(w, **row)[0]
 
     poles = np.sort(np.asarray(row["sites"], dtype=float))
-    span = max(poles[-1] - poles[0], 1.0)
-    edges = np.concatenate(
-        [[poles[0] - span_factor * span], poles, [poles[-1] + span_factor * span]]
-    )
+    outer = 50.0 * max(poles[-1] - poles[0], 1.0)
+    edges = np.concatenate([[poles[0] - outer], poles, [poles[-1] + outer]])
     roots = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         margin = 1e-9 * max(abs(lo), abs(hi), 1.0)
         a, b = lo + margin, hi - margin
         if b <= a:
             continue
-        ts = np.linspace(a, b, samples)
+        ts = np.linspace(a, b, 400)
         vals = f(ts)
         good = np.isfinite(vals)
         ts, vals = ts[good], vals[good]
@@ -247,119 +253,88 @@ def tda_roots_dicke(spec, xi=1.0):
 
 
 def _continue_path(residual_at, t_start, t_end, values, policy):
-    """Generic predictor-corrector tracking of residual_at(t, values) = 0."""
-    frame_vals = np.asarray(values, dtype=complex)
-    report = residual_at(t_start, frame_vals)
-    if report.max_abs > policy.newton_tol:
-        frame_vals, report, _ = newton_solve(
-            lambda w: residual_at(t_start, w),
-            frame_vals,
-            policy.newton_tol,
-            policy.max_newton_iters,
-        )
-    path = [(t_start, frame_vals.copy(), report.max_abs, 0)]
-    if t_start == t_end:
-        return path, "converged"
+    """Predictor-corrector tracking of residual_at(t, values) = 0 from t_start
+    to t_end.  Returns ([(t, values, max_abs), ...], status)."""
+    tol = policy.newton_tol
+    values, report, _ = newton_solve(lambda w: residual_at(t_start, w), values, tol)
+    path = [(t_start, values, report.max_abs)]
     direction = 1.0 if t_end > t_start else -1.0
     t = t_start
     step = policy.initial_step
     while (t_end - t) * direction > 0.0:
-        step = min(step, abs(t_end - t))
-        t_next = t + direction * step
-        predicted = _euler_predict(residual_at, t, frame_vals, direction * step)
-        try:
-            new_vals, report, iters = newton_solve(
-                lambda w: residual_at(t_next, w),
-                predicted,
-                policy.newton_tol,
-                policy.max_newton_iters,
-            )
-        except (ConvergenceError, SingularJacobianError):
-            step *= policy.step_shrink
-            if step < policy.min_step:
-                return path, "stalled"
-            continue
-        except CollisionError:
-            step *= policy.step_shrink
-            if step < policy.min_step:
-                return path, "collision_detected"
-            continue
+        tangent = _tangent(residual_at, t, values, report, direction)
+        # retry from (t, values) with shrinking steps until the corrector lands
+        while True:
+            step = min(step, abs(t_end - t))
+            t_next = t + direction * step
+            predicted = values if tangent is None else values + (direction * step) * tangent
+            try:
+                new_vals, report, iters = newton_solve(
+                    lambda w: residual_at(t_next, w), predicted, tol
+                )
+                break
+            except (ConvergenceError, SingularJacobianError):
+                failure = "stalled"
+            except CollisionError:
+                failure = "collision_detected"
+            step *= STEP_SHRINK
+            if step < MIN_STEP:
+                return path, failure
         t = t_next
-        frame_vals = new_vals
-        path.append((t, frame_vals.copy(), report.max_abs, iters))
+        values = new_vals
+        path.append((t, values, report.max_abs))
         # branches that leave every finite scale are escaping to infinity
-        if np.max(np.abs(frame_vals)) > 1e8:
+        if np.max(np.abs(values)) > 1e8:
             return path, "stalled"
         if iters <= 3:
-            step = min(step * policy.step_grow, policy.max_step)
+            step = min(step * STEP_GROW, policy.max_step)
     return path, "converged"
 
 
-def _euler_predict(residual_at, t, values, dt):
-    """First-order predictor: solve J dr/dt = -dF/dt by finite differences,
-    falling back to constant prediction when ill-conditioned."""
+def _tangent(residual_at, t, values, here, direction):
+    """Path tangent dvalues/dt = -J^-1 dF/dt at an accepted point, with J from
+    its report `here` and dF/dt by finite differences; None (keep the point as
+    the prediction) when J is ill-conditioned."""
     h = max(1e-7, 1e-7 * abs(t))
     try:
-        here = residual_at(t, values)
         try:
             f_hi = residual_at(t + h, values)
             f_lo = residual_at(t - h, values)
             dfdt = (f_hi.residuals - f_lo.residuals) / (2.0 * h)
         except DomainError:
             # one-sided difference at a domain edge
-            sgn = 1.0 if dt > 0 else -1.0
-            f_near = residual_at(t + sgn * h, values)
-            dfdt = sgn * (f_near.residuals - here.residuals) / h
-        jac = here.jacobian
-        if np.linalg.cond(jac) > 1e12:
-            return values
-        return values + dt * np.linalg.solve(jac, -dfdt)
+            f_near = residual_at(t + direction * h, values)
+            dfdt = direction * (f_near.residuals - here.residuals) / h
+        if np.linalg.cond(here.jacobian) > 1e12:
+            return None
+        return np.linalg.solve(here.jacobian, -dfdt)
     except (CollisionError, DomainError, np.linalg.LinAlgError):
-        return values
+        return None
 
 
-def continue_in_xi(spec, policy, r_start, family):
-    """Track a solution of the chosen deformed family from xi_start to xi_end.
-
-    all_copies_deformed: ModelSpec, typically xi 0 -> 1 (TDA seeds to the full
-    RG equations).  single_copy_dicke: DickeSpec, typically xi 1 -> 0; since
-    the family is singular at xi = 0 the path stops at a small handoff value
-    and the final point is polished and re-checked against the exact Dicke
-    residual.
-    """
-    if family == ALL_COPIES_DEFORMED:
-        def residual_at(t, w):
-            return rg_core.deformed_rg_residual(spec, t, RapiditySet(tuple(w), RG_ETA))
-
-        frame = RG_ETA
-        xi_end = policy.xi_end
-        path, status = _continue_path(residual_at, policy.xi_start, xi_end,
-                                      r_start.as_array(), policy)
-    elif family == SINGLE_COPY_DICKE:
-        def residual_at(t, w):
-            return rg_core.deformed_dicke_residual(spec, t, RapiditySet(tuple(w), DICKE_X))
-
-        frame = DICKE_X
-        exact_end = policy.xi_end == 0.0
-        xi_end = XI_HANDOFF if exact_end else policy.xi_end
-        path, status = _continue_path(residual_at, policy.xi_start, xi_end,
-                                      r_start.as_array(), policy)
-        if status == "converged" and exact_end:
-            vals = path[-1][1]
-            vals, report, iters = newton_solve(
-                lambda w: rg_core.dicke_rg_residual(spec, RapiditySet(tuple(w), DICKE_X)),
-                vals,
-                policy.newton_tol,
-                policy.max_newton_iters,
-            )
-            path.append((0.0, vals, report.max_abs, iters))
-    else:
-        raise DomainError(f"unknown continuation family {family!r}")
-    trace = SolutionTrace(
-        [TracePoint(t, RapiditySet(tuple(v), frame), r, it) for t, v, r, it in path],
-        status,
+def _trace(path, status, frame):
+    return SolutionTrace(
+        [TracePoint(t, RapiditySet(tuple(v), frame), r) for t, v, r in path], status
     )
-    return trace
+
+
+def _require_converged(path, status, what, param):
+    if status != "converged":
+        t, values, max_abs = path[-1]
+        raise ConvergenceError(
+            f"{what} {status} at {param} = {t:.6g}", best=values, max_abs=max_abs
+        )
+
+
+def continue_in_xi(spec, policy, r_start):
+    """Track a solution of the pseudo-deformed RG equations from the TDA limit
+    xi = 0 to the RG equations at xi = 1."""
+
+    def residual_at(xi, w):
+        return rg_core.deformed_rg_residual(spec, xi, RapiditySet(tuple(w), RG_ETA))
+
+    path, status = _continue_path(residual_at, 0.0, 1.0, r_start.as_array(), policy)
+    return _trace(path, status, RG_ETA)
 
 
 def solve_rg(spec, policy=None, occupation=None):
@@ -368,9 +343,9 @@ def solve_rg(spec, policy=None, occupation=None):
     Returns (RapiditySet, SolutionTrace); the final point is re-verified with
     an independent rg_residual evaluation.
     """
-    policy = policy or ContinuationPolicy(xi_start=0.0, xi_end=1.0)
+    policy = policy or ContinuationPolicy()
     seeds = solve_tda(spec, occupation=occupation)
-    trace = continue_in_xi(spec, policy, seeds, ALL_COPIES_DEFORMED)
+    trace = continue_in_xi(spec, policy, seeds)
     if trace.status != "converged":
         raise ConvergenceError(
             f"continuation {trace.status} at xi = {trace.final.xi:.6g}",
@@ -393,21 +368,29 @@ def solve_dicke_branch(spec, occupation, policy=None, xi_start=1.0):
 
     Pipeline: decoupled roots of the extended construction at xi = xi_start,
     inner homotopy tau 0 -> 1 (reintroducing the rapidity coupling), then the
-    single-copy deformation xi_start -> 0 down to the exact Dicke equations.
-    xi_start = 1 is the natural top of the family; branches that escape to
-    infinity there need a smaller xi_start (a larger deformed copy).
+    single-copy deformation xi_start -> XI_HANDOFF, where the family is
+    numerically the contraction limit, and a Newton polish on the exact Dicke
+    equations recorded at xi = 0.  xi_start = 1 is the natural top of the
+    family; branches that escape to infinity there need a smaller xi_start (a
+    larger deformed copy).
     Returns (RapiditySet in the x frame, final ResidualReport, trace).
     """
-    policy = policy or ContinuationPolicy(xi_start=xi_start, xi_end=0.0)
+    policy = policy or ContinuationPolicy()
     roots = tda_roots_dicke(spec, xi_start)
     if not roots:
         raise InsufficientModesError("extended secular equation has no real roots")
     x_seed = _assign_pattern(roots, spec.n_excitations, occupation)
 
-    def inner(t, w):
+    def inner(tau, w):
         return rg_core.extended_dicke_residual(
-            spec, t, RapiditySet(tuple(w), DICKE_X), xi_start
+            spec, tau, RapiditySet(tuple(w), DICKE_X), xi_start
         )
+
+    def outer(xi, w):
+        return rg_core.deformed_dicke_residual(spec, xi, RapiditySet(tuple(w), DICKE_X))
+
+    def exact(w):
+        return rg_core.dicke_rg_residual(spec, RapiditySet(tuple(w), DICKE_X))
 
     tau0 = 0.0
     if len(_equal_groups(x_seed)) < len(x_seed):
@@ -416,21 +399,12 @@ def solve_dicke_branch(spec, occupation, policy=None, xi_start=1.0):
         x_seed = _cluster_seeds(spec, x_seed, tau0, xi_start)
 
     path, status = _continue_path(inner, tau0, 1.0, x_seed, policy)
-    if status != "converged":
-        raise ConvergenceError(
-            f"inner homotopy {status} at tau = {path[-1][0]:.6g}",
-            best=path[-1][1],
-            max_abs=path[-1][2],
-        )
-    r_at_start = RapiditySet(tuple(path[-1][1]), DICKE_X)
-    outer_policy = replace(policy, xi_start=xi_start, xi_end=0.0)
-    trace = continue_in_xi(spec, outer_policy, r_at_start, SINGLE_COPY_DICKE)
-    if trace.status != "converged":
-        raise ConvergenceError(
-            f"outer continuation {trace.status} at xi = {trace.final.xi:.6g}",
-            best=trace.final.rapidities.as_array(),
-            max_abs=trace.final.max_abs,
-        )
+    _require_converged(path, status, "inner homotopy", "tau")
+    path, status = _continue_path(outer, xi_start, XI_HANDOFF, path[-1][1], policy)
+    _require_converged(path, status, "outer continuation", "xi")
+    values, polished, _ = newton_solve(exact, path[-1][1], policy.newton_tol)
+    path.append((0.0, values, polished.max_abs))
+    trace = _trace(path, status, DICKE_X)
     final = trace.final.rapidities
     report = rg_core.dicke_rg_residual(spec, final, jacobian=False)
     return final, report, trace

@@ -42,6 +42,8 @@ def test_levelset_rejects_fractional_degeneracy():
     pytest.param((1.0, 1.0), (0.5, 0.5), id="coincident"),
     pytest.param((1.0, 2.0), (0.5, 0.6), id="spin0.6"),
     pytest.param((1.0, 2.0), (0.5, 0.0), id="spin0"),
+    pytest.param((1.0, np.inf), (0.5, 0.5), id="inf"),
+    pytest.param((np.nan, 2.0), (0.5, 0.5), id="nan"),
 ])
 def test_levelset_and_dicke_spec_share_level_checks(coords, spins):
     with pytest.raises(DegenerateLevelError):

@@ -227,8 +227,9 @@ def test_runconfig_validation():
         RunConfig("bogus", "x")
     with pytest.raises(ValidationError):
         RunConfig("solve-rg", "x", out_format="yaml")
-    with pytest.raises(ValidationError):
-        RunConfig("solve-rg", "x", newton_tol=0.0)
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(ValidationError, match="--newton-tol"):
+            RunConfig("solve-rg", "x", newton_tol=tol)
 
 
 def test_log_env_enables_logging(tmp_path, capsys, monkeypatch):
@@ -250,7 +251,7 @@ def test_spec_spins_and_degeneracies_must_agree(tmp_path, capsys):
     assert "degeneracy 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("steps", [0, -3])
+@pytest.mark.parametrize("steps", [0, -3, 10**9])
 def test_xi_steps_below_one_exits_1(tmp_path, capsys, steps):
     path = _write(tmp_path, "rg.spec", RG_SPEC)
     with pytest.raises(ValidationError, match="--xi-steps"):
@@ -258,3 +259,11 @@ def test_xi_steps_below_one_exits_1(tmp_path, capsys, steps):
     argv = ["--mode", "solve-rg", "--spec", path, "--xi-steps", str(steps)]
     assert cli.main(argv) == 1
     assert "--xi-steps" in capsys.readouterr().err
+
+
+def test_ed_spectrum_rejects_a_non_finite_level(tmp_path, capsys):
+    spec = RG_SPEC.replace("etas = [1.0, 2.0, 3.0, 4.0]", "etas = [1.0, 2.0, inf]")
+    spec = spec.replace("spins = [0.5, 0.5, 0.5, 0.5]", "spins = [0.5, 0.5, 0.5]")
+    path = _write(tmp_path, "inf.spec", spec)
+    assert cli.main(["--mode", "ed-spectrum", "--spec", path]) == 1
+    assert "not finite" in capsys.readouterr().err

@@ -160,15 +160,15 @@ def test_copy_label_is_the_levels_deformation_map(omega0):
 
 
 def test_bethe_coefficients_single_factor():
-    state = BetheProductState(JC, RapiditySet((0.5,), DICKE_X), normalization="raw")
+    state = BetheProductState(JC, RapiditySet((0.3,), DICKE_X))
     v, basis = bethe_coefficients(state, 2)
     nums = basis.excitation_numbers()
-    # amplitude 1 on |n=1, mu=-1/2>, -G/(eps - x) on |n=0, mu=+1/2>
-    nz = {i: v[i] for i in np.nonzero(np.abs(v) > 1e-14)[0]}
-    assert len(nz) == 2
-    vals = sorted(nz.values(), key=lambda z: z.real)
-    assert vals[0] == pytest.approx(-0.5 / (1.0 - 0.5))
-    assert vals[1] == pytest.approx(1.0)
+    # amplitudes -G/(eps - x) on |n=0, mu=+1/2> (index 0*2 + 1) and 1 on
+    # |n=1, mu=-1/2> (index 1*2 + 0), scaled to unit norm
+    nz = np.nonzero(np.abs(v) > 1e-14)[0]
+    assert list(nz) == [1, 2]
+    assert v[1] / v[2] == pytest.approx(-0.5 / (1.0 - 0.3))
+    assert np.linalg.norm(v) == pytest.approx(1.0)
     assert all(nums[i] == 1 for i in nz)
 
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from gaudin.errors import (
     DomainError,
     InsufficientModesError,
     SelectionError,
+    SingularJacobianError,
 )
 from gaudin.rg_core import (
     DICKE_X,
@@ -20,10 +23,8 @@ from gaudin.rg_core import (
     rg_residual,
 )
 from gaudin.solver import (
-    ALL_COPIES_DEFORMED,
-    SINGLE_COPY_DICKE,
+    XI_HANDOFF,
     ContinuationPolicy,
-    continue_in_xi,
     enumerate_dicke_branches,
     newton_solve,
     solve_dicke_branch,
@@ -36,13 +37,15 @@ RG4 = ModelSpec(
     LevelSet.from_spins((1.0, 2.0, 3.0, 4.0), (0.5, 0.5, 0.5, 0.5)),
     TRIGONOMETRIC, 2, -0.15,
 )
+M2 = DickeSpec((0.8, 1.3), (0.5, 0.5), 0.2, 1.0, 2)
 
 
 def test_policy_validation():
     with pytest.raises(DomainError):
-        ContinuationPolicy(initial_step=1e-9, min_step=1e-8)
-    with pytest.raises(DomainError):
-        ContinuationPolicy(newton_tol=0.0)
+        ContinuationPolicy(max_step=1e-9)
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            ContinuationPolicy(newton_tol=tol)
 
 
 def test_solve_tda_single_root():
@@ -108,15 +111,6 @@ def test_newton_collision_start_raises():
         newton_solve(fn, RapiditySet((1.0,), DICKE_X).as_array())
 
 
-def test_continue_zero_length_path():
-    spec = ModelSpec(LevelSet.from_spins((1.0,), (0.5,)), TRIGONOMETRIC, 1, 0.1)
-    seeds = solve_tda(spec)
-    policy = ContinuationPolicy(xi_start=0.0, xi_end=0.0)
-    trace = continue_in_xi(spec, policy, seeds, ALL_COPIES_DEFORMED)
-    assert len(trace.path) == 1
-    assert trace.path[0].rapidities.values == seeds.values
-
-
 def test_solve_rg_m4_benchmark():
     final, trace = solve_rg(RG4)
     assert trace.status == "converged"
@@ -137,11 +131,63 @@ def test_solve_rg_conjugate_closure_along_trace():
         assert np.max(np.abs(np.sort_complex(v) - np.sort_complex(np.conj(v)))) < 1e-8
 
 
-def test_continue_unknown_family():
-    spec = ModelSpec(LevelSet.from_spins((1.0,), (0.5,)), TRIGONOMETRIC, 1, 0.1)
-    seeds = solve_tda(spec)
-    with pytest.raises(DomainError):
-        continue_in_xi(spec, ContinuationPolicy(), seeds, "bogus")
+def _record_paths(monkeypatch):
+    """Run every _continue_path with a residual that counts its evaluations
+    per (t, values); returns [(counts, seed key, path)] and a list that grows
+    by one per failed Newton solve (a rejected step)."""
+    runs, failures = [], []
+    driver, newton = solver._continue_path, solver.newton_solve
+
+    def recording(residual_at, t_start, t_end, values, policy):
+        counts = Counter()
+
+        def counted(t, w):
+            counts[(t, tuple(w))] += 1
+            return residual_at(t, w)
+
+        path, status = driver(counted, t_start, t_end, values, policy)
+        seed = (t_start, tuple(np.asarray(values, dtype=complex)))
+        runs.append((counts, seed, list(path)))
+        return path, status
+
+    def failing(*args):
+        try:
+            return newton(*args)
+        except (ConvergenceError, SingularJacobianError, CollisionError):
+            failures.append(args)
+            raise
+
+    monkeypatch.setattr(solver, "_continue_path", recording)
+    monkeypatch.setattr(solver, "newton_solve", failing)
+    return runs, failures
+
+
+@pytest.mark.parametrize("case", ["rg", "dicke"])
+def test_continue_path_evaluates_each_accepted_point_once(monkeypatch, case):
+    runs, failures = _record_paths(monkeypatch)
+    if case == "rg":
+        solve_rg(RG4)
+    else:
+        # this pattern rejects steps at xi_start = 0.5 before it converges
+        solve_dicke_branch(M2, [2, 2], xi_start=0.5)
+        assert failures
+    assert len(runs) == (1 if case == "rg" else 2)
+    for counts, seed, path in runs:
+        assert counts[seed] == 1
+        # the corrector's accepted evaluation also serves the predictor
+        assert [counts[(t, tuple(v))] for t, v, _ in path] == [1] * len(path)
+
+
+@pytest.mark.parametrize("pattern, xi_start", [([0, 2], 1.0), ([2, 2], 0.25)])
+def test_dicke_branch_trace_runs_from_xi_start_to_the_exact_limit(pattern, xi_start):
+    final, report, trace = solve_dicke_branch(M2, pattern, xi_start=xi_start)
+    xis = [p.xi for p in trace.path]
+    assert xis[0] == xi_start
+    assert all(b < a for a, b in zip(xis, xis[1:]))
+    assert xis[-2] == XI_HANDOFF and xis[-1] == 0.0
+    assert trace.status == "converged"
+    assert trace.final.rapidities == final
+    assert report.max_abs <= 1e-10
 
 
 def test_single_copy_continuation_reaches_jc_roots():
