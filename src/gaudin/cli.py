@@ -211,6 +211,15 @@ class RunConfig:
                 f"--xi-steps must be >= 1 with a step 1/xi-steps >= {solver.MIN_STEP}, "
                 f"got {self.xi_steps}"
             )
+        # options the chosen mode would ignore
+        for flag, given, modes in (
+            ("--format tabular-text", self.out_format == "tabular-text", ("sweep-xi",)),
+            ("--branch", self.branch is not None, ("solve-dicke",)),
+            ("--occupation", self.occupation is not None,
+             ("solve-rg", "solve-dicke", "sweep-xi")),
+        ):
+            if given and self.mode not in modes:
+                raise ValidationError(f"{flag} applies only to --mode {' or '.join(modes)}")
 
 
 def _policy(config):

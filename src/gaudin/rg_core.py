@@ -206,12 +206,6 @@ def secular_row(w, kind, sites, weights, g_site, const=1.0, lin=0.0, scale=1.0):
     return r, scale * dr
 
 
-def tda_params(spec):
-    """Secular-row parameters of the decoupled equations 1 + g sum_i Z_{ia} Omega_i."""
-    return dict(kind=spec.kind, sites=spec.levels.etas,
-                weights=spec.levels.degeneracies, g_site=spec.coupling_g)
-
-
 def rg_residual(spec, r, jacobian=True):
     """Bethe equations 1 + g sum_i Z_{ia} s_i - g sum_{b!=a} Z_{ba} = 0."""
     _require_frame(r, RG_ETA)
@@ -230,22 +224,30 @@ def deformed_rg_residual(spec, xi, r, jacobian=True):
     if not 0.0 <= xi <= 1.0:
         raise DomainError(f"xi = {xi} outside [0, 1]")
     _require_frame(r, RG_ETA)
-    g = spec.coupling_g
+    p = deformed_rg_params(spec, xi)
+    return ResidualReport(
+        *_gaudin_residual(g_pair=p["g_site"] * xi, w=r.values, jacobian=jacobian, **p)
+    )
+
+
+def deformed_rg_params(spec, xi):
+    """Secular-row parameters of deformed_rg_residual at xi, whose rapidity
+    coupling is xi * g_site; each weight follows the deformation map in xi
+    from its degeneracy (the decoupled TDA row at xi = 0) to its spin."""
     weights = [
         deformed_weight(xi, s, omega)
         for s, omega in zip(spec.levels.spins, spec.levels.degeneracies)
     ]
-    return ResidualReport(*_gaudin_residual(
-        spec.kind, spec.levels.etas, weights, g, g * xi, r.values, jacobian
-    ))
+    return dict(kind=spec.kind, sites=spec.levels.etas, weights=weights,
+                g_site=spec.coupling_g)
 
 
 def tda_residual(spec, r, jacobian=True):
     """Decoupled secular equations 1 + g sum_i Z_{ia} Omega_i = 0."""
     _require_frame(r, RG_ETA)
-    return ResidualReport(
-        *_gaudin_residual(g_pair=0.0, w=r.values, jacobian=jacobian, **tda_params(spec))
-    )
+    return ResidualReport(*_gaudin_residual(
+        g_pair=0.0, w=r.values, jacobian=jacobian, **deformed_rg_params(spec, 0.0)
+    ))
 
 
 def dicke_rg_residual(spec, r, jacobian=True):

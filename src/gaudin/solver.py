@@ -8,8 +8,11 @@ solution along the homotopy parameter to the coupled equations.  It
 evaluates every accepted point once, in the corrector, and takes the
 predictor's tangent from that evaluation.  The RG path runs xi 0 -> 1
 (continue_in_xi); the Dicke path runs tau 0 -> 1 and then xi down to 0
-(solve_dicke_branch).  A ContinuationPolicy sets the Newton tolerance and
-the largest step; the rest of the step control is fixed below.
+(solve_dicke_branch).  Both families have a secular row affine in their
+parameter and a rapidity coupling proportional to it, so one rule,
+_cluster_seeds, splits rapidities that share a root, at CLUSTER_T0.  A
+ContinuationPolicy sets the Newton tolerance and the largest step; the rest
+of the step control is fixed below.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import rg_core
-from .algebra import COLLISION_TOL
+from .algebra import COLLISION_TOL, RATIONAL
 from .errors import (
     CollisionError,
     ConvergenceError,
@@ -32,8 +35,8 @@ from .errors import (
 )
 from .rg_core import DICKE_X, RG_ETA, RapiditySet
 
-# magnitude of the symmetric complex lift applied to repeated seed roots
-SEED_LIFT = 1e-4
+# homotopy value at which rapidities sharing a secular root start, split
+CLUSTER_T0 = 1e-3
 
 # below this xi the single-copy family is numerically indistinguishable from
 # the exact contraction limit; the final polish switches to the Dicke residual
@@ -172,58 +175,47 @@ def _assign_pattern(roots, n, occupation):
     return np.array([roots[i] for i in occupation], dtype=complex)
 
 
-def _equal_groups(values):
-    """Index lists of the seeds that share a real part, in ascending order."""
+def _cluster_seeds(row0, row1, values):
+    """Seeds of a homotopy family whose secular row is affine in t and whose
+    rapidity coupling is t * g_site, given its rows at t = 0 and t = 1.
+
+    Returns (t_start, seeds): (0.0, values) when no root repeats; otherwise
+    the leading-order solution at t_start = CLUSTER_T0.  k rapidities on a
+    simple root x0 of F = row0 split as x0 + shift + sigma * u_a with
+    sigma^2 = t_start * P(x0) / F'(x0), P the coefficient of
+    sum_b 1/(x_b - x_a) in the rapidity coupling at t = 1, u_a the zeros of
+    the Hermite polynomial H_k, and shift = -t_start * (row1 - row0) / F'.
+    The sign of sigma^2 decides between a real split and a complex-conjugate
+    pair, so the seed set stays closed under conjugation either way.
+    """
+    values = np.asarray(values, dtype=complex)
+    # index lists of the seeds that share a real part, in ascending order
     groups = {}
     for idx in np.argsort(values.real):
         groups.setdefault(round(values[idx].real / COLLISION_TOL), []).append(idx)
-    return list(groups.values())
-
-
-def _cluster_seeds(spec, values, t_start, xi):
-    """Leading-order seeds for rapidities sharing a root of the extended Dicke
-    secular row, at a small homotopy value t_start.
-
-    k rapidities on a simple root x0 of F = row(tau = 0) split as x0 + shift +
-    sigma * u_a with sigma^2 = t_start * P(x0) / F'(x0), P the coefficient of
-    sum_b 1/(x_b - x_a) in the rapidity coupling at tau = 1, u_a the zeros of
-    the Hermite polynomial H_k, and shift = -t_start * dF/dtau / F', where
-    dF/dtau = row(1) - row(0) as the family is affine in tau.  The sign of
-    sigma^2 decides between a real split and a complex-conjugate pair, so the
-    seed set stays closed under conjugation either way.
-    """
-    start = rg_core.extended_dicke_params(spec, 0.0, xi)
-    end = rg_core.extended_dicke_params(spec, 1.0, xi)
-    values = np.asarray(values, dtype=complex)
+    if len(groups) == len(values):
+        return 0.0, values
+    t_start = CLUSTER_T0
+    c = 0.0 if row1["kind"] == RATIONAL else 1.0
+    scale = row1.get("scale", 1.0)
     out = values.copy()
-    for members in _equal_groups(values):
+    for members in groups.values():
         x0 = values[members[0]]
-        f0, fp = rg_core.secular_row(x0, **start)
-        f1, _ = rg_core.secular_row(x0, **end)
+        f0, fp = rg_core.secular_row(x0, **row0)
+        f1, _ = rg_core.secular_row(x0, **row1)
         shift = -t_start * (f1 - f0) / fp
         k = len(members)
         if k == 1:
             out[members[0]] = x0 + shift
             continue
-        # -g Z(u_b, u_a) = -g (1 + u_a u_b) / (scale (x_b - x_a)), u = scale*x
-        u = end["scale"] * x0
-        pair = -end["g_site"] * (1.0 + u * u) / end["scale"]
+        # -g Z(u_b, u_a) = -g (1 + c u_a u_b) / (scale (x_b - x_a)), u = scale*x
+        u = scale * x0
+        pair = -row1["g_site"] * (1.0 + c * u * u) / scale
         sigma = np.sqrt(complex(t_start * pair / fp))
         herm = np.polynomial.hermite.hermroots([0.0] * k + [1.0])
         for h, idx in zip(herm, members):
             out[idx] = x0 + shift + sigma * h
-    return out
-
-
-def _lift_duplicates(values):
-    """Split repeated seeds by a symmetric imaginary perturbation so the seed
-    set stays closed under complex conjugation."""
-    values = np.asarray(values, dtype=complex).copy()
-    for members in _equal_groups(values):
-        k = len(members)
-        for j, idx in enumerate(members):
-            values[idx] += 1j * SEED_LIFT * (j - (k - 1) / 2.0) * 2.0
-    return values
+    return t_start, out
 
 
 def solve_tda(spec, occupation=None):
@@ -231,16 +223,13 @@ def solve_tda(spec, occupation=None):
 
     The secular row 1 + g sum_i Z(eta_i, w) Omega_i has up to m real roots;
     the occupation pattern selects a multiset of them (default: lowest
-    first).  Repeated roots are lifted by a symmetric complex split.
+    first).  Returns the TDA point itself, sorted by real part: a repeated
+    root stays repeated, and continue_in_xi splits it by _cluster_seeds.
     """
-    if spec.coupling_g == 0.0:
-        raise InsufficientModesError("secular equation 1 = 0 has no roots at g = 0")
-    roots = _real_roots(rg_core.tda_params(spec))
-    n = spec.n_excitations
+    roots = _real_roots(rg_core.deformed_rg_params(spec, 0.0))
     if not roots:
         raise InsufficientModesError("secular equation has no real roots")
-    values = _assign_pattern(roots, n, occupation)
-    values = _lift_duplicates(values)
+    values = _assign_pattern(roots, spec.n_excitations, occupation)
     values = values[np.argsort(values.real)]
     return RapiditySet(tuple(values), RG_ETA)
 
@@ -293,18 +282,18 @@ def _continue_path(residual_at, t_start, t_end, values, policy):
 
 def _tangent(residual_at, t, values, here, direction):
     """Path tangent dvalues/dt = -J^-1 dF/dt at an accepted point, with J from
-    its report `here` and dF/dt by finite differences; None (keep the point as
-    the prediction) when J is ill-conditioned."""
+    its report `here` and dF/dt by finite differences, each point evaluated
+    once; None (keep the point as the prediction) when the point ahead lies
+    outside the domain or J is ill-conditioned."""
     h = max(1e-7, 1e-7 * abs(t))
     try:
+        ahead = residual_at(t + direction * h, values).residuals
         try:
-            f_hi = residual_at(t + h, values)
-            f_lo = residual_at(t - h, values)
-            dfdt = (f_hi.residuals - f_lo.residuals) / (2.0 * h)
+            behind = residual_at(t - direction * h, values).residuals
+            dfdt = direction * (ahead - behind) / (2.0 * h)
         except DomainError:
-            # one-sided difference at a domain edge
-            f_near = residual_at(t + direction * h, values)
-            dfdt = direction * (f_near.residuals - here.residuals) / h
+            # one-sided difference at a domain edge behind the path
+            dfdt = direction * (ahead - here.residuals) / h
         if np.linalg.cond(here.jacobian) > 1e12:
             return None
         return np.linalg.solve(here.jacobian, -dfdt)
@@ -318,9 +307,10 @@ def _trace(path, status, frame):
     )
 
 
-def _require_converged(path, status, what, param):
+def _require_converged(last, status, what, param):
+    """Raise ConvergenceError at the last point (t, values, max_abs) unless converged."""
     if status != "converged":
-        t, values, max_abs = path[-1]
+        t, values, max_abs = last
         raise ConvergenceError(
             f"{what} {status} at {param} = {t:.6g}", best=values, max_abs=max_abs
         )
@@ -328,12 +318,15 @@ def _require_converged(path, status, what, param):
 
 def continue_in_xi(spec, policy, r_start):
     """Track a solution of the pseudo-deformed RG equations from the TDA limit
-    xi = 0 to the RG equations at xi = 1."""
+    xi = 0 to the RG equations at xi = 1; repeated TDA roots start split at
+    xi = CLUSTER_T0."""
 
     def residual_at(xi, w):
         return rg_core.deformed_rg_residual(spec, xi, RapiditySet(tuple(w), RG_ETA))
 
-    path, status = _continue_path(residual_at, 0.0, 1.0, r_start.as_array(), policy)
+    xi0, seeds = _cluster_seeds(rg_core.deformed_rg_params(spec, 0.0),
+                                rg_core.deformed_rg_params(spec, 1.0), r_start.as_array())
+    path, status = _continue_path(residual_at, xi0, 1.0, seeds, policy)
     return _trace(path, status, RG_ETA)
 
 
@@ -346,13 +339,9 @@ def solve_rg(spec, policy=None, occupation=None):
     policy = policy or ContinuationPolicy()
     seeds = solve_tda(spec, occupation=occupation)
     trace = continue_in_xi(spec, policy, seeds)
-    if trace.status != "converged":
-        raise ConvergenceError(
-            f"continuation {trace.status} at xi = {trace.final.xi:.6g}",
-            best=trace.final.rapidities.as_array(),
-            max_abs=trace.final.max_abs,
-        )
     final = trace.final.rapidities
+    _require_converged((trace.final.xi, final.as_array(), trace.final.max_abs),
+                       trace.status, "continuation", "xi")
     check = rg_core.rg_residual(spec, final, jacobian=False)
     if check.max_abs > 10.0 * policy.newton_tol:
         raise ConvergenceError(
@@ -392,16 +381,12 @@ def solve_dicke_branch(spec, occupation, policy=None, xi_start=1.0):
     def exact(w):
         return rg_core.dicke_rg_residual(spec, RapiditySet(tuple(w), DICKE_X))
 
-    tau0 = 0.0
-    if len(_equal_groups(x_seed)) < len(x_seed):
-        # repeated secular roots: seed the cluster split at a small tau > 0
-        tau0 = 1e-3
-        x_seed = _cluster_seeds(spec, x_seed, tau0, xi_start)
-
+    tau0, x_seed = _cluster_seeds(rg_core.extended_dicke_params(spec, 0.0, xi_start),
+                                  rg_core.extended_dicke_params(spec, 1.0, xi_start), x_seed)
     path, status = _continue_path(inner, tau0, 1.0, x_seed, policy)
-    _require_converged(path, status, "inner homotopy", "tau")
+    _require_converged(path[-1], status, "inner homotopy", "tau")
     path, status = _continue_path(outer, xi_start, XI_HANDOFF, path[-1][1], policy)
-    _require_converged(path, status, "outer continuation", "xi")
+    _require_converged(path[-1], status, "outer continuation", "xi")
     values, polished, _ = newton_solve(exact, path[-1][1], policy.newton_tol)
     path.append((0.0, values, polished.max_abs))
     trace = _trace(path, status, DICKE_X)

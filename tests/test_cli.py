@@ -267,3 +267,45 @@ def test_ed_spectrum_rejects_a_non_finite_level(tmp_path, capsys):
     path = _write(tmp_path, "inf.spec", spec)
     assert cli.main(["--mode", "ed-spectrum", "--spec", path]) == 1
     assert "not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, flags", [
+    ("solve-rg", ["--format", "tabular-text"]),
+    ("solve-dicke", ["--format", "tabular-text"]),
+    ("ed-spectrum", ["--format", "tabular-text"]),
+    ("solve-rg", ["--branch", "5"]),
+    ("sweep-xi", ["--branch", "0"]),
+    ("ed-spectrum", ["--branch", "3"]),
+    ("ed-spectrum", ["--occupation", "0,1"]),
+    ("verify", ["--occupation", "0,1"]),
+], ids=lambda v: v if isinstance(v, str) else v[0][2:])
+def test_options_the_mode_ignores_exit_1(tmp_path, capsys, mode, flags):
+    named = flags[0]
+    text = JC_SPEC if mode == "solve-dicke" else RG_SPEC
+    path = _write(tmp_path, "in.spec", text)
+    out = str(tmp_path / "out.txt")
+    assert cli.main(["--mode", mode, "--spec", path, "--out", out] + flags) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
+ONE_LEVEL_SPEC = """\
+model = rg
+kind = trigonometric
+etas = [1.0]
+spins = [1.0]
+g = -0.1
+N = 2
+"""
+
+
+def test_solve_rg_reaches_the_state_of_a_doubly_occupied_level(tmp_path):
+    # one spin-1 level holds one N = 2 state, on the repeated secular root
+    path = _write(tmp_path, "one.spec", ONE_LEVEL_SPEC)
+    out = str(tmp_path / "one.txt")
+    assert cli.main(["--mode", "solve-rg", "--spec", path, "--out", out]) == 0
+    kv = {k: v for s, k, v in _parse_doc(open(out).read()) if s == "branch 0"}
+    assert kv["trace_status"] == "converged"
+    assert {"rapidity_0", "rapidity_1"} <= set(kv)
+    checked = str(tmp_path / "verify.txt")
+    assert cli.main(["--mode", "verify", "--spec", out, "--out", checked]) == 0

@@ -327,7 +327,7 @@ def test_residual_values_match_brute_force_sums(family):
         else:
             # elementwise: the TDA row and the extended row at t, one rapidity each
             xi = (1.0, 0.25)[trial % 2]
-            tda_row = rg_core.secular_row(w, **rg_core.tda_params(spec))[0]
+            tda_row = rg_core.secular_row(w, **rg_core.deformed_rg_params(spec, 0.0))[0]
             ext_row = rg_core.secular_row(
                 w, **rg_core.extended_dicke_params(dspec, t, xi=xi))[0]
             got = rg_core.ResidualReport(np.concatenate([tda_row, ext_row]), 0.0)
@@ -347,8 +347,10 @@ def _secular_row_cases():
     ls = LevelSet.from_spins((0.9, 2.1, 3.3), (0.5, 1.0, 0.5))
     dspec = DickeSpec((0.8, 1.3, 1.7), (0.5, 1.0, 0.5), 0.2, 1.3, 1)
     for kind in (RATIONAL, TRIGONOMETRIC):
-        yield pytest.param(rg_core.tda_params(ModelSpec(ls, kind, 1, -0.12)),
+        yield pytest.param(rg_core.deformed_rg_params(ModelSpec(ls, kind, 1, -0.12), 0.0),
                            id="tda-" + kind)
+    yield pytest.param(rg_core.deformed_rg_params(ModelSpec(ls, TRIGONOMETRIC, 1, -0.12), 0.5),
+                       id="deformed-rg-xi0.5")
     for tau in (0.0, 1.0):
         for xi in (1.0, 0.25):
             yield pytest.param(rg_core.extended_dicke_params(dspec, tau, xi=xi),

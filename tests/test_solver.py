@@ -1,10 +1,12 @@
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from gaudin import rg_core, solver
-from gaudin.algebra import LevelSet, TRIGONOMETRIC
+from gaudin import algebra, ed_oracle, rg_core, solver
+from gaudin.algebra import RATIONAL, TRIGONOMETRIC, LevelSet
+from gaudin.dicke import OperatorExpression
 from gaudin.errors import (
     CollisionError,
     ConvergenceError,
@@ -25,6 +27,7 @@ from gaudin.rg_core import (
 from gaudin.solver import (
     XI_HANDOFF,
     ContinuationPolicy,
+    continue_in_xi,
     enumerate_dicke_branches,
     newton_solve,
     solve_dicke_branch,
@@ -38,6 +41,8 @@ RG4 = ModelSpec(
     TRIGONOMETRIC, 2, -0.15,
 )
 M2 = DickeSpec((0.8, 1.3), (0.5, 0.5), 0.2, 1.0, 2)
+# one spin-1 level: its single N = 2 state sits on the repeated secular root
+ONE_LEVEL = ModelSpec(LevelSet.from_spins((1.0,), (1.0,)), TRIGONOMETRIC, 2, -0.1)
 
 
 def test_policy_validation():
@@ -54,15 +59,22 @@ def test_solve_tda_single_root():
     assert r.values[0] == pytest.approx(1.5, abs=1e-12)
 
 
-def test_solve_tda_repeated_root_symmetric_lift():
+def test_solve_tda_repeated_root_is_split_at_the_start_of_the_xi_path(monkeypatch):
     spec = ModelSpec(LevelSet.from_spins((1.0,), (0.5,)), TRIGONOMETRIC, 2, 0.1)
     r = solve_tda(spec)
-    vals = r.as_array()
-    assert vals[0].real == pytest.approx(1.5, abs=1e-6)
-    assert vals[1].real == pytest.approx(1.5, abs=1e-6)
-    # symmetric complex split: set closed under conjugation, nonzero split
-    assert np.max(np.abs(np.sort_complex(vals) - np.sort_complex(np.conj(vals)))) < 1e-15
-    assert abs(vals[0] - vals[1]) > 1e-6
+    assert r.values[0] == r.values[1] == pytest.approx(1.5, abs=1e-12)
+    # the TDA point itself: the repeated root twice
+    r = solve_tda(ONE_LEVEL)
+    assert r.values[0] == r.values[1]
+    runs, _ = _record_paths(monkeypatch)
+    trace = continue_in_xi(ONE_LEVEL, ContinuationPolicy(), r)
+    [(_, (t_start, seeds), _)] = runs
+    assert t_start == trace.path[0].xi == solver.CLUSTER_T0
+    seeds = np.array(seeds)
+    assert abs(seeds[0] - seeds[1]) > 1e-3
+    # closed under conjugation, whether the split is real or a conjugate pair
+    assert all(np.min(np.abs(seeds - np.conj(v))) < 1e-14 for v in seeds)
+    assert trace.status == "converged"
 
 
 def test_solve_tda_roots_approach_levels_at_weak_coupling():
@@ -176,6 +188,9 @@ def test_continue_path_evaluates_each_accepted_point_once(monkeypatch, case):
         assert counts[seed] == 1
         # the corrector's accepted evaluation also serves the predictor
         assert [counts[(t, tuple(v))] for t, v, _ in path] == [1] * len(path)
+        # no point twice, the tangent's one-sided difference at the start of
+        # the RG path (on the xi = 0 domain edge) included
+        assert max(counts.values()) == 1
 
 
 @pytest.mark.parametrize("pattern, xi_start", [([0, 2], 1.0), ([2, 2], 0.25)])
@@ -245,3 +260,45 @@ def test_tda_roots_dicke_are_zeros_of_the_decoupled_extended_family():
                 rep = rg_core.extended_dicke_residual(
                     spec, 0.0, RapiditySet((x,), DICKE_X), xi=xi)
                 assert abs(rep.residuals[0]) <= 1e-12 * abs(rep.jacobian[0, 0])
+
+
+def _bethe_vector(spec, rapidities, basis):
+    """prod_a sum_i X(eta_i, x_a) S_i^+ on the lowest-weight state, unit norm."""
+    vec = np.zeros(basis.total_dim, dtype=complex)
+    vec[0] = 1.0
+    for x in rapidities.values:
+        create = OperatorExpression(tuple(
+            (algebra.pair_x(spec.kind, eta, x), (("sp", i),))
+            for i, eta in enumerate(spec.levels.etas)
+        ))
+        vec = ed_oracle.realize(create, basis).csr @ vec
+    return vec / np.linalg.norm(vec)
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(RG4, id="rg4"),
+    pytest.param(ModelSpec(LevelSet.from_spins((1.0, 2.0, 3.0), (1.0, 1.0, 1.0)),
+                           RATIONAL, 2, -0.1), id="rational-spin1"),
+    pytest.param(ModelSpec(LevelSet.from_spins((0.7, 1.5), (1.0, 1.5)),
+                           TRIGONOMETRIC, 3, -0.12), id="trigonometric-spin1-3half"),
+    pytest.param(ONE_LEVEL, id="one-spin1-level"),
+])
+def test_rg_repeated_roots_reach_every_state(spec):
+    charges = ed_oracle.realize_rg_charges(spec, 1.0)
+    basis = charges[0].basis
+    n_roots = len(solver._real_roots(rg_core.deformed_rg_params(spec, 0.0)))
+    states = []
+    for pattern in combinations_with_replacement(range(n_roots), spec.n_excitations):
+        try:
+            final, _ = solve_rg(spec, occupation=list(pattern))
+        except ConvergenceError:
+            continue
+        vec = _bethe_vector(spec, final, basis)
+        eigenvalues = []
+        for op in charges:
+            q = np.vdot(vec, op.csr @ vec).real
+            assert np.linalg.norm(op.csr @ vec - q * vec) <= 1e-9
+            eigenvalues.append(q)
+        if not any(np.allclose(eigenvalues, e, atol=1e-7) for e in states):
+            states.append(eigenvalues)
+    assert len(states) == len(basis.sector_indices(spec.n_excitations))
