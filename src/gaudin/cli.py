@@ -285,7 +285,10 @@ def _dicke_branch_records(config, spec, branches, cutoff):
         vec, _ = dicke.bethe_coefficients(state, cutoff)
         rayleigh, rel = ed_oracle.eigencheck(ham, vec)
         lines += ["", "[branch %d]" % idx]
-        lines.append("occupation = [%s]" % ", ".join(str(i) for i in b["occupation"]))
+        if "evb_start" in b:
+            lines.append("evb_start = [%s]" % ", ".join(str(k) for k in b["evb_start"]))
+        else:
+            lines.append("occupation = [%s]" % ", ".join(str(i) for i in b["occupation"]))
         for a, v in enumerate(b["rapidities"].values):
             lines.append("rapidity_%d = %s" % (a, _fmt_complex(v)))
         lines.append("residual_max_abs = %s" % _fmt(b["report"].max_abs))
@@ -299,6 +302,7 @@ def run_solve_dicke(config, spec):
         raise ValidationError("solve-dicke needs a model=dicke spec")
     cutoff = _boson_cutoff(config, spec)
     policy = _policy(config)
+    header = ["boson_cutoff = %d" % cutoff]
     if config.occupation is not None:
         final, report, trace = solver.solve_dicke_branch(
             spec, config.occupation, policy=policy
@@ -307,14 +311,22 @@ def run_solve_dicke(config, spec):
             {"occupation": config.occupation, "rapidities": final, "report": report}
         ]
     else:
+        method = solver.enumeration_method(spec)
         branches = solver.enumerate_dicke_branches(spec, policy=policy)
+        expected = spec.sector_dimension()
+        header += ["method = %s" % method,
+                   "branches_expected = %d" % expected,
+                   "branches_found = %d" % len(branches)]
+        if len(branches) < expected:
+            log.warning("solve-dicke found %d of %d states with N = %d (method %s)",
+                        len(branches), expected, spec.n_excitations, method)
     if config.branch is not None:
         if not 0 <= config.branch < len(branches):
             raise ValidationError(
                 f"branch index {config.branch} out of range for {len(branches)} branches"
             )
         branches = [branches[config.branch]]
-    lines = _header(config, ["boson_cutoff = %d" % cutoff])
+    lines = _header(config, header)
     lines += [""] + _spec_section(spec)
     lines += _dicke_branch_records(config, spec, branches, cutoff)
     lines += [""] + _environment_section(config)

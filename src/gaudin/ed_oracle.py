@@ -290,7 +290,13 @@ def commutator_norm(a, b):
 
 
 def eigencheck(op, v):
-    """Rayleigh quotient and relative eigen-residual of a trial vector."""
+    """Rayleigh quotient and relative eigen-residual of a trial vector.
+
+    The residual |O v - rho v| is taken relative to | |O| |v| | (entrywise
+    moduli), the scale of the terms that O v sums on this vector: it does
+    not vanish at an eigenvalue zero, as |O v| does, and it does not grow
+    with rows of O that v never reaches, as |O|_inf does.
+    """
     v = np.asarray(v, dtype=complex).ravel()
     nv = np.linalg.norm(v)
     if nv == 0.0:
@@ -299,7 +305,8 @@ def eigencheck(op, v):
     rayleigh = np.vdot(v, ov) / (nv * nv)
     if op.hermitian:
         rayleigh = rayleigh.real
-    rel = np.linalg.norm(ov - rayleigh * v) / max(np.linalg.norm(ov), 1e-300)
+    scale = np.linalg.norm(abs(op.csr) @ np.abs(v))
+    rel = np.linalg.norm(ov - rayleigh * v) / max(scale, 1e-300)
     return rayleigh, float(rel)
 
 

@@ -8,6 +8,7 @@ rapidities for fixed model parameters).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,16 @@ class DickeSpec:
         """Reference energy of |theta>: -sum_k eps_k s_k."""
         return -float(np.dot(self.epsilons, self.spins))
 
+    def sector_dimension(self):
+        """Number of eigenstates with N excitations: the ways to raise level k
+        by 0..2 s_k steps, at most N in all, the boson taking the rest."""
+        ways = [1]  # ways[j]: number of spin configurations j steps above |theta>
+        for s in self.spins:
+            top = int(round(2.0 * s))
+            ways = [sum(ways[j - r] for r in range(top + 1) if 0 <= j - r < len(ways))
+                    for j in range(min(len(ways) + top, self.n_excitations + 1))]
+        return sum(ways)
+
 
 @dataclass(frozen=True)
 class RapiditySet:
@@ -143,7 +154,7 @@ def _site_sum(kind, sites, weights, g_site, const, lin, scale):
 
 
 def _gaudin_residual(kind, sites, weights, g_site, g_pair, w, jacobian,
-                     const=1.0, lin=0.0, scale=1.0):
+                     const=1.0, lin=0.0, scale=1.0, row=None):
     """The one residual kernel behind every family:
 
         r_a = const + lin*u_a + g_site sum_i weights_i Z(e_i, u_a)
@@ -154,12 +165,15 @@ def _gaudin_residual(kind, sites, weights, g_site, g_pair, w, jacobian,
     coordinates.  Returns (residuals, max modulus, Jacobian in w or None); the
     Jacobian in w is scale times the holomorphic derivative in u.  With
     g_pair == 0 the pair sum is skipped, so the Jacobian is exactly diagonal.
+    A caller that evaluates one parameter set many times passes its
+    _site_sum row as `row`.
     """
     algebra.check_collisions(sites, w)
     c = 0.0 if kind == algebra.RATIONAL else 1.0
     # Python scalars throughout: numpy scalars would make every term slower
     g_site, g_pair, const, lin, scale = map(float, (g_site, g_pair, const, lin, scale))
-    row = _site_sum(kind, sites, weights, g_site, const, lin, scale)
+    if row is None:
+        row = _site_sum(kind, sites, weights, g_site, const, lin, scale)
     u = [scale * v for v in w]
     n = len(u)
     res = [0j] * n
@@ -294,9 +308,9 @@ def deformed_dicke_residual(spec, xi, r, jacobian=True):
         raise ContractionLimitError(
             "xi = 0 is the exact contraction limit; use dicke_rg_residual"
         )
-    p = extended_dicke_params(spec, 1.0, xi)
+    p, row = _extended_point(spec, 1.0, float(xi))
     return ResidualReport(*_gaudin_residual(
-        g_pair=p["g_site"], w=r.values, jacobian=jacobian, **p
+        g_pair=p["g_site"], w=r.values, jacobian=jacobian, row=row, **p
     ))
 
 
@@ -309,6 +323,20 @@ def extended_dicke_params(spec, tau, xi=1.0):
     weights = [deformed_weight(tau, s, 2.0 * s + 1.0) for s in spec.spins]
     return dict(kind=algebra.TRIGONOMETRIC, sites=spec.epsilons, weights=weights,
                 g_site=g, lin=g * w0, scale=-lam)
+
+
+@functools.lru_cache(maxsize=64)
+def _extended_point(spec, tau, xi):
+    """extended_dicke_params at one homotopy point and the kernel's row for
+    them, built once: a continuation evaluates each point several times
+    (Newton iterations, line-search trials).  Callers key it on Python
+    floats; the row holds Python floats whatever the key, so its complex
+    divisions take the same bits as a row built per call."""
+    p = extended_dicke_params(spec, tau, xi)
+    row = _site_sum(p["kind"], p["sites"], p["weights"], float(p["g_site"]), 1.0,
+                    float(p["lin"]), float(p["scale"]))
+    # every caller of this point shares p: callers only read it
+    return p, row
 
 
 def extended_dicke_residual(spec, tau, r, xi=1.0, jacobian=True):
@@ -324,7 +352,7 @@ def extended_dicke_residual(spec, tau, r, xi=1.0, jacobian=True):
     _require_frame(r, DICKE_X)
     if not 0.0 <= tau <= 1.0:
         raise DomainError(f"tau = {tau} outside [0, 1]")
-    p = extended_dicke_params(spec, tau, xi)
-    return ResidualReport(
-        *_gaudin_residual(g_pair=p["g_site"] * tau, w=r.values, jacobian=jacobian, **p)
-    )
+    p, row = _extended_point(spec, float(tau), float(xi))
+    return ResidualReport(*_gaudin_residual(
+        g_pair=p["g_site"] * tau, w=r.values, jacobian=jacobian, row=row, **p
+    ))

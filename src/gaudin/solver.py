@@ -13,17 +13,23 @@ parameter and a rapidity coupling proportional to it, so one rule,
 _cluster_seeds, splits rapidities that share a root, at CLUSTER_T0.  A
 ContinuationPolicy sets the Newton tolerance and the largest step; the rest
 of the step control is fixed below.
+
+enumerate_dicke_branches picks its method from the spins: for at most
+twelve spin-1/2 levels it polishes the physical endpoints of the
+eigenvalue-based homotopy (evb) on the Dicke equations; otherwise it runs
+solve_dicke_branch over every occupation pattern, on a ladder of xi starts.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from . import rg_core
+from . import evb, rg_core
 from .algebra import COLLISION_TOL, RATIONAL
 from .errors import (
     CollisionError,
@@ -34,6 +40,8 @@ from .errors import (
     SingularJacobianError,
 )
 from .rg_core import DICKE_X, RG_ETA, RapiditySet
+
+log = logging.getLogger("gaudin")
 
 # homotopy value at which rapidities sharing a secular root start, split
 CLUSTER_T0 = 1e-3
@@ -86,6 +94,13 @@ class SolutionTrace:
         return self.path[-1]
 
 
+def _ill_conditioned(jac, limit):
+    """cond(jac) > limit, from the singular values (np.linalg.cond without
+    its wrapping); a singular matrix counts as ill-conditioned."""
+    s = np.linalg.svd(jac, compute_uv=False)
+    return not s[0] <= limit * s[-1] or s[-1] == 0.0
+
+
 def newton_solve(residual_fn, w0, tol=1e-10):
     """Damped Newton iteration on a holomorphic residual system.
 
@@ -99,7 +114,7 @@ def newton_solve(residual_fn, w0, tol=1e-10):
         return w, report, 0
     for it in range(1, MAX_NEWTON_ITERS + 1):
         jac = report.jacobian
-        if np.linalg.cond(jac) > 1e14:
+        if _ill_conditioned(jac, 1e14):
             raise SingularJacobianError(
                 f"Jacobian condition estimate exceeds 1e14 at iteration {it}"
             )
@@ -294,7 +309,7 @@ def _tangent(residual_at, t, values, here, direction):
         except DomainError:
             # one-sided difference at a domain edge behind the path
             dfdt = direction * (ahead - here.residuals) / h
-        if np.linalg.cond(here.jacobian) > 1e12:
+        if _ill_conditioned(here.jacobian, 1e12):
             return None
         return np.linalg.solve(here.jacobian, -dfdt)
     except (CollisionError, DomainError, np.linalg.LinAlgError):
@@ -397,10 +412,102 @@ def solve_dicke_branch(spec, occupation, policy=None, xi_start=1.0):
 
 XI_START_LADDER = (1.0, 0.5, 0.25, 0.1, 0.04)
 
+# enumeration methods, chosen from the spins of the spec
+EVB = "evb"
+XI_CONTINUATION = "xi-continuation"
+
+# a polish that stalls above the Newton tolerance still counts when every
+# residual is within this many ulps of the rapidities times its Jacobian row,
+# |J| |x|: with a rapidity between two close levels that floor exceeds 1e-10
+ROUNDOFF_ULPS = 8.0
+
+
+def enumeration_method(spec):
+    """EVB when every spin of the Dicke spec is 1/2 and its 2^m paths fit in
+    one batch (evb.MAX_PATHS), the xi-continuation ladder otherwise."""
+    if (all(round(2.0 * s) == 1 for s in spec.spins)
+            and 2 ** len(spec.spins) <= evb.MAX_PATHS):
+        return EVB
+    return XI_CONTINUATION
+
 
 def enumerate_dicke_branches(spec, policy=None):
+    """Every Bethe branch of the Dicke spec that the method for its spins
+    (enumeration_method) finds, sorted by energy (sum of x).
+
+    Each branch is a dict with "rapidities" (x frame) and "report" (the Dicke
+    residual), and "evb_start" (the levels flipped at the start of its EVB
+    path) or "occupation" (the extended secular roots it was seeded from).
+    """
+    policy = policy or ContinuationPolicy()
+    if enumeration_method(spec) == EVB:
+        branches = _evb_branches(spec, policy)
+    else:
+        branches = _ladder_branches(spec, policy)
+    branches.sort(key=lambda b: float(np.sum(b["rapidities"].as_array().real)))
+    return branches
+
+
+def _evb_branches(spec, policy):
+    """Spin-1/2 branches from all 2^m EVB endpoints (evb.Quadratics).
+
+    Each endpoint whose Heine-Stieltjes residual is at most evb.CANDIDATE_TOL
+    seeds newton_solve on the Dicke equations with the roots of its
+    polynomial, the most physical first; a converged state is kept unless
+    its eigenvalue-based variables repeat a kept one's.  The physical
+    endpoints (evb.PHYSICAL_TOL) give the states; the rest of the candidates
+    recover a state whose endpoint sits where solutions nearly meet, and
+    whose residual is then no better than a spurious neighbour's.
+    """
+    flipped, ends, ok = evb.Quadratics(spec).solve()
+    roots, rel = evb.heine_stieltjes(spec, ends)
+    candidates = np.nonzero(ok & (rel <= evb.CANDIDATE_TOL))[0]
+    candidates = candidates[np.argsort(rel[candidates], kind="stable")]
+    tol = evb.distinct_tol(ends[ok])
+
+    def exact(w):
+        return rg_core.dicke_rg_residual(spec, RapiditySet(tuple(w), DICKE_X))
+
+    kept = np.empty((len(candidates), len(spec.epsilons)), dtype=complex)
+    branches = []
+    for p in candidates:
+        try:
+            values = _polish(exact, roots[p], policy.newton_tol)
+        except (ConvergenceError, SingularJacobianError, CollisionError):
+            continue
+        u = evb.eigenvalue_variables(spec, values)
+        if np.any(np.max(np.abs(kept[:len(branches)] - u), axis=1) <= tol):
+            continue
+        kept[len(branches)] = u
+        final = RapiditySet(tuple(values), DICKE_X)
+        branches.append({
+            "evb_start": [int(k) for k in np.nonzero(flipped[p])[0]],
+            "rapidities": final,
+            "report": rg_core.dicke_rg_residual(spec, final, jacobian=False),
+        })
+    log.debug("evb: %d of %d endpoints tracked, %d physical, %d candidates, %d states",
+              int(np.sum(ok)), len(ok), int(np.sum(rel[candidates] <= evb.PHYSICAL_TOL)),
+              len(candidates), len(branches))
+    return branches
+
+
+def _polish(residual_fn, w0, tol):
+    """newton_solve from w0; a stall counts as converged when the best
+    iterate's residuals are at their round-off floor (ROUNDOFF_ULPS)."""
+    try:
+        return newton_solve(residual_fn, w0, tol)[0]
+    except ConvergenceError as err:
+        report = residual_fn(err.best)
+        floor = ROUNDOFF_ULPS * np.finfo(float).eps * (
+            np.abs(report.jacobian) @ np.abs(err.best))
+        if np.all(np.abs(report.residuals) <= np.maximum(floor, tol)):
+            return err.best
+        raise
+
+
+def _ladder_branches(spec, policy):
     """Attempt every occupation multiset of the extended secular roots and
-    return the distinct converged branches, sorted by energy (sum of x).
+    return the distinct converged branches.
 
     Patterns that fail at xi_start = 1 (typically branches escaping to
     infinity because the deformed copy is too small) or converge onto an
@@ -439,7 +546,6 @@ def enumerate_dicke_branches(spec, policy=None):
                 continue
             branches.append((key, pattern, final, report))
         pending = still
-    branches.sort(key=lambda b: float(np.sum(b[2].as_array().real)))
     return [
         {"occupation": list(pat), "rapidities": fin, "report": rep}
         for _, pat, fin, rep in branches

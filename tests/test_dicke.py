@@ -182,6 +182,31 @@ def test_bethe_unit_norm_is_eigenvector():
     assert rel < 1e-12
 
 
+def test_eigencheck_scales_by_the_operator_at_a_zero_eigenvalue():
+    # the E = 0 ground state one ulp off: |Ov - rho v| is round-off, and so is
+    # |Ov|, which made the old quotient read 1
+    x = np.nextafter(0.5, 1.0)
+    v, basis = bethe_coefficients(BetheProductState(JC, RapiditySet((x,), DICKE_X)), 8)
+    ham = ed_oracle.realize(build_dicke_hamiltonian(JC), basis)
+    ray, rel = ed_oracle.eigencheck(ham, v)
+    assert abs(ray) < 1e-15
+    assert rel <= 1e-14
+
+
+def test_eigencheck_does_not_depend_on_the_boson_cutoff():
+    # a state with N excitations never reaches the high boson rows, whose
+    # row sums grow with the cutoff: they must not scale its residual
+    x = np.array([0.61, 1.07])  # not Bethe roots: a residual well above round-off
+    state = BetheProductState(M2, RapiditySet(tuple(x), DICKE_X))
+    rels = []
+    for cutoff in (4, 200):
+        v, basis = bethe_coefficients(state, cutoff)
+        ham = ed_oracle.realize(build_dicke_hamiltonian(M2), basis)
+        rels.append(ed_oracle.eigencheck(ham, v)[1])
+    assert rels[0] > 1e-3
+    assert rels[1] == pytest.approx(rels[0], rel=1e-12)
+
+
 def test_bethe_free_limit_is_pure_fock():
     spec = DickeSpec((1.0,), (0.5,), 0.0, 1.0, 2)
     state = BetheProductState(spec, RapiditySet((0.3, 0.6), DICKE_X))

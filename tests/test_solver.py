@@ -302,3 +302,46 @@ def test_rg_repeated_roots_reach_every_state(spec):
         if not any(np.allclose(eigenvalues, e, atol=1e-7) for e in states):
             states.append(eigenvalues)
     assert len(states) == len(basis.sector_indices(spec.n_excitations))
+
+
+def test_eigencheck_of_a_near_zero_charge_eigenvalue():
+    # the third charge has eigenvalue -3.3e-3 on this state; relative to |Q v|
+    # its residual read 5.1e-9, relative to the charge's scale it is round-off
+    final, _ = solve_rg(RG4, occupation=[0, 1])
+    charges = ed_oracle.realize_rg_charges(RG4, 1.0)
+    vec = _bethe_vector(RG4, final, charges[0].basis)
+    ray, rel = ed_oracle.eigencheck(charges[2], vec)
+    assert abs(ray) < 1e-2
+    assert rel <= 1e-10
+
+
+def test_ill_conditioned_reads_the_condition_number():
+    rng = np.random.default_rng(2)
+    for scale in (1e-3, 1e-11, 1e-13, 1e-15):
+        jac = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        jac[2] = jac[0] + scale * jac[1]
+        for limit in (1e12, 1e14):
+            assert solver._ill_conditioned(jac, limit) == (np.linalg.cond(jac) > limit)
+    assert solver._ill_conditioned(np.zeros((2, 2)), 1e14)
+    assert solver._ill_conditioned(np.array([[1.0, 2.0], [2.0, 4.0]]), 1e14)
+
+
+@pytest.mark.parametrize("first", [np.float64, float])
+def test_extended_point_cache_keeps_python_float_bits(first):
+    # the cached row must not depend on whether a numpy or a Python float
+    # filled the cache: numpy scalars divide complex numbers differently
+    spec = DickeSpec((0.7, 1.2), (1.0, 0.5), 0.25, 1.1, 3)
+    r = RapiditySet((0.4 + 0.3j, 0.9 - 0.2j, 1.6 + 0.01j), DICKE_X)
+    params = rg_core.extended_dicke_params(spec, 0.3, 0.5)
+    reference = rg_core._gaudin_residual(g_pair=params["g_site"] * 0.3, w=r.values,
+                                         jacobian=True, **params)
+    rg_core._extended_point.cache_clear()
+    for tau in (first(0.3), 0.3, np.float64(0.3)):
+        report = rg_core.extended_dicke_residual(spec, tau, r, xi=0.5)
+        assert report.residuals.tobytes() == reference[0].tobytes()
+        assert report.jacobian.tobytes() == reference[2].tobytes()
+    p, _ = rg_core._extended_point(spec, 1.0, 0.5)
+    reference = rg_core._gaudin_residual(g_pair=p["g_site"], w=r.values,
+                                         jacobian=True, **p)
+    report = rg_core.deformed_dicke_residual(spec, np.float64(0.5), r)
+    assert report.residuals.tobytes() == reference[0].tobytes()
