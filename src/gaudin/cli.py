@@ -5,8 +5,8 @@ exact-diagonalization runs, and emits deterministic machine-readable result
 documents (no timestamps, floats at 17 significant digits, complex numbers as
 (re, im) pairs).
 
-Exit codes: 0 success, 1 validation failure, 2 convergence failure,
-3 verification failure.
+Exit codes: 0 success, 1 usage error or validation failure, 2 convergence
+failure, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -195,7 +195,6 @@ class RunConfig:
     boson_cutoff: int | None = None
     branch: int | None = None
     occupation: list | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -238,7 +237,6 @@ def _header(config, extra=()):
         "version = %s" % __version__,
         "mode = %s" % config.mode,
         "newton_tol = %s" % _fmt(config.newton_tol),
-        "seed = %d" % config.seed,
     ]
     lines.extend(extra)
     return lines
@@ -484,13 +482,15 @@ def build_parser():
                         help="emit only this branch index")
     parser.add_argument("--occupation", default=None,
                         help="comma-separated secular-root indices")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="echoed into the output stamp for reproducibility")
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (code 0) or a usage error on stderr
+        return 0 if exc.code == 0 else 1
     level = os.environ.get("GAUDIN_LOG", "").upper()
     if level:
         logging.basicConfig(level=getattr(logging, level, logging.INFO),
@@ -514,7 +514,6 @@ def main(argv=None):
             boson_cutoff=args.boson_cutoff,
             branch=args.branch,
             occupation=occupation,
-            seed=args.seed,
         )
         text, code = run(config)
     except (SpecFormatError, ValidationError, OSError, ValueError) as exc:

@@ -18,7 +18,6 @@ import numpy as np
 from . import algebra, ed_oracle, rg_core
 from .errors import (
     CutoffError,
-    DegenerateLevelError,
     DomainError,
     ValidationError,
 )
@@ -92,10 +91,7 @@ def build_dicke_charge(spec, i):
     for k in range(spec.m):
         if k == k0:
             continue
-        denom = eps[k] - eps[k0]
-        if abs(denom) < 1e-14:
-            raise DegenerateLevelError(f"levels {k0} and {k} degenerate")
-        c = gg2 / denom
+        c = gg2 / (eps[k] - eps[k0])  # DickeSpec keeps levels COLLISION_TOL apart
         terms.append((0.5 * c, (("sp", k0), ("sm", k))))
         terms.append((0.5 * c, (("sp", k), ("sm", k0))))
         terms.append((c, (("sz", k0), ("sz", k))))
@@ -156,7 +152,7 @@ class BetheProductState:
             raise ValidationError("Bethe rapidities must be in the dicke_x frame")
         x = self.rapidities.as_array()
         for e in self.spec.epsilons:
-            if np.min(np.abs(x - e)) < 1e-12:
+            if np.min(np.abs(x - e)) < algebra.COLLISION_TOL:
                 raise ValidationError("rapidity collides with a level epsilon")
 
 

@@ -1,18 +1,18 @@
 """Exact-diagonalization oracle on truncated tensor-product Hilbert spaces.
 
-Every operator expression is realized as a sparse complex CSR matrix on the
-full truncated product basis: one routine, `embed`, places per-site operators
-among identities and takes their sparse Kronecker product.  Spectra are taken
-per excitation sector, densifying one sector block at a time, so the oracle
-reaches product spaces (m = 10 spin-1/2 levels at boson cutoff 20, 21504
-states) whose dense matrices would not fit in memory.  Spectra, commutator
-norms and eigenvector residuals anchor the numerical claims made by the
-solver.
+Every operator, from a Dicke expression or an RG charge, is a sum of terms
+(coefficient, product of per-site symbols) realized as a sparse complex CSR
+matrix on the full truncated product basis by one routine, `_assemble`: it
+forms each term's Kronecker nonzeros by index arithmetic and builds one CSR
+from all of them.  Spectra are taken per excitation sector, densifying one
+sector block at a time, so the oracle reaches product spaces (m = 10
+spin-1/2 levels at boson cutoff 20, 21504 states) whose dense matrices would
+not fit in memory.  Spectra, commutator norms and eigenvector residuals
+anchor the numerical claims made by the solver.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +70,7 @@ def _local_ops(factor):
     return ops
 
 
-# symbols acting on the mode factor (a boson or the deformed copy), factor 0
+# symbols of a mode (a boson or the deformed copy); factor 0 when given no level
 MODE_SYMBOLS = frozenset({"bdag", "b", "n", "Adag", "A", "A0"})
 
 
@@ -168,24 +168,23 @@ class MatrixOperator:
 
 
 def _factor_index(basis, symbol, level):
-    has_mode = basis.factors[0].kind in (BOSON, TRUNC_SPIN)
-    if symbol in MODE_SYMBOLS:
-        f = basis.factors[0]
-        if symbol in ("bdag", "b", "n") and f.kind != BOSON:
-            raise BasisMismatchError(f"symbol {symbol} needs a boson factor")
-        if symbol in ("Adag", "A", "A0") and f.kind != TRUNC_SPIN:
-            raise BasisMismatchError(f"symbol {symbol} needs a deformed-copy factor")
-        return 0
-    idx = (1 if has_mode else 0) + level
-    if level is None or idx >= len(basis.factors):
+    """Factor 0 for a mode symbol without a level, else the level's factor:
+    level k is factor k + 1 behind a Dicke basis's mode, else factor k."""
+    if level is None:
+        if symbol in MODE_SYMBOLS:
+            return 0
+        raise BasisMismatchError(f"symbol {symbol} needs a level")
+    factors = basis.factors
+    idx = level + int(factors[0].kind != factors[-1].kind)
+    if not 0 <= idx < len(factors):
         raise BasisMismatchError(f"level {level} absent from basis")
     return idx
 
 
-def embed(dims, per_site):
-    """Sparse Kronecker product over factors of the given dimensions, with the
-    dense matrix per_site[i] on factor i and the identity wherever per_site[i]
-    is None.
+def _kron_nonzeros(dims, per_site):
+    """Rows, columns and values of the Kronecker product over factors of the
+    given dimensions, with the dense matrix per_site[i] on factor i and the
+    identity wherever per_site[i] is None.
 
     Nonzeros are combined factor by factor: a combined index times the next
     factor's dimension plus its local index, the ordering of np.kron.
@@ -202,16 +201,19 @@ def embed(dims, per_site):
         rows = (rows[:, None] * d + r).ravel()
         cols = (cols[:, None] * d + c).ravel()
         data = (data[:, None] * v).ravel()
-    n = int(np.prod(dims))
-    return sparse.csr_array((data, (rows, cols)), shape=(n, n))
+    return rows, cols, data
 
 
-def realize(expr, basis):
-    """Realize an OperatorExpression as a sparse matrix on the given basis."""
+def _assemble(terms, basis):
+    """CSR matrix of a sum of terms (coefficient, ((symbol, level), ...)).
+
+    The Kronecker nonzeros of every term are concatenated into one CSR, which
+    adds up the entries that several terms place on one matrix element.
+    """
     dims = [f.dim for f in basis.factors]
     local = [_local_ops(f) for f in basis.factors]
-    total = sparse.csr_array((basis.total_dim, basis.total_dim), dtype=complex)
-    for coeff, factors in expr.terms:
+    parts = []
+    for coeff, factors in terms:
         per_site = [None] * len(dims)
         for symbol, level in factors:
             idx = _factor_index(basis, symbol, level)
@@ -221,8 +223,18 @@ def realize(expr, basis):
                 )
             op = local[idx][symbol]
             per_site[idx] = op if per_site[idx] is None else per_site[idx] @ op
-        total += coeff * embed(dims, per_site)
-    return MatrixOperator(total, basis, hermitian=expr.hermitian)
+        r, c, v = _kron_nonzeros(dims, per_site)
+        parts.append((r, c, coeff * v))
+    n = basis.total_dim
+    if not parts:
+        return sparse.csr_array((n, n), dtype=complex)
+    rows, cols, data = (np.concatenate(a) for a in zip(*parts))
+    return sparse.csr_array((data, (rows, cols)), shape=(n, n))
+
+
+def realize(expr, basis):
+    """Realize an OperatorExpression as a sparse matrix on the given basis."""
+    return MatrixOperator(_assemble(expr.terms, basis), basis, hermitian=expr.hermitian)
 
 
 def spectrum(op):
@@ -331,42 +343,28 @@ def realize_rg_charges(spec, xi, boson_cutoffs=None):
             algebra.grid_label(s, omega, xi)
             for s, omega in zip(levels.spins, levels.degeneracies)
         ])
-    dims = [f.dim for f in basis.factors]
-    local = [_local_ops(f) for f in basis.factors]
-
-    @functools.cache
-    def site(idx, name):
-        per_site = [None] * len(dims)
-        per_site[idx] = local[idx][name]
-        return embed(dims, per_site)
-
-    charges = []
-    if xi == 0.0:
-        omegas = levels.degeneracies
-        for i in range(m):
-            mat = site(i, "n").copy()
-            for k in range(m):
-                if k == i:
-                    continue
-                hop = site(i, "bdag") @ site(k, "b") + site(k, "bdag") @ site(i, "b")
-                mat += g * 0.25 * x[i, k] * np.sqrt(omegas[i] * omegas[k]) * hop
-                mat -= g * 0.25 * z[i, k] * (
-                    omegas[i] * site(k, "n") + omegas[k] * site(i, "n")
-                )
-            # the quadratic forms conserve total occupation; outside the sectors
-            # that fit under the smallest cutoff, [b, b'] != 1 at the cutoff row
-            # and commutation fails as a pure truncation artifact
-            charges.append(
-                restrict_to_closed_sectors(MatrixOperator(mat, basis, hermitian=True))
-            )
-        return charges
+    omegas = levels.degeneracies
     g_eff = g * xi  # exactly g at xi = 1
+    charges = []
     for i in range(m):
-        mat = site(i, "sz").copy()
-        for k in range(m):
-            if k == i:
-                continue
-            mix = site(k, "sp") @ site(i, "sm") + site(i, "sp") @ site(k, "sm")
-            mat += g_eff * (0.5 * x[i, k] * mix + z[i, k] * site(i, "sz") @ site(k, "sz"))
-        charges.append(MatrixOperator(mat, basis, hermitian=True))
+        others = [k for k in range(m) if k != i]
+        if xi == 0.0:
+            terms = [(1.0, (("n", i),))]
+            for k in others:
+                hop = 0.25 * g * x[i, k] * np.sqrt(omegas[i] * omegas[k])
+                terms += [(hop, (("bdag", i), ("b", k))), (hop, (("bdag", k), ("b", i))),
+                          (-0.25 * g * z[i, k] * omegas[i], (("n", k),)),
+                          (-0.25 * g * z[i, k] * omegas[k], (("n", i),))]
+        else:
+            terms = [(1.0, (("sz", i),))]
+            for k in others:
+                mix = 0.5 * g_eff * x[i, k]
+                terms += [(mix, (("sp", k), ("sm", i))), (mix, (("sp", i), ("sm", k))),
+                          (g_eff * z[i, k], (("sz", i), ("sz", k)))]
+        # the quadratic forms conserve total occupation; outside the sectors
+        # that fit under the smallest cutoff, [b, b'] != 1 at the cutoff row
+        # and commutation fails as a pure truncation artifact (spin bases
+        # pass through)
+        op = MatrixOperator(_assemble(terms, basis), basis, hermitian=True)
+        charges.append(restrict_to_closed_sectors(op))
     return charges

@@ -213,6 +213,24 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--mode", "bogus"], "--mode"),
+    (["--mode", "solve-rg", "--xi-steps", "abc"], "--xi-steps"),
+    (["--mode", "solve-rg", "--seed", "3"], "--seed"),
+], ids=["mode", "xi-steps", "seed"])
+def test_usage_errors_exit_1(tmp_path, capsys, flags, named):
+    # 2 is the exit code of a convergence failure, not of a bad command line
+    path = _write(tmp_path, "rg.spec", RG_SPEC)
+    assert cli.main(flags + ["--spec", path]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and named in err
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["-h"]) == 0
+    assert "--mode" in capsys.readouterr().out
+
+
 def test_mode_spec_type_mismatch(tmp_path):
     path = _write(tmp_path, "jc.spec", JC_SPEC)
     with pytest.raises(ValidationError):

@@ -67,10 +67,10 @@ def test_charge_index_zero_is_hamiltonian():
 
 
 def test_charge_rejects_degenerate_levels():
-    spec = DickeSpec((1.0, 2.0), (0.5, 0.5), 0.5, 1.0, 1)
-    object.__setattr__(spec, "epsilons", (1.0, 1.0))
+    # the charges divide by eps_k - eps_i; DickeSpec refuses levels closer
+    # than COLLISION_TOL, so no charge is built on them
     with pytest.raises(DegenerateLevelError):
-        build_dicke_charge(spec, 1)
+        build_dicke_charge(DickeSpec((1.0, 1.0 + 5e-11), (0.5, 0.5), 0.5, 1.0, 1), 1)
 
 
 def test_charges_commute_with_hamiltonian_and_each_other():
@@ -227,6 +227,10 @@ def test_bethe_frame_and_collision_validation():
         BetheProductState(JC, RapiditySet((0.5,), RG_ETA))
     with pytest.raises(ValidationError):
         BetheProductState(JC, RapiditySet((1.0,), DICKE_X))
+    # within COLLISION_TOL = 1e-10 of the level, as DickeSpec spaces levels
+    with pytest.raises(ValidationError):
+        BetheProductState(JC, RapiditySet((1.0 + 5e-11,), DICKE_X))
+    BetheProductState(JC, RapiditySet((1.0 + 1e-9,), DICKE_X))
 
 
 def test_solved_branches_are_simultaneous_eigenvectors():

@@ -214,6 +214,36 @@ def test_basis_mismatch_errors():
         commutator_norm(a, b)
 
 
+def test_empty_expression_realizes_to_zero():
+    op = realize(OperatorExpression((), hermitian=True), HilbertBasis.spins([0.5, 1.0]))
+    assert op.csr.shape == (6, 6) and op.csr.nnz == 0
+
+
+def test_mode_symbol_with_a_level_acts_on_that_boson():
+    basis = HilbertBasis.bosons([2, 3])
+    bdag = [np.diag(np.sqrt(np.arange(1.0, d)), -1) for d in (3, 4)]
+    n1 = realize(_op("n", 1), basis).matrix
+    assert np.array_equal(n1, np.kron(np.eye(3), np.diag(np.arange(4.0))))
+    hop = realize(OperatorExpression(((1.0, (("bdag", 0), ("b", 1))),)), basis).matrix
+    assert np.max(np.abs(hop - np.kron(bdag[0], bdag[1].T))) < 1e-15
+
+
+def test_mode_symbol_with_a_level_on_a_spin_factor_is_a_mismatch():
+    # level 0 of a Dicke basis is its first spin, behind the boson
+    with pytest.raises(BasisMismatchError):
+        realize(_op("n", 0), HilbertBasis.dicke(JC, 3))
+    with pytest.raises(BasisMismatchError):
+        realize(_op("b", 1), HilbertBasis.spins([0.5, 0.5]))
+
+
+def test_terms_on_one_matrix_element_add_up():
+    basis = HilbertBasis.spins([1.0, 0.5])
+    split = realize(OperatorExpression(((1.0, (("sz", 0),)), (2.0, (("sz", 0),)))), basis)
+    whole = realize(OperatorExpression(((3.0, (("sz", 0),)),)), basis)
+    assert split.csr.nnz == whole.csr.nnz == 4
+    assert np.array_equal(split.matrix, whole.matrix)
+
+
 def test_hermitian_flag_verified():
     basis = HilbertBasis.bosons([2])
     mat = realize(_op("bdag"), basis).matrix
