@@ -312,8 +312,11 @@ def run_solve_dicke(config, spec):
         method = solver.enumeration_method(spec)
         branches = solver.enumerate_dicke_branches(spec, policy=policy)
         expected = spec.sector_dimension()
-        header += ["method = %s" % method,
-                   "branches_expected = %d" % expected,
+        header.append("method = %s" % method)
+        delta = solver.split_delta(spec)
+        if method == solver.EVB and delta:
+            header.append("split_delta = %s" % _fmt(delta))
+        header += ["branches_expected = %d" % expected,
                    "branches_found = %d" % len(branches)]
         if len(branches) < expected:
             log.warning("solve-dicke found %d of %d states with N = %d (method %s)",

@@ -1,4 +1,4 @@
-"""Spin-1/2 Dicke spectra in eigenvalue-based (EVB) variables.
+"""Dicke spectra of spin-1/2 levels in eigenvalue-based (EVB) variables.
 
 In U_k = G^2 sum_a 1/(eps_k - x_a), the Dicke equations of spin-1/2 levels
 (rg_core.dicke_rg_residual) summed against 1/(eps_k - x_a) become m
@@ -21,6 +21,12 @@ A = prod_k (eps_k - x), A_k = prod_{j != k} (eps_j - x),
 V = -N A - 2 sum_k s_k U_k A_k.  Its least-squares residual is the
 physicality test.  Only numpy is used; the solver polishes the roots of P on
 the Dicke equations.
+
+A level of spin s > 1/2 enters as 2 s spin-1/2 levels a small spacing apart
+(solver.split_levels): the split spec is enumerated here and its states are
+polished on the equations of the unsplit one, the numerical shortcut to the
+degenerate-level treatment of El Araby, Gritsev & Faribault, PRB 85, 115130
+(2012).  heine_stieltjes itself takes any spins.
 """
 
 from __future__ import annotations
@@ -239,22 +245,29 @@ def distinct_tol(pts):
     return DISTINCT_TOL * (1.0 + np.max(np.abs(pts), initial=0.0))
 
 
+def frame(spec):
+    """(c, h): the centre and half-width of the levels and hbar_omega, the
+    half-width with a margin of 2 |G| sqrt(N), in which heine_stieltjes
+    solves its equation."""
+    eps = np.asarray(spec.epsilons, dtype=float)
+    lo = min(eps.min(), spec.hbar_omega)
+    hi = max(eps.max(), spec.hbar_omega)
+    margin = 2.0 * abs(spec.coupling_G) * np.sqrt(spec.n_excitations)
+    return 0.5 * (lo + hi), 0.5 * (hi - lo) + margin
+
+
 def heine_stieltjes(spec, u):
     """Rapidities of each endpoint: the roots of the monic degree-N P of the
     Heine-Stieltjes equation, by least squares, and its relative residual.
 
-    Solved in y = (x - c)/h, with c and h the centre and half-width of the
-    levels, hbar_omega and a margin of 2 |G| sqrt(N), where the equation keeps
-    its form with G^2/h^2, (eps - c)/h, (hbar_omega - c)/h and U/h.  Returns
-    (roots (P, N), relative residual (P,)).
+    Solved in y = (x - c)/h, with (c, h) from frame(spec), where the
+    equation keeps its form with G^2/h^2, (eps - c)/h, (hbar_omega - c)/h
+    and U/h.  Returns (roots (P, N), relative residual (P,)).
     """
     n = spec.n_excitations
     eps = np.asarray(spec.epsilons, dtype=float)
     spins = np.asarray(spec.spins, dtype=float)
-    lo = min(eps.min(), spec.hbar_omega)
-    hi = max(eps.max(), spec.hbar_omega)
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo) + 2.0 * abs(spec.coupling_G) * np.sqrt(n)
+    c, h = frame(spec)
     e, w, g2 = (eps - c) / h, (spec.hbar_omega - c) / h, spec.coupling_G**2 / h**2
     m = len(e)
     rows = m + n

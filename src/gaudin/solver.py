@@ -14,10 +14,13 @@ _cluster_seeds, splits rapidities that share a root, at CLUSTER_T0.  A
 ContinuationPolicy sets the Newton tolerance and the largest step; the rest
 of the step control is fixed below.
 
-enumerate_dicke_branches picks its method from the spins: for at most
-twelve spin-1/2 levels it polishes the physical endpoints of the
-eigenvalue-based homotopy (evb) on the Dicke equations; otherwise it runs
-solve_dicke_branch over every occupation pattern, on a ladder of xi starts.
+enumerate_dicke_branches picks its method from the spins.  A level of spin
+s counts as 2 s spin-1/2 levels a small spacing apart (split_delta,
+split_levels); while there are at most twelve of those, it tracks the
+eigenvalue-based homotopy (evb) of the split spec and polishes the physical
+endpoints on the Dicke equations of the spec itself.  Otherwise, or when the
+levels are too close for any spacing, it runs solve_dicke_branch over every
+occupation pattern, on a ladder of xi starts.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import evb, rg_core
 from .algebra import COLLISION_TOL, RATIONAL
@@ -39,7 +41,7 @@ from .errors import (
     SelectionError,
     SingularJacobianError,
 )
-from .rg_core import DICKE_X, RG_ETA, RapiditySet
+from .rg_core import DICKE_X, RG_ETA, DickeSpec, RapiditySet
 
 log = logging.getLogger("gaudin")
 
@@ -57,6 +59,11 @@ MIN_STEP = 1e-8
 STEP_SHRINK = 0.5
 STEP_GROW = 1.3
 MAX_NEWTON_ITERS = 50
+
+# a secular root is bracketed to within ROOT_XTOL + ROOT_RTOL |x|: scipy's
+# brentq at xtol = 1e-14 and its smallest rtol, 4 eps
+ROOT_XTOL = 1e-14
+ROOT_RTOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -151,30 +158,52 @@ def newton_solve(residual_fn, w0, tol=1e-10):
 def _real_roots(row):
     """All real roots of the secular row with kernel parameters `row`, by
     sign-change bracketing on each interval between its poles (the sites)
-    plus two outer windows."""
+    plus two outer windows, then _bisect on every bracket at once."""
 
     def f(w):
-        return rg_core.secular_row(w, **row)[0]
+        return rg_core.secular_row(w, **row)
 
     poles = np.sort(np.asarray(row["sites"], dtype=float))
     outer = 50.0 * max(poles[-1] - poles[0], 1.0)
     edges = np.concatenate([[poles[0] - outer], poles, [poles[-1] + outer]])
-    roots = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        margin = 1e-9 * max(abs(lo), abs(hi), 1.0)
-        a, b = lo + margin, hi - margin
+    roots, lo, hi, f_lo = [], [], [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        margin = 1e-9 * max(abs(a), abs(b), 1.0)
+        a, b = a + margin, b - margin
         if b <= a:
             continue
         ts = np.linspace(a, b, 400)
-        vals = f(ts)
+        vals = f(ts)[0]
         good = np.isfinite(vals)
         ts, vals = ts[good], vals[good]
-        for i in range(len(ts) - 1):
-            if vals[i] == 0.0:
-                roots.append(ts[i])
-            elif vals[i] * vals[i + 1] < 0.0:
-                roots.append(brentq(f, ts[i], ts[i + 1], xtol=1e-14, rtol=8.9e-16))
-    return sorted(roots)
+        roots += list(ts[:-1][vals[:-1] == 0.0])
+        change = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
+        lo.append(ts[change])
+        hi.append(ts[change + 1])
+        f_lo.append(vals[change])
+    if lo:
+        roots += list(_bisect(f, np.concatenate(lo), np.concatenate(hi), np.concatenate(f_lo)))
+    return sorted(float(r) for r in roots)
+
+
+def _bisect(f, lo, hi, f_lo):
+    """Roots of f, which returns (value, derivative), in the brackets
+    [lo, hi] (arrays, f changes sign across each, f_lo its value at lo):
+    every bracket is halved at once until narrower than ROOT_XTOL +
+    ROOT_RTOL |x|, then one Newton step from its midpoint, kept if it stays
+    inside, takes the root to round-off."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all(hi - lo < ROOT_XTOL + ROOT_RTOL * np.abs(mid)):
+            break
+        f_mid = f(mid)[0]
+        right = np.sign(f_mid) == np.sign(f_lo)  # the root lies above mid
+        lo, f_lo = np.where(right, mid, lo), np.where(right, f_mid, f_lo)
+        hi = np.where(right, hi, mid)
+    value, slope = f(mid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        newton = mid - value / slope
+    return np.where((lo <= newton) & (newton <= hi), newton, mid)
 
 
 def _assign_pattern(roots, n, occupation):
@@ -421,14 +450,60 @@ XI_CONTINUATION = "xi-continuation"
 # |J| |x|: with a rapidity between two close levels that floor exceeds 1e-10
 ROUNDOFF_ULPS = 8.0
 
+# split levels (split_delta): their spacing relative to the Heine-Stieltjes
+# scale h, the share of a level gap that two split neighbours may fill, and
+# the spacing relative to h below which no split fits.  On random mixed-spin
+# specs, at 5e-2 h some polishes land on another state, and near 1e-3 h the
+# split levels lose paths and Heine-Stieltjes accuracy
+SPLIT_DELTA = 1e-2
+SPLIT_GAP = 0.25
+SPLIT_FLOOR = 3e-3
+
 
 def enumeration_method(spec):
-    """EVB when every spin of the Dicke spec is 1/2 and its 2^m paths fit in
-    one batch (evb.MAX_PATHS), the xi-continuation ladder otherwise."""
-    if (all(round(2.0 * s) == 1 for s in spec.spins)
-            and 2 ** len(spec.spins) <= evb.MAX_PATHS):
+    """EVB when the spec's split into spin-1/2 levels (split_delta) exists and
+    its 2^(sum 2 s_k) paths fit in one batch (evb.MAX_PATHS), the
+    xi-continuation ladder otherwise."""
+    if (2 ** sum(_multiplicities(spec)) <= evb.MAX_PATHS
+            and split_delta(spec) is not None):
         return EVB
     return XI_CONTINUATION
+
+
+def _multiplicities(spec):
+    return [int(round(2.0 * s)) for s in spec.spins]
+
+
+def split_delta(spec):
+    """Spacing of the 2 s spin-1/2 levels that stand for a level of spin s on
+    the EVB path: SPLIT_DELTA times the Heine-Stieltjes scale h (evb.frame),
+    capped so that the split levels of two neighbours, each group widened by
+    the spacing, fill at most SPLIT_GAP of the gap between them.  0.0 when
+    every spin is 1/2; None when the cap is below SPLIT_FLOOR * h."""
+    sizes = _multiplicities(spec)
+    if max(sizes) == 1:
+        return 0.0
+    h = evb.frame(spec)[1]
+    delta = SPLIT_DELTA * h
+    order = np.argsort(spec.epsilons)
+    for k, j in zip(order[:-1], order[1:]):
+        if sizes[k] + sizes[j] > 2:
+            gap = spec.epsilons[j] - spec.epsilons[k]
+            delta = min(delta, SPLIT_GAP * gap / (0.5 * (sizes[k] + sizes[j])))
+    return delta if delta >= SPLIT_FLOOR * h else None
+
+
+def split_levels(spec, delta):
+    """The spin-1/2 spec in which level k is 2 s_k levels delta apart,
+    centred on eps_k, and the original level of each of its levels; a
+    spin-1/2 spec is its own split."""
+    eps, owner = [], []
+    for k, (e, n) in enumerate(zip(spec.epsilons, _multiplicities(spec))):
+        eps += [e + (j - 0.5 * (n - 1)) * delta for j in range(n)]
+        owner += [k] * n
+    split = DickeSpec(tuple(eps), (0.5,) * len(eps), spec.coupling_G, spec.hbar_omega,
+                      spec.n_excitations)
+    return split, np.array(owner)
 
 
 def enumerate_dicke_branches(spec, policy=None):
@@ -436,8 +511,9 @@ def enumerate_dicke_branches(spec, policy=None):
     (enumeration_method) finds, sorted by energy (sum of x).
 
     Each branch is a dict with "rapidities" (x frame) and "report" (the Dicke
-    residual), and "evb_start" (the levels flipped at the start of its EVB
-    path) or "occupation" (the extended secular roots it was seeded from).
+    residual), and "evb_start" (the level of each spin-1/2 level flipped at
+    the start of its EVB path) or "occupation" (the extended secular roots it
+    was seeded from).
     """
     policy = policy or ContinuationPolicy()
     if enumeration_method(spec) == EVB:
@@ -449,18 +525,23 @@ def enumerate_dicke_branches(spec, policy=None):
 
 
 def _evb_branches(spec, policy):
-    """Spin-1/2 branches from all 2^m EVB endpoints (evb.Quadratics).
+    """Branches from all EVB endpoints (evb.Quadratics) of the spec split
+    into spin-1/2 levels (split_levels), which is the spec itself when every
+    spin is 1/2.
 
     Each endpoint whose Heine-Stieltjes residual is at most evb.CANDIDATE_TOL
-    seeds newton_solve on the Dicke equations with the roots of its
-    polynomial, the most physical first; a converged state is kept unless
+    seeds newton_solve on the Dicke equations of the spec with the roots of
+    its polynomial, the most physical first; a converged state is kept unless
     its eigenvalue-based variables repeat a kept one's.  The physical
     endpoints (evb.PHYSICAL_TOL) give the states; the rest of the candidates
     recover a state whose endpoint sits where solutions nearly meet, and
-    whose residual is then no better than a spurious neighbour's.
+    whose residual is then no better than a spurious neighbour's.  Of a
+    split level's states, those of its lower multiplets fail the polish or
+    repeat a kept state.
     """
-    flipped, ends, ok = evb.Quadratics(spec).solve()
-    roots, rel = evb.heine_stieltjes(spec, ends)
+    split, owner = split_levels(spec, split_delta(spec))
+    flipped, ends, ok = evb.Quadratics(split).solve()
+    roots, rel = evb.heine_stieltjes(split, ends)
     candidates = np.nonzero(ok & (rel <= evb.CANDIDATE_TOL))[0]
     candidates = candidates[np.argsort(rel[candidates], kind="stable")]
     tol = evb.distinct_tol(ends[ok])
@@ -481,7 +562,7 @@ def _evb_branches(spec, policy):
         kept[len(branches)] = u
         final = RapiditySet(tuple(values), DICKE_X)
         branches.append({
-            "evb_start": [int(k) for k in np.nonzero(flipped[p])[0]],
+            "evb_start": [int(k) for k in owner[flipped[p]]],
             "rapidities": final,
             "report": rg_core.dicke_rg_residual(spec, final, jacobian=False),
         })

@@ -1,5 +1,7 @@
-"""Spin-1/2 Dicke enumeration in eigenvalue-based variables (gaudin.evb)."""
+"""Dicke enumeration in eigenvalue-based variables (gaudin.evb), on spin-1/2
+levels and on levels of higher spin split into spin-1/2 levels."""
 
+import functools
 import logging
 
 import numpy as np
@@ -220,8 +222,11 @@ def test_sector_dimension_counts_the_ed_sector(spins, n, expected):
 
 def test_enumeration_method_follows_the_spins():
     assert solver.enumeration_method(DickeSpec((1.0,), (0.5,), 0.5, 1.0, 1)) == "evb"
+    # a spin-1 level enumerates as two spin-1/2 levels
+    assert solver.enumeration_method(DickeSpec((0.7, 1.2), (1.0, 0.5), 0.2, 1.0, 2)) == "evb"
+    # one spin-7 level splits into 14 spin-1/2 levels: beyond one batch
     assert solver.enumeration_method(
-        DickeSpec((0.7, 1.2), (1.0, 0.5), 0.2, 1.0, 2)) == "xi-continuation"
+        DickeSpec((1.0,), (7.0,), 0.2, 1.0, 2)) == "xi-continuation"
 
 
 def _grid_spec(m, n):
@@ -278,13 +283,130 @@ def test_solve_dicke_document_records_method_and_counts(tmp_path):
     assert not any(k == "occupation" for _, k, _ in triples)
 
 
-def test_spin_one_spec_keeps_the_xi_continuation_ladder(tmp_path):
+def test_spin_one_spec_enumerates_on_split_levels(tmp_path):
     triples = _document(tmp_path, SPIN_ONE_SPEC)
     header = {k: v for s, k, v in triples if s is None}
-    assert header["method"] == "xi-continuation"
+    assert header["method"] == "evb"
     assert header["branches_expected"] == header["branches_found"] == "2"
-    assert sum(k == "occupation" for _, k, _ in triples) == 2
-    assert not any(k == "evb_start" for _, k, _ in triples)
+    spec = DickeSpec((1.0,), (1.0,), 0.5, 1.0, 1)
+    assert float(header["split_delta"]) == solver.split_delta(spec) > 0.0
+    # one entry per flipped spin-1/2 level, each naming the level it splits
+    starts = sorted(tuple(v) for s, k, v in triples if k == "evb_start")
+    assert starts == [(), (0.0,)]
+    assert not any(k == "occupation" for _, k, _ in triples)
+
+
+def test_spin_half_documents_carry_no_split_delta(tmp_path):
+    header = {k: v for s, k, v in _document(tmp_path, JC_SPEC) if s is None}
+    assert "split_delta" not in header
+
+
+def test_split_levels_centre_2s_levels_on_each_level():
+    spec = DickeSpec((0.5, 1.0, 1.6), (1.0, 0.5, 1.5), 0.2, 1.0, 2)
+    split, owner = solver.split_levels(spec, 0.01)
+    assert split.spins == (0.5,) * 6
+    assert np.allclose(split.epsilons, (0.495, 0.505, 1.0, 1.59, 1.6, 1.61), atol=1e-15)
+    assert list(owner) == [0, 0, 1, 2, 2, 2]
+    assert split.sector_dimension() > spec.sector_dimension()
+
+
+def test_split_delta_follows_the_scale_and_the_level_gaps():
+    assert solver.split_delta(_random_spec(3, 2, seed=1)) == 0.0
+    far = DickeSpec((0.6, 1.4), (1.0, 0.5), 0.2, 1.0, 2)
+    h = evb.frame(far)[1]
+    assert solver.split_delta(far) == pytest.approx(solver.SPLIT_DELTA * h)
+    # a gap of 0.03 between a spin-1 and a spin-3/2 level: the two groups,
+    # each widened by the spacing, fill SPLIT_GAP of it
+    near = DickeSpec((0.6, 0.63, 1.4), (1.0, 1.5, 0.5), 0.2, 1.0, 2)
+    assert solver.split_delta(near) == pytest.approx(solver.SPLIT_GAP * 0.03 / 2.5)
+    assert solver.split_delta(near) < solver.SPLIT_DELTA * evb.frame(near)[1]
+    # close spin-1/2 levels are not split and do not cap the spacing
+    halves = DickeSpec((0.6, 0.6001, 1.4), (0.5, 0.5, 1.0), 0.2, 1.0, 2)
+    assert solver.split_delta(halves) == pytest.approx(solver.SPLIT_DELTA * evb.frame(halves)[1])
+
+
+def test_split_routing_at_its_bounds(monkeypatch):
+    # 5 + 5 + 2 = 12 spin-1/2 levels fill one batch; 13 do not
+    assert solver.enumeration_method(
+        DickeSpec((0.6, 1.0, 1.4), (2.5, 2.5, 1.0), 0.2, 1.0, 2)) == "evb"
+    assert solver.enumeration_method(
+        DickeSpec((0.6, 1.0, 1.4), (2.5, 2.5, 1.5), 0.2, 1.0, 2)) == "xi-continuation"
+    # a spin-1 pair 1e-3 apart leaves no spacing above SPLIT_FLOOR * h
+    close = DickeSpec((1.0, 1.001), (1.0, 1.0), 0.2, 1.0, 1)
+    assert solver.split_delta(close) is None
+    assert solver.enumeration_method(close) == "xi-continuation"
+    # either side of a bound of 8 paths runs: 3 split levels on EVB, 4 on the ladder
+    monkeypatch.setattr(evb, "MAX_PATHS", 2**3)
+    inside = solver.enumerate_dicke_branches(DickeSpec((0.7, 1.2), (1.0, 0.5), 0.2, 1.0, 2))
+    assert len(inside) == 5 and all("evb_start" in b for b in inside)
+    outside = solver.enumerate_dicke_branches(DickeSpec((0.7, 1.2), (1.0, 1.0), 0.2, 1.0, 1))
+    assert len(outside) == 3 and all("occupation" in b for b in outside)
+
+
+# mixed-spin specs; (0.8, 1.2) at spins (5/2, 5/2) and hbar_omega = 1 has a
+# degenerate pair at E = -2
+SPLIT_SPECS = [
+    pytest.param(DickeSpec((0.688, 1.229), (1.0, 0.5), 0.158, 0.955, 3), id="m2-n3-spin1"),
+    pytest.param(DickeSpec((0.7, 1.2), (1.0, 0.5), 0.25, 1.1, 3), id="spin1-half"),
+    pytest.param(DickeSpec((1.0,), (2.5,), 0.3, 1.0, 4), id="one-spin5half"),
+    pytest.param(DickeSpec((0.8, 1.2), (2.5, 2.5), 0.2, 1.0, 3), id="two-spin5half"),
+    pytest.param(DickeSpec((0.6, 1.0, 1.4), (0.5, 1.0, 0.5), 0.25, 1.1, 3), id="half-one-half"),
+]
+
+
+@functools.cache
+def _split_branches(spec):
+    return solver.enumerate_dicke_branches(spec)
+
+
+@pytest.mark.parametrize("spec", SPLIT_SPECS)
+def test_split_levels_enumerate_the_ed_sector(spec):
+    branches = _split_branches(spec)
+    ham, sector = _sector(spec, spec.n_excitations)
+    assert len(branches) == len(sector) == spec.sector_dimension()
+    # both sorted: each branch matches its own eigenvalue, with multiplicity
+    assert np.max(np.abs(_energies(spec, branches) - sector)) < 1e-9
+    sizes = [round(2 * s) for s in spec.spins]
+    vectors = []
+    for b in branches:
+        assert b["report"].max_abs <= 1e-10
+        assert all(b["evb_start"].count(k) <= n for k, n in enumerate(sizes))
+        v, _ = dicke.bethe_coefficients(
+            dicke.BetheProductState(spec, b["rapidities"]), spec.n_excitations)
+        assert ed_oracle.eigencheck(ham, v)[1] < 1e-8
+        vectors.append(v)
+    # the Bethe vectors are orthonormal, a degenerate pair included
+    gram = np.array(vectors).conj() @ np.array(vectors).T
+    assert np.max(np.abs(gram - np.eye(len(vectors)))) < 1e-8
+
+
+def test_split_levels_find_the_state_the_ladder_missed():
+    spec = DickeSpec((0.688, 1.229), (1.0, 0.5), 0.158, 0.955, 3)
+    branches = _split_branches(spec)
+    real = [b for b in branches if np.max(np.abs(b["rapidities"].as_array().imag)) < 1e-10]
+    [state] = real
+    assert np.allclose(np.sort(state["rapidities"].as_array().real),
+                       (0.5889, 1.0692, 1.2744), atol=5e-5)
+    assert _energies(spec, [state])[0] == pytest.approx(1.62993, abs=1e-5)
+
+
+@pytest.mark.parametrize("spec", SPLIT_SPECS[1:])
+def test_branches_carry_eigenvalues_of_every_dicke_charge(spec):
+    """r_k = r_k(vacuum) + 2 s_k U_k is an eigenvalue of the k-th charge."""
+    branches = _split_branches(spec)
+    basis = ed_oracle.HilbertBasis.dicke(spec, spec.n_excitations)
+    eps, spins = np.asarray(spec.epsilons), np.asarray(spec.spins)
+    g2 = spec.coupling_G**2
+    u = np.array([evb.eigenvalue_variables(spec, b["rapidities"].as_array())
+                  for b in branches])
+    for k in range(spec.m):
+        charge = ed_oracle.realize(dicke.build_dicke_charge(spec, k + 1), basis)
+        values = ed_oracle.sector_spectrum(charge, spec.n_excitations)
+        others = np.arange(spec.m) != k
+        vacuum = spins[k] * (eps[k] - spec.hbar_omega
+                             + np.sum(2.0 * g2 * spins[others] / (eps[others] - eps[k])))
+        for r in vacuum + 2.0 * spins[k] * u[:, k]:
+            assert np.min(np.abs(values - r)) < 1e-9
 
 
 def test_short_enumeration_is_reported(tmp_path, monkeypatch, caplog):

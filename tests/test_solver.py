@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,7 @@ from gaudin.solver import (
     solve_tda,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 JC = DickeSpec((1.0,), (0.5,), 0.5, 1.0, 1)
 RG4 = ModelSpec(
     LevelSet.from_spins((1.0, 2.0, 3.0, 4.0), (0.5, 0.5, 0.5, 0.5)),
@@ -260,6 +265,66 @@ def test_tda_roots_dicke_are_zeros_of_the_decoupled_extended_family():
                 rep = rg_core.extended_dicke_residual(
                     spec, 0.0, RapiditySet((x,), DICKE_X), xi=xi)
                 assert abs(rep.residuals[0]) <= 1e-12 * abs(rep.jacobian[0, 0])
+
+
+def _brentq_roots(row):
+    """The secular roots by the same bracketing scan, each bracket closed by
+    scipy's brentq at xtol 1e-14 and rtol 8.9e-16."""
+    from scipy.optimize import brentq
+
+    def f(w):
+        return rg_core.secular_row(w, **row)[0]
+
+    poles = np.sort(np.asarray(row["sites"], dtype=float))
+    outer = 50.0 * max(poles[-1] - poles[0], 1.0)
+    edges = np.concatenate([[poles[0] - outer], poles, [poles[-1] + outer]])
+    roots = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        margin = 1e-9 * max(abs(lo), abs(hi), 1.0)
+        ts = np.linspace(lo + margin, hi - margin, 400)
+        vals = f(ts)
+        for i in np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]:
+            roots.append(brentq(f, ts[i], ts[i + 1], xtol=1e-14, rtol=8.9e-16))
+    return sorted(roots)
+
+
+SECULAR_ROWS = [
+    pytest.param(rg_core.deformed_rg_params(spec, xi), id=f"{name}-xi{xi}")
+    for name, spec in [
+        ("rg4", RG4),
+        ("rational-spin1", ModelSpec(LevelSet.from_spins((1.0, 2.0, 3.0), (1.0,) * 3),
+                                     RATIONAL, 2, -0.1)),
+        ("rational-m12", ModelSpec(LevelSet.from_spins(tuple(0.6 + 0.07 * k for k in range(12)),
+                                                       (0.5,) * 12), RATIONAL, 6, -0.12)),
+        ("trigonometric-spin1-3half", ModelSpec(LevelSet.from_spins((0.7, 1.5), (1.0, 1.5)),
+                                                TRIGONOMETRIC, 3, -0.12)),
+    ]
+    for xi in (0.0, 0.5, 1.0)
+] + [
+    pytest.param(rg_core.extended_dicke_params(spec, 0.0, xi), id=f"{name}-xi{xi}")
+    for name, spec in [
+        ("dicke-m3", DickeSpec((0.8, 1.3, 1.7), (0.5, 1.0, 0.5), 0.2, 1.3, 2)),
+        ("dicke-spin1", DickeSpec((0.688, 1.229), (1.0, 0.5), 0.158, 0.955, 3)),
+    ]
+    for xi in (1.0, 0.25, 0.04)
+]
+
+
+@pytest.mark.parametrize("row", SECULAR_ROWS)
+def test_real_roots_match_brentq(row):
+    roots = np.array(solver._real_roots(row))
+    reference = np.array(_brentq_roots(row))
+    assert len(roots) == len(reference) > 0
+    assert np.all(np.abs(roots - reference) <= 1e-13 * np.abs(reference))
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    code = "import gaudin.cli, sys; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def _bethe_vector(spec, rapidities, basis):
