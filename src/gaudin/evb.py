@@ -189,8 +189,9 @@ class Quadratics:
     def solve(self):
         """(flipped subsets, endpoints at g = G^2, ok mask): every start
         tracked; duplicate endpoints and failed paths are re-tracked with a
-        smaller step cap, for at most ROUNDS rounds, after which one member
-        of each remaining duplicate group is kept."""
+        smaller step cap, for at most ROUNDS rounds.  Duplicates left after
+        the last round stay in: the paths of a group reached one solution,
+        which is real, and the solver keeps one state per solution."""
         flipped, seeds = self.starts()
         ends = np.empty_like(seeds)
         ok = np.zeros(len(seeds), dtype=bool)
@@ -204,7 +205,6 @@ class Quadratics:
             redo = np.union1d(np.nonzero(~ok)[0], dup)
             if not len(redo):
                 break
-        keep_one_of_each(ends, ok, dup)
         return flipped, ends, ok
 
 
@@ -224,20 +224,6 @@ def duplicates(u, ok):
         d[rows, i + rows] = np.inf
         dup[i:i + block] = np.min(d, axis=1) <= tol
     return idx[dup]
-
-
-def keep_one_of_each(u, ok, dup):
-    """Clear ok, in place, for all but the last member of each group of
-    duplicate endpoints dup (from duplicates(u, ok)): the paths of a group
-    reached one solution, which is real even though one of them should have
-    reached another."""
-    if not len(dup):
-        return
-    tol = distinct_tol(u[ok])
-    for i in dup:
-        ok[i] = False
-        if not np.any(np.max(np.abs(u[ok] - u[i]), axis=1) <= tol):
-            ok[i] = True
 
 
 def distinct_tol(pts):

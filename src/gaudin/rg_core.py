@@ -130,15 +130,25 @@ def _require_frame(r, frame):
         raise ValidationError(f"expected rapidities in frame {frame!r}, got {r.frame!r}")
 
 
-def _site_sum(kind, sites, weights, g_site, const, lin, scale):
-    """u -> (r, dr/du) with r = const + lin*u + g_site sum_i weights_i Z(e_i, u),
-    e = scale*sites, for a scalar u or elementwise on an array.  Written as
-    Z(e, u) = (1 + c e^2)/(e - u) - c e, so each site costs one division."""
+def pole_form(kind, sites, weights, g_site, const=1.0, lin=0.0, scale=1.0):
+    """The secular row const + lin*u + g_site sum_i weights_i Z(e_i, u) in
+    pole form, base + lin*u + sum_i n_i/(e_i - u), from Z(e, u) =
+    (1 + c e^2)/(e - u) - c e: returns (e, n, base, lin) with e_i =
+    scale*sites_i, n_i = g_site weights_i (1 + c e_i^2) and base = const -
+    c sum_i g_site weights_i e_i."""
     c = 0.0 if kind == algebra.RATIONAL else 1.0
     e = [scale * s for s in sites]
     gw = [g_site * float(wt) for wt in weights]
-    num = [gi * (1.0 + c * ei * ei) for gi, ei in zip(gw, e)]
+    n = [gi * (1.0 + c * ei * ei) for gi, ei in zip(gw, e)]
     base = const - c * sum(gi * ei for gi, ei in zip(gw, e))
+    return e, n, base, lin
+
+
+def _site_sum(kind, sites, weights, g_site, const, lin, scale):
+    """u -> (r, dr/du) with r = const + lin*u + g_site sum_i weights_i Z(e_i, u),
+    e = scale*sites, for a scalar u or elementwise on an array, from its
+    pole_form, so each site costs one division."""
+    e, num, base, lin = pole_form(kind, sites, weights, g_site, const, lin, scale)
 
     def row(u):
         r = base + lin * u

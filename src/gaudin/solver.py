@@ -1,10 +1,11 @@
 """Root finding and adiabatic continuation along the deformation parameter.
 
-The solve pipeline follows the deformation strategy: the decoupled secular
-equation (rg_core.secular_row with a family's kernel parameters) is solved by
-bracketing between its poles, the roots seed a damped-Newton corrector, and
-one adaptive first-order predictor-corrector, _continue_path, tracks the
-solution along the homotopy parameter to the coupled equations.  It
+The solve pipeline follows the deformation strategy: the roots of the
+decoupled secular equation (rg_core.secular_row with a family's kernel
+parameters) are the eigenvalues of a symmetric matrix (_real_roots), they
+seed a damped-Newton corrector, and one adaptive first-order
+predictor-corrector, _continue_path, tracks the solution along the homotopy
+parameter to the coupled equations.  It
 evaluates every accepted point once, in the corrector, and takes the
 predictor's tangent from that evaluation.  The RG path runs xi 0 -> 1
 (continue_in_xi); the Dicke path runs tau 0 -> 1 and then xi down to 0
@@ -59,11 +60,6 @@ MIN_STEP = 1e-8
 STEP_SHRINK = 0.5
 STEP_GROW = 1.3
 MAX_NEWTON_ITERS = 50
-
-# a secular root is bracketed to within ROOT_XTOL + ROOT_RTOL |x|: scipy's
-# brentq at xtol = 1e-14 and its smallest rtol, 4 eps
-ROOT_XTOL = 1e-14
-ROOT_RTOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -156,54 +152,52 @@ def newton_solve(residual_fn, w0, tol=1e-10):
 
 
 def _real_roots(row):
-    """All real roots of the secular row with kernel parameters `row`, by
-    sign-change bracketing on each interval between its poles (the sites)
-    plus two outer windows, then _bisect on every bracket at once."""
+    """All real roots of the secular row with kernel parameters `row`, in
+    ascending order, from one symmetric eigensolve (Golub, SIAM Rev. 15, 318
+    (1973)).
 
-    def f(w):
-        return rg_core.secular_row(w, **row)
-
-    poles = np.sort(np.asarray(row["sites"], dtype=float))
-    outer = 50.0 * max(poles[-1] - poles[0], 1.0)
-    edges = np.concatenate([[poles[0] - outer], poles, [poles[-1] + outer]])
-    roots, lo, hi, f_lo = [], [], [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        margin = 1e-9 * max(abs(a), abs(b), 1.0)
-        a, b = a + margin, b - margin
-        if b <= a:
-            continue
-        ts = np.linspace(a, b, 400)
-        vals = f(ts)[0]
-        good = np.isfinite(vals)
-        ts, vals = ts[good], vals[good]
-        roots += list(ts[:-1][vals[:-1] == 0.0])
-        change = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-        lo.append(ts[change])
-        hi.append(ts[change + 1])
-        f_lo.append(vals[change])
-    if lo:
-        roots += list(_bisect(f, np.concatenate(lo), np.concatenate(hi), np.concatenate(f_lo)))
-    return sorted(float(r) for r in roots)
-
-
-def _bisect(f, lo, hi, f_lo):
-    """Roots of f, which returns (value, derivative), in the brackets
-    [lo, hi] (arrays, f changes sign across each, f_lo its value at lo):
-    every bracket is halved at once until narrower than ROOT_XTOL +
-    ROOT_RTOL |x|, then one Newton step from its midpoint, kept if it stays
-    inside, takes the root to round-off."""
-    while True:
-        mid = 0.5 * (lo + hi)
-        if np.all(hi - lo < ROOT_XTOL + ROOT_RTOL * np.abs(mid)):
-            break
-        f_mid = f(mid)[0]
-        right = np.sign(f_mid) == np.sign(f_lo)  # the root lies above mid
-        lo, f_lo = np.where(right, mid, lo), np.where(right, f_mid, f_lo)
-        hi = np.where(right, hi, mid)
-    value, slope = f(mid)
+    In pole form (rg_core.pole_form) the row is base + lin*u + sum_i
+    n_i/(e_i - u) at u = scale*w; levels with n_i = 0 drop out, and every
+    family's n_i share one sign, that of lin when lin != 0.  The roots in u
+    are then the eigenvalues of the arrowhead [[diag(e), z], [z^T, -base/lin]]
+    with z_i^2 = n_i/lin, or, at lin = 0, of diag(e) + (sum(n)/base) q q^T
+    with q along sqrt(|n_i|).  In a basis that starts with q the rank-one
+    term is one corner entry; at base = 0 its root is at infinity and the
+    other m - 1 are the eigenvalues of the rest.  Newton on secular_row
+    finishes each root, a step kept while it is shorter than the last and
+    stays between the poles next to the root.
+    """
+    e, n, base, lin = map(np.asarray, rg_core.pole_form(**row))
+    scale = row.get("scale", 1.0)
+    e, n = e[n != 0.0], n[n != 0.0]
+    if lin:
+        mat = np.diag(np.append(e, -base / lin))
+        mat[-1, :-1] = mat[:-1, -1] = np.sqrt(n / lin)
+    elif len(e):
+        q = np.linalg.qr(np.sqrt(np.abs(n))[:, None], mode="complete")[0]
+        mat = (q.T * e) @ q
+        if base:
+            mat[0, 0] += np.sum(n) / base
+        else:
+            mat = mat[1:, 1:]
+    else:
+        return []
+    w = np.sort(np.linalg.eigvalsh(mat) / scale)
+    poles = np.sort(e / scale)
+    side = np.searchsorted(poles, w)
+    lo = np.append(-np.inf, poles)[side]
+    hi = np.append(poles, np.inf)[side]
+    last = np.full(len(w), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        newton = mid - value / slope
-    return np.where((lo <= newton) & (newton <= hi), newton, mid)
+        for _ in range(MAX_NEWTON_ITERS):
+            value, slope = rg_core.secular_row(w, **row)
+            step = value / slope
+            keep = (lo < w - step) & (w - step < hi) & (np.abs(step) < last)
+            if not np.any(keep):
+                break
+            w = np.where(keep, w - step, w)
+            last = np.where(keep, np.abs(step), 0.0)
+    return [float(x) for x in w]
 
 
 def _assign_pattern(roots, n, occupation):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaudin import cli, rg_core
+from gaudin import cli, ed_oracle, rg_core, solver
 from gaudin.algebra import LevelSet
 from gaudin.cli import RunConfig, emit_spec, parse_kv_lines, parse_spec, run
 from gaudin.errors import SpecFormatError, ValidationError
@@ -148,6 +148,44 @@ def test_ed_spectrum_jc_sectors(tmp_path):
         by_sector.setdefault(int(sector), []).append(float(ev))
     assert by_sector[0] == pytest.approx([-0.5])
     assert sorted(by_sector[1]) == pytest.approx([0.0, 1.0], abs=1e-12)
+
+
+def test_ed_spectrum_of_an_rg_spec_lists_every_charge(tmp_path, capsys):
+    path = _write(tmp_path, "rg.spec", RG_SPEC)
+    assert cli.main(["--mode", "ed-spectrum", "--spec", path]) == 0
+    rows = [v.split() for s, k, v in _parse_doc(capsys.readouterr().out)
+            if s == "spectrum" and k == "row"]
+    spec = parse_spec(path)
+    charges = ed_oracle.realize_rg_charges(spec, 1.0)
+    dim = charges[0].basis.total_dim
+    assert len(rows) == len(charges) * dim == 4 * 16
+    for i, op in enumerate(charges):
+        evs = np.sort(np.concatenate(
+            [ed_oracle.sector_spectrum(op, n) for n in range(spec.levels.m + 1)]))
+        # the document holds 17 significant digits, which read back exactly
+        assert [float(ev) for c, ev in rows if int(c) == i] == list(evs)
+
+
+def test_solve_rg_occupation_is_recorded(tmp_path, capsys):
+    path = _write(tmp_path, "rg.spec", RG_SPEC)
+    assert cli.main(["--mode", "solve-rg", "--spec", path, "--occupation", "0,2"]) == 0
+    kv = {k: v for s, k, v in _parse_doc(capsys.readouterr().out) if s == "branch 0"}
+    assert kv["occupation"] == [0.0, 2.0]
+    final, _ = solver.solve_rg(parse_spec(path), occupation=[0, 2])
+    assert [cli._parse_complex_pair(kv["rapidity_%d" % a]) for a in range(2)] == list(
+        final.values)
+
+
+def test_solve_dicke_branch_emits_that_branch_of_the_full_document(tmp_path, capsys):
+    path = _write(tmp_path, "jc.spec", JC_SPEC)
+    assert cli.main(["--mode", "solve-dicke", "--spec", path]) == 0
+    full = _parse_doc(capsys.readouterr().out)
+    for k in (0, 1):
+        assert cli.main(["--mode", "solve-dicke", "--spec", path, "--branch", str(k)]) == 0
+        one = _parse_doc(capsys.readouterr().out)
+        assert {s for s, _, _ in one if s and s.startswith("branch")} == {"branch 0"}
+        assert ([(key, v) for s, key, v in one if s == "branch 0"]
+                == [(key, v) for s, key, v in full if s == "branch %d" % k])
 
 
 def test_sweep_xi_tabular_and_structured(tmp_path):

@@ -137,14 +137,6 @@ def test_duplicates_flags_both_members_of_a_pair():
     assert list(evb.duplicates(u, np.array([True, True, False, True]))) == []
 
 
-def test_keep_one_of_each_keeps_the_last_member_of_a_group():
-    u = np.array([[0.0, 1.0], [0.5, 0.5], [1e-9, 1.0], [2e-9, 1.0], [3.0, 3.0]],
-                 dtype=complex)
-    ok = np.array([True, True, True, True, True])
-    evb.keep_one_of_each(u, ok, evb.duplicates(u, ok))
-    assert list(ok) == [False, True, False, True, True]
-
-
 def test_a_duplicate_pair_left_after_the_last_round_keeps_one_member(monkeypatch):
     spec = _random_spec(3, 2, seed=5)
     track = evb.Quadratics.track
@@ -158,8 +150,12 @@ def test_a_duplicate_pair_left_after_the_last_round_keeps_one_member(monkeypatch
 
     monkeypatch.setattr(evb.Quadratics, "track", merging)
     _, ends, ok = evb.Quadratics(spec).solve()
-    assert list(ok) == [False] + [True] * 7
-    assert len(evb.duplicates(ends, ok)) == 0
+    assert list(evb.duplicates(ends, ok)) == [0, 1]
+    # the pair's solution gives one state, and the lost one is missing
+    branches = solver.enumerate_dicke_branches(spec)
+    assert len(branches) == spec.sector_dimension() - 1
+    energies = _energies(spec, branches)
+    assert np.min(np.diff(np.sort(energies))) > 1e-6
 
 
 # two levels 3.6e-4 or 6.3e-4 apart: a rapidity between them puts the Dicke

@@ -318,13 +318,60 @@ def test_real_roots_match_brentq(row):
     assert np.all(np.abs(roots - reference) <= 1e-13 * np.abs(reference))
 
 
+@pytest.mark.parametrize("spec, collective", [
+    # one level of degeneracy 100: the secular root sits at -99, and the
+    # state's rapidity solves 1 - 49.5/(1 - w) = 0
+    pytest.param(ModelSpec(LevelSet.from_degeneracies((1.0,), (100.0,)), RATIONAL, 1, -1.0),
+                 -48.5, id="one-level-omega100"),
+    # 1 - 30 (1/2/(0.8 - w) + 1/2/(1.2 - w)) = 0, i.e. w^2 + 28 w - 29.04 = 0
+    pytest.param(ModelSpec(LevelSet.from_spins((0.8, 1.2), (0.5, 0.5)), RATIONAL, 1, -30.0),
+                 (-28.0 - np.sqrt(900.16)) / 2.0, id="two-levels-g-30"),
+])
+def test_strong_attraction_starts_from_the_collective_root(spec, collective):
+    # the lowest secular root lies far below the levels, more than 50 times
+    # their span; the default pattern starts there and reaches the collective state
+    roots = solver._real_roots(rg_core.deformed_rg_params(spec, 0.0))
+    assert roots[0] < min(spec.levels.etas) - 50.0
+    final, _ = solve_rg(spec)
+    # the residual is met to 1e-10 on a row whose slope is about 1e-2
+    assert final.values[0] == pytest.approx(collective, rel=1e-10)
+
+
+def test_a_secular_row_with_zero_base_has_only_its_finite_roots():
+    # trigonometric row base = 1 - g sum_i Omega_i eta_i = 1 - 0.5 (0.5 + 1.5) = 0
+    spec = ModelSpec(LevelSet.from_spins((0.25, 0.75), (0.5, 0.5)), TRIGONOMETRIC, 1, 0.5)
+    row = rg_core.deformed_rg_params(spec, 0.0)
+    _, n, base, _ = rg_core.pole_form(**row)
+    assert base == 0.0 and n == [1.0625, 1.5625]
+    # sum_i n_i/(e_i - u) = 0 at u = (0.75 n_1 + 0.25 n_2)/(n_1 + n_2) = 19/42
+    assert solver._real_roots(row) == pytest.approx([19.0 / 42.0], rel=1e-15)
+
+
+def test_a_near_critical_trigonometric_row_gains_a_far_root():
+    # g sum_i Omega_i eta_i = 1.000001: base = -1e-6, and the row gains a
+    # root near sum_i n_i / base
+    spec = ModelSpec(LevelSet.from_spins((0.5, 1.0), (0.5, 0.5)), TRIGONOMETRIC, 1,
+                     0.3333336667)
+    far, finite = solver._real_roots(rg_core.deformed_rg_params(spec, 0.0))
+    assert far == pytest.approx(-2.1664513808e6, rel=1e-9)
+    assert 0.5 < finite < 1.0
+    # base(xi) crosses 0 along the path from the far root, which stalls
+    with pytest.raises(ConvergenceError):
+        solve_rg(spec)
+    # the finite root reaches the state the default reached before the far
+    # root was found
+    final, _ = solve_rg(spec, occupation=[1])
+    assert final.values[0] == pytest.approx(0.62678907141414208, rel=1e-12)
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    code = "import gaudin.cli, sys; print('scipy.optimize' in sys.modules)"
+    code = ("import gaudin.cli, sys; "
+            "print([m in sys.modules for m in ('scipy.optimize', 'scipy.linalg')])")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"
 
 
 def _bethe_vector(spec, rapidities, basis):
