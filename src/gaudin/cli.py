@@ -274,13 +274,12 @@ def run_solve_rg(config, spec):
 
 
 def _dicke_branch_records(config, spec, branches, cutoff):
-    ham = ed_oracle.realize(
-        dicke.build_dicke_hamiltonian(spec), ed_oracle.HilbertBasis.dicke(spec, cutoff)
-    )
+    ladder = dicke.bethe_ladder(spec, cutoff)
+    ham = ed_oracle.realize(dicke.build_dicke_hamiltonian(spec), ladder[0])
     lines = []
     for idx, b in enumerate(branches):
         state = dicke.BetheProductState(spec, b["rapidities"])
-        vec, _ = dicke.bethe_coefficients(state, cutoff)
+        vec, _ = dicke.bethe_coefficients(state, cutoff, ladder)
         rayleigh, rel = ed_oracle.eigencheck(ham, vec)
         lines += ["", "[branch %d]" % idx]
         if "evb_start" in b:

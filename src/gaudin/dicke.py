@@ -156,25 +156,34 @@ class BetheProductState:
                 raise ValidationError("rapidity collides with a level epsilon")
 
 
-def bethe_coefficients(state, boson_cutoff):
+def bethe_ladder(spec, boson_cutoff):
+    """The truncated Dicke basis and the CSR matrices of b' and of every S'_k
+    on it: the operators bethe_coefficients applies, realized once for all
+    the states of a spec."""
+    basis = ed_oracle.HilbertBasis.dicke(spec, boson_cutoff)
+
+    def raiser(symbol, level):
+        return ed_oracle.realize(OperatorExpression(((1.0, ((symbol, level),)),)), basis).csr
+
+    return basis, raiser("bdag", None), [raiser("sp", k) for k in range(spec.m)]
+
+
+def bethe_coefficients(state, boson_cutoff, ladder=None):
     """Amplitude vector of the Bethe product state on the truncated basis.
 
     Each factor raises the boson number by at most one, so cutoff >= N keeps
     the expansion exact; spin raising beyond highest weight contributes zero.
+    A caller that expands several states of one spec passes their
+    bethe_ladder(spec, boson_cutoff) as `ladder`.
     """
     spec = state.spec
     x = state.rapidities.as_array()
     n_exc = len(x)
     if boson_cutoff < n_exc:
         raise CutoffError(f"cutoff {boson_cutoff} < N = {n_exc}")
-    basis = ed_oracle.HilbertBasis.dicke(spec, boson_cutoff)
-    bdag = ed_oracle.realize(
-        OperatorExpression(((1.0, (("bdag", None),)),)), basis
-    ).csr
-    raisers = [
-        ed_oracle.realize(OperatorExpression(((1.0, (("sp", k),)),)), basis).csr
-        for k in range(spec.m)
-    ]
+    if ladder is None:
+        ladder = bethe_ladder(spec, boson_cutoff)
+    basis, bdag, raisers = ladder
     # |theta>: boson vacuum, every spin at lowest weight -> basis index 0
     v = np.zeros(basis.total_dim, dtype=complex)
     v[0] = 1.0

@@ -133,32 +133,28 @@ def _require_frame(r, frame):
 def pole_form(kind, sites, weights, g_site, const=1.0, lin=0.0, scale=1.0):
     """The secular row const + lin*u + g_site sum_i weights_i Z(e_i, u) in
     pole form, base + lin*u + sum_i n_i/(e_i - u), from Z(e, u) =
-    (1 + c e^2)/(e - u) - c e: returns (e, n, base, lin) with e_i =
-    scale*sites_i, n_i = g_site weights_i (1 + c e_i^2) and base = const -
+    (1 + c e^2)/(e - u) - c e: returns (e, n, base, lin) with the arrays e_i =
+    scale*sites_i and n_i = g_site weights_i (1 + c e_i^2), and base = const -
     c sum_i g_site weights_i e_i."""
     c = 0.0 if kind == algebra.RATIONAL else 1.0
-    e = [scale * s for s in sites]
-    gw = [g_site * float(wt) for wt in weights]
-    n = [gi * (1.0 + c * ei * ei) for gi, ei in zip(gw, e)]
-    base = const - c * sum(gi * ei for gi, ei in zip(gw, e))
+    e = scale * np.asarray(sites, dtype=float)
+    gw = g_site * np.asarray(weights, dtype=float)
+    n = gw * (1.0 + c * e * e)
+    base = const - c * float(np.sum(gw * e))
     return e, n, base, lin
 
 
-def _site_sum(kind, sites, weights, g_site, const, lin, scale):
+def _site_sum(kind, sites, weights, g_site, const=1.0, lin=0.0, scale=1.0):
     """u -> (r, dr/du) with r = const + lin*u + g_site sum_i weights_i Z(e_i, u),
-    e = scale*sites, for a scalar u or elementwise on an array, from its
-    pole_form, so each site costs one division."""
+    e = scale*sites, elementwise on an array u, from its pole_form: one array
+    of divisions n_i/(e_i - u), with the sites on its last axis, summed over
+    that axis."""
     e, num, base, lin = pole_form(kind, sites, weights, g_site, const, lin, scale)
 
     def row(u):
-        r = base + lin * u
-        dr = lin
-        for ei, ni in zip(e, num):
-            d = ei - u
-            q = ni / d
-            r += q
-            dr += q / d
-        return r, dr
+        d = e - u[..., None]
+        q = num / d
+        return base + lin * u + q.sum(-1), lin + (q / d).sum(-1)
 
     return row
 
@@ -171,52 +167,43 @@ def _gaudin_residual(kind, sites, weights, g_site, g_pair, w, jacobian,
               - g_pair sum_{b != a} Z(u_b, u_a)
 
     at u = scale*w, e = scale*sites, with Z(u, v) = (1 + c u v)/(u - v), c = 0
-    (rational) or 1 (trigonometric).  Collisions are checked on the unscaled
-    coordinates.  Returns (residuals, max modulus, Jacobian in w or None); the
-    Jacobian in w is scale times the holomorphic derivative in u.  With
-    g_pair == 0 the pair sum is skipped, so the Jacobian is exactly diagonal.
-    A caller that evaluates one parameter set many times passes its
-    _site_sum row as `row`.
+    (rational) or 1 (trigonometric), as numpy reductions: the site sum over an
+    (N, m) array of rapidity-site terms (_site_sum), the pair sum and its
+    Jacobian over the (N, N) array of rapidity pairs, whose diagonal is
+    masked.  Collisions are found on the unscaled coordinates, by one
+    reduction over each array; algebra.check_collisions then names the first
+    in rapidity order.  Returns (residuals, max modulus, Jacobian in w or
+    None); the Jacobian in w is scale times the holomorphic derivative in u.
+    With g_pair == 0 the pair sum is skipped, so the Jacobian is exactly
+    diagonal.  A caller that evaluates one parameter set many times passes
+    its _site_sum row as `row`.
     """
-    algebra.check_collisions(sites, w)
-    c = 0.0 if kind == algebra.RATIONAL else 1.0
-    # Python scalars throughout: numpy scalars would make every term slower
-    g_site, g_pair, const, lin, scale = map(float, (g_site, g_pair, const, lin, scale))
+    w = np.asarray(w, dtype=complex)
+    dw = w - w[:, None]  # dw[a, b] = w_b - w_a
+    np.fill_diagonal(dw, np.inf)  # masks b == a: |dw| = inf and 1/dw = 0 there
+    if (np.abs(w[:, None] - np.asarray(sites, dtype=float)).min() < algebra.COLLISION_TOL
+            or np.abs(dw).min() < algebra.COLLISION_TOL):
+        algebra.check_collisions(sites, w)
     if row is None:
         row = _site_sum(kind, sites, weights, g_site, const, lin, scale)
-    u = [scale * v for v in w]
-    n = len(u)
-    res = [0j] * n
-    jac = [[0j] * n for _ in range(n)] if jacobian else None
-    for a, ua in enumerate(u):
-        res[a], diag = row(ua)
-        if jacobian:
-            jac[a][a] = diag
+    u = scale * w
+    res, diag = row(u)
+    jac = None
     if g_pair:
-        # Z is antisymmetric, so each unordered pair is evaluated once
-        for a in range(n):
-            ua = u[a]
-            for b in range(a + 1, n):
-                ub = u[b]
-                d = ub - ua
-                z = g_pair * (1.0 + c * ua * ub) / d
-                res[a] -= z
-                res[b] += z
-                if jacobian:
-                    dd = g_pair / (d * d)
-                    jab = dd * (1.0 + c * ua * ua)
-                    jba = dd * (1.0 + c * ub * ub)
-                    jac[a][b] = jab
-                    jac[b][a] = jba
-                    jac[a][a] -= jba
-                    jac[b][b] -= jab
-    max_abs = max(map(abs, res))
-    res = np.array(res, dtype=complex)
-    if jacobian:
-        jac = np.array(jac, dtype=complex)
-        if scale != 1.0:
-            jac *= scale
-    return res, max_abs, jac
+        c = 0.0 if kind == algebra.RATIONAL else 1.0
+        inv = 1.0 / dw / scale  # 1/(u_b - u_a)
+        num = 1.0 + c * np.multiply.outer(u, u)  # 1 + c u_a u_b
+        res = res - g_pair * (num * inv).sum(1)
+        if jacobian:
+            # dr_a/du_b = g_pair (1 + c u_a^2)/(u_b - u_a)^2 off the diagonal,
+            # and dr_a/du_a gains -sum_b g_pair (1 + c u_b^2)/(u_b - u_a)^2
+            dd = (scale * g_pair) * inv * inv
+            p = num.diagonal()
+            jac = dd * p[:, None]
+            np.fill_diagonal(jac, scale * diag - dd @ p)
+    elif jacobian:
+        jac = np.diag(scale * diag)
+    return res, float(np.abs(res).max()), jac
 
 
 def secular_row(w, kind, sites, weights, g_site, const=1.0, lin=0.0, scale=1.0):
@@ -258,11 +245,10 @@ def deformed_rg_params(spec, xi):
     """Secular-row parameters of deformed_rg_residual at xi, whose rapidity
     coupling is xi * g_site; each weight follows the deformation map in xi
     from its degeneracy (the decoupled TDA row at xi = 0) to its spin."""
-    weights = [
-        deformed_weight(xi, s, omega)
-        for s, omega in zip(spec.levels.spins, spec.levels.degeneracies)
-    ]
-    return dict(kind=spec.kind, sites=spec.levels.etas, weights=weights,
+    levels = spec.levels
+    weights = deformed_weight(xi, np.asarray(levels.spins),
+                              np.asarray(levels.degeneracies, dtype=float))
+    return dict(kind=spec.kind, sites=np.asarray(levels.etas), weights=weights,
                 g_site=spec.coupling_g)
 
 
@@ -278,11 +264,19 @@ def dicke_rg_residual(spec, r, jacobian=True):
     """Dicke equations (hw - x_a) - 2G^2 sum_k s_k/(eps_k - x_a)
     + 2G^2 sum_{b!=a} 1/(x_b - x_a) = 0, in energy units."""
     _require_frame(r, DICKE_X)
-    gg2 = -2.0 * spec.coupling_G**2
+    p, row = _dicke_point(spec)
     return ResidualReport(*_gaudin_residual(
-        algebra.RATIONAL, spec.epsilons, spec.spins, gg2, gg2, r.values, jacobian,
-        const=spec.hbar_omega, lin=-1.0,
+        g_pair=p["g_site"], w=r.values, jacobian=jacobian, row=row, **p
     ))
+
+
+@functools.lru_cache(maxsize=64)
+def _dicke_point(spec):
+    """dicke_rg_residual's kernel parameters and row, which the spec fixes,
+    built once per spec."""
+    p = dict(kind=algebra.RATIONAL, sites=np.asarray(spec.epsilons), weights=spec.spins,
+             g_site=-2.0 * spec.coupling_G**2, const=spec.hbar_omega, lin=-1.0)
+    return p, _site_sum(**p)
 
 
 def contraction_scales(spec, xi):
@@ -331,8 +325,8 @@ def extended_dicke_params(spec, tau, xi=1.0):
     lam, g, s0 = contraction_scales(spec, xi)
     w0 = deformed_weight(tau, s0, 2.0 * s0 + 1.0)
     weights = [deformed_weight(tau, s, 2.0 * s + 1.0) for s in spec.spins]
-    return dict(kind=algebra.TRIGONOMETRIC, sites=spec.epsilons, weights=weights,
-                g_site=g, lin=g * w0, scale=-lam)
+    return dict(kind=algebra.TRIGONOMETRIC, sites=np.asarray(spec.epsilons),
+                weights=weights, g_site=g, lin=g * w0, scale=-lam)
 
 
 @functools.lru_cache(maxsize=64)
@@ -340,13 +334,10 @@ def _extended_point(spec, tau, xi):
     """extended_dicke_params at one homotopy point and the kernel's row for
     them, built once: a continuation evaluates each point several times
     (Newton iterations, line-search trials).  Callers key it on Python
-    floats; the row holds Python floats whatever the key, so its complex
-    divisions take the same bits as a row built per call."""
+    floats, so a numpy and a Python float of one value share an entry."""
     p = extended_dicke_params(spec, tau, xi)
-    row = _site_sum(p["kind"], p["sites"], p["weights"], float(p["g_site"]), 1.0,
-                    float(p["lin"]), float(p["scale"]))
     # every caller of this point shares p: callers only read it
-    return p, row
+    return p, _site_sum(**p)
 
 
 def extended_dicke_residual(spec, tau, r, xi=1.0, jacobian=True):

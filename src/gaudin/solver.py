@@ -281,7 +281,9 @@ def tda_roots_dicke(spec, xi=1.0):
 
 def _continue_path(residual_at, t_start, t_end, values, policy):
     """Predictor-corrector tracking of residual_at(t, values) = 0 from t_start
-    to t_end.  Returns ([(t, values, max_abs), ...], status)."""
+    to t_end; residual_at(t, values, jacobian) returns a ResidualReport, with
+    its Jacobian when `jacobian` is true.  Returns ([(t, values, max_abs),
+    ...], status)."""
     tol = policy.newton_tol
     values, report, _ = newton_solve(lambda w: residual_at(t_start, w), values, tol)
     path = [(t_start, values, report.max_abs)]
@@ -321,13 +323,13 @@ def _continue_path(residual_at, t_start, t_end, values, policy):
 def _tangent(residual_at, t, values, here, direction):
     """Path tangent dvalues/dt = -J^-1 dF/dt at an accepted point, with J from
     its report `here` and dF/dt by finite differences, each point evaluated
-    once; None (keep the point as the prediction) when the point ahead lies
-    outside the domain or J is ill-conditioned."""
+    once and without a Jacobian; None (keep the point as the prediction) when
+    the point ahead lies outside the domain or J is ill-conditioned."""
     h = max(1e-7, 1e-7 * abs(t))
     try:
-        ahead = residual_at(t + direction * h, values).residuals
+        ahead = residual_at(t + direction * h, values, False).residuals
         try:
-            behind = residual_at(t - direction * h, values).residuals
+            behind = residual_at(t - direction * h, values, False).residuals
             dfdt = direction * (ahead - behind) / (2.0 * h)
         except DomainError:
             # one-sided difference at a domain edge behind the path
@@ -359,8 +361,9 @@ def continue_in_xi(spec, policy, r_start):
     xi = 0 to the RG equations at xi = 1; repeated TDA roots start split at
     xi = CLUSTER_T0."""
 
-    def residual_at(xi, w):
-        return rg_core.deformed_rg_residual(spec, xi, RapiditySet(tuple(w), RG_ETA))
+    def residual_at(xi, w, jacobian=True):
+        return rg_core.deformed_rg_residual(spec, xi, RapiditySet(tuple(w), RG_ETA),
+                                            jacobian)
 
     xi0, seeds = _cluster_seeds(rg_core.deformed_rg_params(spec, 0.0),
                                 rg_core.deformed_rg_params(spec, 1.0), r_start.as_array())
@@ -408,13 +411,15 @@ def solve_dicke_branch(spec, occupation, policy=None, xi_start=1.0):
         raise InsufficientModesError("extended secular equation has no real roots")
     x_seed = _assign_pattern(roots, spec.n_excitations, occupation)
 
-    def inner(tau, w):
+    def inner(tau, w, jacobian=True):
         return rg_core.extended_dicke_residual(
-            spec, tau, RapiditySet(tuple(w), DICKE_X), xi_start
+            spec, tau, RapiditySet(tuple(w), DICKE_X), xi_start, jacobian
         )
 
-    def outer(xi, w):
-        return rg_core.deformed_dicke_residual(spec, xi, RapiditySet(tuple(w), DICKE_X))
+    def outer(xi, w, jacobian=True):
+        return rg_core.deformed_dicke_residual(
+            spec, xi, RapiditySet(tuple(w), DICKE_X), jacobian
+        )
 
     def exact(w):
         return rg_core.dicke_rg_residual(spec, RapiditySet(tuple(w), DICKE_X))

@@ -365,3 +365,27 @@ def test_solve_rg_reaches_the_state_of_a_doubly_occupied_level(tmp_path):
     assert {"rapidity_0", "rapidity_1"} <= set(kv)
     checked = str(tmp_path / "verify.txt")
     assert cli.main(["--mode", "verify", "--spec", out, "--out", checked]) == 0
+
+
+def test_solve_rg_at_the_benchmark_shape(tmp_path):
+    # the large-N shape of the rg-large benchmark: rational, spin 1, m = 48,
+    # N = 24, levels on a jittered grid over [0.6, 1.4]
+    rng = np.random.default_rng(48)
+    h = 0.8 / 47
+    etas = 0.6 + h * np.arange(48) + rng.uniform(-0.25, 0.25, 48) * h
+    text = (
+        "model = rg\nkind = rational\n"
+        f"etas = [{', '.join(repr(float(e)) for e in etas)}]\n"
+        f"spins = [{', '.join(['1.0'] * 48)}]\n"
+        "g = -0.15\nN = 24\n"
+    )
+    out = str(tmp_path / "large.txt")
+    assert cli.main(["--mode", "solve-rg", "--spec", _write(tmp_path, "large.spec", text),
+                     "--out", out]) == 0
+    kv = {k: v for s, k, v in _parse_doc(open(out).read()) if s == "branch 0"}
+    assert kv["trace_status"] == "converged"
+    x = np.array([cli._parse_complex_pair(kv["rapidity_%d" % a]) for a in range(24)])
+    gaps = np.abs(x[:, None] - x[None, :]) + np.eye(24)
+    assert np.min(gaps) > 1e-6
+    checked = str(tmp_path / "verify.txt")
+    assert cli.main(["--mode", "verify", "--spec", out, "--out", checked]) == 0

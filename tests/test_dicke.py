@@ -257,3 +257,14 @@ def test_energy_rapidity_relation():
         ray, _ = ed_oracle.eigencheck(ham, v)
         expect = np.sum(b["rapidities"].as_array().real) + M2.vacuum_energy()
         assert ray == pytest.approx(expect, abs=1e-8)
+
+
+def test_one_bethe_ladder_serves_every_state_of_a_spec():
+    cutoff = 6
+    ladder = dicke.bethe_ladder(M2, cutoff)
+    for b in solver.enumerate_dicke_branches(M2):
+        state = BetheProductState(M2, b["rapidities"])
+        v, basis = bethe_coefficients(state, cutoff)
+        shared, shared_basis = bethe_coefficients(state, cutoff, ladder)
+        assert shared.tobytes() == v.tobytes()
+        assert shared_basis is ladder[0] and shared_basis.total_dim == basis.total_dim

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gaudin import algebra, rg_core
 from gaudin.algebra import LevelSet, RATIONAL, TRIGONOMETRIC
@@ -215,21 +219,20 @@ DICKE_FAMILIES = ("dicke", "deformed_dicke", "extended_dicke")
 
 
 def _family_fn(family, kind, n):
-    """The residual of one family at fixed model parameters, as fn(w)."""
+    """The residual of one family at fixed model parameters, as fn(w, jacobian)."""
     ls = LevelSet.from_spins((0.9, 2.1, 3.3), (0.5, 1.0, 0.5))
     mspec = ModelSpec(ls, kind or TRIGONOMETRIC, n, -0.12)
     dspec = DickeSpec((0.8, 1.3), (0.5, 0.5), 0.2, 1.0, n)
-    if family == "rg":
-        return lambda v: rg_residual(mspec, RapiditySet(tuple(v), RG_ETA))
-    if family == "deformed_rg":
-        return lambda v: deformed_rg_residual(mspec, 0.6, RapiditySet(tuple(v), RG_ETA))
-    if family == "tda":
-        return lambda v: tda_residual(mspec, RapiditySet(tuple(v), RG_ETA))
-    if family == "dicke":
-        return lambda v: dicke_rg_residual(dspec, RapiditySet(tuple(v), DICKE_X))
-    if family == "deformed_dicke":
-        return lambda v: deformed_dicke_residual(dspec, 0.3, RapiditySet(tuple(v), DICKE_X))
-    return lambda v: extended_dicke_residual(dspec, 0.4, RapiditySet(tuple(v), DICKE_X))
+    calls = {
+        "rg": lambda r, jac: rg_residual(mspec, r, jac),
+        "deformed_rg": lambda r, jac: deformed_rg_residual(mspec, 0.6, r, jac),
+        "tda": lambda r, jac: tda_residual(mspec, r, jac),
+        "dicke": lambda r, jac: dicke_rg_residual(dspec, r, jac),
+        "deformed_dicke": lambda r, jac: deformed_dicke_residual(dspec, 0.3, r, jac),
+        "extended_dicke": lambda r, jac: extended_dicke_residual(dspec, 0.4, r, jacobian=jac),
+    }
+    frame = RG_ETA if family in RG_FAMILIES else DICKE_X
+    return lambda v, jacobian=True: calls[family](RapiditySet(tuple(v), frame), jacobian)
 
 
 def _jacobian_cases():
@@ -377,3 +380,142 @@ def test_secular_row_is_the_kernel_at_one_rapidity(params):
         jac = np.array([k[2][0, 0] for k in kernel])
         assert np.max(np.abs(row - res)) <= 1e-13 * np.max(np.abs(res))
         assert np.max(np.abs(drow - jac)) <= 1e-13 * np.max(np.abs(jac))
+
+
+# -- the array kernel against a scalar reference ------------------------------
+
+def _scalar_kernel(kind, sites, weights, g_site, g_pair, w, const, lin, scale):
+    """_gaudin_residual written out one (a, i) and (a, b) term at a time:
+    residuals, Jacobian in w, and per row the sums of the moduli of the
+    terms that make up the residual and the Jacobian's diagonal."""
+    c = 0.0 if kind == RATIONAL else 1.0
+    u = [scale * v for v in w]
+    e = [scale * s for s in sites]
+    n = len(u)
+    res, size, jac_size = [], [], []
+    jac = [[0j] * n for _ in range(n)]
+    for a, ua in enumerate(u):
+        terms = [const, lin * ua]
+        diag = [lin]
+        for ei, wt in zip(e, weights):
+            terms.append(g_site * wt * (1.0 + c * ei * ua) / (ei - ua))
+            diag.append(g_site * wt * (1.0 + c * ei * ei) / (ei - ua) ** 2)
+        for b, ub in enumerate(u):
+            if b != a:
+                terms.append(-g_pair * (1.0 + c * ub * ua) / (ub - ua))
+                diag.append(-g_pair * (1.0 + c * ub * ub) / (ub - ua) ** 2)
+                jac[a][b] = scale * g_pair * (1.0 + c * ua * ua) / (ub - ua) ** 2
+        jac[a][a] = scale * sum(diag)
+        res.append(sum(terms))
+        size.append(sum(abs(t) for t in terms))
+        jac_size.append(abs(scale) * sum(abs(t) for t in diag))
+    return np.array(res), np.array(jac), np.array(size), np.array(jac_size)
+
+
+def _separated(values, others, gap):
+    return all(abs(x - y) >= gap for i, x in enumerate(values)
+               for y in list(values[i + 1:]) + list(others))
+
+
+@st.composite
+def _kernel_cases(draw):
+    kind = draw(st.sampled_from([RATIONAL, TRIGONOMETRIC]))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    coord = st.floats(-2.0, 2.0)
+    sites = draw(st.lists(coord, min_size=m, max_size=m))
+    w = [complex(draw(coord), draw(st.floats(-1.0, 1.0))) for _ in range(n)]
+    assume(_separated(sites, [], 0.1) and _separated(w, sites, 0.1))
+    weights = draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 3.0]), min_size=m, max_size=m))
+    g_site = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.01, 0.5))
+    g_pair = draw(st.sampled_from([0.0, g_site, -0.3]))
+    const = draw(st.sampled_from([1.0, 1.3]))
+    lin = draw(st.sampled_from([0.0, -1.0, 0.6]))
+    scale = draw(st.sampled_from([1.0, -0.7, 1.9]))
+    return dict(kind=kind, sites=tuple(sites), weights=tuple(weights), g_site=g_site,
+                g_pair=g_pair, w=tuple(w), const=const, lin=lin, scale=scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_cases())
+def test_array_kernel_matches_the_scalar_reference(case):
+    res, max_abs, jac = rg_core._gaudin_residual(jacobian=True, **case)
+    ref, ref_jac, size, jac_size = _scalar_kernel(**case)
+    assert np.all(np.abs(res - ref) <= 1e-13 * size)
+    assert max_abs == np.max(np.abs(res))
+    # off the diagonal each entry is one term; on it, jac_size bounds the terms
+    bound = 1e-13 * np.maximum(np.abs(ref_jac), np.diag(jac_size))
+    assert np.all(np.abs(jac - ref_jac) <= bound)
+    if case["g_pair"] == 0.0:
+        assert np.count_nonzero(jac - np.diag(np.diag(jac))) == 0
+
+    def fn(v):
+        return rg_core.ResidualReport(*rg_core._gaudin_residual(
+            jacobian=False, **dict(case, w=tuple(v))))
+
+    fd = fd_jacobian(fn, case["w"], h=1e-6)
+    assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(jac_size))
+
+
+@pytest.mark.parametrize("family", RG_FAMILIES + DICKE_FAMILIES)
+@pytest.mark.parametrize("n", [1, 3])
+def test_residuals_without_a_jacobian_are_bitwise_the_same(family, n):
+    rng = np.random.default_rng(3)
+    for kind in (TRIGONOMETRIC, RATIONAL):
+        fn = _family_fn(family, kind, n)
+        w = rng.uniform(-1.5, 4.5, n) + 1j * rng.uniform(0.3, 1.2, n)
+        with_jac, without = fn(w), fn(w, jacobian=False)
+        assert with_jac.jacobian is not None and without.jacobian is None
+        assert without.residuals.tobytes() == with_jac.residuals.tobytes()
+        assert without.max_abs == with_jac.max_abs
+
+
+COLLISION_SITES = (1.0, 2.0)
+
+
+@pytest.mark.parametrize("w, pair", [
+    pytest.param((0.3, 2.0 + 5e-11), ("level", 1, 1), id="level"),
+    pytest.param((0.3, 0.7, 0.3 + 5e-11j), ("rapidity", 0, 2), id="rapidities"),
+    # rapidity 1 sits on level 0, but rapidity 0's partner comes first
+    pytest.param((0.4, 1.0, 0.4), ("rapidity", 0, 2), id="pair-before-level"),
+    pytest.param((1.0, 0.4, 0.4), ("level", 0, 0), id="level-before-pair"),
+])
+@pytest.mark.parametrize("scale", [1.0, -0.7])
+def test_a_collision_names_the_first_in_rapidity_order(w, pair, scale):
+    with pytest.raises(CollisionError) as exc:
+        rg_core._gaudin_residual(RATIONAL, COLLISION_SITES, (0.5, 0.5), -0.1, -0.1,
+                                 [complex(v) for v in w], True, scale=scale)
+    assert exc.value.pair == pair
+    # the families pass complex rapidities, and so the message names them
+    with pytest.raises(CollisionError) as ref:
+        algebra.check_collisions(COLLISION_SITES, [complex(v) for v in w])
+    assert str(exc.value) == str(ref.value)
+
+
+def test_collisions_are_tested_on_the_unscaled_coordinates():
+    args = (TRIGONOMETRIC, COLLISION_SITES, (0.5, 0.5), -0.1, -0.1)
+    # 5e-11 apart in w, 5e-9 apart in u = 100 w
+    with pytest.raises(CollisionError):
+        rg_core._gaudin_residual(*args, (0.3, 0.3 + 5e-11), False, scale=100.0)
+    # 2e-10 apart in w, 2e-11 apart in u = 0.1 w
+    res, _, _ = rg_core._gaudin_residual(*args, (0.3, 0.3 + 2e-10), False, scale=0.1)
+    assert np.all(np.isfinite(res))
+
+
+@pytest.mark.parametrize("family", RG_FAMILIES + DICKE_FAMILIES)
+def test_no_runtime_warning_with_one_rapidity_or_no_pair_coupling(family):
+    cases = [(_family_fn(family, kind, 1), (0.4 + 0.2j,))
+             for kind in (TRIGONOMETRIC, RATIONAL)]
+    cases.append((_family_fn(family, RATIONAL, 3), (0.4 + 0.2j, 1.5, 2.6 - 0.1j)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, w in cases:
+            fn(w)
+            fn(w, jacobian=False)
+        # g_pair = 0: the decoupled rows of both homotopies, and a free coupling
+        for n in (1, 3):
+            w = (0.4 + 0.2j, 1.5, 2.6 - 0.1j)[:n]
+            rg_core._gaudin_residual(TRIGONOMETRIC, (0.9, 2.1), (1.0, 2.0), 0.0, 0.0,
+                                     w, True)
+            tda_residual(simple_spec(kind=RATIONAL), RapiditySet(w, RG_ETA))
+            extended_dicke_residual(JC, 0.0, RapiditySet(w, DICKE_X))

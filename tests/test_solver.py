@@ -158,9 +158,9 @@ def _record_paths(monkeypatch):
     def recording(residual_at, t_start, t_end, values, policy):
         counts = Counter()
 
-        def counted(t, w):
+        def counted(t, w, jacobian=True):
             counts[(t, tuple(w))] += 1
-            return residual_at(t, w)
+            return residual_at(t, w, jacobian)
 
         path, status = driver(counted, t_start, t_end, values, policy)
         seed = (t_start, tuple(np.asarray(values, dtype=complex)))
@@ -196,6 +196,34 @@ def test_continue_path_evaluates_each_accepted_point_once(monkeypatch, case):
         # no point twice, the tangent's one-sided difference at the start of
         # the RG path (on the xi = 0 domain edge) included
         assert max(counts.values()) == 1
+
+
+@pytest.mark.parametrize("case", ["rg", "dicke"])
+def test_tangent_differences_request_no_jacobian(monkeypatch, case):
+    continue_path = solver._continue_path
+    paths, calls = [], []
+
+    def recording(residual_at, t_start, t_end, values, policy):
+        def flagged(t, w, jacobian=True):
+            calls.append((t, jacobian))
+            return residual_at(t, w, jacobian)
+
+        path, status = continue_path(flagged, t_start, t_end, values, policy)
+        paths.append(path)
+        return path, status
+
+    monkeypatch.setattr(solver, "_continue_path", recording)
+    if case == "rg":
+        solve_rg(RG4)
+    else:
+        solve_dicke_branch(M2, [0, 2])
+    newton = {t for t, jac in calls if jac}
+    differences = [t for t, jac in calls if not jac]
+    # one or two jacobian-free points beside each accepted point but the last,
+    # none of them a point that Newton iterates on
+    steps = sum(len(path) - 1 for path in paths)
+    assert steps <= len(differences) <= 2 * steps
+    assert newton.isdisjoint(differences)
 
 
 @pytest.mark.parametrize("pattern, xi_start", [([0, 2], 1.0), ([2, 2], 0.25)])
@@ -342,7 +370,7 @@ def test_a_secular_row_with_zero_base_has_only_its_finite_roots():
     spec = ModelSpec(LevelSet.from_spins((0.25, 0.75), (0.5, 0.5)), TRIGONOMETRIC, 1, 0.5)
     row = rg_core.deformed_rg_params(spec, 0.0)
     _, n, base, _ = rg_core.pole_form(**row)
-    assert base == 0.0 and n == [1.0625, 1.5625]
+    assert base == 0.0 and n.tolist() == [1.0625, 1.5625]
     # sum_i n_i/(e_i - u) = 0 at u = (0.75 n_1 + 0.25 n_2)/(n_1 + n_2) = 19/42
     assert solver._real_roots(row) == pytest.approx([19.0 / 42.0], rel=1e-15)
 
