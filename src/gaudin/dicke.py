@@ -137,7 +137,7 @@ def realize_deformed_charge0(spec, xi, boson_cutoff):
     label = algebra.grid_label(omega, omega, xi)
     basis = ed_oracle.HilbertBasis.deformed_dicke(spec, boson_cutoff, label)
     op = ed_oracle.realize(expr, basis)
-    return ed_oracle.MatrixOperator(spec.hbar_omega * op.csr, basis, hermitian=True)
+    return ed_oracle.MatrixOperator(spec.hbar_omega * op.coo, basis, hermitian=True)
 
 
 @dataclass(frozen=True)
@@ -157,13 +157,13 @@ class BetheProductState:
 
 
 def bethe_ladder(spec, boson_cutoff):
-    """The truncated Dicke basis and the CSR matrices of b' and of every S'_k
+    """The truncated Dicke basis and the sparse matrices of b' and of every S'_k
     on it: the operators bethe_coefficients applies, realized once for all
     the states of a spec."""
     basis = ed_oracle.HilbertBasis.dicke(spec, boson_cutoff)
 
     def raiser(symbol, level):
-        return ed_oracle.realize(OperatorExpression(((1.0, ((symbol, level),)),)), basis).csr
+        return ed_oracle.realize(OperatorExpression(((1.0, ((symbol, level),)),)), basis).coo
 
     return basis, raiser("bdag", None), [raiser("sp", k) for k in range(spec.m)]
 

@@ -1,11 +1,12 @@
 """Exact-diagonalization oracle on truncated tensor-product Hilbert spaces.
 
 Every operator, from a Dicke expression or an RG charge, is a sum of terms
-(coefficient, product of per-site symbols) realized as a sparse complex CSR
+(coefficient, product of per-site symbols) realized as a sparse complex
 matrix on the full truncated product basis by one routine, `_assemble`: it
-forms each term's Kronecker nonzeros by index arithmetic and builds one CSR
-from all of them.  Spectra are taken per excitation sector, densifying one
-sector block at a time, so the oracle reaches product spaces (m = 10
+forms each term's Kronecker nonzeros by index arithmetic and keeps all of
+them as one `CooMatrix`, canonical COO triplets on numpy arrays.  Spectra
+are taken per excitation sector, scattering one sector's entries into a
+dense block at a time, so the oracle reaches product spaces (m = 10
 spin-1/2 levels at boson cutoff 20, 21504 states) whose dense matrices would
 not fit in memory.  Spectra, commutator norms and eigenvector residuals
 anchor the numerical claims made by the solver.
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import algebra
 from .errors import (
@@ -85,8 +85,17 @@ class HilbertBasis:
         total = np.zeros(1)
         for f in self.factors:
             total = (total[:, None] + f.excitation_weights()[None, :]).ravel()
-        self._excitations = total.astype(int)
-        self._excitations.flags.writeable = False
+        self._index_sectors(total.astype(int))
+
+    def _index_sectors(self, excitations):
+        """Keep each state's excitation number and, from one stable argsort
+        of them, its position within its sector; both read-only."""
+        order = np.argsort(excitations, kind="stable")
+        ranked = excitations[order]
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order)) - np.searchsorted(ranked, ranked)
+        excitations.flags.writeable = position.flags.writeable = False
+        self._excitations, self._position = excitations, position
 
     @classmethod
     def dicke(cls, spec, boson_cutoff):
@@ -124,6 +133,11 @@ class HilbertBasis:
     def sector_indices(self, m_value):
         return np.nonzero(self.excitation_numbers() == m_value)[0]
 
+    def sector_positions(self):
+        """Position of every state within its sector's sector_indices;
+        computed once per basis, read-only."""
+        return self._position
+
 
 class RestrictedBasis(HilbertBasis):
     """Subspace of a HilbertBasis spanned by a fixed index set."""
@@ -133,38 +147,150 @@ class RestrictedBasis(HilbertBasis):
         self.indices = np.asarray(indices, dtype=int)
         self.factors = parent.factors
         self.total_dim = len(self.indices)
-        self._excitations = parent.excitation_numbers()[self.indices]
-        self._excitations.flags.writeable = False
+        self._index_sectors(parent.excitation_numbers()[self.indices])
+
+
+class CooMatrix:
+    """Sparse matrix as canonical COO triplets: `rows`, `cols` and `data`
+    sorted by (row, col), one entry per matrix element, no exact zeros.
+
+    It carries what the oracle needs and nothing more: products with a
+    vector (`np.bincount` over the rows, in column order within a row) and
+    with another CooMatrix, scalar multiples, differences, the conjugate
+    transpose `H`, entrywise moduli, restriction to an index set and a dense
+    copy.
+    """
+
+    __slots__ = ("rows", "cols", "data", "shape")
+    __array_ufunc__ = None  # a numpy scalar times a CooMatrix defers to __rmul__
+
+    def __init__(self, rows, cols, data, shape):
+        """Canonical form of triplets in any order: the entries that fall on
+        one element are summed in the order given, and exact zeros dropped."""
+        shape = (int(shape[0]), int(shape[1]))
+        key = np.asarray(rows, dtype=np.int64) * shape[1] + np.asarray(cols, dtype=np.int64)
+        data = np.asarray(data)
+        order = np.argsort(key, kind="stable")
+        key, data = key[order], data[order]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        if not first.all():
+            # a left-to-right sum per element (np.add.reduceat would sum
+            # complex runs pairwise)
+            key, data = key[first], _bincount(np.cumsum(first) - 1, data, np.count_nonzero(first))
+        keep = data != 0
+        self.rows, self.cols = np.divmod(key[keep], shape[1])
+        self.data = data[keep]
+        self.shape = shape
+
+    @classmethod
+    def from_dense(cls, mat):
+        rows, cols = np.nonzero(mat)
+        return cls(rows, cols, mat[rows, cols], mat.shape)
+
+    @property
+    def nnz(self):
+        return len(self.data)
+
+    @property
+    def H(self):
+        """Conjugate transpose."""
+        return CooMatrix(self.cols, self.rows, self.data.conj(), self.shape[::-1])
+
+    def __abs__(self):
+        return CooMatrix(self.rows, self.cols, np.abs(self.data), self.shape)
+
+    def __mul__(self, scalar):
+        return CooMatrix(self.rows, self.cols, scalar * self.data, self.shape)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        if self.shape != other.shape:
+            raise BasisMismatchError("operators live on different bases")
+        return CooMatrix(np.concatenate((self.rows, other.rows)),
+                         np.concatenate((self.cols, other.cols)),
+                         np.concatenate((self.data, -other.data)), self.shape)
+
+    def __matmul__(self, other):
+        if isinstance(other, CooMatrix):
+            return self._matmat(other)
+        vec = np.asarray(other)
+        if vec.shape != (self.shape[1],):
+            raise BasisMismatchError("vector length does not match the matrix")
+        return _bincount(self.rows, self.data * vec[self.cols], self.shape[0])
+
+    def _matmat(self, other):
+        """Every entry (i, k) of self times every entry (k, j) of other,
+        found through other's row starts and summed per element."""
+        if self.shape[1] != other.shape[0]:
+            raise BasisMismatchError("operators live on different bases")
+        starts = np.searchsorted(other.rows, np.arange(other.shape[0] + 1))
+        first, counts = starts[self.cols], np.diff(starts)[self.cols]
+        offset = np.cumsum(counts) - counts
+        take = np.repeat(first - offset, counts) + np.arange(counts.sum())
+        return CooMatrix(np.repeat(self.rows, counts), other.cols[take],
+                         np.repeat(self.data, counts) * other.data[take],
+                         (self.shape[0], other.shape[1]))
+
+    def restrict(self, indices):
+        """Sub-matrix on the given indices, in their order."""
+        indices = np.asarray(indices, dtype=np.int64)
+        where = np.full(self.shape[0], -1, dtype=np.int64)
+        where[indices] = np.arange(len(indices))
+        rows, cols = where[self.rows], where[self.cols]
+        keep = (rows >= 0) & (cols >= 0)
+        return CooMatrix(rows[keep], cols[keep], self.data[keep], (len(indices),) * 2)
+
+    def toarray(self):
+        dense = np.zeros(self.shape, dtype=self.data.dtype)
+        dense[self.rows, self.cols] = self.data
+        return dense
+
+
+def _bincount(bins, values, n):
+    """Sums of real or complex values per bin, each taken left to right."""
+    if not np.iscomplexobj(values):
+        return np.bincount(bins, values, n)
+    out = np.empty(n, dtype=complex)
+    out.real = np.bincount(bins, values.real, n)
+    out.imag = np.bincount(bins, values.imag, n)
+    return out
+
+
+def _max_abs(coo):
+    return float(np.abs(coo.data).max(initial=0.0))
 
 
 @dataclass
 class MatrixOperator:
-    """Complex matrix over a HilbertBasis, stored as CSR whether it is given
-    dense or sparse."""
+    """Complex matrix over a HilbertBasis, stored as a CooMatrix whether it
+    is given dense or sparse."""
 
-    csr: sparse.csr_array
+    coo: CooMatrix
     basis: HilbertBasis
     hermitian: bool = False
 
     def __post_init__(self):
-        self.csr = sparse.csr_array(self.csr, dtype=complex)
-        if self.csr.shape != (self.basis.total_dim, self.basis.total_dim):
+        if not isinstance(self.coo, CooMatrix):
+            self.coo = CooMatrix.from_dense(np.asarray(self.coo, dtype=complex))
+        if self.coo.shape != (self.basis.total_dim, self.basis.total_dim):
             raise BasisMismatchError("matrix dimension does not match basis")
         if self.hermitian:
-            dev = abs(self.csr - self.csr.conj().T).max()
-            if dev > 1e-12 * max(1.0, abs(self.csr).max()):
+            dev = _max_abs(self.coo - self.coo.H)
+            if dev > 1e-12 * max(1.0, _max_abs(self.coo)):
                 raise ValidationError(f"hermitian flag set but deviation is {dev:.3e}")
 
     @property
     def matrix(self):
         """Read-only dense copy of the whole operator."""
-        dense = self.csr.toarray()
+        dense = self.coo.toarray()
         dense.flags.writeable = False
         return dense
 
     def restrict(self, indices):
         """Sparse sub-matrix on the given basis indices."""
-        return self.csr[indices][:, indices]
+        return self.coo.restrict(indices)
 
 
 def _factor_index(basis, symbol, level):
@@ -205,14 +331,14 @@ def _kron_nonzeros(dims, per_site):
 
 
 def _assemble(terms, basis):
-    """CSR matrix of a sum of terms (coefficient, ((symbol, level), ...)).
+    """CooMatrix of a sum of terms (coefficient, ((symbol, level), ...)).
 
-    The Kronecker nonzeros of every term are concatenated into one CSR, which
-    adds up the entries that several terms place on one matrix element.
+    The Kronecker nonzeros of every term are concatenated into one CooMatrix,
+    which adds up the entries that several terms place on one matrix element.
     """
     dims = [f.dim for f in basis.factors]
     local = [_local_ops(f) for f in basis.factors]
-    parts = []
+    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, complex))]
     for coeff, factors in terms:
         per_site = [None] * len(dims)
         for symbol, level in factors:
@@ -225,11 +351,8 @@ def _assemble(terms, basis):
             per_site[idx] = op if per_site[idx] is None else per_site[idx] @ op
         r, c, v = _kron_nonzeros(dims, per_site)
         parts.append((r, c, coeff * v))
-    n = basis.total_dim
-    if not parts:
-        return sparse.csr_array((n, n), dtype=complex)
     rows, cols, data = (np.concatenate(a) for a in zip(*parts))
-    return sparse.csr_array((data, (rows, cols)), shape=(n, n))
+    return CooMatrix(rows, cols, data, (basis.total_dim,) * 2)
 
 
 def realize(expr, basis):
@@ -259,21 +382,20 @@ def sector_spectrum(op, m_value):
     """
     if not op.hermitian:
         raise ValidationError("sector_spectrum requires a hermitian operator")
-    idx = op.basis.sector_indices(m_value)
-    if len(idx) == 0:
+    basis, coo = op.basis, op.coo
+    dim = len(basis.sector_indices(m_value))
+    if dim == 0:
         return np.array([])
-    csr = op.csr
-    rows = csr[idx]
-    block = rows[:, idx]
-    inside = np.zeros(op.basis.total_dim, dtype=bool)
-    inside[idx] = True
-    # invariant iff neither the sector's rows nor its columns hold a nonzero off
-    # the block; both are checked, as the hermitian flag allows some asymmetry
-    n_block = np.count_nonzero(block.data)
-    if (np.count_nonzero(rows.data) != n_block
-            or np.count_nonzero(csr.data[inside[csr.indices]]) != n_block):
+    exc = basis.excitation_numbers()
+    in_rows = exc[coo.rows] == m_value
+    # invariant iff no entry has just one of its row and its column in the
+    # sector; both sides count, as the hermitian flag allows some asymmetry
+    if np.any(in_rows != (exc[coo.cols] == m_value)):
         raise ValidationError(f"operator links sector M = {m_value} to other sectors")
-    return np.sort(np.linalg.eigvalsh(block.toarray()))
+    pos = basis.sector_positions()
+    block = np.zeros((dim, dim), dtype=complex)
+    block[pos[coo.rows[in_rows]], pos[coo.cols[in_rows]]] = coo.data[in_rows]
+    return np.sort(np.linalg.eigvalsh(block))
 
 
 def restrict_to_closed_sectors(op):
@@ -295,9 +417,9 @@ def restrict_to_closed_sectors(op):
 
 def commutator_norm(a, b):
     """Frobenius norm of AB - BA."""
-    if a.csr.shape != b.csr.shape:
+    if a.coo.shape != b.coo.shape:
         raise BasisMismatchError("operators live on different bases")
-    c = a.csr @ b.csr - b.csr @ a.csr
+    c = a.coo @ b.coo - b.coo @ a.coo
     return float(np.linalg.norm(c.data))
 
 
@@ -313,11 +435,11 @@ def eigencheck(op, v):
     nv = np.linalg.norm(v)
     if nv == 0.0:
         raise ValidationError("eigencheck needs a nonzero vector")
-    ov = op.csr @ v
+    ov = op.coo @ v
     rayleigh = np.vdot(v, ov) / (nv * nv)
     if op.hermitian:
         rayleigh = rayleigh.real
-    scale = np.linalg.norm(abs(op.csr) @ np.abs(v))
+    scale = np.linalg.norm(abs(op.coo) @ np.abs(v))
     rel = np.linalg.norm(ov - rayleigh * v) / max(scale, 1e-300)
     return rayleigh, float(rel)
 

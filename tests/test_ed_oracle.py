@@ -2,11 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaudin import dicke, ed_oracle, rg_core
 from gaudin.algebra import LevelSet, RATIONAL, TRIGONOMETRIC, build_gaudin, grid_index
 from gaudin.dicke import OperatorExpression, build_dicke_hamiltonian, excitation_number
 from gaudin.ed_oracle import (
+    BOSON,
+    SPIN,
+    CooMatrix,
+    Factor,
     HilbertBasis,
     MatrixOperator,
     commutator_norm,
@@ -216,7 +222,7 @@ def test_basis_mismatch_errors():
 
 def test_empty_expression_realizes_to_zero():
     op = realize(OperatorExpression((), hermitian=True), HilbertBasis.spins([0.5, 1.0]))
-    assert op.csr.shape == (6, 6) and op.csr.nnz == 0
+    assert op.coo.shape == (6, 6) and op.coo.nnz == 0
 
 
 def test_mode_symbol_with_a_level_acts_on_that_boson():
@@ -240,7 +246,7 @@ def test_terms_on_one_matrix_element_add_up():
     basis = HilbertBasis.spins([1.0, 0.5])
     split = realize(OperatorExpression(((1.0, (("sz", 0),)), (2.0, (("sz", 0),)))), basis)
     whole = realize(OperatorExpression(((3.0, (("sz", 0),)),)), basis)
-    assert split.csr.nnz == whole.csr.nnz == 4
+    assert split.coo.nnz == whole.coo.nnz == 4
     assert np.array_equal(split.matrix, whole.matrix)
 
 
@@ -376,7 +382,7 @@ def test_sector_spectrum_at_m10_cutoff20():
     spec = DickeSpec(tuple(0.5 + 0.1 * k for k in range(10)), (0.5,) * 10, 0.2, 1.0, 3)
     ham = realize(build_dicke_hamiltonian(spec), HilbertBasis.dicke(spec, 20))
     assert ham.basis.total_dim == 21504
-    assert MatrixOperator(ham.csr, ham.basis, hermitian=True).hermitian
+    assert MatrixOperator(ham.coo, ham.basis, hermitian=True).hermitian
     ev = sector_spectrum(ham, 3)
     assert len(ev) == 176 and np.all(np.isfinite(ev))
 
@@ -393,3 +399,203 @@ def test_excitation_numbers_computed_once_per_basis():
     for m in range(4):
         assert np.array_equal(sub.sector_indices(m), np.nonzero(nums[keep] == m)[0])
         assert np.array_equal(keep[sub.sector_indices(m)], basis.sector_indices(m))
+
+
+def test_sector_positions_index_each_sector():
+    basis = HilbertBasis.dicke(DickeSpec((0.8, 1.3), (0.5, 1.0), 0.2, 1.0, 2), 3)
+    pos = basis.sector_positions()
+    assert basis.sector_positions() is pos and not pos.flags.writeable
+    for m in sorted(set(basis.excitation_numbers())):
+        idx = basis.sector_indices(m)
+        assert np.array_equal(idx, np.nonzero(basis.excitation_numbers() == m)[0])
+        assert np.array_equal(pos[idx], np.arange(len(idx)))
+
+
+@pytest.mark.parametrize("upward", [True, False], ids=["above-diagonal", "below-diagonal"])
+def test_sector_spectrum_refuses_a_one_way_link_for_both_sectors(upward):
+    # the entry sits in a row of one sector and a column of the other, so one
+    # sector meets it on its row side and the other on its column side
+    basis = HilbertBasis.dicke(JC, 2)
+    exc = basis.excitation_numbers()
+    low, high = basis.sector_indices(1)[0], basis.sector_indices(2)[0]
+    mat = np.diag(exc.astype(complex))
+    mat[(low, high) if upward else (high, low)] = 1e-14
+    op = MatrixOperator(mat, basis, hermitian=True)  # within the hermitian tolerance
+    for m in (1, 2):
+        with pytest.raises(ValidationError):
+            sector_spectrum(op, m)
+    assert np.array_equal(sector_spectrum(op, 0), [0.0])
+
+
+def test_sector_without_a_nonzero_entry_has_zero_eigenvalues():
+    basis = HilbertBasis.dicke(JC, 3)
+    zero = realize(OperatorExpression((), hermitian=True), basis)
+    for m in range(5):
+        assert np.array_equal(sector_spectrum(zero, m), np.zeros(len(basis.sector_indices(m))))
+    num = realize(OperatorExpression(((1.0, (("n", None),)),), hermitian=True), basis)
+    assert np.array_equal(sector_spectrum(num, 0), [0.0])
+    assert np.allclose(sector_spectrum(num, 1), [0.0, 1.0], atol=1e-15)
+
+
+def test_sector_spectrum_of_an_absent_excitation_number_is_empty():
+    ham = realize(build_dicke_hamiltonian(JC), HilbertBasis.dicke(JC, 2))
+    for m in (-1, 4, 99):
+        assert sector_spectrum(ham, m).shape == (0,)
+
+
+def test_sector_spectrum_never_densifies_the_operator(monkeypatch):
+    spec = DickeSpec((0.8, 1.3), (0.5, 1.0), 0.2, 1.0, 2)
+    ham = realize(build_dicke_hamiltonian(spec), HilbertBasis.dicke(spec, 4))
+    full = spectrum(ham)
+
+    def refuse(*args):
+        raise AssertionError("densified the whole operator")
+
+    monkeypatch.setattr(CooMatrix, "toarray", refuse)
+    pieces = [sector_spectrum(ham, m) for m in sorted(set(ham.basis.excitation_numbers()))]
+    assert np.allclose(np.sort(np.concatenate(pieces)), full, atol=1e-12)
+
+
+# -- the CooMatrix container against dense numpy -----------------------------
+
+
+def _dense_local(factor, symbol):
+    """Per-site matrix of a symbol, written out from the su(2) and Fock ladders."""
+    if factor.kind == BOSON:
+        up = np.diag(np.sqrt(np.arange(1.0, factor.dim)), -1)
+        return {"bdag": up, "b": up.T, "n": np.diag(np.arange(float(factor.dim)))}[symbol]
+    up, mu = _raising(factor.spin, factor.dim)
+    return {"sp": up, "sm": up.T, "sz": np.diag(mu)}[symbol]
+
+
+def _dense_terms(expr, basis):
+    """The operator and the entrywise sum of its terms' moduli, by np.kron."""
+    dims = [f.dim for f in basis.factors]
+    ref = np.zeros((basis.total_dim,) * 2, dtype=complex)
+    size = np.zeros(ref.shape)
+    for coeff, factors in expr.terms:
+        ops = {}
+        for symbol, level in factors:
+            i = 0 if level is None else level + 1
+            ops[i] = ops.get(i, np.eye(dims[i])) @ _dense_local(basis.factors[i], symbol)
+        term = _on(dims, ops)
+        ref += coeff * term
+        size += abs(coeff) * np.abs(term)
+    return ref, size
+
+
+@st.composite
+def _operator_cases(draw):
+    """A boson mode and one or two spin levels, with random complex terms."""
+    cutoff = draw(st.integers(0, 3))
+    spins = draw(st.lists(st.sampled_from([0.5, 1.0, 1.5]), min_size=1, max_size=2))
+    factors = [Factor(BOSON, cutoff + 1)] + [Factor(SPIN, int(2 * s + 1), s) for s in spins]
+    part = st.floats(-2.0, 2.0, allow_subnormal=False)
+    symbol_lists = [st.sampled_from([(), ("bdag",), ("b",), ("n",), ("bdag", "b")])] + [
+        st.sampled_from([(), ("sp",), ("sm",), ("sz",), ("sp", "sm")]) for _ in spins]
+
+    def terms():
+        out = []
+        for _ in range(draw(st.integers(0, 6))):
+            coeff = complex(draw(part), draw(st.sampled_from([0.0, draw(part)])))
+            picked = [(sym, None if i == 0 else i - 1)
+                      for i, lst in enumerate(symbol_lists) for sym in draw(lst)]
+            out.append((coeff, tuple(picked)))
+            if draw(st.booleans()):  # the same product again, cancelling or adding
+                out.append((draw(st.sampled_from([-coeff, 0.5 * coeff])), tuple(picked)))
+        return tuple(out)
+
+    basis = HilbertBasis(factors)
+    a, b = OperatorExpression(terms()), OperatorExpression(terms())
+    seed = draw(st.integers(0, 2**32 - 1))
+    return basis, a, b, seed
+
+
+def _assert_canonical(coo):
+    key = coo.rows * coo.shape[1] + coo.cols
+    assert np.all(np.diff(key) > 0)
+    assert np.all(coo.data != 0)
+    assert np.all((0 <= coo.rows) & (coo.rows < coo.shape[0]))
+    assert np.all((0 <= coo.cols) & (coo.cols < coo.shape[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_coo_sums_duplicates_and_drops_exact_zeros(n_rows, n_cols, data):
+    # small integer parts sum exactly in any order, so a cancelling pair
+    # leaves an exact zero
+    n = data.draw(st.integers(0, 30))
+    rows = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=n, max_size=n))
+    cols = data.draw(st.lists(st.integers(0, n_cols - 1), min_size=n, max_size=n))
+    parts = data.draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                               min_size=n, max_size=n))
+    values = np.array([complex(re, im) for re, im in parts], dtype=complex)
+    coo = CooMatrix(rows, cols, values, (n_rows, n_cols))
+    dense = np.zeros((n_rows, n_cols), dtype=complex)
+    np.add.at(dense, (np.array(rows, dtype=int), np.array(cols, dtype=int)), values)
+    _assert_canonical(coo)
+    assert coo.nnz == np.count_nonzero(dense)
+    assert np.array_equal(coo.toarray(), dense)
+
+
+def test_coo_sums_each_element_left_to_right():
+    # the summation order the CSR assembly used for rows of up to 16 entries;
+    # numpy's pairwise sums would round these differently
+    rng = np.random.default_rng(5)
+    values = (rng.normal(size=12) + 1j * rng.normal(size=12)) * 10.0 ** rng.integers(-8, 9, 12)
+
+    def left_to_right(vals):
+        total = 0j
+        for v in vals:
+            total += v
+        return total
+
+    coo = CooMatrix(np.zeros(12), np.zeros(12), values, (1, 1))
+    assert coo.nnz == 1 and coo.data[0] == left_to_right(values)
+    dense = CooMatrix([1, 0] * 6, [0, 1] * 6, values, (2, 2)).toarray()
+    assert dense[0, 1] == left_to_right(values[1::2])
+    assert dense[1, 0] == left_to_right(values[::2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operator_cases())
+def test_coo_operator_matches_dense_numpy(case):
+    basis, expr_a, expr_b, seed = case
+    rng = np.random.default_rng(seed)
+    a, b = realize(expr_a, basis), realize(expr_b, basis)
+    ref_a, size_a = _dense_terms(expr_a, basis)
+    ref_b, size_b = _dense_terms(expr_b, basis)
+    _assert_canonical(a.coo)
+    # entries: each is a sum of the terms' products, good to their moduli
+    assert np.all(np.abs(a.matrix - ref_a) <= 1e-13 * size_a)
+    assert a.coo.nnz == np.count_nonzero(a.matrix)
+
+    v = rng.normal(size=basis.total_dim) + 1j * rng.normal(size=basis.total_dim)
+    assert np.all(np.abs(a.coo @ v - ref_a @ v) <= 1e-13 * (size_a @ np.abs(v)))
+
+    dense_comm = ref_a @ ref_b - ref_b @ ref_a
+    bound = np.linalg.norm(size_a @ size_b + size_b @ size_a)
+    assert abs(commutator_norm(a, b) - np.linalg.norm(dense_comm)) <= 1e-13 * bound
+
+    idx = rng.permutation(basis.total_dim)[:rng.integers(0, basis.total_dim + 1)]
+    sub = a.restrict(idx)
+    _assert_canonical(sub)
+    assert np.array_equal(sub.toarray(), a.matrix[np.ix_(idx, idx)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_operator_cases(), st.sampled_from([0.25, 1.0]))
+def test_hermitian_check_tolerates_under_1e_12(case, fraction):
+    basis, expr, _, seed = case
+    ref, _ = _dense_terms(expr, basis)
+    herm = ref + ref.conj().T  # exactly hermitian
+    i = np.random.default_rng(seed).integers(basis.total_dim)
+    scale = max(1.0, np.abs(herm).max())
+    bent = herm.copy()
+    bent[i, i] += 1j * fraction * 1e-12 * scale  # A - A^H reads twice this
+    for given_as in (bent, CooMatrix.from_dense(bent)):
+        if fraction < 0.5:
+            assert MatrixOperator(given_as, basis, hermitian=True).hermitian
+        else:
+            with pytest.raises(ValidationError):
+                MatrixOperator(given_as, basis, hermitian=True)

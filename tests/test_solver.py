@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -392,14 +393,38 @@ def test_a_near_critical_trigonometric_row_gains_a_far_root():
     assert final.values[0] == pytest.approx(0.62678907141414208, rel=1e-12)
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    code = ("import gaudin.cli, sys; "
-            "print([m in sys.modules for m in ('scipy.optimize', 'scipy.linalg')])")
+_SCIPY_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import gaudin.cli
+after_import = scipy_modules()
+codes = [gaudin.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"import": after_import, "main": scipy_modules(), "codes": codes}))
+"""
+
+
+def test_the_program_loads_no_scipy_module(tmp_path):
+    dicke_spec = tmp_path / "dicke.spec"
+    dicke_spec.write_text("model = dicke\nepsilons = [0.8, 1.3]\nspins = [0.5, 1.0]\n"
+                          "G = 0.2\nhbar_omega = 1.0\nN = 2\n")
+    rg_spec = tmp_path / "rg.spec"
+    rg_spec.write_text("model = rg\nkind = rational\netas = [1.0, 2.0, 3.0]\n"
+                       "spins = [0.5, 0.5, 0.5]\ng = -0.1\nN = 1\n")
+    calls = [["--mode", mode, "--spec", str(spec), "--out", str(tmp_path / f"{i}.out")]
+             for i, (mode, spec) in enumerate([("ed-spectrum", dicke_spec),
+                                               ("solve-dicke", dicke_spec),
+                                               ("ed-spectrum", rg_spec)])]
+    # a subprocess: the pytest process itself has loaded scipy.sparse to
+    # resolve a warning filter
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "[False, False]"
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(calls)],
+                         capture_output=True, text=True, env=env, check=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0, 0, 0]
+    assert result["import"] == []
+    assert result["main"] == []
 
 
 def _bethe_vector(spec, rapidities, basis):
@@ -411,7 +436,7 @@ def _bethe_vector(spec, rapidities, basis):
             (algebra.pair_x(spec.kind, eta, x), (("sp", i),))
             for i, eta in enumerate(spec.levels.etas)
         ))
-        vec = ed_oracle.realize(create, basis).csr @ vec
+        vec = ed_oracle.realize(create, basis).coo @ vec
     return vec / np.linalg.norm(vec)
 
 
@@ -436,8 +461,8 @@ def test_rg_repeated_roots_reach_every_state(spec):
         vec = _bethe_vector(spec, final, basis)
         eigenvalues = []
         for op in charges:
-            q = np.vdot(vec, op.csr @ vec).real
-            assert np.linalg.norm(op.csr @ vec - q * vec) <= 1e-9
+            q = np.vdot(vec, op.coo @ vec).real
+            assert np.linalg.norm(op.coo @ vec - q * vec) <= 1e-9
             eigenvalues.append(q)
         if not any(np.allclose(eigenvalues, e, atol=1e-7) for e in states):
             states.append(eigenvalues)
