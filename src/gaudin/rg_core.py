@@ -3,7 +3,9 @@
 All residual evaluators return a ResidualReport carrying the residual vector,
 its max modulus, and the analytic Jacobian with respect to the rapidities
 (holomorphic derivative matrix; the residuals are holomorphic in the complex
-rapidities for fixed model parameters).
+rapidities for fixed model parameters).  Each takes its rapidities as a
+RapiditySet, whose frame it checks, or as a complex array in its frame, which
+it uses as is: the solver's continuation passes its iterate that way.
 """
 
 from __future__ import annotations
@@ -125,9 +127,14 @@ class ResidualReport:
     jacobian: np.ndarray | None = None
 
 
-def _require_frame(r, frame):
+def _values(r, frame):
+    """The rapidities of r: a RapiditySet's values, once its frame is checked,
+    or r itself, a complex array taken to be in `frame`."""
+    if not isinstance(r, RapiditySet):
+        return r
     if r.frame != frame:
         raise ValidationError(f"expected rapidities in frame {frame!r}, got {r.frame!r}")
+    return r.values
 
 
 def pole_form(kind, sites, weights, g_site, const=1.0, lin=0.0, scale=1.0):
@@ -219,10 +226,10 @@ def secular_row(w, kind, sites, weights, g_site, const=1.0, lin=0.0, scale=1.0):
 
 def rg_residual(spec, r, jacobian=True):
     """Bethe equations 1 + g sum_i Z_{ia} s_i - g sum_{b!=a} Z_{ba} = 0."""
-    _require_frame(r, RG_ETA)
+    w = _values(r, RG_ETA)
     g = spec.coupling_g
     return ResidualReport(*_gaudin_residual(
-        spec.kind, spec.levels.etas, spec.levels.spins, g, g, r.values, jacobian
+        spec.kind, spec.levels.etas, spec.levels.spins, g, g, w, jacobian
     ))
 
 
@@ -234,11 +241,11 @@ def deformed_rg_residual(spec, xi, r, jacobian=True):
     """
     if not 0.0 <= xi <= 1.0:
         raise DomainError(f"xi = {xi} outside [0, 1]")
-    _require_frame(r, RG_ETA)
-    p = deformed_rg_params(spec, xi)
-    return ResidualReport(
-        *_gaudin_residual(g_pair=p["g_site"] * xi, w=r.values, jacobian=jacobian, **p)
-    )
+    w = _values(r, RG_ETA)
+    p, row = _deformed_point(spec, float(xi))
+    return ResidualReport(*_gaudin_residual(
+        g_pair=p["g_site"] * xi, w=w, jacobian=jacobian, row=row, **p
+    ))
 
 
 def deformed_rg_params(spec, xi):
@@ -252,21 +259,28 @@ def deformed_rg_params(spec, xi):
                 g_site=spec.coupling_g)
 
 
+@functools.lru_cache(maxsize=64)
+def _deformed_point(spec, xi):
+    """deformed_rg_params at one xi and the kernel's row for them, built
+    once, as _extended_point does for the Dicke family."""
+    p = deformed_rg_params(spec, xi)
+    return p, _site_sum(**p)
+
+
 def tda_residual(spec, r, jacobian=True):
     """Decoupled secular equations 1 + g sum_i Z_{ia} Omega_i = 0."""
-    _require_frame(r, RG_ETA)
-    return ResidualReport(*_gaudin_residual(
-        g_pair=0.0, w=r.values, jacobian=jacobian, **deformed_rg_params(spec, 0.0)
-    ))
+    w = _values(r, RG_ETA)
+    p, row = _deformed_point(spec, 0.0)
+    return ResidualReport(*_gaudin_residual(g_pair=0.0, w=w, jacobian=jacobian, row=row, **p))
 
 
 def dicke_rg_residual(spec, r, jacobian=True):
     """Dicke equations (hw - x_a) - 2G^2 sum_k s_k/(eps_k - x_a)
     + 2G^2 sum_{b!=a} 1/(x_b - x_a) = 0, in energy units."""
-    _require_frame(r, DICKE_X)
+    w = _values(r, DICKE_X)
     p, row = _dicke_point(spec)
     return ResidualReport(*_gaudin_residual(
-        g_pair=p["g_site"], w=r.values, jacobian=jacobian, row=row, **p
+        g_pair=p["g_site"], w=w, jacobian=jacobian, row=row, **p
     ))
 
 
@@ -307,14 +321,14 @@ def deformed_dicke_residual(spec, xi, r, jacobian=True):
     This is extended_dicke_residual at tau = 1.  hbar_omega * residual
     converges to dicke_rg_residual as xi -> 0.
     """
-    _require_frame(r, DICKE_X)
+    w = _values(r, DICKE_X)
     if xi == 0.0:
         raise ContractionLimitError(
             "xi = 0 is the exact contraction limit; use dicke_rg_residual"
         )
     p, row = _extended_point(spec, 1.0, float(xi))
     return ResidualReport(*_gaudin_residual(
-        g_pair=p["g_site"], w=r.values, jacobian=jacobian, row=row, **p
+        g_pair=p["g_site"], w=w, jacobian=jacobian, row=row, **p
     ))
 
 
@@ -350,10 +364,10 @@ def extended_dicke_residual(spec, tau, r, xi=1.0, jacobian=True):
     rapidities escape to infinity there (the deformed copy is too small to hold
     them) are seeded at a smaller xi instead.
     """
-    _require_frame(r, DICKE_X)
+    w = _values(r, DICKE_X)
     if not 0.0 <= tau <= 1.0:
         raise DomainError(f"tau = {tau} outside [0, 1]")
     p, row = _extended_point(spec, float(tau), float(xi))
     return ResidualReport(*_gaudin_residual(
-        g_pair=p["g_site"] * tau, w=r.values, jacobian=jacobian, row=row, **p
+        g_pair=p["g_site"] * tau, w=w, jacobian=jacobian, row=row, **p
     ))

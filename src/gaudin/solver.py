@@ -5,9 +5,13 @@ decoupled secular equation (rg_core.secular_row with a family's kernel
 parameters) are the eigenvalues of a symmetric matrix (_real_roots), they
 seed a damped-Newton corrector, and one adaptive first-order
 predictor-corrector, _continue_path, tracks the solution along the homotopy
-parameter to the coupled equations.  It
-evaluates every accepted point once, in the corrector, and takes the
-predictor's tangent from that evaluation.  The RG path runs xi 0 -> 1
+parameter to the coupled equations.  It evaluates every accepted point
+once, in the corrector, and takes the predictor's tangent from that
+evaluation and one Jacobian-free evaluation ahead.  Each Jacobian is inverted
+once (_inverse): the inverse gives the step and, through the Frobenius
+condition number, the decision to refuse it; an SVD runs only when that
+number cannot decide.  The closures hand their complex arrays straight to
+the rg_core families.  The RG path runs xi 0 -> 1
 (continue_in_xi); the Dicke path runs tau 0 -> 1 and then xi down to 0
 (solve_dicke_branch).  Both families have a secular row affine in their
 parameter and a rapidity coupling proportional to it, so one rule,
@@ -104,24 +108,54 @@ def _ill_conditioned(jac, limit):
     return not s[0] <= limit * s[-1] or s[-1] == 0.0
 
 
+def _frobenius(a):
+    """|a|_F as a Python float, from one BLAS call: a near-singular inverse
+    overflows it to inf (or nan), and products of Python floats overflow to
+    inf without the RuntimeWarning of numpy scalars; either refuses."""
+    return math.sqrt(np.vdot(a, a).real)
+
+
+def _inverse(jac, limit):
+    """jac^-1, or None when jac is singular or cond(jac) > limit.
+
+    One inverse serves both the step and the decision: the Frobenius
+    condition number cond_F = |J|_F |J^-1|_F bounds the 2-norm one, cond_2 <=
+    cond_F <= n cond_2, so cond_F <= limit/2 accepts and cond_F > 2 n limit
+    refuses for certain, the factor 2 covering the round-off of the computed
+    inverse.  Only in between does _ill_conditioned's SVD decide.
+    """
+    try:
+        inv = np.linalg.inv(jac)
+    except np.linalg.LinAlgError:
+        return None
+    cond = _frobenius(jac) * _frobenius(inv)
+    if cond <= 0.5 * limit:
+        return inv
+    if not cond <= 2.0 * len(jac) * limit or _ill_conditioned(jac, limit):
+        return None
+    return inv
+
+
 def newton_solve(residual_fn, w0, tol=1e-10):
     """Damped Newton iteration on a holomorphic residual system.
 
     residual_fn maps a complex rapidity array to a ResidualReport with an
-    analytic Jacobian; w0 is the complex starting array.  Returns
-    (values, report, iterations).
+    analytic Jacobian; w0 is the complex starting array.  Each iteration
+    inverts its Jacobian once (_inverse), for the step and for the condition
+    test, and refuses a Jacobian whose condition number exceeds 1e14.
+    Returns (values, report, iterations).
     """
     w = np.array(w0, dtype=complex)
     report = residual_fn(w)
     if report.max_abs <= tol:
         return w, report, 0
     for it in range(1, MAX_NEWTON_ITERS + 1):
-        jac = report.jacobian
-        if _ill_conditioned(jac, 1e14):
+        inv = _inverse(report.jacobian, 1e14)
+        if inv is None:
             raise SingularJacobianError(
                 f"Jacobian condition estimate exceeds 1e14 at iteration {it}"
             )
-        step = np.linalg.solve(jac, report.residuals)
+        step = inv @ report.residuals
         # damping: halve the step while it fails to reduce the residual
         scale = 1.0
         for _ in range(12):
@@ -321,24 +355,22 @@ def _continue_path(residual_at, t_start, t_end, values, policy):
 
 
 def _tangent(residual_at, t, values, here, direction):
-    """Path tangent dvalues/dt = -J^-1 dF/dt at an accepted point, with J from
-    its report `here` and dF/dt by finite differences, each point evaluated
-    once and without a Jacobian; None (keep the point as the prediction) when
-    the point ahead lies outside the domain or J is ill-conditioned."""
+    """Path tangent dvalues/dt = -J^-1 dF/dt at an accepted point, with J and
+    F from its report `here` and dF/dt the one-sided difference to one
+    Jacobian-free evaluation a step h ahead.  Every family but the outer
+    Dicke path is affine in its parameter, so the difference is exact up to
+    round-off; there its O(h) error is far below the Euler predictor's own.
+    None (keep the point as the prediction) when the point ahead lies outside
+    the domain or J's condition number exceeds 1e12 (_inverse)."""
+    inv = _inverse(here.jacobian, 1e12)
+    if inv is None:
+        return None
     h = max(1e-7, 1e-7 * abs(t))
     try:
         ahead = residual_at(t + direction * h, values, False).residuals
-        try:
-            behind = residual_at(t - direction * h, values, False).residuals
-            dfdt = direction * (ahead - behind) / (2.0 * h)
-        except DomainError:
-            # one-sided difference at a domain edge behind the path
-            dfdt = direction * (ahead - here.residuals) / h
-        if _ill_conditioned(here.jacobian, 1e12):
-            return None
-        return np.linalg.solve(here.jacobian, -dfdt)
-    except (CollisionError, DomainError, np.linalg.LinAlgError):
+    except (CollisionError, DomainError):
         return None
+    return inv @ (direction * (here.residuals - ahead) / h)
 
 
 def _trace(path, status, frame):
@@ -362,8 +394,7 @@ def continue_in_xi(spec, policy, r_start):
     xi = CLUSTER_T0."""
 
     def residual_at(xi, w, jacobian=True):
-        return rg_core.deformed_rg_residual(spec, xi, RapiditySet(tuple(w), RG_ETA),
-                                            jacobian)
+        return rg_core.deformed_rg_residual(spec, xi, w, jacobian)
 
     xi0, seeds = _cluster_seeds(rg_core.deformed_rg_params(spec, 0.0),
                                 rg_core.deformed_rg_params(spec, 1.0), r_start.as_array())
@@ -412,17 +443,13 @@ def solve_dicke_branch(spec, occupation, policy=None, xi_start=1.0):
     x_seed = _assign_pattern(roots, spec.n_excitations, occupation)
 
     def inner(tau, w, jacobian=True):
-        return rg_core.extended_dicke_residual(
-            spec, tau, RapiditySet(tuple(w), DICKE_X), xi_start, jacobian
-        )
+        return rg_core.extended_dicke_residual(spec, tau, w, xi_start, jacobian)
 
     def outer(xi, w, jacobian=True):
-        return rg_core.deformed_dicke_residual(
-            spec, xi, RapiditySet(tuple(w), DICKE_X), jacobian
-        )
+        return rg_core.deformed_dicke_residual(spec, xi, w, jacobian)
 
     def exact(w):
-        return rg_core.dicke_rg_residual(spec, RapiditySet(tuple(w), DICKE_X))
+        return rg_core.dicke_rg_residual(spec, w)
 
     tau0, x_seed = _cluster_seeds(rg_core.extended_dicke_params(spec, 0.0, xi_start),
                                   rg_core.extended_dicke_params(spec, 1.0, xi_start), x_seed)
@@ -546,7 +573,7 @@ def _evb_branches(spec, policy):
     tol = evb.distinct_tol(ends[ok])
 
     def exact(w):
-        return rg_core.dicke_rg_residual(spec, RapiditySet(tuple(w), DICKE_X))
+        return rg_core.dicke_rg_residual(spec, w)
 
     kept = np.empty((len(candidates), len(spec.epsilons)), dtype=complex)
     branches = []

@@ -367,21 +367,24 @@ def test_solve_rg_reaches_the_state_of_a_doubly_occupied_level(tmp_path):
     assert cli.main(["--mode", "verify", "--spec", out, "--out", checked]) == 0
 
 
-def test_solve_rg_at_the_benchmark_shape(tmp_path):
-    # the large-N shape of the rg-large benchmark: rational, spin 1, m = 48,
-    # N = 24, levels on a jittered grid over [0.6, 1.4]
+def _benchmark_shape_spec():
+    """The large-N shape of the rg-large benchmark: rational, spin 1, m = 48,
+    N = 24, levels on a jittered grid over [0.6, 1.4]."""
     rng = np.random.default_rng(48)
     h = 0.8 / 47
     etas = 0.6 + h * np.arange(48) + rng.uniform(-0.25, 0.25, 48) * h
-    text = (
+    return (
         "model = rg\nkind = rational\n"
         f"etas = [{', '.join(repr(float(e)) for e in etas)}]\n"
         f"spins = [{', '.join(['1.0'] * 48)}]\n"
         "g = -0.15\nN = 24\n"
     )
+
+
+def test_solve_rg_at_the_benchmark_shape(tmp_path):
     out = str(tmp_path / "large.txt")
-    assert cli.main(["--mode", "solve-rg", "--spec", _write(tmp_path, "large.spec", text),
-                     "--out", out]) == 0
+    path = _write(tmp_path, "large.spec", _benchmark_shape_spec())
+    assert cli.main(["--mode", "solve-rg", "--spec", path, "--out", out]) == 0
     kv = {k: v for s, k, v in _parse_doc(open(out).read()) if s == "branch 0"}
     assert kv["trace_status"] == "converged"
     x = np.array([cli._parse_complex_pair(kv["rapidity_%d" % a]) for a in range(24)])
@@ -389,3 +392,31 @@ def test_solve_rg_at_the_benchmark_shape(tmp_path):
     assert np.min(gaps) > 1e-6
     checked = str(tmp_path / "verify.txt")
     assert cli.main(["--mode", "verify", "--spec", out, "--out", checked]) == 0
+
+
+def test_solve_rg_at_the_benchmark_shape_pins_its_work(tmp_path, monkeypatch):
+    # every residual call is a Newton evaluation or the one Jacobian-free
+    # evaluation ahead of an accepted point, and no SVD runs: every Jacobian
+    # on this path is decided by its Frobenius condition number alone
+    spec = parse_spec(_write(tmp_path, "large.spec", _benchmark_shape_spec()))
+    family, newton, svd = rg_core.deformed_rg_residual, solver.newton_solve, np.linalg.svd
+    counts = dict(residual=0, newton=0, svd=0)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def counting_newton(residual_fn, w0, tol=1e-10):
+        return newton(counted("newton", residual_fn), w0, tol)
+
+    monkeypatch.setattr(rg_core, "deformed_rg_residual", counted("residual", family))
+    monkeypatch.setattr(solver, "newton_solve", counting_newton)
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    final, trace = solver.solve_rg(spec)
+    assert trace.status == "converged"
+    steps = len(trace.path) - 1
+    assert steps > 0
+    assert counts["residual"] == counts["newton"] + steps
+    assert counts["svd"] == 0

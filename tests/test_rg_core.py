@@ -220,6 +220,13 @@ DICKE_FAMILIES = ("dicke", "deformed_dicke", "extended_dicke")
 
 def _family_fn(family, kind, n):
     """The residual of one family at fixed model parameters, as fn(w, jacobian)."""
+    call, frame = _family_call(family, kind, n)
+    return lambda v, jacobian=True: call(RapiditySet(tuple(v), frame), jacobian)
+
+
+def _family_call(family, kind, n):
+    """The residual of one family at fixed model parameters, as call(r,
+    jacobian), and the frame of its rapidities."""
     ls = LevelSet.from_spins((0.9, 2.1, 3.3), (0.5, 1.0, 0.5))
     mspec = ModelSpec(ls, kind or TRIGONOMETRIC, n, -0.12)
     dspec = DickeSpec((0.8, 1.3), (0.5, 0.5), 0.2, 1.0, n)
@@ -231,8 +238,21 @@ def _family_fn(family, kind, n):
         "deformed_dicke": lambda r, jac: deformed_dicke_residual(dspec, 0.3, r, jac),
         "extended_dicke": lambda r, jac: extended_dicke_residual(dspec, 0.4, r, jacobian=jac),
     }
-    frame = RG_ETA if family in RG_FAMILIES else DICKE_X
-    return lambda v, jacobian=True: calls[family](RapiditySet(tuple(v), frame), jacobian)
+    return calls[family], RG_ETA if family in RG_FAMILIES else DICKE_X
+
+
+@pytest.mark.parametrize("family", RG_FAMILIES + DICKE_FAMILIES)
+def test_families_take_a_complex_array_in_their_frame(family):
+    # the solver's closures pass their iterate as an array: the same report
+    # as its RapiditySet, and a set in the other frame is still refused
+    call, frame = _family_call(family, TRIGONOMETRIC, 3)
+    w = np.array([0.4 + 0.3j, 1.7 - 0.6j, 2.6 + 0.2j])
+    by_set, by_array = call(RapiditySet(tuple(w), frame), True), call(w, True)
+    assert by_array.residuals.tobytes() == by_set.residuals.tobytes()
+    assert by_array.jacobian.tobytes() == by_set.jacobian.tobytes()
+    other = DICKE_X if frame == RG_ETA else RG_ETA
+    with pytest.raises(ValidationError):
+        call(RapiditySet(tuple(w), other), False)
 
 
 def _jacobian_cases():
