@@ -6,12 +6,18 @@ its max modulus, and the analytic Jacobian with respect to the rapidities
 rapidities for fixed model parameters).  Each takes its rapidities as a
 RapiditySet, whose frame it checks, or as a complex array in its frame, which
 it uses as is: the solver's continuation passes its iterate that way.
+
+The three homotopy families (deformed RG in xi, extended Dicke in tau,
+deformed Dicke in xi) are affine in their parameter t, F(t, w) = A(w) +
+t B(w).  Each keeps the kernel rows of its two ends on the spec, built once,
+evaluates the row at t, and reports the exact rate B = dF/dt with it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +55,11 @@ class ModelSpec:
             raise ValidationError("n_excitations must be >= 1")
         if not np.isfinite(self.coupling_g):
             raise ValidationError("coupling g must be finite")
+
+    @functools.cached_property
+    def _xi_family(self):
+        """deformed_rg_residual's rows (_rg_family), built on first use."""
+        return _rg_family(self)
 
 
 @dataclass(frozen=True)
@@ -94,6 +105,23 @@ class DickeSpec:
                     for j in range(min(len(ways) + top, self.n_excitations + 1))]
         return sum(ways)
 
+    # the residual families' rows, built on first use and kept on the spec,
+    # so that no evaluation hashes it
+    @functools.cached_property
+    def _dicke(self):
+        """dicke_rg_residual's row (_dicke_row)."""
+        return _dicke_row(self)
+
+    @functools.cached_property
+    def _xi_family(self):
+        """deformed_dicke_residual's rows (_single_copy_family)."""
+        return _single_copy_family(self)
+
+    @functools.cached_property
+    def _tau_families(self):
+        """extended_dicke_residual's rows by xi (_tau_family)."""
+        return {}
+
 
 @dataclass(frozen=True)
 class RapiditySet:
@@ -120,11 +148,13 @@ class RapiditySet:
 
 @dataclass
 class ResidualReport:
-    """Residual vector, its max modulus, and (optionally) the analytic Jacobian."""
+    """Residual vector, its max modulus, and (optionally) the analytic Jacobian
+    and, for a family at a point t of its homotopy, the rate dF/dt."""
 
     residuals: np.ndarray
     max_abs: float
     jacobian: np.ndarray | None = None
+    rate: np.ndarray | None = None
 
 
 def _values(r, frame):
@@ -151,101 +181,146 @@ def pole_form(kind, sites, weights, g_site, const=1.0, lin=0.0, scale=1.0):
     return e, n, base, lin
 
 
-def _site_sum(kind, sites, weights, g_site, const=1.0, lin=0.0, scale=1.0):
-    """u -> (r, dr/du) with r = const + lin*u + g_site sum_i weights_i Z(e_i, u),
-    e = scale*sites, elementwise on an array u, from its pole_form: one array
-    of divisions n_i/(e_i - u), with the sites on its last axis, summed over
-    that axis."""
-    e, num, base, lin = pole_form(kind, sites, weights, g_site, const, lin, scale)
+class _Row(NamedTuple):
+    """The kernel's parameters in the rapidities' own frame w:
 
-    def row(u):
-        d = e - u[..., None]
-        q = num / d
-        return base + lin * u + q.sum(-1), lin + (q / d).sum(-1)
+        r_a = base + lin*w_a + sum_i n_i/(e_i - w_a)
+              - g_pair sum_{b != a} (1 + c w_a w_b)/(w_b - w_a)
+    """
 
-    return row
+    e: np.ndarray
+    n: np.ndarray
+    base: float
+    lin: float
+    g_pair: float
+    c: float
+
+
+def _row(kind, sites, weights, g_site, g_pair, const=1.0, lin=0.0, scale=1.0):
+    """The _Row of the kernel at u = scale*w (_gaudin_residual): the pole form
+    in u, and the pair Z(u_b, u_a) = (1 + c u_a u_b)/(u_b - u_a), rewritten in
+    w.  At scale = 1 every entry is the pole form's own."""
+    _, n, base, lin = pole_form(kind, sites, weights, g_site, const, lin, scale)
+    c = 0.0 if kind == algebra.RATIONAL else 1.0
+    return _Row(np.asarray(sites, dtype=float), n / scale, float(base), float(lin * scale),
+                float(g_pair / scale), float(c * scale * scale))
+
+
+def _evaluate(row, w, jacobian, rate=None):
+    """The one residual kernel behind every family, on a _Row, as numpy
+    reductions: the site sum over an (N, m) array of rapidity-site terms, the
+    pair sum and its Jacobian over the (N, N) array of rapidity pairs, whose
+    diagonal is masked.  Collisions are found by one reduction over each
+    array; algebra.check_collisions then names the first in rapidity order.
+    With g_pair == 0 the pair sum is skipped, so the Jacobian is exactly
+    diagonal.  `rate`, a _Row of parameter differences, adds the kernel's
+    derivative along them, the dF/dt of a family affine in t, from the same
+    arrays.  Returns (residuals, max modulus, Jacobian or None, rate or
+    None)."""
+    e, n, base, lin, g_pair, c = row
+    w = np.asarray(w, dtype=complex)
+    d = e - w[:, None]  # d[a, i] = e_i - w_a
+    dw = w - w[:, None]  # dw[a, b] = w_b - w_a
+    np.fill_diagonal(dw, np.inf)  # masks b == a: |dw| = inf and 1/dw = 0 there
+    if np.abs(d).min() < algebra.COLLISION_TOL or np.abs(dw).min() < algebra.COLLISION_TOL:
+        algebra.check_collisions(e, w)
+    q = n / d
+    res = base + lin * w + q.sum(-1)
+    diag = lin + (q / d).sum(-1) if jacobian else None
+    dres = None if rate is None else rate.base + rate.lin * w + (rate.n / d).sum(-1)
+    jac = None
+    if g_pair or (rate is not None and (rate.g_pair or rate.c)):
+        inv = 1.0 / dw  # 1/(w_b - w_a)
+        ww = np.multiply.outer(w, w)
+        num = 1.0 + c * ww  # 1 + c w_a w_b
+        pair = (num * inv).sum(1)
+        if rate is not None:
+            dres = dres - rate.g_pair * pair
+            if rate.c:
+                dres = dres - (g_pair * rate.c) * (ww * inv).sum(1)
+        if g_pair:
+            res = res - g_pair * pair
+            if jacobian:
+                # dr_a/dw_b = g_pair (1 + c w_a^2)/(w_b - w_a)^2 off the
+                # diagonal, and dr_a/dw_a gains -sum_b g_pair (1 + c w_b^2)/(w_b - w_a)^2
+                dd = g_pair * inv * inv
+                p = num.diagonal()
+                jac = dd * p[:, None]
+                np.fill_diagonal(jac, diag - dd @ p)
+    if jacobian and jac is None:
+        jac = np.diag(diag)
+    return res, float(np.abs(res).max()), jac, dres
 
 
 def _gaudin_residual(kind, sites, weights, g_site, g_pair, w, jacobian,
-                     const=1.0, lin=0.0, scale=1.0, row=None):
-    """The one residual kernel behind every family:
+                     const=1.0, lin=0.0, scale=1.0):
+    """The kernel in its Gaudin form:
 
         r_a = const + lin*u_a + g_site sum_i weights_i Z(e_i, u_a)
               - g_pair sum_{b != a} Z(u_b, u_a)
 
     at u = scale*w, e = scale*sites, with Z(u, v) = (1 + c u v)/(u - v), c = 0
-    (rational) or 1 (trigonometric), as numpy reductions: the site sum over an
-    (N, m) array of rapidity-site terms (_site_sum), the pair sum and its
-    Jacobian over the (N, N) array of rapidity pairs, whose diagonal is
-    masked.  Collisions are found on the unscaled coordinates, by one
-    reduction over each array; algebra.check_collisions then names the first
-    in rapidity order.  Returns (residuals, max modulus, Jacobian in w or
+    (rational) or 1 (trigonometric), evaluated on its _Row in w, where the
+    collisions are tested.  Returns (residuals, max modulus, Jacobian in w or
     None); the Jacobian in w is scale times the holomorphic derivative in u.
-    With g_pair == 0 the pair sum is skipped, so the Jacobian is exactly
-    diagonal.  A caller that evaluates one parameter set many times passes
-    its _site_sum row as `row`.
     """
-    w = np.asarray(w, dtype=complex)
-    dw = w - w[:, None]  # dw[a, b] = w_b - w_a
-    np.fill_diagonal(dw, np.inf)  # masks b == a: |dw| = inf and 1/dw = 0 there
-    if (np.abs(w[:, None] - np.asarray(sites, dtype=float)).min() < algebra.COLLISION_TOL
-            or np.abs(dw).min() < algebra.COLLISION_TOL):
-        algebra.check_collisions(sites, w)
-    if row is None:
-        row = _site_sum(kind, sites, weights, g_site, const, lin, scale)
-    u = scale * w
-    res, diag = row(u)
-    jac = None
-    if g_pair:
-        c = 0.0 if kind == algebra.RATIONAL else 1.0
-        inv = 1.0 / dw / scale  # 1/(u_b - u_a)
-        num = 1.0 + c * np.multiply.outer(u, u)  # 1 + c u_a u_b
-        res = res - g_pair * (num * inv).sum(1)
-        if jacobian:
-            # dr_a/du_b = g_pair (1 + c u_a^2)/(u_b - u_a)^2 off the diagonal,
-            # and dr_a/du_a gains -sum_b g_pair (1 + c u_b^2)/(u_b - u_a)^2
-            dd = (scale * g_pair) * inv * inv
-            p = num.diagonal()
-            jac = dd * p[:, None]
-            np.fill_diagonal(jac, scale * diag - dd @ p)
-    elif jacobian:
-        jac = np.diag(scale * diag)
-    return res, float(np.abs(res).max()), jac
+    row = _row(kind, sites, weights, g_site, g_pair, const, lin, scale)
+    return _evaluate(row, w, jacobian)[:3]
+
+
+class _Homotopy:
+    """A family affine in its parameter t, F(t, w) = A(w) + t B(w): its rows
+    at t = 0 and t = 1, built once per spec, and their difference, the row of
+    the rate B = dF/dt.  The row at t interpolates the two ends, which it
+    reproduces exactly at t = 0 and t = 1."""
+
+    __slots__ = ("ends", "rate")
+
+    def __init__(self, row0, row1):
+        self.ends = (row0, row1)
+        self.rate = _Row(row0.e, *(b - a for a, b in zip(row0[1:], row1[1:])))
+
+    def report(self, t, w, jacobian):
+        """The family's ResidualReport at the Python float t, with its rate."""
+        row0, row1 = self.ends
+        s = 1.0 - t
+        row = _Row(row0.e, s * row0.n + t * row1.n,
+                   *(a if a == b else s * a + t * b for a, b in zip(row0[2:], row1[2:])))
+        return ResidualReport(*_evaluate(row, w, jacobian, self.rate))
 
 
 def secular_row(w, kind, sites, weights, g_site, const=1.0, lin=0.0, scale=1.0):
     """The kernel's row for one rapidity with no partner, the decoupled
     secular equation r(w) = const + lin*u + g_site sum_i weights_i Z(e_i, u)
     at u = scale*w.  Elementwise on a scalar or an array w (real w and
-    parameters give a real row); returns (r, dr/dw).  Poles are not checked.
+    parameters give a real row), from its pole_form: one array of divisions
+    n_i/(e_i - u), with the sites on its last axis, summed over that axis.
+    Returns (r, dr/dw).  Poles are not checked.
     """
-    row = _site_sum(kind, sites, weights, g_site, const, lin, scale)
-    r, dr = row(scale * np.asarray(w))
-    return r, scale * dr
+    e, num, base, lin = pole_form(kind, sites, weights, g_site, const, lin, scale)
+    u = scale * np.asarray(w)
+    d = e - u[..., None]
+    q = num / d
+    return base + lin * u + q.sum(-1), scale * (lin + (q / d).sum(-1))
 
 
 def rg_residual(spec, r, jacobian=True):
-    """Bethe equations 1 + g sum_i Z_{ia} s_i - g sum_{b!=a} Z_{ba} = 0."""
-    w = _values(r, RG_ETA)
-    g = spec.coupling_g
-    return ResidualReport(*_gaudin_residual(
-        spec.kind, spec.levels.etas, spec.levels.spins, g, g, w, jacobian
-    ))
+    """Bethe equations 1 + g sum_i Z_{ia} s_i - g sum_{b!=a} Z_{ba} = 0: the
+    deformed RG family's row at xi = 1."""
+    return ResidualReport(*_evaluate(spec._xi_family.ends[1], _values(r, RG_ETA), jacobian))
 
 
 def deformed_rg_residual(spec, xi, r, jacobian=True):
     """Pseudo-deformed equations 1 + g sum_i Z_{ia} xi*s_i(xi) - g xi sum Z_{ba} = 0.
 
+    Affine in xi: each weight xi*s_i(xi) = Omega_i + xi (s_i - Omega_i) and the
+    rapidity coupling xi*g are, so the report carries the exact rate dF/dxi.
     Reduces to rg_residual at xi = 1 and to tda_residual at xi = 0 exactly
-    (same kernel, identical arguments).
+    (the same rows, the same kernel).
     """
     if not 0.0 <= xi <= 1.0:
         raise DomainError(f"xi = {xi} outside [0, 1]")
-    w = _values(r, RG_ETA)
-    p, row = _deformed_point(spec, float(xi))
-    return ResidualReport(*_gaudin_residual(
-        g_pair=p["g_site"] * xi, w=w, jacobian=jacobian, row=row, **p
-    ))
+    return spec._xi_family.report(float(xi), _values(r, RG_ETA), jacobian)
 
 
 def deformed_rg_params(spec, xi):
@@ -259,38 +334,29 @@ def deformed_rg_params(spec, xi):
                 g_site=spec.coupling_g)
 
 
-@functools.lru_cache(maxsize=64)
-def _deformed_point(spec, xi):
-    """deformed_rg_params at one xi and the kernel's row for them, built
-    once, as _extended_point does for the Dicke family."""
-    p = deformed_rg_params(spec, xi)
-    return p, _site_sum(**p)
+def _rg_family(spec):
+    """deformed_rg_residual's rows at xi = 0 (the TDA) and xi = 1 (RG)."""
+    return _Homotopy(*(_row(g_pair=spec.coupling_g * xi, **deformed_rg_params(spec, xi))
+                       for xi in (0.0, 1.0)))
 
 
 def tda_residual(spec, r, jacobian=True):
-    """Decoupled secular equations 1 + g sum_i Z_{ia} Omega_i = 0."""
-    w = _values(r, RG_ETA)
-    p, row = _deformed_point(spec, 0.0)
-    return ResidualReport(*_gaudin_residual(g_pair=0.0, w=w, jacobian=jacobian, row=row, **p))
+    """Decoupled secular equations 1 + g sum_i Z_{ia} Omega_i = 0: the
+    deformed RG family's row at xi = 0."""
+    return ResidualReport(*_evaluate(spec._xi_family.ends[0], _values(r, RG_ETA), jacobian))
 
 
 def dicke_rg_residual(spec, r, jacobian=True):
     """Dicke equations (hw - x_a) - 2G^2 sum_k s_k/(eps_k - x_a)
     + 2G^2 sum_{b!=a} 1/(x_b - x_a) = 0, in energy units."""
-    w = _values(r, DICKE_X)
-    p, row = _dicke_point(spec)
-    return ResidualReport(*_gaudin_residual(
-        g_pair=p["g_site"], w=w, jacobian=jacobian, row=row, **p
-    ))
+    return ResidualReport(*_evaluate(spec._dicke, _values(r, DICKE_X), jacobian))
 
 
-@functools.lru_cache(maxsize=64)
-def _dicke_point(spec):
-    """dicke_rg_residual's kernel parameters and row, which the spec fixes,
-    built once per spec."""
-    p = dict(kind=algebra.RATIONAL, sites=np.asarray(spec.epsilons), weights=spec.spins,
-             g_site=-2.0 * spec.coupling_G**2, const=spec.hbar_omega, lin=-1.0)
-    return p, _site_sum(**p)
+def _dicke_row(spec, unit=1.0):
+    """dicke_rg_residual's row divided by `unit`."""
+    g2 = -2.0 * spec.coupling_G**2 / unit
+    return _row(algebra.RATIONAL, spec.epsilons, spec.spins, g2, g2,
+                const=spec.hbar_omega / unit, lin=-1.0 / unit)
 
 
 def contraction_scales(spec, xi):
@@ -318,18 +384,30 @@ def deformed_dicke_residual(spec, xi, r, jacobian=True):
     residual_a = 1 + g Z_{0a} s0(xi) + g sum_k Z_{ka} s_k - g sum_{b!=a} Z_{ba},
     with Z entries from the trigonometric parametrization at the rescaled
     coordinates eta = -lam * energy and Z_{0a} = eta_a (eta_0 -> infinity row).
-    This is extended_dicke_residual at tau = 1.  hbar_omega * residual
-    converges to dicke_rg_residual as xi -> 0.
+    This is extended_dicke_residual at tau = 1.  In x it is exactly affine in
+    xi, since lam^2 = 2 xi / (OMEGA0 G^2) and g s0 lam = 1/hbar_omega:
+
+        hbar_omega residual_a = dicke_rg_residual_a
+            + xi (4/OMEGA0) [sum_k s_k eps_k x_a/(x_a - eps_k)
+                             - sum_{b!=a} x_a x_b/(x_a - x_b)],
+
+    so it converges to dicke_rg_residual / hbar_omega as O(xi), and the
+    report carries the exact rate dF/dxi.  Its rows are the Dicke row over
+    hbar_omega at xi = 0 and the single copy at xi = 1.
     """
-    w = _values(r, DICKE_X)
     if xi == 0.0:
         raise ContractionLimitError(
             "xi = 0 is the exact contraction limit; use dicke_rg_residual"
         )
-    p, row = _extended_point(spec, 1.0, float(xi))
-    return ResidualReport(*_gaudin_residual(
-        g_pair=p["g_site"], w=w, jacobian=jacobian, row=row, **p
-    ))
+    if not 0.0 < xi <= 1.0:
+        raise DomainError(f"xi = {xi} outside (0, 1]")
+    return spec._xi_family.report(float(xi), _values(r, DICKE_X), jacobian)
+
+
+def _single_copy_family(spec):
+    """deformed_dicke_residual's rows in x: the contraction limit at xi = 0
+    and the extended family's tau = 1 row at xi = 1."""
+    return _Homotopy(_dicke_row(spec, spec.hbar_omega), _tau_family(spec, 1.0).ends[1])
 
 
 def extended_dicke_params(spec, tau, xi=1.0):
@@ -343,15 +421,15 @@ def extended_dicke_params(spec, tau, xi=1.0):
                 weights=weights, g_site=g, lin=g * w0, scale=-lam)
 
 
-@functools.lru_cache(maxsize=64)
-def _extended_point(spec, tau, xi):
-    """extended_dicke_params at one homotopy point and the kernel's row for
-    them, built once: a continuation evaluates each point several times
-    (Newton iterations, line-search trials).  Callers key it on Python
-    floats, so a numpy and a Python float of one value share an entry."""
-    p = extended_dicke_params(spec, tau, xi)
-    # every caller of this point shares p: callers only read it
-    return p, _site_sum(**p)
+def _tau_family(spec, xi):
+    """extended_dicke_residual's rows in x at tau = 0 and 1, for one xi (a
+    Python float), built once per spec and xi."""
+    families = spec._tau_families
+    if xi not in families:
+        ends = [extended_dicke_params(spec, tau, xi) for tau in (0.0, 1.0)]
+        families[xi] = _Homotopy(*(_row(g_pair=p["g_site"] * tau, **p)
+                                   for tau, p in zip((0.0, 1.0), ends)))
+    return families[xi]
 
 
 def extended_dicke_residual(spec, tau, r, xi=1.0, jacobian=True):
@@ -359,15 +437,14 @@ def extended_dicke_residual(spec, tau, r, xi=1.0, jacobian=True):
 
     At tau = 1 this equals deformed_dicke_residual(spec, xi, ...); at tau = 0
     the rapidity coupling vanishes and the level weights are promoted to their
-    degeneracies, leaving one decoupled secular equation per rapidity.  The
-    default xi = 1 seeds the top of the deformation family; branches whose
-    rapidities escape to infinity there (the deformed copy is too small to hold
-    them) are seeded at a smaller xi instead.
+    degeneracies, leaving one decoupled secular equation per rapidity.  Every
+    weight and the rapidity coupling are affine in tau, so the report carries
+    the exact rate dF/dtau.  The default xi = 1 seeds the top of the
+    deformation family; branches whose rapidities escape to infinity there
+    (the deformed copy is too small to hold them) are seeded at a smaller xi
+    instead.
     """
     w = _values(r, DICKE_X)
     if not 0.0 <= tau <= 1.0:
         raise DomainError(f"tau = {tau} outside [0, 1]")
-    p, row = _extended_point(spec, float(tau), float(xi))
-    return ResidualReport(*_gaudin_residual(
-        g_pair=p["g_site"] * tau, w=w, jacobian=jacobian, row=row, **p
-    ))
+    return _tau_family(spec, float(xi)).report(float(tau), w, jacobian)

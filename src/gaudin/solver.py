@@ -7,17 +7,17 @@ seed a damped-Newton corrector, and one adaptive first-order
 predictor-corrector, _continue_path, tracks the solution along the homotopy
 parameter to the coupled equations.  It evaluates every accepted point
 once, in the corrector, and takes the predictor's tangent from that
-evaluation and one Jacobian-free evaluation ahead.  Each Jacobian is inverted
-once (_inverse): the inverse gives the step and, through the Frobenius
-condition number, the decision to refuse it; an SVD runs only when that
-number cannot decide.  The closures hand their complex arrays straight to
-the rg_core families.  The RG path runs xi 0 -> 1
-(continue_in_xi); the Dicke path runs tau 0 -> 1 and then xi down to 0
-(solve_dicke_branch).  Both families have a secular row affine in their
-parameter and a rapidity coupling proportional to it, so one rule,
-_cluster_seeds, splits rapidities that share a root, at CLUSTER_T0.  A
-ContinuationPolicy sets the Newton tolerance and the largest step; the rest
-of the step control is fixed below.
+evaluation alone: every family it tracks is affine in its parameter and
+reports its exact rate dF/dt.  Each Jacobian is inverted once (_inverse):
+the inverse gives the step and, through the Frobenius condition number, the
+decision to refuse it; an SVD runs only when that number cannot decide.  The
+closures hand their complex arrays straight to the rg_core families.  The RG
+path runs xi 0 -> 1 (continue_in_xi); the Dicke path runs tau 0 -> 1 and
+then xi down to 0 (solve_dicke_branch).  Both inner families have a secular
+row affine in their parameter and a rapidity coupling proportional to it, so
+one rule, _cluster_seeds, splits rapidities that share a root, at
+CLUSTER_T0.  A ContinuationPolicy sets the Newton tolerance and the largest
+step; the rest of the step control is fixed below.
 
 enumerate_dicke_branches picks its method from the spins.  A level of spin
 s counts as 2 s spin-1/2 levels a small spacing apart (split_delta,
@@ -25,7 +25,8 @@ split_levels); while there are at most twelve of those, it tracks the
 eigenvalue-based homotopy (evb) of the split spec and polishes the physical
 endpoints on the Dicke equations of the spec itself.  Otherwise, or when the
 levels are too close for any spacing, it runs solve_dicke_branch over every
-occupation pattern, on a ladder of xi starts.
+occupation pattern, on a ladder of xi starts.  Either method stops once it
+holds as many distinct states as the sector has (DickeSpec.sector_dimension).
 """
 
 from __future__ import annotations
@@ -315,9 +316,9 @@ def tda_roots_dicke(spec, xi=1.0):
 
 def _continue_path(residual_at, t_start, t_end, values, policy):
     """Predictor-corrector tracking of residual_at(t, values) = 0 from t_start
-    to t_end; residual_at(t, values, jacobian) returns a ResidualReport, with
-    its Jacobian when `jacobian` is true.  Returns ([(t, values, max_abs),
-    ...], status)."""
+    to t_end; residual_at(t, values) returns a ResidualReport with its
+    Jacobian and its rate dF/dt.  Returns ([(t, values, max_abs), ...],
+    status)."""
     tol = policy.newton_tol
     values, report, _ = newton_solve(lambda w: residual_at(t_start, w), values, tol)
     path = [(t_start, values, report.max_abs)]
@@ -325,7 +326,7 @@ def _continue_path(residual_at, t_start, t_end, values, policy):
     t = t_start
     step = policy.initial_step
     while (t_end - t) * direction > 0.0:
-        tangent = _tangent(residual_at, t, values, report, direction)
+        tangent = _tangent(report)
         # retry from (t, values) with shrinking steps until the corrector lands
         while True:
             step = min(step, abs(t_end - t))
@@ -354,23 +355,14 @@ def _continue_path(residual_at, t_start, t_end, values, policy):
     return path, "converged"
 
 
-def _tangent(residual_at, t, values, here, direction):
-    """Path tangent dvalues/dt = -J^-1 dF/dt at an accepted point, with J and
-    F from its report `here` and dF/dt the one-sided difference to one
-    Jacobian-free evaluation a step h ahead.  Every family but the outer
-    Dicke path is affine in its parameter, so the difference is exact up to
-    round-off; there its O(h) error is far below the Euler predictor's own.
-    None (keep the point as the prediction) when the point ahead lies outside
-    the domain or J's condition number exceeds 1e12 (_inverse)."""
+def _tangent(here):
+    """Path tangent dvalues/dt = -J^-1 dF/dt at an accepted point, from its
+    report `here`: J and the family's exact rate dF/dt, which every family
+    on a path reports (each is affine in its parameter, the outer Dicke path
+    in the x frame included).  None (keep the point as the prediction) when
+    J's condition number exceeds 1e12 (_inverse)."""
     inv = _inverse(here.jacobian, 1e12)
-    if inv is None:
-        return None
-    h = max(1e-7, 1e-7 * abs(t))
-    try:
-        ahead = residual_at(t + direction * h, values, False).residuals
-    except (CollisionError, DomainError):
-        return None
-    return inv @ (direction * (here.residuals - ahead) / h)
+    return None if inv is None else -(inv @ here.rate)
 
 
 def _trace(path, status, frame):
@@ -557,58 +549,79 @@ def _evb_branches(spec, policy):
 
     Each endpoint whose Heine-Stieltjes residual is at most evb.CANDIDATE_TOL
     seeds newton_solve on the Dicke equations of the spec with the roots of
-    its polynomial, the most physical first; a converged state is kept unless
-    its eigenvalue-based variables repeat a kept one's.  The physical
-    endpoints (evb.PHYSICAL_TOL) give the states; the rest of the candidates
-    recover a state whose endpoint sits where solutions nearly meet, and
-    whose residual is then no better than a spurious neighbour's.  Of a
-    split level's states, those of its lower multiplets fail the polish or
-    repeat a kept state.
+    its polynomial; a converged state is kept unless its eigenvalue-based
+    variables repeat a kept one's.  The physical endpoints (evb.PHYSICAL_TOL)
+    give the states; the rest of the candidates recover a state whose
+    endpoint sits where solutions nearly meet, and whose residual is then no
+    better than a spurious neighbour's.  Of a split level's states, those of
+    its lower multiplets are exact split-spec solutions that fail the polish
+    or repeat a kept state, and their split partners sit far apart in U
+    (_partner_spread: 8.9, about 4 G^2/delta, on the benchmark's spin-1 spec,
+    against at most 0.023 for its states).  So the candidates are polished
+    by spread, then most physical first (the order of rel alone on spin-1/2
+    specs, where the spread is 0), and polishing stops once the sector is
+    full: the kept states have distinct eigenvalue-based variables, so no
+    later candidate can be new.
     """
     split, owner = split_levels(spec, split_delta(spec))
     flipped, ends, ok = evb.Quadratics(split).solve()
     roots, rel = evb.heine_stieltjes(split, ends)
     candidates = np.nonzero(ok & (rel <= evb.CANDIDATE_TOL))[0]
-    candidates = candidates[np.argsort(rel[candidates], kind="stable")]
+    spread = _partner_spread(ends[candidates], owner)
+    candidates = candidates[np.lexsort((rel[candidates], spread))]
     tol = evb.distinct_tol(ends[ok])
+    full = spec.sector_dimension()
 
     def exact(w):
         return rg_core.dicke_rg_residual(spec, w)
 
     kept = np.empty((len(candidates), len(spec.epsilons)), dtype=complex)
     branches = []
+    polished = 0
     for p in candidates:
+        if len(branches) == full:
+            break
+        polished += 1
         try:
-            values = _polish(exact, roots[p], policy.newton_tol)
+            values, report = _polish(exact, roots[p], policy.newton_tol)
         except (ConvergenceError, SingularJacobianError, CollisionError):
             continue
         u = evb.eigenvalue_variables(spec, values)
         if np.any(np.max(np.abs(kept[:len(branches)] - u), axis=1) <= tol):
             continue
         kept[len(branches)] = u
-        final = RapiditySet(tuple(values), DICKE_X)
         branches.append({
             "evb_start": [int(k) for k in owner[flipped[p]]],
-            "rapidities": final,
-            "report": rg_core.dicke_rg_residual(spec, final, jacobian=False),
+            "rapidities": RapiditySet(tuple(values), DICKE_X),
+            "report": report,
         })
-    log.debug("evb: %d of %d endpoints tracked, %d physical, %d candidates, %d states",
+    log.debug("evb: %d of %d endpoints tracked, %d physical, %d candidates, %d states; "
+              "%d polished, %d left once the sector was full",
               int(np.sum(ok)), len(ok), int(np.sum(rel[candidates] <= evb.PHYSICAL_TOL)),
-              len(candidates), len(branches))
+              len(candidates), len(branches), polished, len(candidates) - polished)
     return branches
 
 
+def _partner_spread(ends, owner):
+    """Per endpoint (rows of ends, U of the split spec), the largest |U_j -
+    U_k| between two split levels j, k of one original level (owner); 0 when
+    no level is split."""
+    j, k = np.nonzero(np.triu(owner[:, None] == owner[None, :], 1))
+    return np.abs(ends[:, j] - ends[:, k]).max(axis=1, initial=0.0)
+
+
 def _polish(residual_fn, w0, tol):
-    """newton_solve from w0; a stall counts as converged when the best
-    iterate's residuals are at their round-off floor (ROUNDOFF_ULPS)."""
+    """newton_solve from w0, returning (values, their report); a stall counts
+    as converged when the best iterate's residuals are at their round-off
+    floor (ROUNDOFF_ULPS)."""
     try:
-        return newton_solve(residual_fn, w0, tol)[0]
+        return newton_solve(residual_fn, w0, tol)[:2]
     except ConvergenceError as err:
         report = residual_fn(err.best)
         floor = ROUNDOFF_ULPS * np.finfo(float).eps * (
             np.abs(report.jacobian) @ np.abs(err.best))
         if np.all(np.abs(report.residuals) <= np.maximum(floor, tol)):
-            return err.best
+            return err.best, report
         raise
 
 
@@ -619,7 +632,8 @@ def _ladder_branches(spec, policy):
     Patterns that fail at xi_start = 1 (typically branches escaping to
     infinity because the deformed copy is too small) or converge onto an
     already-found branch are retried at smaller xi_start values, where the
-    larger deformed copy holds every finite solution.
+    larger deformed copy holds every finite solution.  No pattern is tried
+    once the sector is full.
     """
     from itertools import combinations_with_replacement
 
@@ -627,6 +641,7 @@ def _ladder_branches(spec, policy):
     n_roots = len(tda_roots_dicke(spec, XI_START_LADDER[0]))
     pending = list(combinations_with_replacement(range(n_roots), n))
     branches = []
+    full = spec.sector_dimension()
 
     def attempt(pattern, xi_start):
         try:
@@ -640,7 +655,12 @@ def _ladder_branches(spec, policy):
         if not pending:
             break
         still = []
-        for pattern in pending:
+        for i, pattern in enumerate(pending):
+            if len(branches) == full:
+                log.debug("ladder: the sector is full at %d states; %d patterns left "
+                          "at xi_start %g", full, len(pending) - i, xi_start)
+                still = []
+                break
             res = attempt(pattern, xi_start)
             if res is None:
                 still.append(pattern)

@@ -420,7 +420,118 @@ def test_evb_rounds_are_logged_at_debug(caplog):
     with caplog.at_level(logging.DEBUG, logger="gaudin"):
         solver.enumerate_dicke_branches(DickeSpec((0.8, 1.3), (0.5, 0.5), 0.2, 1.0, 2))
     assert "evb round 0: 4 paths" in caplog.text
-    assert "4 physical, 4 candidates, 4 states" in caplog.text
+    assert "4 physical, 4 candidates, 4 states; 4 polished, 0 left once the sector was full" \
+        in caplog.text
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="gaudin"):
+        solver.enumerate_dicke_branches(SPIN_ONE_ENUM)
+    assert "evb round 0: 8 paths" in caplog.text
+    assert "8 physical, 8 candidates, 6 states; 6 polished, 2 left once the sector was full" \
+        in caplog.text
+
+
+# the dicke-enum benchmark's spin-1 spec at seed 0: two of its eight
+# candidates are lower-multiplet states of the split level
+SPIN_ONE_ENUM = DickeSpec((0.5005841988931976, 0.8942121808717152), (1.0, 0.5),
+                          0.11495974335047272, 0.6948516132892497, 3)
+
+
+def test_a_full_sector_stops_the_polish_before_the_lower_multiplets(monkeypatch):
+    spec = SPIN_ONE_ENUM
+    runs = _record_solve(monkeypatch)
+    calls, starts = [], []
+    residual, polish = rg_core.dicke_rg_residual, solver._polish
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("jacobian", args[2] if len(args) > 2 else True))
+        return residual(*args, **kwargs)
+
+    def recorded(residual_fn, w0, tol):
+        starts.append(np.array(w0))
+        return polish(residual_fn, w0, tol)
+
+    monkeypatch.setattr(rg_core, "dicke_rg_residual", counted)
+    monkeypatch.setattr(solver, "_polish", recorded)
+    branches = solver.enumerate_dicke_branches(spec)
+    assert len(branches) == spec.sector_dimension() == 6
+    assert len(calls) <= 40
+    # every call is a Newton evaluation: a kept state's report is its polish's
+    assert all(calls)
+    # which endpoints were polished, and the largest |U_j - U_k| between the
+    # two split levels of the spin-1 level at each
+    delta = solver.split_delta(spec)
+    split, owner = solver.split_levels(spec, delta)
+    [(flipped, ends, ok)] = runs
+    roots, rel = evb.heine_stieltjes(split, ends)
+    candidates = [p for p in range(len(ends)) if ok[p] and rel[p] <= evb.CANDIDATE_TOL]
+    pair = [j for j in range(split.m) if owner[j] == 0]
+    assert len(pair) == 2
+    spread = {p: abs(ends[p, pair[0]] - ends[p, pair[1]]) for p in candidates}
+    polished = [p for w0 in starts for p in candidates if np.array_equal(roots[p], w0)]
+    assert len(polished) == len(starts) == 6
+    bound = spec.coupling_G**2 / delta
+    assert all(spread[p] < bound for p in polished)
+    # the lower multiplets were candidates and were left unpolished
+    assert sum(spread[p] >= bound for p in candidates) == 2
+
+
+def _mixed_spec(seed):
+    """A spec of one to three levels on a grid of spacing 0.25, jittered,
+    spins 1/2 to 3/2 with at least one above 1/2, N = 1 to 3."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 4))
+    spins = tuple(float(s) for s in rng.choice([0.5, 1.0, 1.5], m))
+    if max(spins) == 0.5:
+        spins = (1.0,) + spins[1:]
+    eps = np.sort(0.5 + 0.25 * rng.permutation(5)[:m] + rng.uniform(-0.05, 0.05, m))
+    return DickeSpec(tuple(eps), spins, float(rng.uniform(0.1, 0.3)),
+                     float(rng.uniform(0.8, 1.3)), int(rng.integers(1, 4)))
+
+
+def test_the_sector_stop_changes_no_result(monkeypatch):
+    specs = [_mixed_spec(seed) for seed in range(24)]
+    assert all(solver.enumeration_method(spec) == "evb" for spec in specs)
+    sizes = [spec.sector_dimension() for spec in specs]
+    polishes, polish = [], solver._polish
+
+    def counted(*args):
+        polishes.append(args)
+        return polish(*args)
+
+    monkeypatch.setattr(solver, "_polish", counted)
+    stopped = [solver.enumerate_dicke_branches(spec) for spec in specs]
+    assert [len(b) for b in stopped] == sizes
+    stopped_polishes = len(polishes)
+    # no sector is ever full: every candidate is polished
+    monkeypatch.setattr(DickeSpec, "sector_dimension", lambda self: 10**9)
+    polished_all = [solver.enumerate_dicke_branches(spec) for spec in specs]
+    assert stopped_polishes < len(polishes) - stopped_polishes
+    for spec, a, b in zip(specs, stopped, polished_all):
+        assert len(a) == len(b)
+        # the same states from the same endpoints, so the same energies
+        for x, y in zip(a, b):
+            assert x["rapidities"] == y["rapidities"]
+            assert x["evb_start"] == y["evb_start"]
+
+
+def test_the_ladder_stops_at_a_full_sector(monkeypatch, caplog):
+    spec = DickeSpec((0.7, 1.2), (0.5, 0.5), 0.2, 1.0, 2)
+    attempts = []
+
+    def branch(spec, occupation, policy, xi_start):
+        # a distinct state per pattern
+        attempts.append((tuple(occupation), xi_start))
+        x = RapiditySet(tuple(0.3 + 0.5 * k + 0.01j * a for a, k in enumerate(occupation)),
+                        DICKE_X)
+        return x, None, None
+
+    monkeypatch.setattr(solver, "solve_dicke_branch", branch)
+    with caplog.at_level(logging.DEBUG, logger="gaudin"):
+        branches = solver._ladder_branches(spec, solver.ContinuationPolicy())
+    # three extended roots give six patterns; the sector holds four states
+    assert spec.sector_dimension() == len(branches) == len(attempts) == 4
+    assert "ladder: the sector is full at 4 states; 2 patterns left at xi_start 1" \
+        in caplog.text
 
 
 def test_polished_rapidities_match_their_endpoint():

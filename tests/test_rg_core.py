@@ -539,3 +539,72 @@ def test_no_runtime_warning_with_one_rapidity_or_no_pair_coupling(family):
                                      w, True)
             tda_residual(simple_spec(kind=RATIONAL), RapiditySet(w, RG_ETA))
             extended_dicke_residual(JC, 0.0, RapiditySet(w, DICKE_X))
+
+
+# -- the homotopy families: affine in t, with their exact rate -----------------
+
+HOMOTOPY_DICKE = DickeSpec((0.8, 1.3, 1.7), (0.5, 1.0, 0.5), 0.2, 1.3, 3)
+
+
+def _homotopy_family(family, kind):
+    """fn(t, w) -> ResidualReport of one family at t, and its t = 0 residuals
+    as f0(w): the TDA for deformed RG, the decoupled row for extended Dicke,
+    and the Dicke equations over hbar_omega for deformed Dicke, which refuses
+    xi = 0 itself."""
+    spec = HOMOTOPY_DICKE
+    if family == "deformed_rg":
+        mspec = ModelSpec(LevelSet.from_spins((0.9, 2.1, 3.3), (0.5, 1.0, 0.5)), kind, 3, -0.12)
+        return (lambda t, w: deformed_rg_residual(mspec, t, w),
+                lambda w: tda_residual(mspec, w).residuals)
+    if family == "extended_dicke":
+        return (lambda t, w: extended_dicke_residual(spec, t, w, xi=0.25),
+                lambda w: extended_dicke_residual(spec, 0.0, w, xi=0.25).residuals)
+    return (lambda t, w: deformed_dicke_residual(spec, t, w),
+            lambda w: dicke_rg_residual(spec, w).residuals / spec.hbar_omega)
+
+
+HOMOTOPY_CASES = [pytest.param("deformed_rg", kind, id=f"deformed_rg-{kind}")
+                  for kind in (TRIGONOMETRIC, RATIONAL)] + [
+    pytest.param(family, None, id=family) for family in ("extended_dicke", "deformed_dicke")]
+
+
+@pytest.mark.parametrize("family, kind", HOMOTOPY_CASES)
+def test_homotopy_families_are_affine_with_their_rate(family, kind):
+    fn, f0 = _homotopy_family(family, kind)
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        w = rng.uniform(-1.5, 4.5, 3) + 1j * rng.uniform(-1.2, 1.2, 3)
+        start = f0(w)
+        reports = {t: fn(t, w) for t in (1e-4, 0.25, 0.5, 0.75, 1.0)}
+        size = max(np.max(np.abs(start)),
+                   *(max(np.max(np.abs(r.residuals)), np.max(np.abs(r.rate)))
+                     for r in reports.values()))
+        for t, report in reports.items():
+            # F(t) = F(0) + t rate, with one rate for every t
+            assert np.max(np.abs(report.residuals - start - t * report.rate)) <= 1e-14 * size
+            assert np.max(np.abs(report.rate - reports[0.5].rate)) <= 1e-14 * size
+        # a central difference of an affine family is exact but for round-off
+        central = (reports[0.75].residuals - reports[0.25].residuals) / 0.5
+        assert np.max(np.abs(reports[0.5].rate - central)) <= 1e-14 * size
+
+
+@pytest.mark.parametrize("xi", [1e-4, 0.3, 1.0])
+def test_deformed_dicke_is_the_dicke_equations_plus_xi_times_its_rate(xi):
+    spec = HOMOTOPY_DICKE
+    rng = np.random.default_rng(17)
+    eps, spins = np.array(spec.epsilons), np.array(spec.spins)
+    for _ in range(10):
+        x = rng.uniform(0.0, 2.5, 3) + 1j * rng.uniform(-1.0, 1.0, 3)
+        report = deformed_dicke_residual(spec, xi, x)
+        dicke = dicke_rg_residual(spec, x).residuals
+        hw_rate = spec.hbar_omega * report.rate
+        size = np.max(np.abs(dicke)) + np.max(np.abs(hw_rate))
+        assert np.max(np.abs(spec.hbar_omega * report.residuals - dicke - xi * hw_rate)) \
+            <= 1e-14 * size
+        # the rate's closed form: (4/OMEGA0) [sum_k s_k eps_k x_a/(x_a - eps_k)
+        # - sum_{b != a} x_a x_b/(x_a - x_b)]
+        pairs = np.subtract.outer(x, x) + np.eye(3)
+        closed = (4.0 / rg_core.OMEGA0) * (
+            np.sum(spins * eps * x[:, None] / (x[:, None] - eps), axis=1)
+            - np.sum((1.0 - np.eye(3)) * np.multiply.outer(x, x) / pairs, axis=1))
+        assert np.max(np.abs(hw_rate - closed)) <= 1e-14 * size

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -203,32 +204,41 @@ def test_continue_path_evaluates_each_accepted_point_once(monkeypatch, case):
 
 
 @pytest.mark.parametrize("case", ["rg", "dicke"])
-def test_tangent_differences_request_no_jacobian(monkeypatch, case):
-    continue_path = solver._continue_path
-    paths, calls = [], []
+def test_paths_make_no_jacobian_free_call(monkeypatch, case):
+    # the tangent is -J^-1 rate from the accepted point's own report: every
+    # family call on a path is a Newton evaluation, with its Jacobian
+    calls, newton = [], solver.newton_solve
+    for name in ("deformed_rg_residual", "extended_dicke_residual",
+                 "deformed_dicke_residual", "dicke_rg_residual"):
+        family = getattr(rg_core, name)
 
-    def recording(residual_at, t_start, t_end, values, policy):
-        def flagged(t, w, jacobian=True):
-            calls.append((t, jacobian))
-            return residual_at(t, w, jacobian)
+        def recorded(*args, family=family, name=name, **kwargs):
+            bound = inspect.signature(family).bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((name, bound.arguments["jacobian"]))
+            return family(*args, **kwargs)
 
-        path, status = continue_path(flagged, t_start, t_end, values, policy)
-        # a copy: solve_dicke_branch appends its polish point to the list
-        paths.append(list(path))
-        return path, status
+        monkeypatch.setattr(rg_core, name, recorded)
+    evaluations = []
 
-    monkeypatch.setattr(solver, "_continue_path", recording)
+    def counting_newton(residual_fn, w0, tol=1e-10):
+        def counted(w):
+            evaluations.append(w)
+            return residual_fn(w)
+        return newton(counted, w0, tol)
+
+    monkeypatch.setattr(solver, "newton_solve", counting_newton)
     if case == "rg":
         solve_rg(RG4)
     else:
         solve_dicke_branch(M2, [0, 2])
-    newton = {t for t, jac in calls if jac}
-    differences = [t for t, jac in calls if not jac]
-    # one jacobian-free point ahead of each accepted point but the last, none
-    # of them a point that Newton iterates on
-    steps = sum(len(path) - 1 for path in paths)
-    assert len(differences) == steps
-    assert newton.isdisjoint(differences)
+    with_jacobian = [name for name, jac in calls if jac]
+    assert len(with_jacobian) == len(evaluations)
+    # the one call without a Jacobian is the Dicke branch's final report,
+    # after its Newton polish on the Dicke equations
+    expected = [] if case == "rg" else [("dicke_rg_residual", False)]
+    assert [(name, jac) for name, jac in calls if not jac] == expected
+    assert case == "rg" or "dicke_rg_residual" in with_jacobian
 
 
 @pytest.mark.parametrize("pattern, xi_start", [([0, 2], 1.0), ([2, 2], 0.25)])
@@ -543,22 +553,28 @@ def test_inverse_agrees_with_the_svd_on_edge_matrices(jac):
             assert (solver._inverse(jac, limit) is None) == solver._ill_conditioned(jac, limit)
 
 
+def _family_reports(spec, t, xi):
+    """The reports of the three homotopy families at t (extended Dicke at
+    tau = t and xi, deformed Dicke at xi = t)."""
+    w = np.array([0.4 + 0.3j, 0.9 - 0.2j, 1.6 + 0.01j])
+    rg = ModelSpec(LevelSet.from_spins((0.7, 1.2, 2.0), (1.0, 0.5, 1.5)), TRIGONOMETRIC, 3, -0.12)
+    return [rg_core.deformed_rg_residual(rg, t, w),
+            rg_core.extended_dicke_residual(spec, t, w, xi=xi),
+            rg_core.deformed_dicke_residual(spec, t, w)]
+
+
 @pytest.mark.parametrize("first", [np.float64, float])
-def test_extended_point_cache_keeps_python_float_bits(first):
-    # the cached row must not depend on whether a numpy or a Python float
-    # filled the cache: numpy scalars divide complex numbers differently
+def test_family_reports_keep_python_float_bits(first):
+    # the rows a spec keeps must not depend on whether a numpy or a Python
+    # float came first: numpy scalars divide complex numbers differently
     spec = DickeSpec((0.7, 1.2), (1.0, 0.5), 0.25, 1.1, 3)
-    r = RapiditySet((0.4 + 0.3j, 0.9 - 0.2j, 1.6 + 0.01j), DICKE_X)
-    params = rg_core.extended_dicke_params(spec, 0.3, 0.5)
-    reference = rg_core._gaudin_residual(g_pair=params["g_site"] * 0.3, w=r.values,
-                                         jacobian=True, **params)
-    rg_core._extended_point.cache_clear()
-    for tau in (first(0.3), 0.3, np.float64(0.3)):
-        report = rg_core.extended_dicke_residual(spec, tau, r, xi=0.5)
-        assert report.residuals.tobytes() == reference[0].tobytes()
-        assert report.jacobian.tobytes() == reference[2].tobytes()
-    p, _ = rg_core._extended_point(spec, 1.0, 0.5)
-    reference = rg_core._gaudin_residual(g_pair=p["g_site"], w=r.values,
-                                         jacobian=True, **p)
-    report = rg_core.deformed_dicke_residual(spec, np.float64(0.5), r)
-    assert report.residuals.tobytes() == reference[0].tobytes()
+    reference = _family_reports(DickeSpec((0.7, 1.2), (1.0, 0.5), 0.25, 1.1, 3), 0.3, 0.5)
+    for t, xi in ((first(0.3), first(0.5)), (0.3, 0.5), (np.float64(0.3), np.float64(0.5))):
+        for report, ref in zip(_family_reports(spec, t, xi), reference):
+            for got, want in ((report.residuals, ref.residuals),
+                              (report.jacobian, ref.jacobian), (report.rate, ref.rate)):
+                assert got.dtype == complex and got.tobytes() == want.tobytes()
+    # one set of extended rows per xi, keyed by Python floats: 0.5, and 1.0,
+    # whose tau = 1 row is the deformed Dicke family's xi = 1 end
+    assert list(spec._tau_families) == [0.5, 1.0]
+    assert all(type(xi) is float for xi in spec._tau_families)
