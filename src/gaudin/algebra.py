@@ -57,12 +57,12 @@ def check_levels(coords, spins):
     for s in spins:
         if s <= 0 or not _is_half_integer(s):
             raise DegenerateLevelError(f"spin {s} is not a positive half-integer")
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            if abs(coords[i] - coords[j]) < COLLISION_TOL:
-                raise DegenerateLevelError(
-                    f"levels {i} and {j} coincide: {coords[i]}, {coords[j]}"
-                )
+    c = np.asarray(coords, dtype=float)
+    # the pairs i < j that coincide, in row-major order
+    i, j = np.nonzero(np.triu(np.abs(c[:, None] - c) < COLLISION_TOL, 1))
+    if len(i):
+        i, j = int(i[0]), int(j[0])
+        raise DegenerateLevelError(f"levels {i} and {j} coincide: {coords[i]}, {coords[j]}")
 
 
 def _integer_degeneracies(values):

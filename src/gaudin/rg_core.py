@@ -10,7 +10,8 @@ it uses as is: the solver's continuation passes its iterate that way.
 The three homotopy families (deformed RG in xi, extended Dicke in tau,
 deformed Dicke in xi) are affine in their parameter t, F(t, w) = A(w) +
 t B(w).  Each keeps the kernel rows of its two ends on the spec, built once,
-evaluates the row at t, and reports the exact rate B = dF/dt with it.
+evaluates the row at t, and reports the exact rate B = dF/dt with it, formed
+from the evaluation's arrays only when it is read.
 """
 
 from __future__ import annotations
@@ -146,15 +147,27 @@ class RapiditySet:
         return np.asarray(self.values, dtype=complex)
 
 
-@dataclass
 class ResidualReport:
     """Residual vector, its max modulus, and (optionally) the analytic Jacobian
-    and, for a family at a point t of its homotopy, the rate dF/dt."""
+    and, for a family at a point t of its homotopy, the rate dF/dt.
 
-    residuals: np.ndarray
-    max_abs: float
-    jacobian: np.ndarray | None = None
-    rate: np.ndarray | None = None
+    The rate may be given as a function of no arguments that forms it: it is
+    then formed on the first read of `rate`, and kept.
+    """
+
+    __slots__ = ("residuals", "max_abs", "jacobian", "_rate")
+
+    def __init__(self, residuals, max_abs, jacobian=None, rate=None):
+        self.residuals = residuals
+        self.max_abs = max_abs
+        self.jacobian = jacobian
+        self._rate = rate
+
+    @property
+    def rate(self):
+        if callable(self._rate):
+            self._rate = self._rate()
+        return self._rate
 
 
 def _values(r, frame):
@@ -213,10 +226,11 @@ def _evaluate(row, w, jacobian, rate=None):
     diagonal is masked.  Collisions are found by one reduction over each
     array; algebra.check_collisions then names the first in rapidity order.
     With g_pair == 0 the pair sum is skipped, so the Jacobian is exactly
-    diagonal.  `rate`, a _Row of parameter differences, adds the kernel's
-    derivative along them, the dF/dt of a family affine in t, from the same
-    arrays.  Returns (residuals, max modulus, Jacobian or None, rate or
-    None)."""
+    diagonal.  `rate`, a _Row of parameter differences, asks for the kernel's
+    derivative along them, the dF/dt of a family affine in t: it comes back
+    as a _form_rate call on this evaluation's arrays, to be made when the
+    rate is read, so w must not change in place before then.  Returns
+    (residuals, max modulus, Jacobian or None, that call or None)."""
     e, n, base, lin, g_pair, c = row
     w = np.asarray(w, dtype=complex)
     d = e - w[:, None]  # d[a, i] = e_i - w_a
@@ -227,29 +241,47 @@ def _evaluate(row, w, jacobian, rate=None):
     q = n / d
     res = base + lin * w + q.sum(-1)
     diag = lin + (q / d).sum(-1) if jacobian else None
-    dres = None if rate is None else rate.base + rate.lin * w + (rate.n / d).sum(-1)
     jac = None
-    if g_pair or (rate is not None and (rate.g_pair or rate.c)):
-        inv = 1.0 / dw  # 1/(w_b - w_a)
-        ww = np.multiply.outer(w, w)
-        num = 1.0 + c * ww  # 1 + c w_a w_b
-        pair = (num * inv).sum(1)
-        if rate is not None:
-            dres = dres - rate.g_pair * pair
-            if rate.c:
-                dres = dres - (g_pair * rate.c) * (ww * inv).sum(1)
-        if g_pair:
-            res = res - g_pair * pair
-            if jacobian:
-                # dr_a/dw_b = g_pair (1 + c w_a^2)/(w_b - w_a)^2 off the
-                # diagonal, and dr_a/dw_a gains -sum_b g_pair (1 + c w_b^2)/(w_b - w_a)^2
-                dd = g_pair * inv * inv
-                p = num.diagonal()
-                jac = dd * p[:, None]
-                np.fill_diagonal(jac, diag - dd @ p)
+    pairs = None
+    if g_pair:
+        pairs = _pair_sum(w, dw, c)
+        inv, _, num, pair = pairs
+        res = res - g_pair * pair
+        if jacobian:
+            # dr_a/dw_b = g_pair (1 + c w_a^2)/(w_b - w_a)^2 off the
+            # diagonal, and dr_a/dw_a gains -sum_b g_pair (1 + c w_b^2)/(w_b - w_a)^2
+            dd = g_pair * inv * inv
+            p = num.diagonal()
+            jac = dd * p[:, None]
+            np.fill_diagonal(jac, diag - dd @ p)
     if jacobian and jac is None:
         jac = np.diag(diag)
-    return res, float(np.abs(res).max()), jac, dres
+    form = None if rate is None else functools.partial(_form_rate, rate, row, w, d, dw, pairs)
+    return res, float(np.abs(res).max()), jac, form
+
+
+def _pair_sum(w, dw, c):
+    """The pair arrays of the kernel at w, given dw (w_b - w_a, its diagonal
+    inf): 1/dw, w_a w_b, 1 + c w_a w_b and the pair sum
+    sum_{b != a} (1 + c w_a w_b)/(w_b - w_a)."""
+    inv = 1.0 / dw
+    ww = np.multiply.outer(w, w)
+    num = 1.0 + c * ww
+    return inv, ww, num, (num * inv).sum(1)
+
+
+def _form_rate(rate, row, w, d, dw, pairs):
+    """dF/dt of a family affine in t, on the arrays of its evaluation of `row`
+    at w (_evaluate): the kernel's derivative along the parameter differences
+    `rate`, with the pair arrays formed here when the evaluation had no pair
+    sum (pairs None)."""
+    dres = rate.base + rate.lin * w + (rate.n / d).sum(-1)
+    if rate.g_pair or rate.c:
+        inv, ww, _, pair = pairs or _pair_sum(w, dw, row.c)
+        dres = dres - rate.g_pair * pair
+        if rate.c:
+            dres = dres - (row.g_pair * rate.c) * (ww * inv).sum(1)
+    return dres
 
 
 def _gaudin_residual(kind, sites, weights, g_site, g_pair, w, jacobian,
@@ -281,7 +313,8 @@ class _Homotopy:
         self.rate = _Row(row0.e, *(b - a for a, b in zip(row0[1:], row1[1:])))
 
     def report(self, t, w, jacobian):
-        """The family's ResidualReport at the Python float t, with its rate."""
+        """The family's ResidualReport at the Python float t; its rate is
+        formed when first read."""
         row0, row1 = self.ends
         s = 1.0 - t
         row = _Row(row0.e, s * row0.n + t * row1.n,

@@ -3,12 +3,15 @@
 The solve pipeline follows the deformation strategy: the roots of the
 decoupled secular equation (rg_core.secular_row with a family's kernel
 parameters) are the eigenvalues of a symmetric matrix (_real_roots), they
-seed a damped-Newton corrector, and one adaptive first-order
-predictor-corrector, _continue_path, tracks the solution along the homotopy
-parameter to the coupled equations.  It evaluates every accepted point
-once, in the corrector, and takes the predictor's tangent from that
-evaluation alone: every family it tracks is affine in its parameter and
-reports its exact rate dF/dt.  Each Jacobian is inverted once (_inverse):
+seed a damped-Newton corrector, and one adaptive predictor-corrector,
+_continue_path, tracks the solution along the homotopy parameter to the
+coupled equations, its last step landing on the end exactly.  It evaluates
+every accepted point once, in the corrector, and takes the point's tangent
+from that evaluation alone: every family it tracks is affine in its
+parameter and reports its exact rate dF/dt, formed only when the tangent
+reads it.  The predictor (_predict) extrapolates the cubic Hermite
+interpolant through the last two accepted points and their tangents, an
+Euler step on a path's first step.  Each Jacobian is inverted once (_inverse):
 the inverse gives the step and, through the Frobenius condition number, the
 decision to refuse it; an SVD runs only when that number cannot decide.  The
 closures hand their complex arrays straight to the rg_core families.  The RG
@@ -317,21 +320,23 @@ def tda_roots_dicke(spec, xi=1.0):
 def _continue_path(residual_at, t_start, t_end, values, policy):
     """Predictor-corrector tracking of residual_at(t, values) = 0 from t_start
     to t_end; residual_at(t, values) returns a ResidualReport with its
-    Jacobian and its rate dF/dt.  Returns ([(t, values, max_abs), ...],
-    status)."""
+    Jacobian and its rate dF/dt.  Each step is predicted by _predict from the
+    last two accepted points and their tangents, and the last step lands on
+    t_end exactly.  Returns ([(t, values, max_abs), ...], status)."""
     tol = policy.newton_tol
     values, report, _ = newton_solve(lambda w: residual_at(t_start, w), values, tol)
     path = [(t_start, values, report.max_abs)]
     direction = 1.0 if t_end > t_start else -1.0
     t = t_start
     step = policy.initial_step
+    last = None
     while (t_end - t) * direction > 0.0:
-        tangent = _tangent(report)
+        here = (t, values, _tangent(report))
         # retry from (t, values) with shrinking steps until the corrector lands
         while True:
             step = min(step, abs(t_end - t))
-            t_next = t + direction * step
-            predicted = values if tangent is None else values + (direction * step) * tangent
+            t_next = t_end if step == abs(t_end - t) else t + direction * step
+            predicted = _predict(last, here, t_next)
             try:
                 new_vals, report, iters = newton_solve(
                     lambda w: residual_at(t_next, w), predicted, tol
@@ -344,6 +349,7 @@ def _continue_path(residual_at, t_start, t_end, values, policy):
             step *= STEP_SHRINK
             if step < MIN_STEP:
                 return path, failure
+        last = here
         t = t_next
         values = new_vals
         path.append((t, values, report.max_abs))
@@ -353,6 +359,35 @@ def _continue_path(residual_at, t_start, t_end, values, policy):
         if iters <= 3:
             step = min(step * STEP_GROW, policy.max_step)
     return path, "converged"
+
+
+def _predict(last, here, t):
+    """The predicted values at t from the accepted points `here` and, before
+    it, `last` (None on a path's first step), each (t, values, tangent) with
+    tangent None where _tangent refused it.
+
+    With both tangents it extrapolates the cubic Hermite interpolant through
+    the two points (Allgower & Georg, Introduction to Numerical Continuation
+    Methods, SIAM 2003, ch. 6), in Newton form about t1 = here's t, with h =
+    t1 - t0 and tau = t - t1:
+
+        y1 + tau y1' + tau^2 (y1' - D)/h + tau^2 (tau + h) (y1' + y0' - 2 D)/h^2,
+
+    D = (y1 - y0)/h, whose error is O(h^4) on steps of size h.  With
+    `here`'s tangent alone it is the Euler step y1 + tau y1'; without it,
+    `here`'s values.
+    """
+    t1, y1, d1 = here
+    if d1 is None:
+        return y1
+    tau = t - t1
+    if last is None or last[2] is None:
+        return y1 + tau * d1
+    t0, y0, d0 = last
+    h = t1 - t0
+    slope = (y1 - y0) / h
+    curvature = (d1 - slope) + (tau + h) / h * (d1 + d0 - 2.0 * slope)
+    return y1 + tau * d1 + (tau * tau / h) * curvature
 
 
 def _tangent(here):

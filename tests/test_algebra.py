@@ -57,6 +57,51 @@ def test_levelset_rejects_duplicate_etas():
         LevelSet.from_spins((1.0, 1.0), (0.5, 0.5))
 
 
+def _first_coinciding_pair(coords):
+    """The pair the level check names: the first i < j in row-major order,
+    by the pair loop the check used to run."""
+    for i in range(len(coords)):
+        for j in range(i + 1, len(coords)):
+            if abs(coords[i] - coords[j]) < algebra.COLLISION_TOL:
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("coords, pair", [
+    # scanning by columns would name (1, 2) first
+    ((1.0, 0.0, 5e-11, 1.0), (0, 3)),
+    ((0.0, 1.0, 0.0, 1.0 + 5e-11), (0, 2)),
+    ((2.0, 0.5, 0.5, 2.0, 0.5), (0, 3)),
+])
+def test_level_check_names_the_first_of_two_coinciding_pairs(coords, pair):
+    assert _first_coinciding_pair(coords) == pair
+    i, j = pair
+    message = f"levels {i} and {j} coincide: {coords[i]}, {coords[j]}"
+    spins = (0.5,) * len(coords)
+    with pytest.raises(DegenerateLevelError) as err:
+        LevelSet.from_spins(coords, spins)
+    assert str(err.value) == message
+    with pytest.raises(DegenerateLevelError) as err:
+        DickeSpec(coords, spins, 0.1, 1.0, 1)
+    assert str(err.value) == message
+
+
+def test_level_check_agrees_with_the_pair_loop():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        # a few values, some repeated or within COLLISION_TOL of each other
+        pool = rng.choice([0.3, 0.7, 1.1, 1.1 + 4e-11, 1.1 + 3e-10, 2.0], size=5)
+        coords = tuple(float(c) for c in rng.permutation(pool)[:rng.integers(1, 6)])
+        pair = _first_coinciding_pair(coords)
+        if pair is None:
+            algebra.check_levels(coords, (0.5,) * len(coords))
+            continue
+        with pytest.raises(DegenerateLevelError) as err:
+            algebra.check_levels(coords, (0.5,) * len(coords))
+        i, j = pair
+        assert str(err.value) == f"levels {i} and {j} coincide: {coords[i]}, {coords[j]}"
+
+
 def test_trigonometric_pair_values():
     ls = LevelSet.from_spins((1.0, 2.0), (0.5, 0.5))
     mats = build_gaudin(TRIGONOMETRIC, ls)

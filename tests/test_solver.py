@@ -241,6 +241,73 @@ def test_paths_make_no_jacobian_free_call(monkeypatch, case):
     assert case == "rg" or "dicke_rg_residual" in with_jacobian
 
 
+@pytest.mark.parametrize("kind", [RATIONAL, TRIGONOMETRIC])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_the_hermite_prediction_error_falls_as_the_fourth_power_of_the_step(kind, k):
+    # with one rapidity every point of the deformed RG path is a secular root
+    spec = ModelSpec(LevelSet.from_spins((0.7, 1.2, 2.0), (1.0, 0.5, 1.5)), kind, 1, -0.2)
+
+    def point(xi):
+        y = np.array([solver._real_roots(rg_core.deformed_rg_params(spec, xi))[k]],
+                     dtype=complex)
+        return xi, y, solver._tangent(rg_core.deformed_rg_residual(spec, xi, y))
+
+    def errors(h):
+        # the steps of a path that grows its step after an easy corrector
+        last, here = point(0.5 - h), point(0.5)
+        t = 0.5 + solver.STEP_GROW * h
+        exact = point(t)[1]
+        return [abs(solver._predict(*pair, t) - exact)[0] for pair in ((last, here), (None, here))]
+
+    (hermite, euler), (hermite_half, euler_half) = errors(0.04), errors(0.02)
+    assert 14.0 < hermite / hermite_half < 18.0
+    assert 3.5 < euler / euler_half < 4.5
+    assert hermite < 1e-2 * euler
+
+
+def test_the_predictor_falls_back_to_euler_and_to_the_point():
+    y0, y1 = np.array([1.0 + 0j, 2.0]), np.array([1.5 + 0j, 2.5])
+    d = np.array([0.5 + 0j, -1.0])
+    here = (0.2, y1, d)
+    euler = y1 + 0.1 * d
+    # a path's first step, and a last point whose tangent was refused
+    assert np.array_equal(solver._predict(None, here, 0.3), euler)
+    assert np.array_equal(solver._predict((0.1, y0, None), here, 0.3), euler)
+    # a refused tangent at the point predicts the point itself
+    assert solver._predict((0.1, y0, d), (0.2, y1, None), 0.3) is y1
+    # through the two points and their tangents, a cubic is reproduced
+    cubic = [0.3, -1.0, 2.0, 0.5]
+    pts = [(t, np.array([np.polyval(cubic, t)], dtype=complex),
+            np.array([np.polyval(np.polyder(cubic), t)], dtype=complex)) for t in (0.4, 0.5)]
+    assert solver._predict(*pts, 0.65)[0] == pytest.approx(np.polyval(cubic, 0.65), abs=1e-14)
+    assert solver._predict(pts[1], pts[0], 0.3)[0] == pytest.approx(np.polyval(cubic, 0.3),
+                                                                     abs=1e-14)
+
+
+def test_the_rate_is_formed_once_per_step_and_never_on_a_newton_trial(monkeypatch):
+    spec = ModelSpec(LevelSet.from_spins((0.6, 0.85, 1.1, 1.35), (1.0,) * 4), RATIONAL, 4,
+                     -0.15)
+    formed, calls = [], []
+    form_rate, family = rg_core._form_rate, rg_core.deformed_rg_residual
+
+    def forming(rate, row, w, *arrays):
+        formed.append(w.copy())
+        return form_rate(rate, row, w, *arrays)
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return family(*args, **kwargs)
+
+    monkeypatch.setattr(rg_core, "_form_rate", forming)
+    monkeypatch.setattr(rg_core, "deformed_rg_residual", counted)
+    _, trace = solve_rg(spec)
+    # one rate per accepted point that starts a step, from that point's own
+    # report: the endpoint and every Newton trial form none
+    starts = [p.rapidities.as_array() for p in trace.path[:-1]]
+    assert len(formed) == len(starts) and len(calls) > 2 * len(formed)
+    assert all(np.array_equal(w, v) for w, v in zip(formed, starts))
+
+
 @pytest.mark.parametrize("pattern, xi_start", [([0, 2], 1.0), ([2, 2], 0.25)])
 def test_dicke_branch_trace_runs_from_xi_start_to_the_exact_limit(pattern, xi_start):
     final, report, trace = solve_dicke_branch(M2, pattern, xi_start=xi_start)
@@ -251,6 +318,30 @@ def test_dicke_branch_trace_runs_from_xi_start_to_the_exact_limit(pattern, xi_st
     assert trace.status == "converged"
     assert trace.final.rapidities == final
     assert report.max_abs <= 1e-10
+
+
+@pytest.mark.parametrize("spec", [
+    JC,
+    DickeSpec((0.7, 1.2), (1.0, 0.5), 0.25, 1.1, 1),
+    DickeSpec((0.5, 1.5), (0.5, 0.5), 0.3, 1.0, 1),
+    DickeSpec((0.874, 1.054, 1.069), (0.5, 0.5, 0.5), 0.146, 0.916, 1),
+    DickeSpec((0.6, 1.1, 1.7), (1.5, 0.5, 1.0), 0.2, 1.2, 1),
+])
+def test_every_converged_dicke_path_lands_on_the_handoff(spec):
+    # t + step with step = |t_end - t| can miss t_end by an ulp: a third of
+    # these paths stop at 9.99999999999994e-05 unless the last step is t_end
+    n_roots = len(solver.tda_roots_dicke(spec))
+    converged = 0
+    for xi_start in (1.0, 0.5, 0.25):
+        for pattern in combinations_with_replacement(range(n_roots), spec.n_excitations):
+            try:
+                _, _, trace = solve_dicke_branch(spec, list(pattern), xi_start=xi_start)
+            except (ConvergenceError, SingularJacobianError, CollisionError):
+                continue
+            converged += 1
+            xis = [p.xi for p in trace.path]
+            assert xis[0] == xi_start and xis[-2] == XI_HANDOFF and xis[-1] == 0.0
+    assert converged >= 2 * n_roots
 
 
 def test_single_copy_continuation_reaches_jc_roots():
