@@ -11,7 +11,9 @@ The three homotopy families (deformed RG in xi, extended Dicke in tau,
 deformed Dicke in xi) are affine in their parameter t, F(t, w) = A(w) +
 t B(w).  Each keeps the kernel rows of its two ends on the spec, built once,
 evaluates the row at t, and reports the exact rate B = dF/dt with it, formed
-from the evaluation's arrays only when it is read.
+from the evaluation's arrays only when it is read.  The solver's secular
+stage and seeder read the same rows (spec.xi_family, tau_family), their site
+parts through secular_row.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class ModelSpec:
             raise ValidationError("coupling g must be finite")
 
     @functools.cached_property
-    def _xi_family(self):
+    def xi_family(self):
         """deformed_rg_residual's rows (_rg_family), built on first use."""
         return _rg_family(self)
 
@@ -114,13 +116,13 @@ class DickeSpec:
         return _dicke_row(self)
 
     @functools.cached_property
-    def _xi_family(self):
+    def xi_family(self):
         """deformed_dicke_residual's rows (_single_copy_family)."""
         return _single_copy_family(self)
 
     @functools.cached_property
     def _tau_families(self):
-        """extended_dicke_residual's rows by xi (_tau_family)."""
+        """extended_dicke_residual's rows by xi (tau_family)."""
         return {}
 
 
@@ -180,25 +182,14 @@ def _values(r, frame):
     return r.values
 
 
-def pole_form(kind, sites, weights, g_site, const=1.0, lin=0.0, scale=1.0):
-    """The secular row const + lin*u + g_site sum_i weights_i Z(e_i, u) in
-    pole form, base + lin*u + sum_i n_i/(e_i - u), from Z(e, u) =
-    (1 + c e^2)/(e - u) - c e: returns (e, n, base, lin) with the arrays e_i =
-    scale*sites_i and n_i = g_site weights_i (1 + c e_i^2), and base = const -
-    c sum_i g_site weights_i e_i."""
-    c = 0.0 if kind == algebra.RATIONAL else 1.0
-    e = scale * np.asarray(sites, dtype=float)
-    gw = g_site * np.asarray(weights, dtype=float)
-    n = gw * (1.0 + c * e * e)
-    base = const - c * float(np.sum(gw * e))
-    return e, n, base, lin
-
-
 class _Row(NamedTuple):
     """The kernel's parameters in the rapidities' own frame w:
 
         r_a = base + lin*w_a + sum_i n_i/(e_i - w_a)
               - g_pair sum_{b != a} (1 + c w_a w_b)/(w_b - w_a)
+
+    Its site part, base + lin*w + sum_i n_i/(e_i - w), is the secular row of
+    one rapidity with no partner (secular_row).
     """
 
     e: np.ndarray
@@ -210,11 +201,23 @@ class _Row(NamedTuple):
 
 
 def _row(kind, sites, weights, g_site, g_pair, const=1.0, lin=0.0, scale=1.0):
-    """The _Row of the kernel at u = scale*w (_gaudin_residual): the pole form
-    in u, and the pair Z(u_b, u_a) = (1 + c u_a u_b)/(u_b - u_a), rewritten in
-    w.  At scale = 1 every entry is the pole form's own."""
-    _, n, base, lin = pole_form(kind, sites, weights, g_site, const, lin, scale)
+    """The _Row of the kernel in its Gaudin form,
+
+        r_a = const + lin*u_a + g_site sum_i weights_i Z(e_i, u_a)
+              - g_pair sum_{b != a} Z(u_b, u_a),
+
+    at u = scale*w, e = scale*sites, with Z(u, v) = (1 + c u v)/(u - v), c = 0
+    (rational) or 1 (trigonometric).  From Z(e, u) = (1 + c e^2)/(e - u) - c e
+    its site part in u is base + lin*u + sum_i n_i/(e_i - u), with n_i =
+    g_site weights_i (1 + c e_i^2) and base = const - c sum_i g_site weights_i
+    e_i; rewritten in w, the poles sit at the sites, n_i and g_pair are
+    divided by scale, lin is multiplied by it and c by its square.  At scale =
+    1 every entry is the Gaudin form's own."""
     c = 0.0 if kind == algebra.RATIONAL else 1.0
+    e = scale * np.asarray(sites, dtype=float)
+    gw = g_site * np.asarray(weights, dtype=float)
+    n = gw * (1.0 + c * e * e)
+    base = const - c * float(np.sum(gw * e))
     return _Row(np.asarray(sites, dtype=float), n / scale, float(base), float(lin * scale),
                 float(g_pair / scale), float(c * scale * scale))
 
@@ -284,22 +287,6 @@ def _form_rate(rate, row, w, d, dw, pairs):
     return dres
 
 
-def _gaudin_residual(kind, sites, weights, g_site, g_pair, w, jacobian,
-                     const=1.0, lin=0.0, scale=1.0):
-    """The kernel in its Gaudin form:
-
-        r_a = const + lin*u_a + g_site sum_i weights_i Z(e_i, u_a)
-              - g_pair sum_{b != a} Z(u_b, u_a)
-
-    at u = scale*w, e = scale*sites, with Z(u, v) = (1 + c u v)/(u - v), c = 0
-    (rational) or 1 (trigonometric), evaluated on its _Row in w, where the
-    collisions are tested.  Returns (residuals, max modulus, Jacobian in w or
-    None); the Jacobian in w is scale times the holomorphic derivative in u.
-    """
-    row = _row(kind, sites, weights, g_site, g_pair, const, lin, scale)
-    return _evaluate(row, w, jacobian)[:3]
-
-
 class _Homotopy:
     """A family affine in its parameter t, F(t, w) = A(w) + t B(w): its rows
     at t = 0 and t = 1, built once per spec, and their difference, the row of
@@ -312,35 +299,36 @@ class _Homotopy:
         self.ends = (row0, row1)
         self.rate = _Row(row0.e, *(b - a for a, b in zip(row0[1:], row1[1:])))
 
+    def row(self, t):
+        """The family's _Row at the Python float t."""
+        row0, row1 = self.ends
+        s = 1.0 - t
+        return _Row(row0.e, s * row0.n + t * row1.n,
+                    *(a if a == b else s * a + t * b for a, b in zip(row0[2:], row1[2:])))
+
     def report(self, t, w, jacobian):
         """The family's ResidualReport at the Python float t; its rate is
         formed when first read."""
-        row0, row1 = self.ends
-        s = 1.0 - t
-        row = _Row(row0.e, s * row0.n + t * row1.n,
-                   *(a if a == b else s * a + t * b for a, b in zip(row0[2:], row1[2:])))
-        return ResidualReport(*_evaluate(row, w, jacobian, self.rate))
+        return ResidualReport(*_evaluate(self.row(t), w, jacobian, self.rate))
 
 
-def secular_row(w, kind, sites, weights, g_site, const=1.0, lin=0.0, scale=1.0):
-    """The kernel's row for one rapidity with no partner, the decoupled
-    secular equation r(w) = const + lin*u + g_site sum_i weights_i Z(e_i, u)
-    at u = scale*w.  Elementwise on a scalar or an array w (real w and
-    parameters give a real row), from its pole_form: one array of divisions
-    n_i/(e_i - u), with the sites on its last axis, summed over that axis.
-    Returns (r, dr/dw).  Poles are not checked.
+def secular_row(row, w):
+    """The site part of the _Row `row`, the decoupled secular equation r(w) =
+    base + lin*w + sum_i n_i/(e_i - w) of one rapidity with no partner.
+    Elementwise on a scalar or an array w (real w gives a real row): one
+    array of divisions n_i/(e_i - w), with the sites on its last axis, summed
+    over that axis.  Returns (r, dr/dw).  Poles are not checked.
     """
-    e, num, base, lin = pole_form(kind, sites, weights, g_site, const, lin, scale)
-    u = scale * np.asarray(w)
-    d = e - u[..., None]
-    q = num / d
-    return base + lin * u + q.sum(-1), scale * (lin + (q / d).sum(-1))
+    w = np.asarray(w)
+    d = row.e - w[..., None]
+    q = row.n / d
+    return row.base + row.lin * w + q.sum(-1), row.lin + (q / d).sum(-1)
 
 
 def rg_residual(spec, r, jacobian=True):
     """Bethe equations 1 + g sum_i Z_{ia} s_i - g sum_{b!=a} Z_{ba} = 0: the
     deformed RG family's row at xi = 1."""
-    return ResidualReport(*_evaluate(spec._xi_family.ends[1], _values(r, RG_ETA), jacobian))
+    return ResidualReport(*_evaluate(spec.xi_family.ends[1], _values(r, RG_ETA), jacobian))
 
 
 def deformed_rg_residual(spec, xi, r, jacobian=True):
@@ -353,30 +341,24 @@ def deformed_rg_residual(spec, xi, r, jacobian=True):
     """
     if not 0.0 <= xi <= 1.0:
         raise DomainError(f"xi = {xi} outside [0, 1]")
-    return spec._xi_family.report(float(xi), _values(r, RG_ETA), jacobian)
-
-
-def deformed_rg_params(spec, xi):
-    """Secular-row parameters of deformed_rg_residual at xi, whose rapidity
-    coupling is xi * g_site; each weight follows the deformation map in xi
-    from its degeneracy (the decoupled TDA row at xi = 0) to its spin."""
-    levels = spec.levels
-    weights = deformed_weight(xi, np.asarray(levels.spins),
-                              np.asarray(levels.degeneracies, dtype=float))
-    return dict(kind=spec.kind, sites=np.asarray(levels.etas), weights=weights,
-                g_site=spec.coupling_g)
+    return spec.xi_family.report(float(xi), _values(r, RG_ETA), jacobian)
 
 
 def _rg_family(spec):
-    """deformed_rg_residual's rows at xi = 0 (the TDA) and xi = 1 (RG)."""
-    return _Homotopy(*(_row(g_pair=spec.coupling_g * xi, **deformed_rg_params(spec, xi))
+    """deformed_rg_residual's rows at xi = 0 (the TDA) and xi = 1 (RG): each
+    weight follows the deformation map in xi from its degeneracy to its spin,
+    and the rapidity coupling is xi * g."""
+    levels, g = spec.levels, spec.coupling_g
+    spins = np.asarray(levels.spins)
+    omegas = np.asarray(levels.degeneracies, dtype=float)
+    return _Homotopy(*(_row(spec.kind, levels.etas, deformed_weight(xi, spins, omegas), g, g * xi)
                        for xi in (0.0, 1.0)))
 
 
 def tda_residual(spec, r, jacobian=True):
     """Decoupled secular equations 1 + g sum_i Z_{ia} Omega_i = 0: the
     deformed RG family's row at xi = 0."""
-    return ResidualReport(*_evaluate(spec._xi_family.ends[0], _values(r, RG_ETA), jacobian))
+    return ResidualReport(*_evaluate(spec.xi_family.ends[0], _values(r, RG_ETA), jacobian))
 
 
 def dicke_rg_residual(spec, r, jacobian=True):
@@ -434,34 +416,28 @@ def deformed_dicke_residual(spec, xi, r, jacobian=True):
         )
     if not 0.0 < xi <= 1.0:
         raise DomainError(f"xi = {xi} outside (0, 1]")
-    return spec._xi_family.report(float(xi), _values(r, DICKE_X), jacobian)
+    return spec.xi_family.report(float(xi), _values(r, DICKE_X), jacobian)
 
 
 def _single_copy_family(spec):
     """deformed_dicke_residual's rows in x: the contraction limit at xi = 0
     and the extended family's tau = 1 row at xi = 1."""
-    return _Homotopy(_dicke_row(spec, spec.hbar_omega), _tau_family(spec, 1.0).ends[1])
+    return _Homotopy(_dicke_row(spec, spec.hbar_omega), tau_family(spec, 1.0).ends[1])
 
 
-def extended_dicke_params(spec, tau, xi=1.0):
-    """Secular-row parameters of extended_dicke_residual at tau, whose
-    rapidity coupling is tau * g_site; every weight, the copy's w0 included,
-    follows the deformation map in tau from s to its degeneracy 2s + 1."""
-    lam, g, s0 = contraction_scales(spec, xi)
-    w0 = deformed_weight(tau, s0, 2.0 * s0 + 1.0)
-    weights = [deformed_weight(tau, s, 2.0 * s + 1.0) for s in spec.spins]
-    return dict(kind=algebra.TRIGONOMETRIC, sites=np.asarray(spec.epsilons),
-                weights=weights, g_site=g, lin=g * w0, scale=-lam)
-
-
-def _tau_family(spec, xi):
+def tau_family(spec, xi):
     """extended_dicke_residual's rows in x at tau = 0 and 1, for one xi (a
-    Python float), built once per spec and xi."""
+    Python float), built once per spec and xi: every weight, the copy's w0
+    included, follows the deformation map in tau from its degeneracy 2s + 1
+    to s, and the rapidity coupling is tau * g."""
     families = spec._tau_families
     if xi not in families:
-        ends = [extended_dicke_params(spec, tau, xi) for tau in (0.0, 1.0)]
-        families[xi] = _Homotopy(*(_row(g_pair=p["g_site"] * tau, **p)
-                                   for tau, p in zip((0.0, 1.0), ends)))
+        lam, g, s0 = contraction_scales(spec, xi)
+        families[xi] = _Homotopy(*(
+            _row(algebra.TRIGONOMETRIC, spec.epsilons,
+                 [deformed_weight(tau, s, 2.0 * s + 1.0) for s in spec.spins], g, g * tau,
+                 lin=g * deformed_weight(tau, s0, 2.0 * s0 + 1.0), scale=-lam)
+            for tau in (0.0, 1.0)))
     return families[xi]
 
 
@@ -480,4 +456,4 @@ def extended_dicke_residual(spec, tau, r, xi=1.0, jacobian=True):
     w = _values(r, DICKE_X)
     if not 0.0 <= tau <= 1.0:
         raise DomainError(f"tau = {tau} outside [0, 1]")
-    return _tau_family(spec, float(xi)).report(float(tau), w, jacobian)
+    return tau_family(spec, float(xi)).report(float(tau), w, jacobian)

@@ -1,26 +1,28 @@
 """Root finding and adiabatic continuation along the deformation parameter.
 
 The solve pipeline follows the deformation strategy: the roots of the
-decoupled secular equation (rg_core.secular_row with a family's kernel
-parameters) are the eigenvalues of a symmetric matrix (_real_roots), they
-seed a damped-Newton corrector, and one adaptive predictor-corrector,
-_continue_path, tracks the solution along the homotopy parameter to the
-coupled equations, its last step landing on the end exactly.  It evaluates
-every accepted point once, in the corrector, and takes the point's tangent
-from that evaluation alone: every family it tracks is affine in its
-parameter and reports its exact rate dF/dt, formed only when the tangent
-reads it.  The predictor (_predict) extrapolates the cubic Hermite
-interpolant through the last two accepted points and their tangents, an
-Euler step on a path's first step.  Each Jacobian is inverted once (_inverse):
-the inverse gives the step and, through the Frobenius condition number, the
-decision to refuse it; an SVD runs only when that number cannot decide.  The
-closures hand their complex arrays straight to the rg_core families.  The RG
-path runs xi 0 -> 1 (continue_in_xi); the Dicke path runs tau 0 -> 1 and
-then xi down to 0 (solve_dicke_branch).  Both inner families have a secular
-row affine in their parameter and a rapidity coupling proportional to it, so
-one rule, _cluster_seeds, splits rapidities that share a root, at
-CLUSTER_T0.  A ContinuationPolicy sets the Newton tolerance and the largest
-step; the rest of the step control is fixed below.
+decoupled secular equation, the site part (rg_core.secular_row) of the t = 0
+kernel row of the homotopy family the path tracks (spec.xi_family,
+rg_core.tau_family), are the eigenvalues of a symmetric matrix
+(_real_roots), they seed a damped-Newton corrector, and one adaptive
+predictor-corrector, _continue_path, tracks the solution along the homotopy
+parameter to the coupled equations, its last step landing on the end
+exactly.  It evaluates every accepted point once, in the corrector, and takes
+the point's tangent from that evaluation alone: every family it tracks is
+affine in its parameter and reports its exact rate dF/dt, formed only when
+the tangent reads it.  The predictor (_predict) extrapolates the cubic
+Hermite interpolant through the last two accepted points and their tangents,
+an Euler step on a path's first step.  Each Jacobian is inverted once
+(_inverse): the inverse gives the step and, through the Frobenius condition
+number, the decision to refuse it; an SVD runs only when that number cannot
+decide.  The closures hand their complex arrays straight to the rg_core
+families.  The RG path runs xi 0 -> 1 (continue_in_xi); the Dicke path runs
+tau 0 -> 1 and then xi down to 0 (solve_dicke_branch).  Both inner families
+have a secular row affine in their parameter and a rapidity coupling
+proportional to it, so one rule, _cluster_seeds, splits rapidities that
+share a root, at CLUSTER_T0, from the family's own rows and rate.  A
+ContinuationPolicy sets the Newton tolerance and the largest step; the rest
+of the step control is fixed below.
 
 enumerate_dicke_branches picks its method from the spins.  A level of spin
 s counts as 2 s spin-1/2 levels a small spacing apart (split_delta,
@@ -28,8 +30,10 @@ split_levels); while there are at most twelve of those, it tracks the
 eigenvalue-based homotopy (evb) of the split spec and polishes the physical
 endpoints on the Dicke equations of the spec itself.  Otherwise, or when the
 levels are too close for any spacing, it runs solve_dicke_branch over every
-occupation pattern, on a ladder of xi starts.  Either method stops once it
-holds as many distinct states as the sector has (DickeSpec.sector_dimension).
+occupation pattern, on a ladder of xi starts.  Both tell states apart by
+their eigenvalue-based variables (evb.eigenvalue_variables, within
+evb.distinct_tol), and either stops once it holds as many distinct states as
+the sector has (DickeSpec.sector_dimension).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evb, rg_core
-from .algebra import COLLISION_TOL, RATIONAL
+from .algebra import COLLISION_TOL
 from .errors import (
     CollisionError,
     ConvergenceError,
@@ -190,24 +194,22 @@ def newton_solve(residual_fn, w0, tol=1e-10):
 
 
 def _real_roots(row):
-    """All real roots of the secular row with kernel parameters `row`, in
-    ascending order, from one symmetric eigensolve (Golub, SIAM Rev. 15, 318
-    (1973)).
+    """All real roots of the secular row of the kernel row `row` (an
+    rg_core._Row), in ascending order, from one symmetric eigensolve (Golub,
+    SIAM Rev. 15, 318 (1973)).
 
-    In pole form (rg_core.pole_form) the row is base + lin*u + sum_i
-    n_i/(e_i - u) at u = scale*w; levels with n_i = 0 drop out, and every
-    family's n_i share one sign, that of lin when lin != 0.  The roots in u
-    are then the eigenvalues of the arrowhead [[diag(e), z], [z^T, -base/lin]]
-    with z_i^2 = n_i/lin, or, at lin = 0, of diag(e) + (sum(n)/base) q q^T
-    with q along sqrt(|n_i|).  In a basis that starts with q the rank-one
-    term is one corner entry; at base = 0 its root is at infinity and the
-    other m - 1 are the eigenvalues of the rest.  Newton on secular_row
-    finishes each root, a step kept while it is shorter than the last and
-    stays between the poles next to the root.
+    The row is base + lin*w + sum_i n_i/(e_i - w) (rg_core.secular_row);
+    levels with n_i = 0 drop out, and every family's n_i share one sign, that
+    of lin when lin != 0.  The roots are then the eigenvalues of the arrowhead
+    [[diag(e), z], [z^T, -base/lin]] with z_i^2 = n_i/lin, or, at lin = 0, of
+    diag(e) + (sum(n)/base) q q^T with q along sqrt(|n_i|).  In a basis that
+    starts with q the rank-one term is one corner entry; at base = 0 its root
+    is at infinity and the other m - 1 are the eigenvalues of the rest.  Newton
+    on secular_row finishes each root, a step kept while it is shorter than
+    the last and stays between the poles next to the root.
     """
-    e, n, base, lin = map(np.asarray, rg_core.pole_form(**row))
-    scale = row.get("scale", 1.0)
-    e, n = e[n != 0.0], n[n != 0.0]
+    live = row.n != 0.0
+    e, n, base, lin = row.e[live], row.n[live], row.base, row.lin
     if lin:
         mat = np.diag(np.append(e, -base / lin))
         mat[-1, :-1] = mat[:-1, -1] = np.sqrt(n / lin)
@@ -220,15 +222,15 @@ def _real_roots(row):
             mat = mat[1:, 1:]
     else:
         return []
-    w = np.sort(np.linalg.eigvalsh(mat) / scale)
-    poles = np.sort(e / scale)
+    w = np.sort(np.linalg.eigvalsh(mat))
+    poles = np.sort(e)
     side = np.searchsorted(poles, w)
     lo = np.append(-np.inf, poles)[side]
     hi = np.append(poles, np.inf)[side]
     last = np.full(len(w), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(MAX_NEWTON_ITERS):
-            value, slope = rg_core.secular_row(w, **row)
+            value, slope = rg_core.secular_row(row, w)
             step = value / slope
             keep = (lo < w - step) & (w - step < hi) & (np.abs(step) < last)
             if not np.any(keep):
@@ -251,16 +253,18 @@ def _assign_pattern(roots, n, occupation):
     return np.array([roots[i] for i in occupation], dtype=complex)
 
 
-def _cluster_seeds(row0, row1, values):
-    """Seeds of a homotopy family whose secular row is affine in t and whose
-    rapidity coupling is t * g_site, given its rows at t = 0 and t = 1.
+def _cluster_seeds(family, values):
+    """Seeds of a homotopy family (an rg_core._Homotopy) from the secular
+    roots `values` of its t = 0 row, whose rapidity coupling is 0.
 
     Returns (t_start, seeds): (0.0, values) when no root repeats; otherwise
     the leading-order solution at t_start = CLUSTER_T0.  k rapidities on a
-    simple root x0 of F = row0 split as x0 + shift + sigma * u_a with
-    sigma^2 = t_start * P(x0) / F'(x0), P the coefficient of
-    sum_b 1/(x_b - x_a) in the rapidity coupling at t = 1, u_a the zeros of
-    the Hermite polynomial H_k, and shift = -t_start * (row1 - row0) / F'.
+    simple root x0 of F, the secular row at t = 0, split as x0 + shift +
+    sigma * u_a with sigma^2 = t_start * P(x0) / F'(x0), P = -g_pair (1 + c
+    x0^2) the coefficient of sum_b 1/(x_b - x_a) in the t = 1 row's
+    rapidity coupling, u_a the zeros of the Hermite polynomial H_k, and
+    shift = -t_start * dF/dt / F', dF/dt the secular row of the family's
+    rate, the one the path's tangent reads.
     The sign of sigma^2 decides between a real split and a complex-conjugate
     pair, so the seed set stays closed under conjugation either way.
     """
@@ -272,21 +276,17 @@ def _cluster_seeds(row0, row1, values):
     if len(groups) == len(values):
         return 0.0, values
     t_start = CLUSTER_T0
-    c = 0.0 if row1["kind"] == RATIONAL else 1.0
-    scale = row1.get("scale", 1.0)
+    row0, row1 = family.ends
     out = values.copy()
     for members in groups.values():
         x0 = values[members[0]]
-        f0, fp = rg_core.secular_row(x0, **row0)
-        f1, _ = rg_core.secular_row(x0, **row1)
-        shift = -t_start * (f1 - f0) / fp
+        fp = rg_core.secular_row(row0, x0)[1]
+        shift = -t_start * rg_core.secular_row(family.rate, x0)[0] / fp
         k = len(members)
         if k == 1:
             out[members[0]] = x0 + shift
             continue
-        # -g Z(u_b, u_a) = -g (1 + c u_a u_b) / (scale (x_b - x_a)), u = scale*x
-        u = scale * x0
-        pair = -row1["g_site"] * (1.0 + c * u * u) / scale
+        pair = -row1.g_pair * (1.0 + row1.c * x0 * x0)
         sigma = np.sqrt(complex(t_start * pair / fp))
         herm = np.polynomial.hermite.hermroots([0.0] * k + [1.0])
         for h, idx in zip(herm, members):
@@ -297,12 +297,13 @@ def _cluster_seeds(row0, row1, values):
 def solve_tda(spec, occupation=None):
     """Solve the decoupled secular equations and pick N seed rapidities.
 
-    The secular row 1 + g sum_i Z(eta_i, w) Omega_i has up to m real roots;
-    the occupation pattern selects a multiset of them (default: lowest
-    first).  Returns the TDA point itself, sorted by real part: a repeated
-    root stays repeated, and continue_in_xi splits it by _cluster_seeds.
+    The secular row 1 + g sum_i Z(eta_i, w) Omega_i, of the t = 0 row of
+    spec.xi_family, has up to m real roots; the occupation pattern selects a
+    multiset of them (default: lowest first).  Returns the TDA point itself,
+    sorted by real part: a repeated root stays repeated, and continue_in_xi
+    splits it by _cluster_seeds.
     """
-    roots = _real_roots(rg_core.deformed_rg_params(spec, 0.0))
+    roots = _real_roots(spec.xi_family.ends[0])
     if not roots:
         raise InsufficientModesError("secular equation has no real roots")
     values = _assign_pattern(roots, spec.n_excitations, occupation)
@@ -311,10 +312,10 @@ def solve_tda(spec, occupation=None):
 
 
 def tda_roots_dicke(spec, xi=1.0):
-    """Real roots of the decoupled (tau = 0) secular equation of the extended
-    Dicke construction at deformation xi, scanned in the physical x frame,
-    where its poles are the eps_k."""
-    return _real_roots(rg_core.extended_dicke_params(spec, 0.0, xi))
+    """Real roots of the decoupled secular equation of the extended Dicke
+    construction at deformation xi, the t = 0 row of rg_core.tau_family, in
+    the physical x frame, where its poles are the eps_k."""
+    return _real_roots(rg_core.tau_family(spec, float(xi)).ends[0])
 
 
 def _continue_path(residual_at, t_start, t_end, values, policy):
@@ -423,8 +424,7 @@ def continue_in_xi(spec, policy, r_start):
     def residual_at(xi, w, jacobian=True):
         return rg_core.deformed_rg_residual(spec, xi, w, jacobian)
 
-    xi0, seeds = _cluster_seeds(rg_core.deformed_rg_params(spec, 0.0),
-                                rg_core.deformed_rg_params(spec, 1.0), r_start.as_array())
+    xi0, seeds = _cluster_seeds(spec.xi_family, r_start.as_array())
     path, status = _continue_path(residual_at, xi0, 1.0, seeds, policy)
     return _trace(path, status, RG_ETA)
 
@@ -461,7 +461,7 @@ def solve_dicke_branch(spec, occupation, policy=None, xi_start=1.0):
     equations recorded at xi = 0.  xi_start = 1 is the natural top of the
     family; branches that escape to infinity there need a smaller xi_start (a
     larger deformed copy).
-    Returns (RapiditySet in the x frame, final ResidualReport, trace).
+    Returns (RapiditySet in the x frame, the polish's ResidualReport, trace).
     """
     policy = policy or ContinuationPolicy()
     roots = tda_roots_dicke(spec, xi_start)
@@ -478,18 +478,15 @@ def solve_dicke_branch(spec, occupation, policy=None, xi_start=1.0):
     def exact(w):
         return rg_core.dicke_rg_residual(spec, w)
 
-    tau0, x_seed = _cluster_seeds(rg_core.extended_dicke_params(spec, 0.0, xi_start),
-                                  rg_core.extended_dicke_params(spec, 1.0, xi_start), x_seed)
+    tau0, x_seed = _cluster_seeds(rg_core.tau_family(spec, float(xi_start)), x_seed)
     path, status = _continue_path(inner, tau0, 1.0, x_seed, policy)
     _require_converged(path[-1], status, "inner homotopy", "tau")
     path, status = _continue_path(outer, xi_start, XI_HANDOFF, path[-1][1], policy)
     _require_converged(path[-1], status, "outer continuation", "xi")
-    values, polished, _ = newton_solve(exact, path[-1][1], policy.newton_tol)
-    path.append((0.0, values, polished.max_abs))
+    values, report, _ = newton_solve(exact, path[-1][1], policy.newton_tol)
+    path.append((0.0, values, report.max_abs))
     trace = _trace(path, status, DICKE_X)
-    final = trace.final.rapidities
-    report = rg_core.dicke_rg_residual(spec, final, jacobian=False)
-    return final, report, trace
+    return trace.final.rapidities, report, trace
 
 
 XI_START_LADDER = (1.0, 0.5, 0.25, 0.1, 0.04)
@@ -666,9 +663,10 @@ def _ladder_branches(spec, policy):
 
     Patterns that fail at xi_start = 1 (typically branches escaping to
     infinity because the deformed copy is too small) or converge onto an
-    already-found branch are retried at smaller xi_start values, where the
-    larger deformed copy holds every finite solution.  No pattern is tried
-    once the sector is full.
+    already-found branch (eigenvalue-based variables within evb.distinct_tol
+    of its) are retried at smaller xi_start values, where the larger deformed
+    copy holds every finite solution.  No pattern is tried once the sector is
+    full.
     """
     from itertools import combinations_with_replacement
 
@@ -701,12 +699,12 @@ def _ladder_branches(spec, policy):
                 still.append(pattern)
                 continue
             final, report = res
-            key = np.sort_complex(np.round(final.as_array(), 8))
-            if any(np.allclose(key, k, atol=1e-6) for k, *_ in branches):
+            u = evb.eigenvalue_variables(spec, final.values)
+            if any(np.max(np.abs(k - u)) <= evb.distinct_tol((k, u)) for k, *_ in branches):
                 # relabeled onto a known branch; look deeper down the ladder
                 still.append(pattern)
                 continue
-            branches.append((key, pattern, final, report))
+            branches.append((u, pattern, final, report))
         pending = still
     return [
         {"occupation": list(pat), "rapidities": fin, "report": rep}

@@ -534,6 +534,26 @@ def test_the_ladder_stops_at_a_full_sector(monkeypatch, caplog):
         in caplog.text
 
 
+def test_the_ladder_keeps_one_branch_per_state(monkeypatch):
+    spec = DickeSpec((0.7, 1.2), (0.5, 0.5), 0.2, 1.0, 2)
+    pair = (0.3 + 0.1j, 0.3 - 0.1j)
+
+    def branch(spec, occupation, policy, xi_start):
+        # patterns (0, 0) and (0, 1) land on one state, its rapidities in the
+        # other order and 1e-12 apart; every other pattern on a state of its own
+        if tuple(occupation) == (0, 0):
+            x = pair
+        elif tuple(occupation) == (0, 1):
+            x = (pair[1] + 1e-12, pair[0])
+        else:
+            x = tuple(0.3 + 0.5 * k + 0.01j * a for a, k in enumerate(occupation))
+        return RapiditySet(x, DICKE_X), None, None
+
+    monkeypatch.setattr(solver, "solve_dicke_branch", branch)
+    branches = solver._ladder_branches(spec, solver.ContinuationPolicy())
+    assert [b["occupation"] for b in branches] == [[0, 0], [0, 2], [1, 1], [1, 2]]
+
+
 def test_polished_rapidities_match_their_endpoint():
     spec = _random_spec(3, 2, seed=7)
     for b in solver.enumerate_dicke_branches(spec):

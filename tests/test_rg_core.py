@@ -350,9 +350,8 @@ def test_residual_values_match_brute_force_sums(family):
         else:
             # elementwise: the TDA row and the extended row at t, one rapidity each
             xi = (1.0, 0.25)[trial % 2]
-            tda_row = rg_core.secular_row(w, **rg_core.deformed_rg_params(spec, 0.0))[0]
-            ext_row = rg_core.secular_row(
-                w, **rg_core.extended_dicke_params(dspec, t, xi=xi))[0]
+            tda_row = rg_core.secular_row(spec.xi_family.ends[0], w)[0]
+            ext_row = rg_core.secular_row(rg_core.tau_family(dspec, xi).row(t), w)[0]
             got = rg_core.ResidualReport(np.concatenate([tda_row, ext_row]), 0.0)
             ref = [_brute_rg(kind, ls.etas, ls.degeneracies, -0.12, 0.0, [wa])[0]
                    for wa in w]
@@ -370,42 +369,54 @@ def _secular_row_cases():
     ls = LevelSet.from_spins((0.9, 2.1, 3.3), (0.5, 1.0, 0.5))
     dspec = DickeSpec((0.8, 1.3, 1.7), (0.5, 1.0, 0.5), 0.2, 1.3, 1)
     for kind in (RATIONAL, TRIGONOMETRIC):
-        yield pytest.param(rg_core.deformed_rg_params(ModelSpec(ls, kind, 1, -0.12), 0.0),
+        yield pytest.param(ModelSpec(ls, kind, 1, -0.12).xi_family.ends[0], None,
                            id="tda-" + kind)
-    yield pytest.param(rg_core.deformed_rg_params(ModelSpec(ls, TRIGONOMETRIC, 1, -0.12), 0.5),
+    yield pytest.param(ModelSpec(ls, TRIGONOMETRIC, 1, -0.12).xi_family.row(0.5), None,
                        id="deformed-rg-xi0.5")
     for tau in (0.0, 1.0):
         for xi in (1.0, 0.25):
-            yield pytest.param(rg_core.extended_dicke_params(dspec, tau, xi=xi),
+            yield pytest.param(rg_core.tau_family(dspec, xi).row(tau), None,
                                id=f"extended-tau{tau:g}-xi{xi:g}")
     for kind in (RATIONAL, TRIGONOMETRIC):
         # every kernel parameter away from its default
-        yield pytest.param(dict(kind=kind, sites=(0.8, 1.3), weights=(0.5, 1.0),
-                                g_site=-0.08, const=1.3, lin=-1.0, scale=-0.7),
+        yield pytest.param(rg_core._row(kind, (0.8, 1.3), (0.5, 1.0), -0.08, -0.08,
+                                        const=1.3, lin=-1.0, scale=-0.7), None,
                            id="general-" + kind)
+    # each family's rate row, with the family whose dF/dt it is
+    for kind in (RATIONAL, TRIGONOMETRIC):
+        family = ModelSpec(ls, kind, 1, -0.12).xi_family
+        yield pytest.param(family.rate, family, id="rate-deformed-rg-" + kind)
+    for xi in (1.0, 0.25):
+        family = rg_core.tau_family(dspec, xi)
+        yield pytest.param(family.rate, family, id=f"rate-extended-xi{xi:g}")
+    yield pytest.param(dspec.xi_family.rate, dspec.xi_family, id="rate-deformed-dicke")
 
 
-@pytest.mark.parametrize("params", list(_secular_row_cases()))
-def test_secular_row_is_the_kernel_at_one_rapidity(params):
+@pytest.mark.parametrize("row, family", list(_secular_row_cases()))
+def test_secular_row_is_the_kernel_at_one_rapidity(row, family):
     rng = np.random.default_rng(7)
     real = rng.uniform(-1.5, 4.5, 8)
     for w in (real, real + 1j * rng.uniform(-1.2, 1.2, 8)):
-        row, drow = rg_core.secular_row(w, **params)
-        assert row.shape == drow.shape == w.shape
-        assert np.isrealobj(row) == np.isrealobj(w)
+        value, slope = rg_core.secular_row(row, w)
+        assert value.shape == slope.shape == w.shape
+        assert np.isrealobj(value) == np.isrealobj(w)
         # one rapidity has no partner, whatever the pair coupling
-        kernel = [rg_core._gaudin_residual(g_pair=params["g_site"], w=[wa],
-                                           jacobian=True, **params) for wa in w]
+        kernel = [rg_core._evaluate(row, [wa], True) for wa in w]
         res = np.array([k[0][0] for k in kernel])
         jac = np.array([k[2][0, 0] for k in kernel])
-        assert np.max(np.abs(row - res)) <= 1e-13 * np.max(np.abs(res))
-        assert np.max(np.abs(drow - jac)) <= 1e-13 * np.max(np.abs(jac))
+        assert np.max(np.abs(value - res)) <= 1e-13 * np.max(np.abs(res))
+        assert np.max(np.abs(slope - jac)) <= 1e-13 * np.max(np.abs(jac))
+        if family is not None:
+            # the seeder's dF/dt is the one the path's tangent reads
+            rate = np.array([family.report(0.5, [wa], False).rate[0] for wa in w])
+            assert np.max(np.abs(value - rate)) <= 1e-13 * np.max(np.abs(rate))
 
 
 # -- the array kernel against a scalar reference ------------------------------
 
 def _scalar_kernel(kind, sites, weights, g_site, g_pair, w, const, lin, scale):
-    """_gaudin_residual written out one (a, i) and (a, b) term at a time:
+    """The Gaudin-form kernel (rg_core._row) written out one (a, i) and (a, b)
+    term at a time:
     residuals, Jacobian in w, and per row the sums of the moduli of the
     terms that make up the residual and the Jacobian's diagonal."""
     c = 0.0 if kind == RATIONAL else 1.0
@@ -459,7 +470,9 @@ def _kernel_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(_kernel_cases())
 def test_array_kernel_matches_the_scalar_reference(case):
-    res, max_abs, jac = rg_core._gaudin_residual(jacobian=True, **case)
+    params = dict(case)
+    w = params.pop("w")
+    res, max_abs, jac, _ = rg_core._evaluate(rg_core._row(**params), w, True)
     ref, ref_jac, size, jac_size = _scalar_kernel(**case)
     assert np.all(np.abs(res - ref) <= 1e-13 * size)
     assert max_abs == np.max(np.abs(res))
@@ -470,10 +483,9 @@ def test_array_kernel_matches_the_scalar_reference(case):
         assert np.count_nonzero(jac - np.diag(np.diag(jac))) == 0
 
     def fn(v):
-        return rg_core.ResidualReport(*rg_core._gaudin_residual(
-            jacobian=False, **dict(case, w=tuple(v))))
+        return rg_core.ResidualReport(*rg_core._evaluate(rg_core._row(**params), v, False))
 
-    fd = fd_jacobian(fn, case["w"], h=1e-6)
+    fd = fd_jacobian(fn, w, h=1e-6)
     assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(jac_size))
 
 
@@ -503,8 +515,8 @@ COLLISION_SITES = (1.0, 2.0)
 @pytest.mark.parametrize("scale", [1.0, -0.7])
 def test_a_collision_names_the_first_in_rapidity_order(w, pair, scale):
     with pytest.raises(CollisionError) as exc:
-        rg_core._gaudin_residual(RATIONAL, COLLISION_SITES, (0.5, 0.5), -0.1, -0.1,
-                                 [complex(v) for v in w], True, scale=scale)
+        rg_core._evaluate(rg_core._row(RATIONAL, COLLISION_SITES, (0.5, 0.5), -0.1, -0.1,
+                                       scale=scale), [complex(v) for v in w], True)
     assert exc.value.pair == pair
     # the families pass complex rapidities, and so the message names them
     with pytest.raises(CollisionError) as ref:
@@ -516,9 +528,9 @@ def test_collisions_are_tested_on_the_unscaled_coordinates():
     args = (TRIGONOMETRIC, COLLISION_SITES, (0.5, 0.5), -0.1, -0.1)
     # 5e-11 apart in w, 5e-9 apart in u = 100 w
     with pytest.raises(CollisionError):
-        rg_core._gaudin_residual(*args, (0.3, 0.3 + 5e-11), False, scale=100.0)
+        rg_core._evaluate(rg_core._row(*args, scale=100.0), (0.3, 0.3 + 5e-11), False)
     # 2e-10 apart in w, 2e-11 apart in u = 0.1 w
-    res, _, _ = rg_core._gaudin_residual(*args, (0.3, 0.3 + 2e-10), False, scale=0.1)
+    res = rg_core._evaluate(rg_core._row(*args, scale=0.1), (0.3, 0.3 + 2e-10), False)[0]
     assert np.all(np.isfinite(res))
 
 
@@ -535,8 +547,8 @@ def test_no_runtime_warning_with_one_rapidity_or_no_pair_coupling(family):
         # g_pair = 0: the decoupled rows of both homotopies, and a free coupling
         for n in (1, 3):
             w = (0.4 + 0.2j, 1.5, 2.6 - 0.1j)[:n]
-            rg_core._gaudin_residual(TRIGONOMETRIC, (0.9, 2.1), (1.0, 2.0), 0.0, 0.0,
-                                     w, True)
+            rg_core._evaluate(rg_core._row(TRIGONOMETRIC, (0.9, 2.1), (1.0, 2.0), 0.0, 0.0),
+                              w, True)
             tda_residual(simple_spec(kind=RATIONAL), RapiditySet(w, RG_ETA))
             extended_dicke_residual(JC, 0.0, RapiditySet(w, DICKE_X))
 

@@ -87,6 +87,31 @@ def test_solve_tda_repeated_root_is_split_at_the_start_of_the_xi_path(monkeypatc
     assert trace.status == "converged"
 
 
+@pytest.mark.parametrize("xi", [None, 1.0, 0.25], ids=["rg", "dicke-xi1", "dicke-xi0.25"])
+def test_cluster_seeds_miss_the_path_by_order_t0(xi):
+    # two rapidities on the secular root of a spin-1 level split by about
+    # sqrt(t0); the leading-order seeds, from the family's rows and rate, miss
+    # the path's point at t0 by O(t0), under 6e-3 of the split here, where a
+    # split off by sqrt(2) misses by 0.2 of it
+    t0 = solver.CLUSTER_T0
+    if xi is None:
+        family, values = ONE_LEVEL.xi_family, solve_tda(ONE_LEVEL).as_array()
+
+        def residual(w):
+            return rg_core.deformed_rg_residual(ONE_LEVEL, t0, w)
+    else:
+        spec = DickeSpec((0.8, 1.3, 1.7), (0.5, 1.0, 0.5), 0.2, 1.3, 2)
+        family = rg_core.tau_family(spec, xi)
+        values = np.full(2, solver.tda_roots_dicke(spec, xi)[1], dtype=complex)
+
+        def residual(w):
+            return rg_core.extended_dicke_residual(spec, t0, w, xi)
+    t_start, seeds = solver._cluster_seeds(family, values)
+    assert t_start == t0
+    exact = newton_solve(residual, seeds)[0]
+    assert np.max(np.abs(seeds - exact)) <= 0.02 * abs(seeds[0] - seeds[1])
+
+
 def test_solve_tda_roots_approach_levels_at_weak_coupling():
     ls = LevelSet.from_spins((1.0, 2.0), (0.5, 0.5))
     prev = np.inf
@@ -234,10 +259,8 @@ def test_paths_make_no_jacobian_free_call(monkeypatch, case):
         solve_dicke_branch(M2, [0, 2])
     with_jacobian = [name for name, jac in calls if jac]
     assert len(with_jacobian) == len(evaluations)
-    # the one call without a Jacobian is the Dicke branch's final report,
-    # after its Newton polish on the Dicke equations
-    expected = [] if case == "rg" else [("dicke_rg_residual", False)]
-    assert [(name, jac) for name, jac in calls if not jac] == expected
+    # the Dicke branch reports its Newton polish's own evaluation
+    assert [(name, jac) for name, jac in calls if not jac] == []
     assert case == "rg" or "dicke_rg_residual" in with_jacobian
 
 
@@ -248,8 +271,7 @@ def test_the_hermite_prediction_error_falls_as_the_fourth_power_of_the_step(kind
     spec = ModelSpec(LevelSet.from_spins((0.7, 1.2, 2.0), (1.0, 0.5, 1.5)), kind, 1, -0.2)
 
     def point(xi):
-        y = np.array([solver._real_roots(rg_core.deformed_rg_params(spec, xi))[k]],
-                     dtype=complex)
+        y = np.array([solver._real_roots(spec.xi_family.row(xi))[k]], dtype=complex)
         return xi, y, solver._tangent(rg_core.deformed_rg_residual(spec, xi, y))
 
     def errors(h):
@@ -407,9 +429,9 @@ def _brentq_roots(row):
     from scipy.optimize import brentq
 
     def f(w):
-        return rg_core.secular_row(w, **row)[0]
+        return rg_core.secular_row(row, w)[0]
 
-    poles = np.sort(np.asarray(row["sites"], dtype=float))
+    poles = np.sort(row.e)
     outer = 50.0 * max(poles[-1] - poles[0], 1.0)
     edges = np.concatenate([[poles[0] - outer], poles, [poles[-1] + outer]])
     roots = []
@@ -423,7 +445,7 @@ def _brentq_roots(row):
 
 
 SECULAR_ROWS = [
-    pytest.param(rg_core.deformed_rg_params(spec, xi), id=f"{name}-xi{xi}")
+    pytest.param(spec.xi_family.row(xi), id=f"{name}-xi{xi}")
     for name, spec in [
         ("rg4", RG4),
         ("rational-spin1", ModelSpec(LevelSet.from_spins((1.0, 2.0, 3.0), (1.0,) * 3),
@@ -435,7 +457,7 @@ SECULAR_ROWS = [
     ]
     for xi in (0.0, 0.5, 1.0)
 ] + [
-    pytest.param(rg_core.extended_dicke_params(spec, 0.0, xi), id=f"{name}-xi{xi}")
+    pytest.param(rg_core.tau_family(spec, xi).ends[0], id=f"{name}-xi{xi}")
     for name, spec in [
         ("dicke-m3", DickeSpec((0.8, 1.3, 1.7), (0.5, 1.0, 0.5), 0.2, 1.3, 2)),
         ("dicke-spin1", DickeSpec((0.688, 1.229), (1.0, 0.5), 0.158, 0.955, 3)),
@@ -464,7 +486,7 @@ def test_real_roots_match_brentq(row):
 def test_strong_attraction_starts_from_the_collective_root(spec, collective):
     # the lowest secular root lies far below the levels, more than 50 times
     # their span; the default pattern starts there and reaches the collective state
-    roots = solver._real_roots(rg_core.deformed_rg_params(spec, 0.0))
+    roots = solver._real_roots(spec.xi_family.ends[0])
     assert roots[0] < min(spec.levels.etas) - 50.0
     final, _ = solve_rg(spec)
     # the residual is met to 1e-10 on a row whose slope is about 1e-2
@@ -474,9 +496,8 @@ def test_strong_attraction_starts_from_the_collective_root(spec, collective):
 def test_a_secular_row_with_zero_base_has_only_its_finite_roots():
     # trigonometric row base = 1 - g sum_i Omega_i eta_i = 1 - 0.5 (0.5 + 1.5) = 0
     spec = ModelSpec(LevelSet.from_spins((0.25, 0.75), (0.5, 0.5)), TRIGONOMETRIC, 1, 0.5)
-    row = rg_core.deformed_rg_params(spec, 0.0)
-    _, n, base, _ = rg_core.pole_form(**row)
-    assert base == 0.0 and n.tolist() == [1.0625, 1.5625]
+    row = spec.xi_family.ends[0]
+    assert row.base == 0.0 and row.n.tolist() == [1.0625, 1.5625]
     # sum_i n_i/(e_i - u) = 0 at u = (0.75 n_1 + 0.25 n_2)/(n_1 + n_2) = 19/42
     assert solver._real_roots(row) == pytest.approx([19.0 / 42.0], rel=1e-15)
 
@@ -486,7 +507,7 @@ def test_a_near_critical_trigonometric_row_gains_a_far_root():
     # root near sum_i n_i / base
     spec = ModelSpec(LevelSet.from_spins((0.5, 1.0), (0.5, 0.5)), TRIGONOMETRIC, 1,
                      0.3333336667)
-    far, finite = solver._real_roots(rg_core.deformed_rg_params(spec, 0.0))
+    far, finite = solver._real_roots(spec.xi_family.ends[0])
     assert far == pytest.approx(-2.1664513808e6, rel=1e-9)
     assert 0.5 < finite < 1.0
     # base(xi) crosses 0 along the path from the far root, which stalls
@@ -556,7 +577,7 @@ def _bethe_vector(spec, rapidities, basis):
 def test_rg_repeated_roots_reach_every_state(spec):
     charges = ed_oracle.realize_rg_charges(spec, 1.0)
     basis = charges[0].basis
-    n_roots = len(solver._real_roots(rg_core.deformed_rg_params(spec, 0.0)))
+    n_roots = len(solver._real_roots(spec.xi_family.ends[0]))
     states = []
     for pattern in combinations_with_replacement(range(n_roots), spec.n_excitations):
         try:
