@@ -12,6 +12,7 @@ failure, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -466,7 +467,10 @@ def run(config):
     return run_ed_spectrum(config, spec)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every later
+    one: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gaudin",
         description="Richardson-Gaudin / Dicke solver suite",

@@ -4,8 +4,10 @@ All residual evaluators return a ResidualReport carrying the residual vector,
 its max modulus, and the analytic Jacobian with respect to the rapidities
 (holomorphic derivative matrix; the residuals are holomorphic in the complex
 rapidities for fixed model parameters).  Each takes its rapidities as a
-RapiditySet, whose frame it checks, or as a complex array in its frame, which
-it uses as is: the solver's continuation passes its iterate that way.
+RapiditySet, whose frame it checks, or as an array in its frame, which it
+uses as is and computes in its dtype: the solver's continuation passes its
+iterate that way, in float64 when the iterate is real.  Every row is real,
+so a real array gives a real report.
 
 The three homotopy families (deformed RG in xi, extended Dicke in tau,
 deformed Dicke in xi) are affine in their parameter t, F(t, w) = A(w) +
@@ -174,7 +176,7 @@ class ResidualReport:
 
 def _values(r, frame):
     """The rapidities of r: a RapiditySet's values, once its frame is checked,
-    or r itself, a complex array taken to be in `frame`."""
+    or r itself, an array taken to be in `frame`."""
     if not isinstance(r, RapiditySet):
         return r
     if r.frame != frame:
@@ -189,7 +191,9 @@ class _Row(NamedTuple):
               - g_pair sum_{b != a} (1 + c w_a w_b)/(w_b - w_a)
 
     Its site part, base + lin*w + sum_i n_i/(e_i - w), is the secular row of
-    one rapidity with no partner (secular_row).
+    one rapidity with no partner (secular_row).  Every row is real, float64
+    arrays and Python floats: that is what lets a real iterate stay real, the
+    kernel on a float64 w computing in float64 throughout.
     """
 
     e: np.ndarray
@@ -232,10 +236,14 @@ def _evaluate(row, w, jacobian, rate=None):
     diagonal.  `rate`, a _Row of parameter differences, asks for the kernel's
     derivative along them, the dF/dt of a family affine in t: it comes back
     as a _form_rate call on this evaluation's arrays, to be made when the
-    rate is read, so w must not change in place before then.  Returns
-    (residuals, max modulus, Jacobian or None, that call or None)."""
+    rate is read, so w must not change in place before then.  Everything is
+    computed in w's dtype, float64 for a real w (integers are taken as
+    float64) and complex128 for a complex one.  Returns (residuals, max
+    modulus, Jacobian or None, that call or None)."""
     e, n, base, lin, g_pair, c = row
-    w = np.asarray(w, dtype=complex)
+    w = np.asarray(w)
+    if w.dtype.kind not in "fc":  # integer rapidities, say: inf must fit in dw
+        w = w.astype(float)
     d = e - w[:, None]  # d[a, i] = e_i - w_a
     dw = w - w[:, None]  # dw[a, b] = w_b - w_a
     np.fill_diagonal(dw, np.inf)  # masks b == a: |dw| = inf and 1/dw = 0 there

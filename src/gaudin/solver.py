@@ -15,8 +15,12 @@ Hermite interpolant through the last two accepted points and their tangents,
 an Euler step on a path's first step.  Each Jacobian is inverted once
 (_inverse): the inverse gives the step and, through the Frobenius condition
 number, the decision to refuse it; an SVD runs only when that number cannot
-decide.  The closures hand their complex arrays straight to the rg_core
-families.  The RG path runs xi 0 -> 1 (continue_in_xi); the Dicke path runs
+decide.  The closures hand their arrays straight to the rg_core families,
+which compute in the iterate's dtype: newton_solve corrects a start with no
+imaginary part in float64, and every family row is real, so a real seed's
+path, its inverses, tangents and predictions included, never leaves float64,
+while a complex seed (a conjugate-pair split, an EVB endpoint) stays
+complex.  The RG path runs xi 0 -> 1 (continue_in_xi); the Dicke path runs
 tau 0 -> 1 and then xi down to 0 (solve_dicke_branch).  Both inner families
 have a secular row affine in their parameter and a rapidity coupling
 proportional to it, so one rule, _cluster_seeds, splits rapidities that
@@ -147,13 +151,18 @@ def _inverse(jac, limit):
 def newton_solve(residual_fn, w0, tol=1e-10):
     """Damped Newton iteration on a holomorphic residual system.
 
-    residual_fn maps a complex rapidity array to a ResidualReport with an
-    analytic Jacobian; w0 is the complex starting array.  Each iteration
+    residual_fn maps a rapidity array to a ResidualReport with an analytic
+    Jacobian; w0 is the starting array.  A start with no nonzero imaginary
+    part is corrected in float64 (the families compute in the iterate's
+    dtype, and their real rows cannot give it an imaginary part), any other
+    in complex128; the values come back in that dtype.  Each iteration
     inverts its Jacobian once (_inverse), for the step and for the condition
     test, and refuses a Jacobian whose condition number exceeds 1e14.
     Returns (values, report, iterations).
     """
     w = np.array(w0, dtype=complex)
+    if not w.imag.any():
+        w = w.real.copy()
     report = residual_fn(w)
     if report.max_abs <= tol:
         return w, report, 0

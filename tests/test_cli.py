@@ -411,12 +411,53 @@ def test_solve_rg_at_the_benchmark_shape_pins_its_work(tmp_path, monkeypatch):
     def counting_newton(residual_fn, w0, tol=1e-10):
         return newton(counted("newton", residual_fn), w0, tol)
 
+    # the seeds are real, so the whole path runs in float64
+    evaluate, dtypes = rg_core._evaluate, []
+
+    def recording(row, w, *args):
+        dtypes.append(np.asarray(w).dtype)
+        return evaluate(row, w, *args)
+
     monkeypatch.setattr(rg_core, "deformed_rg_residual", counted("residual", family))
     monkeypatch.setattr(solver, "newton_solve", counting_newton)
     monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    monkeypatch.setattr(rg_core, "_evaluate", recording)
     final, trace = solver.solve_rg(spec)
     assert trace.status == "converged"
     steps = len(trace.path) - 1
     assert steps > 0
     assert counts["residual"] == counts["newton"]
     assert counts["svd"] == 0
+    # one more evaluation: solve_rg's independent check of the final
+    # RapiditySet, whose values are complex
+    assert dtypes[:-1] == [np.float64] * counts["residual"]
+    assert dtypes[-1] == np.complex128
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    # the parser is built on the first main call and serves every later one:
+    # calls with other modes and options write the documents run() writes,
+    # with nothing left over from the call before, and a usage error after
+    # good calls still exits 1
+    cli.build_parser.cache_clear()
+    rg = _write(tmp_path, "rg.spec", RG_SPEC)
+    jc = _write(tmp_path, "jc.spec", JC_SPEC)
+    calls = [
+        (["--mode", "solve-rg", "--spec", rg, "--occupation", "0,2", "--newton-tol", "1e-11"],
+         RunConfig("solve-rg", rg, occupation=[0, 2], newton_tol=1e-11)),
+        (["--mode", "sweep-xi", "--spec", rg, "--format", "tabular-text", "--xi-steps", "3"],
+         RunConfig("sweep-xi", rg, out_format="tabular-text", xi_steps=3)),
+        (["--mode", "solve-dicke", "--spec", jc, "--branch", "1", "--boson-cutoff", "6"],
+         RunConfig("solve-dicke", jc, branch=1, boson_cutoff=6)),
+        (["--mode", "solve-rg", "--spec", rg], RunConfig("solve-rg", rg)),
+    ]
+    for i, (argv, config) in enumerate(calls):
+        out = str(tmp_path / f"{i}.out")
+        assert cli.main(argv + ["--out", out]) == 0
+        assert open(out).read() == run(config)[0]
+    assert "occupation" not in open(out).read()
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.main(["--mode", "bogus", "--spec", rg]) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert cli.main(["--mode", "solve-rg", "--spec", rg, "--xi-steps", "abc"]) == 1
+    assert cli.build_parser.cache_info().misses == 1

@@ -620,3 +620,30 @@ def test_deformed_dicke_is_the_dicke_equations_plus_xi_times_its_rate(xi):
             np.sum(spins * eps * x[:, None] / (x[:, None] - eps), axis=1)
             - np.sum((1.0 - np.eye(3)) * np.multiply.outer(x, x) / pairs, axis=1))
         assert np.max(np.abs(hw_rate - closed)) <= 1e-14 * size
+
+
+def _row_is_real(row):
+    return (all(a.dtype == np.float64 for a in (row.e, row.n))
+            and all(type(x) is float for x in row[2:]))
+
+
+@pytest.mark.parametrize("degeneracies", [False, True], ids=["spins", "degeneracies"])
+def test_every_family_row_is_real(degeneracies):
+    # real rows are what keep a real iterate real: the kernel, its Jacobian
+    # and rate and the solver's inverse, tangent and predictor then compute
+    # in float64 and never meet a complex number (numpy scalars in a row
+    # would also change how complex numbers divide)
+    etas = (0.7, 1.2, 2.0)
+    levels = (LevelSet.from_degeneracies(etas, (2, 3, 2)) if degeneracies
+              else LevelSet.from_spins(etas, (1.0, 0.5, 1.5)))
+    dicke = DickeSpec((0.7, 1.2), (1.0, 0.5), 0.25, 1.1, 3)
+    families = [ModelSpec(levels, kind, 3, -0.12).xi_family for kind in (RATIONAL, TRIGONOMETRIC)]
+    families += [dicke.xi_family, rg_core.tau_family(dicke, 0.5), rg_core.tau_family(dicke, 1.0)]
+    for family in families:
+        rows = [*family.ends, family.rate] + [family.row(t) for t in (0.0, 0.3, 1.0)]
+        assert all(_row_is_real(row) for row in rows)
+    assert _row_is_real(dicke._dicke)
+    # and a real array in gives a real report out, integers included
+    for w in (np.array([0.3, 0.9, 1.6]), [0, 1, 3]):
+        report = family.report(0.3, w, True)
+        assert all(a.dtype == np.float64 for a in (report.residuals, report.jacobian, report.rate))

@@ -690,3 +690,66 @@ def test_family_reports_keep_python_float_bits(first):
     # whose tau = 1 row is the deformed Dicke family's xi = 1 end
     assert list(spec._tau_families) == [0.5, 1.0]
     assert all(type(xi) is float for xi in spec._tau_families)
+
+
+def _recorded_dtypes(monkeypatch, cast=None):
+    """Patch rg_core._evaluate to record the dtype of every rapidity array it
+    gets, after `cast` when one is given; returns the growing list."""
+    dtypes, evaluate = [], rg_core._evaluate
+
+    def recording(row, w, jacobian, rate=None):
+        w = np.asarray(w) if cast is None else np.asarray(w, dtype=cast)
+        dtypes.append(w.dtype)
+        return evaluate(row, w, jacobian, rate)
+
+    monkeypatch.setattr(rg_core, "_evaluate", recording)
+    return dtypes
+
+
+@pytest.mark.parametrize("case", ["rg", "dicke"])
+def test_a_real_path_in_float64_matches_the_same_path_in_complex(monkeypatch, case):
+    # a real seed stays real, so its path runs in float64 end to end; run
+    # through a kernel that casts to complex, the same path reads the same
+    # points to a few ulps of the largest rapidity, the scale of a Newton
+    # step's round-off (complex and real division round differently)
+    def run():
+        if case == "rg":
+            return solve_rg(RG4)[1]
+        return solve_dicke_branch(M2, [0, 2])[2]
+
+    with monkeypatch.context() as patch:
+        dtypes = _recorded_dtypes(patch)
+        real = run()
+    # on the RG pipeline, the independent check of the final point reads its
+    # RapiditySet, whose values are complex
+    assert Counter(map(str, dtypes)) == (
+        {"float64": len(dtypes) - 1, "complex128": 1} if case == "rg" else {"float64": len(dtypes)})
+    _recorded_dtypes(monkeypatch, cast=complex)
+    cplx = run()
+    assert real.status == cplx.status == "converged"
+    assert [p.xi for p in real.path] == [p.xi for p in cplx.path]
+    eps = np.finfo(float).eps
+    for a, b in zip(real.path, cplx.path):
+        a, b = a.rapidities.as_array(), b.rapidities.as_array()
+        # a float64 point is printed with a +0 imaginary part, never -0
+        assert not np.signbit(a.imag).any() and not a.imag.any()
+        assert np.max(np.abs(a - b)) <= 4.0 * eps * np.max(np.abs(b))
+
+
+def test_a_complex_split_and_the_evb_polish_stay_complex(monkeypatch):
+    # two rapidities on the secular root of a spin-1 level split into a
+    # conjugate pair, and the EVB endpoints carry imaginary parts: both keep
+    # complex arithmetic and converge
+    dtypes = _recorded_dtypes(monkeypatch)
+    _, seeds = solver._cluster_seeds(ONE_LEVEL.xi_family, solve_tda(ONE_LEVEL).as_array())
+    assert np.all(np.abs(seeds.imag) > 1e-3)
+    trace = continue_in_xi(ONE_LEVEL, ContinuationPolicy(), solve_tda(ONE_LEVEL))
+    assert trace.status == "converged"
+    final = trace.final.rapidities.as_array()
+    assert final[0] == np.conj(final[1]) and abs(final[0].imag) > 1e-2
+    assert dtypes and {str(d) for d in dtypes} == {"complex128"}
+    dtypes.clear()
+    branches = enumerate_dicke_branches(M2)
+    assert solver.enumeration_method(M2) == solver.EVB
+    assert len(branches) == M2.sector_dimension()
+    assert dtypes and {str(d) for d in dtypes} == {"complex128"}
