@@ -43,21 +43,21 @@ def _check_kind(kind):
         raise DomainError(f"unknown Gaudin kind {kind!r}; expected one of {KINDS}")
 
 
-def _is_half_integer(x, tol=1e-12):
-    return abs(2 * x - round(2 * x)) < tol
-
-
 def check_levels(coords, spins):
     """Raise DegenerateLevelError unless every level coordinate is finite,
-    every spin is a positive half-integer and no two level coordinates lie
-    within COLLISION_TOL of each other."""
-    for c in coords:
-        if not np.isfinite(c):
-            raise DegenerateLevelError(f"level coordinate {c} is not finite")
-    for s in spins:
-        if s <= 0 or not _is_half_integer(s):
-            raise DegenerateLevelError(f"spin {s} is not a positive half-integer")
+    every spin is a positive half-integer (within 1e-12) and no two level
+    coordinates lie within COLLISION_TOL of each other.  Each list is tested
+    by array operations; a message names the first offending entry."""
     c = np.asarray(coords, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(c))
+    if len(bad):
+        raise DegenerateLevelError(f"level coordinate {coords[bad[0]]} is not finite")
+    s = np.asarray(spins, dtype=float)
+    with np.errstate(invalid="ignore"):
+        half = np.abs(2.0 * s - np.round(2.0 * s)) < 1e-12
+    bad = np.flatnonzero(~((s > 0) & half))
+    if len(bad):
+        raise DegenerateLevelError(f"spin {spins[bad[0]]} is not a positive half-integer")
     # the pairs i < j that coincide, in row-major order
     i, j = np.nonzero(np.triu(np.abs(c[:, None] - c) < COLLISION_TOL, 1))
     if len(i):

@@ -258,8 +258,8 @@ def _environment_section(config):
 def run_solve_rg(config, spec):
     if not isinstance(spec, rg_core.ModelSpec):
         raise ValidationError("solve-rg needs a model=rg spec")
-    final, trace = solver.solve_rg(spec, _policy(config), occupation=config.occupation)
-    report = rg_core.rg_residual(spec, final, jacobian=False)
+    final, report, trace = solver.solve_rg(spec, _policy(config),
+                                           occupation=config.occupation)
     lines = _header(config)
     lines += [""] + _spec_section(spec)
     lines += ["", "[branch 0]"]
@@ -274,14 +274,25 @@ def run_solve_rg(config, spec):
     return "\n".join(lines) + "\n", 0
 
 
-def _dicke_branch_records(config, spec, branches, cutoff):
-    ladder = dicke.bethe_ladder(spec, cutoff)
-    ham = ed_oracle.realize(dicke.build_dicke_hamiltonian(spec), ladder[0])
+def _dicke_branch_records(spec, branches):
+    """The [branch] records, each state checked against ED on its sector.
+
+    The Bethe vectors and H's sector-N block are exact at any boson cutoff
+    >= N, so they are built at N whatever --boson-cutoff says: b', every S'_k
+    and H are realized once, every vector is built at once
+    (dicke.bethe_coefficients), and all are checked by one eigencheck."""
+    if not branches:
+        return []
+    n = spec.n_excitations
+    ladder = dicke.bethe_ladder(spec, n)
+    ham = ed_oracle.realize(dicke.build_dicke_hamiltonian(spec), ladder.basis)
+    block = ed_oracle.MatrixOperator(ham.restrict(ladder.top.indices), ladder.top,
+                                     hermitian=True)
+    states = [dicke.BetheProductState(spec, b["rapidities"]) for b in branches]
+    vectors, _ = dicke.bethe_coefficients(states, n, ladder)
+    rayleigh, rel = ed_oracle.eigencheck(block, vectors)
     lines = []
     for idx, b in enumerate(branches):
-        state = dicke.BetheProductState(spec, b["rapidities"])
-        vec, _ = dicke.bethe_coefficients(state, cutoff, ladder)
-        rayleigh, rel = ed_oracle.eigencheck(ham, vec)
         lines += ["", "[branch %d]" % idx]
         if "evb_start" in b:
             lines.append("evb_start = [%s]" % ", ".join(str(k) for k in b["evb_start"]))
@@ -290,17 +301,18 @@ def _dicke_branch_records(config, spec, branches, cutoff):
         for a, v in enumerate(b["rapidities"].values):
             lines.append("rapidity_%d = %s" % (a, _fmt_complex(v)))
         lines.append("residual_max_abs = %s" % _fmt(b["report"].max_abs))
-        lines.append("rayleigh_energy = %s" % _fmt(rayleigh))
-        lines.append("oracle_residual = %s" % _fmt(rel))
+        lines.append("rayleigh_energy = %s" % _fmt(rayleigh[idx]))
+        lines.append("oracle_residual = %s" % _fmt(rel[idx]))
     return lines
 
 
 def run_solve_dicke(config, spec):
     if not isinstance(spec, rg_core.DickeSpec):
         raise ValidationError("solve-dicke needs a model=dicke spec")
-    cutoff = _boson_cutoff(config, spec)
     policy = _policy(config)
-    header = ["boson_cutoff = %d" % cutoff]
+    # the records do not depend on the cutoff; the header keeps it, for an
+    # ed-spectrum run of the same spec to read
+    header = ["boson_cutoff = %d" % _boson_cutoff(config, spec)]
     if config.occupation is not None:
         final, report, trace = solver.solve_dicke_branch(
             spec, config.occupation, policy=policy
@@ -329,7 +341,7 @@ def run_solve_dicke(config, spec):
         branches = [branches[config.branch]]
     lines = _header(config, header)
     lines += [""] + _spec_section(spec)
-    lines += _dicke_branch_records(config, spec, branches, cutoff)
+    lines += _dicke_branch_records(spec, branches)
     lines += [""] + _environment_section(config)
     return "\n".join(lines) + "\n", 0
 

@@ -1,5 +1,6 @@
 """Contraction-limit objects: the Dicke Hamiltonian, its conserved charges,
-the partially deformed charge R0(xi), and Bethe product-state amplitudes.
+the partially deformed charge R0(xi), and Bethe product-state amplitudes,
+built for all the states of a spec at once on their excitation sectors.
 
 Operator expressions are symbolic sums of elementary-operator products; the
 oracle realizes them as matrices.  The deformed copy is handled through the
@@ -12,6 +13,7 @@ hbar_omega * R0(xi) reproduces the Dicke Hamiltonian in the contraction limit
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,48 +153,85 @@ class BetheProductState:
         if self.rapidities.frame != rg_core.DICKE_X:
             raise ValidationError("Bethe rapidities must be in the dicke_x frame")
         x = self.rapidities.as_array()
+        if len(x) != self.spec.n_excitations:
+            raise ValidationError(
+                f"{len(x)} rapidities for N = {self.spec.n_excitations} excitations")
         for e in self.spec.epsilons:
             if np.min(np.abs(x - e)) < algebra.COLLISION_TOL:
                 raise ValidationError("rapidity collides with a level epsilon")
 
 
+class BetheLadder(NamedTuple):
+    """What bethe_coefficients applies: the truncated Dicke `basis`, its
+    sector-N states (`top`, a RestrictedBasis), and per excitation a < N the
+    blocks of b' and of every S'_k from sector a to sector a + 1 (`steps`,
+    one (b' block, S' blocks) pair per a)."""
+
+    basis: object
+    top: object
+    steps: tuple
+
+
 def bethe_ladder(spec, boson_cutoff):
-    """The truncated Dicke basis and the sparse matrices of b' and of every S'_k
-    on it: the operators bethe_coefficients applies, realized once for all
-    the states of a spec."""
+    """The BetheLadder of a spec at a boson cutoff >= N: b' and every S'_k are
+    realized once on the truncated basis and cut into their blocks between
+    consecutive sectors 0 .. N (CooMatrix.restrict), once for all the states
+    of the spec.  A sector at or below the cutoff holds every state it has
+    at any larger cutoff, so the blocks do not depend on the cutoff."""
+    n = spec.n_excitations
+    if boson_cutoff < n:
+        raise CutoffError(f"cutoff {boson_cutoff} < N = {n}")
     basis = ed_oracle.HilbertBasis.dicke(spec, boson_cutoff)
 
     def raiser(symbol, level):
         return ed_oracle.realize(OperatorExpression(((1.0, ((symbol, level),)),)), basis).coo
 
-    return basis, raiser("bdag", None), [raiser("sp", k) for k in range(spec.m)]
+    bdag, raisers = raiser("bdag", None), [raiser("sp", k) for k in range(spec.m)]
+    sectors = [basis.sector_indices(a) for a in range(n + 1)]
+    steps = tuple(
+        (bdag.restrict(up, down), tuple(sp.restrict(up, down) for sp in raisers))
+        for down, up in zip(sectors, sectors[1:])
+    )
+    return BetheLadder(basis, ed_oracle.RestrictedBasis(basis, sectors[-1]), steps)
 
 
-def bethe_coefficients(state, boson_cutoff, ladder=None):
-    """Amplitude vector of the Bethe product state on the truncated basis.
+def bethe_coefficients(states, boson_cutoff, ladder=None):
+    """Unit amplitude vectors of Bethe product states of one spec.
 
-    Each factor raises the boson number by at most one, so cutoff >= N keeps
-    the expansion exact; spin raising beyond highest weight contributes zero.
-    A caller that expands several states of one spec passes their
-    bethe_ladder(spec, boson_cutoff) as `ladder`.
+    Each factor raises the excitation number by exactly one, so the product
+    is built one sector at a time, from |theta> (sector 0, a single state)
+    through sectors 1 .. N, on the blocks of a BetheLadder, for all the
+    states at once: no vector holds more entries than its sector.  Any
+    cutoff >= N keeps the expansion exact; spin raising beyond highest
+    weight contributes zero.
+
+    `states` is a sequence of BetheProductStates, whose vectors come back as
+    the columns of a (d, B) array on the sector-N basis (ladder.top, d
+    states), or one state, the batch of one, whose vector comes back on the
+    whole truncated basis (ladder.basis), zero outside sector N.  Returns
+    (amplitudes, basis).  A caller that expands the states of a spec in
+    several calls passes their bethe_ladder(spec, boson_cutoff) as `ladder`.
     """
-    spec = state.spec
-    x = state.rapidities.as_array()
-    n_exc = len(x)
-    if boson_cutoff < n_exc:
-        raise CutoffError(f"cutoff {boson_cutoff} < N = {n_exc}")
+    single = isinstance(states, BetheProductState)
+    batch = [states] if single else list(states)
+    if not batch:
+        raise ValidationError("bethe_coefficients needs at least one state")
+    spec = batch[0].spec
     if ladder is None:
         ladder = bethe_ladder(spec, boson_cutoff)
-    basis, bdag, raisers = ladder
-    # |theta>: boson vacuum, every spin at lowest weight -> basis index 0
-    v = np.zeros(basis.total_dim, dtype=complex)
-    v[0] = 1.0
-    for xa in x:
+    x = np.array([s.rapidities.as_array() for s in batch])
+    v = np.ones((1, len(batch)), dtype=complex)
+    for xa, (bdag, raisers) in zip(x.T, ladder.steps):
         w = bdag @ v
-        for k in range(spec.m):
-            w -= spec.coupling_G / (spec.epsilons[k] - xa) * (raisers[k] @ v)
+        for eps, sp in zip(spec.epsilons, raisers):
+            w -= spec.coupling_G / (eps - xa) * (sp @ v)
         v = w
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
+    nv = np.linalg.norm(v, axis=0)
+    if not np.all(nv > 0.0):
         raise ValidationError("Bethe expansion collapsed to the zero vector")
-    return v / nv, basis
+    v = v / nv
+    if not single:
+        return v, ladder.top
+    full = np.zeros(ladder.basis.total_dim, dtype=complex)
+    full[ladder.top.indices] = v[:, 0]
+    return full, ladder.basis

@@ -155,10 +155,11 @@ class CooMatrix:
     sorted by (row, col), one entry per matrix element, no exact zeros.
 
     It carries what the oracle needs and nothing more: products with a
-    vector (`np.bincount` over the rows, in column order within a row) and
-    with another CooMatrix, scalar multiples, differences, the conjugate
-    transpose `H`, entrywise moduli, restriction to an index set and a dense
-    copy.
+    vector or a block of columns (`np.bincount` over the rows, in column
+    order within a row) and with another CooMatrix, scalar multiples,
+    differences, the conjugate transpose `H`, entrywise moduli, restriction
+    to index sets and a dense copy.  Moduli and scalar multiples keep the
+    triplets' order; the other results are put in canonical form anew.
     """
 
     __slots__ = ("rows", "cols", "data", "shape")
@@ -197,11 +198,22 @@ class CooMatrix:
         """Conjugate transpose."""
         return CooMatrix(self.cols, self.rows, self.data.conj(), self.shape[::-1])
 
+    @classmethod
+    def _canonical(cls, rows, cols, data, shape):
+        """A CooMatrix of triplets that are canonical already, taken as given."""
+        out = cls.__new__(cls)
+        out.rows, out.cols, out.data, out.shape = rows, cols, data, shape
+        return out
+
     def __abs__(self):
-        return CooMatrix(self.rows, self.cols, np.abs(self.data), self.shape)
+        # the modulus of a nonzero is nonzero: the triplets stay canonical
+        return CooMatrix._canonical(self.rows, self.cols, np.abs(self.data), self.shape)
 
     def __mul__(self, scalar):
-        return CooMatrix(self.rows, self.cols, scalar * self.data, self.shape)
+        # only a zero scalar, or an underflow, makes a zero entry
+        data = scalar * self.data
+        keep = data != 0
+        return CooMatrix._canonical(self.rows[keep], self.cols[keep], data[keep], self.shape)
 
     __rmul__ = __mul__
 
@@ -216,9 +228,14 @@ class CooMatrix:
         if isinstance(other, CooMatrix):
             return self._matmat(other)
         vec = np.asarray(other)
-        if vec.shape != (self.shape[1],):
+        if vec.ndim not in (1, 2) or len(vec) != self.shape[1]:
             raise BasisMismatchError("vector length does not match the matrix")
-        return _bincount(self.rows, self.data * vec[self.cols], self.shape[0])
+        # one bin per (row, column) of a block, each column summed as alone
+        block = vec if vec.ndim == 2 else vec[:, None]
+        k = block.shape[1]
+        bins = (self.rows[:, None] * k + np.arange(k)).ravel()
+        out = _bincount(bins, (self.data[:, None] * block[self.cols]).ravel(), self.shape[0] * k)
+        return out.reshape((self.shape[0],) + vec.shape[1:])
 
     def _matmat(self, other):
         """Every entry (i, k) of self times every entry (k, j) of other,
@@ -233,14 +250,21 @@ class CooMatrix:
                          np.repeat(self.data, counts) * other.data[take],
                          (self.shape[0], other.shape[1]))
 
-    def restrict(self, indices):
-        """Sub-matrix on the given indices, in their order."""
+    def restrict(self, indices, columns=None):
+        """Sub-matrix on the given row indices and column indices (the row
+        indices by default), each in their order."""
         indices = np.asarray(indices, dtype=np.int64)
-        where = np.full(self.shape[0], -1, dtype=np.int64)
-        where[indices] = np.arange(len(indices))
-        rows, cols = where[self.rows], where[self.cols]
+        columns = indices if columns is None else np.asarray(columns, dtype=np.int64)
+
+        def position(index, n):
+            where = np.full(n, -1, dtype=np.int64)
+            where[index] = np.arange(len(index))
+            return where
+
+        rows = position(indices, self.shape[0])[self.rows]
+        cols = position(columns, self.shape[1])[self.cols]
         keep = (rows >= 0) & (cols >= 0)
-        return CooMatrix(rows[keep], cols[keep], self.data[keep], (len(indices),) * 2)
+        return CooMatrix(rows[keep], cols[keep], self.data[keep], (len(indices), len(columns)))
 
     def toarray(self):
         dense = np.zeros(self.shape, dtype=self.data.dtype)
@@ -424,24 +448,29 @@ def commutator_norm(a, b):
 
 
 def eigencheck(op, v):
-    """Rayleigh quotient and relative eigen-residual of a trial vector.
+    """Rayleigh quotient and relative eigen-residual of a trial vector, or of
+    each column of a block of them.
 
     The residual |O v - rho v| is taken relative to | |O| |v| | (entrywise
     moduli), the scale of the terms that O v sums on this vector: it does
     not vanish at an eigenvalue zero, as |O v| does, and it does not grow
-    with rows of O that v never reaches, as |O|_inf does.
+    with rows of O that v never reaches, as |O|_inf does.  A block takes one
+    product O V and one |O| |V|; it returns an array of each.
     """
-    v = np.asarray(v, dtype=complex).ravel()
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
+    v = np.asarray(v, dtype=complex)
+    block = v if v.ndim == 2 else v.ravel()[:, None]
+    nv = np.linalg.norm(block, axis=0)
+    if not np.all(nv > 0.0):
         raise ValidationError("eigencheck needs a nonzero vector")
-    ov = op.coo @ v
-    rayleigh = np.vdot(v, ov) / (nv * nv)
+    ov = op.coo @ block
+    rayleigh = np.einsum("ik,ik->k", block.conj(), ov) / (nv * nv)
     if op.hermitian:
         rayleigh = rayleigh.real
-    scale = np.linalg.norm(abs(op.coo) @ np.abs(v))
-    rel = np.linalg.norm(ov - rayleigh * v) / max(scale, 1e-300)
-    return rayleigh, float(rel)
+    scale = np.linalg.norm(abs(op.coo) @ np.abs(block), axis=0)
+    rel = np.linalg.norm(ov - rayleigh * block, axis=0) / np.maximum(scale, 1e-300)
+    if v.ndim == 2:
+        return rayleigh, rel
+    return rayleigh[0], float(rel[0])
 
 
 def realize_rg_charges(spec, xi, boson_cutoffs=None):

@@ -377,15 +377,9 @@ def _predict(last, here, t):
     tangent None where _tangent refused it.
 
     With both tangents it extrapolates the cubic Hermite interpolant through
-    the two points (Allgower & Georg, Introduction to Numerical Continuation
-    Methods, SIAM 2003, ch. 6), in Newton form about t1 = here's t, with h =
-    t1 - t0 and tau = t - t1:
-
-        y1 + tau y1' + tau^2 (y1' - D)/h + tau^2 (tau + h) (y1' + y0' - 2 D)/h^2,
-
-    D = (y1 - y0)/h, whose error is O(h^4) on steps of size h.  With
-    `here`'s tangent alone it is the Euler step y1 + tau y1'; without it,
-    `here`'s values.
+    the two points (evb.hermite, the formula of both trackers), whose error
+    is O(h^4) on steps of size h.  With `here`'s tangent alone it is the
+    Euler step y1 + tau y1', tau = t - here's t; without it, `here`'s values.
     """
     t1, y1, d1 = here
     if d1 is None:
@@ -394,10 +388,7 @@ def _predict(last, here, t):
     if last is None or last[2] is None:
         return y1 + tau * d1
     t0, y0, d0 = last
-    h = t1 - t0
-    slope = (y1 - y0) / h
-    curvature = (d1 - slope) + (tau + h) / h * (d1 + d0 - 2.0 * slope)
-    return y1 + tau * d1 + (tau * tau / h) * curvature
+    return evb.hermite(y0, d0, y1, d1, t1 - t0, tau)
 
 
 def _tangent(here):
@@ -441,8 +432,9 @@ def continue_in_xi(spec, policy, r_start):
 def solve_rg(spec, policy=None, occupation=None):
     """Full pipeline for the RG equations: TDA seeds continued from xi = 0 to 1.
 
-    Returns (RapiditySet, SolutionTrace); the final point is re-verified with
-    an independent rg_residual evaluation.
+    The final point is re-verified with an independent rg_residual
+    evaluation.  Returns (RapiditySet, that check's ResidualReport,
+    SolutionTrace).
     """
     policy = policy or ContinuationPolicy()
     seeds = solve_tda(spec, occupation=occupation)
@@ -457,7 +449,7 @@ def solve_rg(spec, policy=None, occupation=None):
             best=final.as_array(),
             max_abs=check.max_abs,
         )
-    return final, trace
+    return final, check, trace
 
 
 def solve_dicke_branch(spec, occupation, policy=None, xi_start=1.0):

@@ -183,7 +183,7 @@ def test_criterion_07_homotopy_continuation_m4():
         LevelSet.from_spins((1.0, 2.0, 3.0, 4.0), (0.5, 0.5, 0.5, 0.5)),
         TRIGONOMETRIC, 2, -0.15,
     )
-    final, trace = solver.solve_rg(spec)
+    final, _, trace = solver.solve_rg(spec)
     residual = rg_residual(spec, final, jacobian=False).max_abs
     closure = 0.0
     for p in trace.path:

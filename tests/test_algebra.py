@@ -102,6 +102,50 @@ def test_level_check_agrees_with_the_pair_loop():
         assert str(err.value) == f"levels {i} and {j} coincide: {coords[i]}, {coords[j]}"
 
 
+def _entry_check(coords, spins):
+    """The finiteness and spin tests of the level check as the per-entry
+    loop it used to run: the message of the first offending entry, or
+    None."""
+    for c in coords:
+        if not np.isfinite(c):
+            return f"level coordinate {c} is not finite"
+    for s in spins:
+        if s <= 0 or not abs(2 * s - round(2 * s)) < 1e-12:
+            return f"spin {s} is not a positive half-integer"
+    return None
+
+
+def test_level_check_agrees_with_the_entry_loop():
+    rng = np.random.default_rng(11)
+    coord_pool = [0.3, 0.7, 1.1, 2.0, -0.4, np.inf, -np.inf, np.nan]
+    # finite spins only: the loop's round() raises on a non-finite one
+    spin_pool = [0.5, 1.0, 1.5, 2.5, 0.0, -0.5, 0.75, 1.0 + 1e-13, 1.0 + 1e-11, -1.0]
+    seen = set()
+    for _ in range(400):
+        m = int(rng.integers(1, 7))
+        coords = [float(c) for c in rng.permutation(coord_pool)[:m]]
+        # bad entries are rarer than good ones, so every position gets one
+        coords = [c if rng.uniform() < 0.3 else 0.1 * k + 5.0 for k, c in enumerate(coords)]
+        spins = [float(s) for s in rng.choice(spin_pool, m)]
+        spins = [s if rng.uniform() < 0.4 else 0.5 for s in spins]
+        want = _entry_check(coords, spins)
+        if want is None:
+            algebra.check_levels(tuple(coords), tuple(spins))
+            seen.add("pass")
+            continue
+        with pytest.raises(DegenerateLevelError) as err:
+            algebra.check_levels(tuple(coords), tuple(spins))
+        assert str(err.value) == want
+        seen.add(want.split()[0])
+    assert seen == {"pass", "level", "spin"}
+
+
+@pytest.mark.parametrize("spin", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_spin_is_not_a_half_integer(spin):
+    with pytest.raises(DegenerateLevelError, match="is not a positive half-integer"):
+        algebra.check_levels((0.5, 1.0), (0.5, spin))
+
+
 def test_trigonometric_pair_values():
     ls = LevelSet.from_spins((1.0, 2.0), (0.5, 0.5))
     mats = build_gaudin(TRIGONOMETRIC, ls)

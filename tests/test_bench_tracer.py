@@ -6,18 +6,24 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from gaudin import rg_core, solver
+import numpy as np
+
+from gaudin import cli, dicke, ed_oracle, rg_core, solver
 from gaudin.algebra import LevelSet
 from gaudin.rg_core import DICKE_X, RG_ETA, DickeSpec, ModelSpec, RapiditySet
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load("tracing")
 
 
 def test_benchmark_tracer_installs_and_uninstalls():
@@ -66,3 +72,53 @@ def test_tracer_counts_jacobian_by_keyword_and_by_position():
             assert tracer.counts["rg_core.residual.jac_calls"] - before == 3, family
     finally:
         tracer.uninstall()
+
+
+def _traced_run(tmp_path, workload, index):
+    """One traced cli.main call on a benchmark spec (seed 0); the tracer
+    after it is uninstalled."""
+    bench = _load("specs").generate(workload, 0)[index]
+    path = tmp_path / "model.spec"
+    path.write_text(bench.text)
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(bench.argv(str(path), str(tmp_path / "out.doc"))) == 0
+    finally:
+        tracer.uninstall()
+    return bench, tracer
+
+
+def test_a_traced_solve_dicke_call_reaches_every_patched_name(tmp_path):
+    # every name the tracer patches on this path is reached through the
+    # patched attribute, and its hook reads what it expects: newton_solve's
+    # iteration count at res[2], realize's op.basis.total_dim
+    originals = [cli.main, solver.enumerate_dicke_branches, solver.newton_solve,
+                 ed_oracle.realize, ed_oracle.eigencheck, dicke.bethe_coefficients]
+    bench, tracer = _traced_run(tmp_path, "dicke-enum", 1)  # m2-n3-spin1
+    assert [cli.main, solver.enumerate_dicke_branches, solver.newton_solve, ed_oracle.realize,
+            ed_oracle.eigencheck, dicke.bethe_coefficients] == originals
+    metrics = tracer.metrics()
+    spans = tracer.spans
+    assert spans["cli.main"].calls == 1 and spans["solver.enumerate"].calls == 1
+    assert metrics["solver.newton.calls"] > 0
+    assert metrics["solver.newton.iters"] > 0
+    spins, n = bench.params["spins"], bench.params["N"]
+    # b', every S'_k and H, on the basis at cutoff N
+    assert metrics["ed_oracle.realize.calls"] == len(spins) + 2
+    assert metrics["ed_oracle.realize.max_dim"] == (n + 1) * np.prod([2 * s + 1 for s in spins])
+    assert spans["ed_oracle.eigencheck"].calls == 1
+    assert metrics["dicke.bethe_coefficients.calls"] == 1
+    assert tracer.counts["solver.branch.kept"] == 6
+
+
+def test_a_traced_solve_rg_call_checks_its_answer_once(tmp_path):
+    # the independent rg_residual check of solve_rg is the document's
+    # residual; nothing evaluates the final point again
+    _, tracer = _traced_run(tmp_path, "rg-large", 0)
+    metrics = tracer.metrics()
+    assert tracer.spans["cli.main"].calls == 1
+    assert tracer.spans["solver.solve_rg"].calls == 1
+    assert metrics["rg_core.rg.calls"] == 1
+    assert metrics["solver.newton.iters"] > 0
+    assert metrics["rg_core.residual.raised"] == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaudin import cli, ed_oracle, rg_core, solver
+from gaudin import cli, dicke, ed_oracle, rg_core, solver
 from gaudin.algebra import LevelSet
 from gaudin.cli import RunConfig, emit_spec, parse_kv_lines, parse_spec, run
 from gaudin.errors import SpecFormatError, ValidationError
@@ -171,7 +171,7 @@ def test_solve_rg_occupation_is_recorded(tmp_path, capsys):
     assert cli.main(["--mode", "solve-rg", "--spec", path, "--occupation", "0,2"]) == 0
     kv = {k: v for s, k, v in _parse_doc(capsys.readouterr().out) if s == "branch 0"}
     assert kv["occupation"] == [0.0, 2.0]
-    final, _ = solver.solve_rg(parse_spec(path), occupation=[0, 2])
+    final, _, _ = solver.solve_rg(parse_spec(path), occupation=[0, 2])
     assert [cli._parse_complex_pair(kv["rapidity_%d" % a]) for a in range(2)] == list(
         final.values)
 
@@ -422,7 +422,7 @@ def test_solve_rg_at_the_benchmark_shape_pins_its_work(tmp_path, monkeypatch):
     monkeypatch.setattr(solver, "newton_solve", counting_newton)
     monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
     monkeypatch.setattr(rg_core, "_evaluate", recording)
-    final, trace = solver.solve_rg(spec)
+    final, _, trace = solver.solve_rg(spec)
     assert trace.status == "converged"
     steps = len(trace.path) - 1
     assert steps > 0
@@ -461,3 +461,127 @@ def test_main_builds_its_parser_once(tmp_path, capsys):
     assert "usage:" in capsys.readouterr().err
     assert cli.main(["--mode", "solve-rg", "--spec", rg, "--xi-steps", "abc"]) == 1
     assert cli.build_parser.cache_info().misses == 1
+
+
+# the dicke-enum benchmark bases: spin-1/2 levels, and a spin-1 level next to
+# a spin-1/2 one; both have states with complex-conjugate rapidity pairs
+M3_SPEC = """\
+model = dicke
+epsilons = [0.874, 1.054, 1.069]
+spins = [0.5, 0.5, 0.5]
+G = 0.146
+hbar_omega = 0.916
+N = 2
+"""
+
+SPIN1_SPEC = """\
+model = dicke
+epsilons = [0.688, 1.229]
+spins = [1.0, 0.5]
+G = 0.158
+hbar_omega = 0.955
+N = 3
+"""
+
+
+def _reference_record(spec, rapidities):
+    """rayleigh_energy and oracle_residual of one state as the record step
+    took them one state at a time: the product state expanded on the whole
+    truncated basis at cutoff N + 12 and checked against H on that basis."""
+    basis = ed_oracle.HilbertBasis.dicke(spec, spec.n_excitations + 12)
+
+    def realized(expr):
+        return ed_oracle.realize(expr, basis).coo
+
+    bdag = realized(dicke.OperatorExpression(((1.0, (("bdag", None),)),)))
+    raisers = [realized(dicke.OperatorExpression(((1.0, (("sp", k),)),)))
+               for k in range(spec.m)]
+    v = np.zeros(basis.total_dim, dtype=complex)
+    v[0] = 1.0
+    for xa in rapidities:
+        w = bdag @ v
+        for k in range(spec.m):
+            w -= spec.coupling_G / (spec.epsilons[k] - xa) * (raisers[k] @ v)
+        v = w
+    v = v / np.linalg.norm(v)
+    ham = realized(dicke.build_dicke_hamiltonian(spec))
+    ov = ham @ v
+    rayleigh = np.vdot(v, ov).real
+    moduli = ed_oracle.CooMatrix(ham.rows, ham.cols, np.abs(ham.data), ham.shape)
+    return rayleigh, np.linalg.norm(ov - rayleigh * v) / np.linalg.norm(moduli @ np.abs(v))
+
+
+@pytest.mark.parametrize("text, options", [
+    pytest.param(M3_SPEC, {}, id="spin-half"),
+    pytest.param(SPIN1_SPEC, {}, id="spin-one"),
+    pytest.param(M3_SPEC, {"occupation": [0, 0]}, id="occupation"),
+    pytest.param(SPIN1_SPEC, {"occupation": [0, 0, 1]}, id="spin-one-occupation"),
+    pytest.param(SPIN1_SPEC, {"branch": 4}, id="branch"),
+    pytest.param(JC_SPEC, {"boson_cutoff": 1}, id="cutoff-n"),
+])
+def test_batched_records_match_the_single_state_reference(tmp_path, text, options):
+    path = _write(tmp_path, "model.spec", text)
+    doc, code = run(RunConfig("solve-dicke", path, **options))
+    assert code == 0
+    spec = parse_spec(path)
+    triples = _parse_doc(doc)
+    branches = sorted({s for s, _, _ in triples if s and s.startswith("branch")})
+    assert branches
+    pairs = 0
+    for name in branches:
+        kv = {k: v for s, k, v in triples if s == name}
+        x = [cli._parse_complex_pair(kv["rapidity_%d" % a]) for a in range(spec.n_excitations)]
+        pairs += any(abs(z.imag) > 1e-3 for z in x)
+        rayleigh, rel = _reference_record(spec, x)
+        assert abs(float(kv["rayleigh_energy"]) - rayleigh) <= 1e-14 * abs(rayleigh)
+        assert abs(float(kv["oracle_residual"]) - rel) <= 1e-14
+        assert float(kv["oracle_residual"]) < 1e-10
+    if text != JC_SPEC:
+        assert pairs >= 1  # complex-conjugate pairs are covered
+
+
+def test_the_record_step_realizes_each_operator_once_on_sector_sized_vectors(
+        tmp_path, monkeypatch):
+    path = _write(tmp_path, "model.spec", SPIN1_SPEC)
+    spec = parse_spec(path)
+    n = spec.n_excitations
+    sectors = ed_oracle.HilbertBasis.dicke(spec, n)
+    dims = {len(sectors.sector_indices(a)) for a in range(n + 1)}
+    top = len(sectors.sector_indices(n))
+    realized, products, calls = [], [], {"bethe": 0, "check": 0}
+    realize, matmul = ed_oracle.realize, ed_oracle.CooMatrix.__matmul__
+    bethe, check = dicke.bethe_coefficients, ed_oracle.eigencheck
+
+    def recording_realize(expr, basis):
+        realized.append(basis.total_dim)
+        return realize(expr, basis)
+
+    def recording_matmul(self, other):
+        out = matmul(self, other)
+        if not isinstance(other, ed_oracle.CooMatrix):
+            products.append((len(other), len(out)))
+        return out
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ed_oracle, "realize", recording_realize)
+    monkeypatch.setattr(ed_oracle.CooMatrix, "__matmul__", recording_matmul)
+    monkeypatch.setattr(dicke, "bethe_coefficients", counted("bethe", bethe))
+    monkeypatch.setattr(ed_oracle, "eigencheck", counted("check", check))
+    doc, code = run(RunConfig("solve-dicke", path, boson_cutoff=30))
+    assert code == 0
+    # b', every S'_k and H, once each, on the basis at cutoff N whatever the
+    # option says; every state built by one call and checked by one more
+    assert realized == [sectors.total_dim] * (spec.m + 2)
+    assert calls == {"bethe": 1, "check": 1}
+    # every vector a product takes or gives is one sector long
+    assert products and all(a in dims and b in dims for a, b in products)
+    assert max(b for _, b in products) == top
+    # the records do not depend on the cutoff; the header keeps it
+    default, _ = run(RunConfig("solve-dicke", path))
+    assert "boson_cutoff = 30" in doc and "boson_cutoff = 15" in default
+    assert doc.split("[branch 0]")[1] == default.split("[branch 0]")[1]

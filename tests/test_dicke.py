@@ -268,3 +268,24 @@ def test_one_bethe_ladder_serves_every_state_of_a_spec():
         shared, shared_basis = bethe_coefficients(state, cutoff, ladder)
         assert shared.tobytes() == v.tobytes()
         assert shared_basis is ladder[0] and shared_basis.total_dim == basis.total_dim
+
+
+def test_a_batch_of_states_holds_their_single_vectors_on_sector_n():
+    cutoff = 5
+    ladder = dicke.bethe_ladder(M2, cutoff)
+    states = [BetheProductState(M2, b["rapidities"])
+              for b in solver.enumerate_dicke_branches(M2)]
+    block, top = bethe_coefficients(states, cutoff, ladder)
+    assert top is ladder.top
+    assert block.shape == (len(top.indices), len(states)) == (4, 4)
+    assert set(ladder.basis.excitation_numbers()[top.indices]) == {M2.n_excitations}
+    assert np.allclose(np.linalg.norm(block, axis=0), 1.0, rtol=0, atol=1e-15)
+    for column, state in zip(block.T, states):
+        v, basis = bethe_coefficients(state, cutoff, ladder)
+        assert basis is ladder.basis
+        assert np.max(np.abs(column - v[top.indices])) <= 1e-15
+        assert np.linalg.norm(np.delete(v, top.indices)) == 0.0
+    with pytest.raises(ValidationError):
+        bethe_coefficients([], cutoff, ladder)
+    with pytest.raises(ValidationError):
+        BetheProductState(M2, RapiditySet((0.3,), DICKE_X))

@@ -599,3 +599,62 @@ def test_hermitian_check_tolerates_under_1e_12(case, fraction):
         else:
             with pytest.raises(ValidationError):
                 MatrixOperator(given_as, basis, hermitian=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_operator_cases(), st.sampled_from([0.0, 1e-320, -0.5, 2.0 + 1j]))
+def test_moduli_and_scalar_multiples_keep_the_canonical_triplets(case, scalar):
+    # |A| and c A without a re-sort are bitwise the re-sorting construction:
+    # the modulus of a nonzero is nonzero, and a scalar's zeros are dropped
+    basis, expr, _, _ = case
+    coo = realize(expr, basis).coo
+    for fast, slow in (
+        (abs(coo), CooMatrix(coo.rows, coo.cols, np.abs(coo.data), coo.shape)),
+        (coo * scalar, CooMatrix(coo.rows, coo.cols, scalar * coo.data, coo.shape)),
+        (scalar * coo, CooMatrix(coo.rows, coo.cols, scalar * coo.data, coo.shape)),
+    ):
+        _assert_canonical(fast)
+        assert fast.shape == slow.shape
+        for name in ("rows", "cols", "data"):
+            a, b = getattr(fast, name), getattr(slow, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_operator_cases())
+def test_a_block_product_and_a_rectangular_restriction_match_their_columns(case):
+    basis, expr, _, seed = case
+    rng = np.random.default_rng(seed)
+    coo = realize(expr, basis).coo
+    n = basis.total_dim
+    block = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    product = coo @ block
+    assert product.shape == (n, 3)
+    # each column is summed as the product with that column alone
+    for k in range(3):
+        assert product[:, k].tobytes() == (coo @ block[:, k]).tobytes()
+    rows = rng.permutation(n)[:rng.integers(0, n + 1)]
+    cols = rng.permutation(n)[:rng.integers(0, n + 1)]
+    sub = coo.restrict(rows, cols)
+    _assert_canonical(sub)
+    assert sub.shape == (len(rows), len(cols))
+    assert np.array_equal(sub.toarray(), coo.toarray()[np.ix_(rows, cols)])
+
+
+def test_eigencheck_of_a_block_checks_each_column():
+    ham = realize(build_dicke_hamiltonian(DickeSpec((0.8, 1.3), (0.5, 1.0), 0.2, 1.0, 2)),
+                  HilbertBasis.dicke(DickeSpec((0.8, 1.3), (0.5, 1.0), 0.2, 1.0, 2), 3))
+    rng = np.random.default_rng(2)
+    block = rng.normal(size=(ham.basis.total_dim, 4)) + 1j * rng.normal(size=(ham.basis.total_dim, 4))
+    _, evecs = np.linalg.eigh(ham.matrix)
+    block[:, 1] = evecs[:, 5]
+    rayleigh, rel = eigencheck(ham, block)
+    assert rayleigh.shape == rel.shape == (4,) and rayleigh.dtype == float
+    for k in range(4):
+        ray_k, rel_k = eigencheck(ham, block[:, k])
+        assert rayleigh[k] == pytest.approx(ray_k, rel=1e-14)
+        assert rel[k] == pytest.approx(rel_k, rel=1e-12, abs=1e-16)
+    assert rel[1] < 1e-14 < rel[0]
+    block[:, 2] = 0.0
+    with pytest.raises(ValidationError):
+        eigencheck(ham, block)

@@ -184,16 +184,29 @@ def test_close_levels_keep_the_states_whose_polish_stalls_at_round_off(spec):
 
 
 def test_an_endpoint_where_solutions_nearly_meet_still_gives_its_state(monkeypatch):
-    # three levels within 0.018: one physical endpoint reads a Heine-Stieltjes
-    # residual of 9e-6, next to spurious ones at 1.3e-5 and 6.9e-4
-    spec = DickeSpec((0.5770838085005388, 0.6326962975467872, 0.7128309953403343,
-                      0.9884492270855239, 1.000356430736871, 1.006064922529373),
-                     (0.5,) * 6, 0.1, 0.7950064428055195, 4)
+    # three levels within 0.0033: one physical endpoint reads a Heine-Stieltjes
+    # residual of 4.4e-6, next to a spurious one at 1.3e-5
+    spec = DickeSpec((0.5395928766642029, 0.704952555997677, 0.7051622850873662,
+                      0.7082261522634622, 1.4172977047909026),
+                     (0.5,) * 5, 0.18214731581500543, 0.8756015297312423, 3)
     runs = _record_solve(monkeypatch)
     branches = solver.enumerate_dicke_branches(spec)
     [(_, ends, ok)] = runs
     _, rel = evb.heine_stieltjes(spec, ends)
-    assert np.sum(ok & (rel <= evb.PHYSICAL_TOL)) == spec.sector_dimension() - 1 == 56
+    assert np.sum(ok & (rel <= evb.PHYSICAL_TOL)) == spec.sector_dimension() - 1 == 25
+    assert np.sum(ok & (rel > evb.PHYSICAL_TOL) & (rel <= evb.CANDIDATE_TOL)) == 2
+    _, sector = _sector(spec, 3)
+    assert len(branches) == len(sector) == 26
+    assert np.max(np.abs(_energies(spec, branches) - sector)) < 1e-9
+
+
+def test_three_levels_within_0_018_give_all_57_states():
+    # the endpoint of this spec that read 9e-6 behind an Euler predictor reads
+    # below PHYSICAL_TOL behind the Hermite one; all its states still come out
+    spec = DickeSpec((0.5770838085005388, 0.6326962975467872, 0.7128309953403343,
+                      0.9884492270855239, 1.000356430736871, 1.006064922529373),
+                     (0.5,) * 6, 0.1, 0.7950064428055195, 4)
+    branches = solver.enumerate_dicke_branches(spec)
     _, sector = _sector(spec, 4)
     assert len(branches) == len(sector) == 57
     assert np.max(np.abs(_energies(spec, branches) - sector)) < 1e-9
@@ -562,3 +575,91 @@ def test_polished_rapidities_match_their_endpoint():
         report = rg_core.dicke_rg_residual(spec, RapiditySet(tuple(x), DICKE_X))
         assert report.max_abs <= 1e-10
         assert abs(np.sum(x) - _energy_sum(spec, u)) < 1e-10
+
+
+def _polynomial_loop_matrices(spec):
+    """heine_stieltjes_matrices built column by column from numpy.polynomial
+    products and derivatives, as heine_stieltjes once built them."""
+    from numpy.polynomial import polynomial as npoly
+
+    n = spec.n_excitations
+    eps = np.asarray(spec.epsilons, dtype=float)
+    spins = np.asarray(spec.spins, dtype=float)
+    c, h = evb.frame(spec)
+    e, w, g2 = (eps - c) / h, (spec.hbar_omega - c) / h, spec.coupling_G**2 / h**2
+    m = len(e)
+    rows = m + n
+
+    def coeffs(p):
+        out = np.zeros(rows + 1)
+        out[:len(p)] = p
+        return out
+
+    a = npoly.polyfromroots(e) * (-1.0) ** m
+    a_k = [npoly.polyfromroots(np.delete(e, k)) * (-1.0) ** (m - 1) for k in range(m)]
+    base = np.empty((rows + 1, n + 1))
+    per_level = np.empty((m, rows + 1, n + 1))
+    for i in range(n + 1):
+        mono = np.zeros(i + 1)
+        mono[i] = 1.0
+        d1, d2 = npoly.polyder(mono), npoly.polyder(mono, 2)
+        col = npoly.polymul(a, npoly.polymul([w, -1.0], d1))
+        col = npoly.polysub(col, g2 * npoly.polymul(a, d2))
+        for k in range(m):
+            col = npoly.polysub(col, 2.0 * g2 * spins[k] * npoly.polymul(a_k[k], d1))
+            per_level[k, :, i] = coeffs(2.0 * spins[k] * npoly.polymul(a_k[k], mono))
+        base[:, i] = coeffs(npoly.polyadd(col, n * npoly.polymul(a, mono)))
+    return c, h, base, per_level
+
+
+def test_heine_stieltjes_matrices_match_the_polynomial_loop():
+    rng = np.random.default_rng(21)
+    specs = [_random_spec(m, n, seed=m + 20 * n) for m in (1, 2, 5, 12) for n in (1, 3, 6)]
+    specs += [DickeSpec(tuple(np.sort(rng.uniform(0.5, 1.5, 3))), (1.0, 0.5, 2.5),
+                        0.3, 1.1, 4), SPIN_ONE_ENUM]
+    for spec in specs:
+        c, h, base, per_level = evb.heine_stieltjes_matrices(spec)
+        ref = _polynomial_loop_matrices(spec)
+        assert (c, h) == ref[:2]
+        for got, want in zip((base, per_level), ref[2:]):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_heine_stieltjes_roots_match_numpy_polyroots():
+    from numpy.polynomial import polynomial as npoly
+
+    spec = _random_spec(5, 3, seed=8)
+    _, ends, ok = evb.Quadratics(spec).solve()
+    roots, rel = evb.heine_stieltjes(spec, ends)
+    c, h, base, per_level = evb.heine_stieltjes_matrices(spec)
+    n = spec.n_excitations
+    for u, x in zip(ends, roots):
+        mat = (base + np.einsum("k,krc->rc", u / h, per_level))[:-1]
+        q = np.linalg.lstsq(mat[:, :n], -mat[:, n], rcond=None)[0]
+        want = c + h * npoly.polyroots(np.append(q, 1.0))
+        # as multisets: round-off may order the members of a conjugate pair
+        # either way
+        dist = np.abs(x[:, None] - want[None, :])
+        assert np.max(dist.min(axis=0)) < 1e-10 and np.max(dist.min(axis=1)) < 1e-10
+
+
+@pytest.mark.parametrize("spec, evaluations", [
+    pytest.param(DickeSpec((0.874, 1.054, 1.069), (0.5,) * 3, 0.146, 0.916, 2), 32, id="m3-n2"),
+    pytest.param(DickeSpec((0.688, 1.229), (1.0, 0.5), 0.158, 0.955, 3), 27,
+                 id="m2-n3-spin1"),
+])
+def test_evb_evaluations_per_solve_on_the_benchmark_bases(monkeypatch, spec, evaluations):
+    # every point is evaluated once: the tangent comes from the correction
+    # that accepted it, and the predictor is the Hermite one
+    split, _ = solver.split_levels(spec, solver.split_delta(spec))
+    calls, evaluate = [], evb.Quadratics.evaluate
+
+    def counted(self, u, t):
+        calls.append(len(u))
+        return evaluate(self, u, t)
+
+    monkeypatch.setattr(evb.Quadratics, "evaluate", counted)
+    _, ends, ok = evb.Quadratics(split).solve()
+    assert ok.all() and len(evb.duplicates(ends, ok)) == 0
+    assert len(calls) == evaluations

@@ -159,7 +159,7 @@ def test_newton_collision_start_raises():
 
 
 def test_solve_rg_m4_benchmark():
-    final, trace = solve_rg(RG4)
+    final, _, trace = solve_rg(RG4)
     assert trace.status == "converged"
     check = rg_residual(RG4, final, jacobian=False)
     assert check.max_abs < 1e-10
@@ -172,7 +172,7 @@ def test_solve_rg_m4_benchmark():
 
 
 def test_solve_rg_conjugate_closure_along_trace():
-    final, trace = solve_rg(RG4)
+    final, _, trace = solve_rg(RG4)
     for p in trace.path:
         v = p.rapidities.as_array()
         assert np.max(np.abs(np.sort_complex(v) - np.sort_complex(np.conj(v)))) < 1e-8
@@ -322,7 +322,7 @@ def test_the_rate_is_formed_once_per_step_and_never_on_a_newton_trial(monkeypatc
 
     monkeypatch.setattr(rg_core, "_form_rate", forming)
     monkeypatch.setattr(rg_core, "deformed_rg_residual", counted)
-    _, trace = solve_rg(spec)
+    _, _, trace = solve_rg(spec)
     # one rate per accepted point that starts a step, from that point's own
     # report: the endpoint and every Newton trial form none
     starts = [p.rapidities.as_array() for p in trace.path[:-1]]
@@ -488,7 +488,7 @@ def test_strong_attraction_starts_from_the_collective_root(spec, collective):
     # their span; the default pattern starts there and reaches the collective state
     roots = solver._real_roots(spec.xi_family.ends[0])
     assert roots[0] < min(spec.levels.etas) - 50.0
-    final, _ = solve_rg(spec)
+    final, _, _ = solve_rg(spec)
     # the residual is met to 1e-10 on a row whose slope is about 1e-2
     assert final.values[0] == pytest.approx(collective, rel=1e-10)
 
@@ -515,7 +515,7 @@ def test_a_near_critical_trigonometric_row_gains_a_far_root():
         solve_rg(spec)
     # the finite root reaches the state the default reached before the far
     # root was found
-    final, _ = solve_rg(spec, occupation=[1])
+    final, _, _ = solve_rg(spec, occupation=[1])
     assert final.values[0] == pytest.approx(0.62678907141414208, rel=1e-12)
 
 
@@ -581,7 +581,7 @@ def test_rg_repeated_roots_reach_every_state(spec):
     states = []
     for pattern in combinations_with_replacement(range(n_roots), spec.n_excitations):
         try:
-            final, _ = solve_rg(spec, occupation=list(pattern))
+            final, _, _ = solve_rg(spec, occupation=list(pattern))
         except ConvergenceError:
             continue
         vec = _bethe_vector(spec, final, basis)
@@ -598,7 +598,7 @@ def test_rg_repeated_roots_reach_every_state(spec):
 def test_eigencheck_of_a_near_zero_charge_eigenvalue():
     # the third charge has eigenvalue -3.3e-3 on this state; relative to |Q v|
     # its residual read 5.1e-9, relative to the charge's scale it is round-off
-    final, _ = solve_rg(RG4, occupation=[0, 1])
+    final, _, _ = solve_rg(RG4, occupation=[0, 1])
     charges = ed_oracle.realize_rg_charges(RG4, 1.0)
     vec = _bethe_vector(RG4, final, charges[0].basis)
     ray, rel = ed_oracle.eigencheck(charges[2], vec)
@@ -714,7 +714,7 @@ def test_a_real_path_in_float64_matches_the_same_path_in_complex(monkeypatch, ca
     # step's round-off (complex and real division round differently)
     def run():
         if case == "rg":
-            return solve_rg(RG4)[1]
+            return solve_rg(RG4)[2]
         return solve_dicke_branch(M2, [0, 2])[2]
 
     with monkeypatch.context() as patch:
