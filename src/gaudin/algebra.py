@@ -121,10 +121,6 @@ class GaudinMatrices:
     x: np.ndarray
     z: np.ndarray
 
-    @property
-    def c(self):
-        return 0.0 if self.kind == RATIONAL else 1.0
-
 
 def pair_x(kind, u, v):
     """X entry for a coordinate pair (complex-safe)."""

@@ -17,10 +17,6 @@ class DomainError(GaudinError):
     """A parameter lies outside its admissible range."""
 
 
-class ContractionLimitError(GaudinError):
-    """A quantity is undefined at the xi=0 contraction point."""
-
-
 class InsufficientModesError(GaudinError):
     """The secular equation supplies fewer real roots than requested."""
 

@@ -30,11 +30,7 @@ from . import algebra
 from .algebra import LevelSet, deformed_weight
 # no caller in the package: kept because perfbench/tracing.py patches this name
 from .algebra import pair_z  # noqa: F401
-from .errors import (
-    ContractionLimitError,
-    DomainError,
-    ValidationError,
-)
+from .errors import DomainError, ValidationError
 
 RG_ETA = "rg_eta"
 DICKE_X = "dicke_x"
@@ -142,10 +138,6 @@ class RapiditySet:
             raise ValidationError(f"unknown frame {self.frame!r}")
         if len(values) < 1:
             raise ValidationError("need at least one rapidity")
-
-    @property
-    def n(self):
-        return len(self.values)
 
     def as_array(self):
         return np.asarray(self.values, dtype=complex)
@@ -416,14 +408,11 @@ def deformed_dicke_residual(spec, xi, r, jacobian=True):
 
     so it converges to dicke_rg_residual / hbar_omega as O(xi), and the
     report carries the exact rate dF/dxi.  Its rows are the Dicke row over
-    hbar_omega at xi = 0 and the single copy at xi = 1.
+    hbar_omega at xi = 0, where the report is dicke_rg_residual's divided by
+    hbar_omega, and the single copy at xi = 1.
     """
-    if xi == 0.0:
-        raise ContractionLimitError(
-            "xi = 0 is the exact contraction limit; use dicke_rg_residual"
-        )
-    if not 0.0 < xi <= 1.0:
-        raise DomainError(f"xi = {xi} outside (0, 1]")
+    if not 0.0 <= xi <= 1.0:
+        raise DomainError(f"xi = {xi} outside [0, 1]")
     return spec.xi_family.report(float(xi), _values(r, DICKE_X), jacobian)
 
 

@@ -65,10 +65,6 @@ log = logging.getLogger("gaudin")
 # homotopy value at which rapidities sharing a secular root start, split
 CLUSTER_T0 = 1e-3
 
-# below this xi the single-copy family is numerically indistinguishable from
-# the exact contraction limit; the final polish switches to the Dicke residual
-XI_HANDOFF = 1e-4
-
 # step control: a rejected step shrinks, a step accepted within three Newton
 # iterations grows, and a path stalls once its step falls below MIN_STEP;
 # newton_solve gives up after MAX_NEWTON_ITERS iterations
@@ -457,11 +453,11 @@ def solve_dicke_branch(spec, occupation, policy=None, xi_start=1.0):
 
     Pipeline: decoupled roots of the extended construction at xi = xi_start,
     inner homotopy tau 0 -> 1 (reintroducing the rapidity coupling), then the
-    single-copy deformation xi_start -> XI_HANDOFF, where the family is
-    numerically the contraction limit, and a Newton polish on the exact Dicke
-    equations recorded at xi = 0.  xi_start = 1 is the natural top of the
-    family; branches that escape to infinity there need a smaller xi_start (a
-    larger deformed copy).
+    single-copy deformation from xi_start down to xi = 0, where the family is
+    the Dicke equations over hbar_omega; that last point is polished on the
+    Dicke equations in energy units and listed in one order (_ordered).
+    xi_start = 1 is the natural top of the family; branches that escape to
+    infinity there need a smaller xi_start (a larger deformed copy).
     Returns (RapiditySet in the x frame, the polish's ResidualReport, trace).
     """
     policy = policy or ContinuationPolicy()
@@ -482,10 +478,10 @@ def solve_dicke_branch(spec, occupation, policy=None, xi_start=1.0):
     tau0, x_seed = _cluster_seeds(rg_core.tau_family(spec, float(xi_start)), x_seed)
     path, status = _continue_path(inner, tau0, 1.0, x_seed, policy)
     _require_converged(path[-1], status, "inner homotopy", "tau")
-    path, status = _continue_path(outer, xi_start, XI_HANDOFF, path[-1][1], policy)
+    path, status = _continue_path(outer, xi_start, 0.0, path[-1][1], policy)
     _require_converged(path[-1], status, "outer continuation", "xi")
     values, report, _ = newton_solve(exact, path[-1][1], policy.newton_tol)
-    path.append((0.0, values, report.max_abs))
+    path[-1] = (0.0, _ordered(values), report.max_abs)
     trace = _trace(path, status, DICKE_X)
     return trace.final.rapidities, report, trace
 
@@ -625,7 +621,7 @@ def _evb_branches(spec, policy):
         kept[len(branches)] = u
         branches.append({
             "evb_start": [int(k) for k in owner[flipped[p]]],
-            "rapidities": RapiditySet(tuple(values), DICKE_X),
+            "rapidities": RapiditySet(tuple(_ordered(values)), DICKE_X),
             "report": report,
         })
     log.debug("evb: %d of %d endpoints tracked, %d physical, %d candidates, %d states; "
@@ -641,6 +637,19 @@ def _partner_spread(ends, owner):
     no level is split."""
     j, k = np.nonzero(np.triu(owner[:, None] == owner[None, :], 1))
     return np.abs(ends[:, j] - ends[:, k]).max(axis=1, initial=0.0)
+
+
+def _ordered(values):
+    """The rapidities of a Dicke answer in one order, whatever order they were
+    found in: by real part, the two members of a conjugate pair (|x_a - conj
+    x_b| within round-off of their size: 1e-12, where pairs read at most 4e-16)
+    sorted by the lower of their real parts, the one with the positive
+    imaginary part first.  Only the order changes."""
+    x = np.asarray(values)
+    pair = np.abs(x[:, None] - x.conj()) <= 1e-12 * np.maximum.outer(np.abs(x), np.abs(x))
+    np.fill_diagonal(pair, False)
+    key = np.where(pair, np.minimum.outer(x.real, x.real), x.real[:, None]).min(axis=1)
+    return x[np.lexsort((-x.imag, key))]
 
 
 def _polish(residual_fn, w0, tol):

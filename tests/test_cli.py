@@ -345,6 +345,65 @@ def test_options_the_mode_ignores_exit_1(tmp_path, capsys, mode, flags):
     assert not (tmp_path / "out.txt").exists()
 
 
+NEAR_CRITICAL_SPEC = """\
+model = rg
+kind = trigonometric
+etas = [0.5, 1.0]
+spins = [0.5, 0.5]
+g = 0.3333336667
+N = 1
+"""
+
+# a JC result document: x = 0.5 solves the Dicke equation of JC_SPEC exactly
+JC_DOCUMENT = "[spec]\n" + JC_SPEC + "\n[branch 0]\nrapidity_0 = (0.5, 0)\n"
+
+
+@pytest.mark.parametrize("mode, text, flags, code, message", [
+    ("solve-dicke", JC_SPEC.replace("[1.0]", "[1.0, x]", 1), [], 1,
+     "error: non-numeric list entry in '[1.0, x]'"),
+    ("solve-dicke", JC_SPEC + "G = 0.3\n", [], 1, "error: duplicate key 'G'"),
+    ("solve-dicke", JC_SPEC.replace("G = 0.5", "G = half"), [], 1,
+     "error: key 'G' expects a number, got 'half'"),
+    ("solve-rg", RG_SPEC + "G = 0.2\n", [], 1, "error: unknown keys for model=rg: ['G']"),
+    ("solve-rg", RG_SPEC.replace("g = -0.15\n", ""), [], 1,
+     "error: model=rg requires key 'g'"),
+    ("solve-rg", RG_SPEC.replace("spins = [0.5, 0.5, 0.5, 0.5]\n", ""), [], 1,
+     "error: model=rg requires 'spins' or 'degeneracies'"),
+    ("solve-dicke", JC_SPEC, ["--branch", "2"], 1,
+     "error: branch index 2 out of range for 2 branches"),
+    ("sweep-xi", JC_SPEC, [], 1, "error: sweep-xi needs a model=rg spec"),
+    ("solve-rg", RG_SPEC, ["--occupation", "0,7"], 1,
+     "error: occupation indices out of range for 4 roots"),
+    ("solve-rg", NEAR_CRITICAL_SPEC, [], 2,
+     "convergence failure: continuation stalled at xi = "),
+    ("verify", JC_DOCUMENT.replace("(0.5, 0)", "0.5"), [], 1,
+     "error: expected (re, im) pair, got '0.5'"),
+    ("verify", JC_DOCUMENT.replace("[spec]", "[model]"), [], 3,
+     "verification failure: result document has no [spec] section"),
+    ("verify", JC_DOCUMENT.replace("[branch 0]", "[trace]"), [], 3,
+     "verification failure: result document has no branch records"),
+    ("verify", JC_DOCUMENT.replace("rapidity_0", "energy"), [], 3,
+     "failure = branch 0: no rapidities recorded"),
+    ("verify", JC_DOCUMENT + "residual_max_abs = -1e-5\n", [], 3,
+     "failure = branch 0: residual grew beyond recorded value"),
+], ids=["list-entry", "duplicate-key", "number", "unknown-rg-key", "missing-rg-key",
+        "rg-without-spins", "branch-range", "sweep-xi-dicke", "gaudin-error", "convergence",
+        "pair", "verify-no-spec", "verify-no-branch", "verify-no-rapidities",
+        "verify-residual-grew"])
+def test_main_reports_each_failure_with_its_exit_code(tmp_path, capsys, mode, text, flags,
+                                                      code, message):
+    # errors go to stderr with the exit code of their kind; a document that
+    # fails verify is written with its failures, and exits 3
+    path = _write(tmp_path, "in.txt", text)
+    out = tmp_path / "out.txt"
+    assert cli.main(["--mode", mode, "--spec", path, "--out", str(out)] + flags) == code
+    err = capsys.readouterr().err
+    if message.startswith("failure = "):
+        assert err == "" and message in out.read_text().splitlines()
+    else:
+        assert err.startswith(message) and not out.exists()
+
+
 ONE_LEVEL_SPEC = """\
 model = rg
 kind = trigonometric

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gaudin import cli, dicke, ed_oracle, evb, rg_core, solver
-from gaudin.errors import DomainError, ValidationError
+from gaudin.errors import ConvergenceError, DomainError, ValidationError
 from gaudin.rg_core import DICKE_X, DickeSpec, RapiditySet
 
 
@@ -547,6 +547,37 @@ def test_the_ladder_stops_at_a_full_sector(monkeypatch, caplog):
         in caplog.text
 
 
+def test_the_ladder_retries_a_failed_and_a_relabeled_pattern_further_down(monkeypatch,
+                                                                           caplog):
+    spec = DickeSpec((0.7, 1.2), (0.5, 0.5), 0.2, 1.0, 2)
+    states = {"A": (0.3, 0.5), "B": (0.3, 1.5), "C": (0.9, 1.5), "D": (1.6, 1.9)}
+    # per xi_start, the state each pattern lands on; None raises.  (0, 2) and
+    # (1, 2) relabel onto kept states at xi_start 1, (2, 2) fails there
+    lands = {1.0: {(0, 0): "A", (0, 1): "B", (0, 2): "A", (1, 1): "C", (1, 2): "C",
+                   (2, 2): None},
+             0.5: {(0, 2): "A", (1, 2): None, (2, 2): "D"}}
+    attempts = []
+
+    def branch(spec, occupation, policy, xi_start):
+        attempts.append((tuple(occupation), xi_start))
+        state = lands[xi_start][tuple(occupation)]
+        if state is None:
+            raise ConvergenceError("outer continuation stalled")
+        return RapiditySet(states[state][::-1], DICKE_X), None, None
+
+    monkeypatch.setattr(solver, "solve_dicke_branch", branch)
+    with caplog.at_level(logging.DEBUG, logger="gaudin"):
+        branches = solver._ladder_branches(spec, solver.ContinuationPolicy())
+    assert [b["occupation"] for b in branches] == [[0, 0], [0, 1], [1, 1], [2, 2]]
+    assert branches[3]["rapidities"].values == (1.9, 1.6)
+    # the failed pattern and both relabeled ones are tried again at 0.5, in
+    # their order; (0, 2) relabels again and waits with (1, 2) for 0.25, where
+    # the full sector stops the ladder before any attempt
+    assert attempts == [(p, 1.0) for p in lands[1.0]] + [(p, 0.5) for p in lands[0.5]]
+    assert "ladder: the sector is full at 4 states; 2 patterns left at xi_start 0.25" \
+        in caplog.text
+
+
 def test_the_ladder_keeps_one_branch_per_state(monkeypatch):
     spec = DickeSpec((0.7, 1.2), (0.5, 0.5), 0.2, 1.0, 2)
     pair = (0.3 + 0.1j, 0.3 - 0.1j)
@@ -565,6 +596,38 @@ def test_the_ladder_keeps_one_branch_per_state(monkeypatch):
     monkeypatch.setattr(solver, "solve_dicke_branch", branch)
     branches = solver._ladder_branches(spec, solver.ContinuationPolicy())
     assert [b["occupation"] for b in branches] == [[0, 0], [0, 2], [1, 1], [1, 2]]
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(DickeSpec((0.874, 1.054, 1.069), (0.5,) * 3, 0.146, 0.916, 2), id="m3-n2"),
+    pytest.param(DickeSpec((0.688, 1.229), (1.0, 0.5), 0.158, 0.955, 3), id="m2-n3-spin1"),
+])
+def test_documents_list_rapidities_in_one_order_whatever_the_roots_order(tmp_path,
+                                                                         monkeypatch, spec):
+    # the roots of P come in an order that round-off sets for the members of
+    # a conjugate pair; reversing every endpoint's roots moves no rapidity of
+    # a document from its place
+    path = tmp_path / "dicke.spec"
+    path.write_text(cli.emit_spec(spec))
+
+    def rapidities():
+        doc, code = cli.run(cli.RunConfig("solve-dicke", str(path)))
+        assert code == 0
+        return [(s, k, cli._parse_complex_pair(v))
+                for s, k, v in cli.parse_kv_lines(doc.splitlines()) if k.startswith("rapidity_")]
+
+    found = rapidities()
+    heine_stieltjes = evb.heine_stieltjes
+
+    def reversed_roots(split, ends):
+        roots, rel = heine_stieltjes(split, ends)
+        return roots[:, ::-1], rel
+
+    monkeypatch.setattr(evb, "heine_stieltjes", reversed_roots)
+    again = rapidities()
+    assert [key for *key, _ in again] == [key for *key, _ in found]
+    assert max(abs(a[2] - b[2]) for a, b in zip(found, again)) <= 1e-12
+    assert any(abs(x.imag) > 1e-3 for *_, x in found)
 
 
 def test_polished_rapidities_match_their_endpoint():

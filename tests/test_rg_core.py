@@ -9,7 +9,6 @@ from gaudin import algebra, rg_core
 from gaudin.algebra import LevelSet, RATIONAL, TRIGONOMETRIC
 from gaudin.errors import (
     CollisionError,
-    ContractionLimitError,
     DomainError,
     ValidationError,
 )
@@ -186,8 +185,23 @@ def test_deformed_dicke_gap_shrinks_linearly_in_xi():
 
 
 def test_deformed_dicke_xi_zero_delegates():
-    with pytest.raises(ContractionLimitError):
-        deformed_dicke_residual(JC, 0.0, RapiditySet((0.5,), DICKE_X))
+    # xi = 0 is an ordinary point of the family: the Dicke equations over
+    # hbar_omega, residuals and Jacobian, on random specs at complex x
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        m = int(rng.integers(1, 5))
+        spec = DickeSpec(tuple(np.sort(rng.uniform(0.5, 1.5, m))),
+                         tuple(rng.choice([0.5, 1.0, 1.5], m)), rng.uniform(0.05, 0.5),
+                         rng.uniform(0.3, 2.5), int(rng.integers(1, 4)))
+        n = spec.n_excitations
+        x = rng.uniform(0.0, 2.5, n) + 1j * rng.uniform(-1.0, 1.0, n)
+        at0 = deformed_dicke_residual(spec, 0.0, x)
+        dicke = dicke_rg_residual(spec, x)
+        for got, want in ((at0.residuals, dicke.residuals), (at0.jacobian, dicke.jacobian)):
+            assert np.max(np.abs(spec.hbar_omega * got - want)) <= 1e-14 * np.max(np.abs(want))
+    for xi in (-1e-300, 1.0 + 1e-15):
+        with pytest.raises(DomainError):
+            deformed_dicke_residual(JC, xi, RapiditySet((0.5,), DICKE_X))
 
 
 def test_deformed_dicke_matches_explicit_two_copy_model():
@@ -561,8 +575,7 @@ HOMOTOPY_DICKE = DickeSpec((0.8, 1.3, 1.7), (0.5, 1.0, 0.5), 0.2, 1.3, 3)
 def _homotopy_family(family, kind):
     """fn(t, w) -> ResidualReport of one family at t, and its t = 0 residuals
     as f0(w): the TDA for deformed RG, the decoupled row for extended Dicke,
-    and the Dicke equations over hbar_omega for deformed Dicke, which refuses
-    xi = 0 itself."""
+    and the Dicke equations over hbar_omega for deformed Dicke."""
     spec = HOMOTOPY_DICKE
     if family == "deformed_rg":
         mspec = ModelSpec(LevelSet.from_spins((0.9, 2.1, 3.3), (0.5, 1.0, 0.5)), kind, 3, -0.12)
@@ -587,7 +600,7 @@ def test_homotopy_families_are_affine_with_their_rate(family, kind):
     for _ in range(10):
         w = rng.uniform(-1.5, 4.5, 3) + 1j * rng.uniform(-1.2, 1.2, 3)
         start = f0(w)
-        reports = {t: fn(t, w) for t in (1e-4, 0.25, 0.5, 0.75, 1.0)}
+        reports = {t: fn(t, w) for t in (0.0, 1e-4, 0.25, 0.5, 0.75, 1.0)}
         size = max(np.max(np.abs(start)),
                    *(max(np.max(np.abs(r.residuals)), np.max(np.abs(r.rate)))
                      for r in reports.values()))
@@ -600,7 +613,7 @@ def test_homotopy_families_are_affine_with_their_rate(family, kind):
         assert np.max(np.abs(reports[0.5].rate - central)) <= 1e-14 * size
 
 
-@pytest.mark.parametrize("xi", [1e-4, 0.3, 1.0])
+@pytest.mark.parametrize("xi", [0.0, 1e-4, 0.3, 1.0])
 def test_deformed_dicke_is_the_dicke_equations_plus_xi_times_its_rate(xi):
     spec = HOMOTOPY_DICKE
     rng = np.random.default_rng(17)

@@ -34,7 +34,6 @@ from gaudin.rg_core import (
     rg_residual,
 )
 from gaudin.solver import (
-    XI_HANDOFF,
     ContinuationPolicy,
     continue_in_xi,
     enumerate_dicke_branches,
@@ -156,6 +155,41 @@ def test_newton_collision_start_raises():
     fn = lambda w: dicke_rg_residual(JC, RapiditySet(tuple(w), DICKE_X))
     with pytest.raises(CollisionError):
         newton_solve(fn, RapiditySet((1.0,), DICKE_X).as_array())
+
+
+def test_newton_halves_a_step_whose_trial_collides():
+    # w^2 - 1 from 0.1: the full step lands on 5.05, inside a stand-in
+    # collision zone w > 3, so the trial raises and the step is halved
+    trials = []
+
+    def residual(w):
+        trials.append(float(w[0]))
+        if w[0] > 3.0:
+            raise CollisionError("rapidity 0 collides with level 0 at 4.0", pair=("level", 0, 0))
+        r = w * w - 1.0
+        return rg_core.ResidualReport(r, float(np.max(np.abs(r))), np.diag(2.0 * w))
+
+    values, report, _ = newton_solve(residual, np.array([0.1]))
+    assert trials[:4] == pytest.approx([0.1, 5.05, 2.575, 1.3375], rel=1e-14)
+    assert values[0] == pytest.approx(1.0, abs=1e-10) and report.max_abs <= 1e-10
+
+
+def test_a_path_that_only_collides_ahead_stops_as_collision_detected():
+    # w = t, with every point beyond t = 0.5 colliding: the steps shrink
+    # towards 0.5 until they fall below MIN_STEP
+    def residual_at(t, w):
+        if t > 0.5:
+            raise CollisionError("rapidities 0 and 1 collide", pair=("rapidity", 0, 1))
+        r = w - t
+        return rg_core.ResidualReport(r, float(np.max(np.abs(r))), np.eye(len(w)),
+                                      -np.ones(len(w)))
+
+    path, status = solver._continue_path(residual_at, 0.0, 1.0, np.zeros(2),
+                                         ContinuationPolicy())
+    assert status == "collision_detected"
+    t, values, _ = path[-1]
+    assert 0.5 - 2.0 * solver.MIN_STEP <= t <= 0.5
+    assert np.max(np.abs(values - t)) <= 1e-12
 
 
 def test_solve_rg_m4_benchmark():
@@ -334,12 +368,13 @@ def test_the_rate_is_formed_once_per_step_and_never_on_a_newton_trial(monkeypatc
 def test_dicke_branch_trace_runs_from_xi_start_to_the_exact_limit(pattern, xi_start):
     final, report, trace = solve_dicke_branch(M2, pattern, xi_start=xi_start)
     xis = [p.xi for p in trace.path]
-    assert xis[0] == xi_start
+    # the outer leg lands on the contraction limit itself, whose one point is
+    # the final one and carries the polish on the Dicke equations
+    assert xis[0] == xi_start and xis[-1] == 0.0
     assert all(b < a for a, b in zip(xis, xis[1:]))
-    assert xis[-2] == XI_HANDOFF and xis[-1] == 0.0
     assert trace.status == "converged"
     assert trace.final.rapidities == final
-    assert report.max_abs <= 1e-10
+    assert trace.final.max_abs == report.max_abs <= 1e-10
 
 
 @pytest.mark.parametrize("spec", [
@@ -350,8 +385,8 @@ def test_dicke_branch_trace_runs_from_xi_start_to_the_exact_limit(pattern, xi_st
     DickeSpec((0.6, 1.1, 1.7), (1.5, 0.5, 1.0), 0.2, 1.2, 1),
 ])
 def test_every_converged_dicke_path_lands_on_the_handoff(spec):
-    # t + step with step = |t_end - t| can miss t_end by an ulp: a third of
-    # these paths stop at 9.99999999999994e-05 unless the last step is t_end
+    # t + step with step = |t_end - t| can miss t_end by an ulp: every path
+    # must land on xi = 0 exactly, once, with the polish's residual there
     n_roots = len(solver.tda_roots_dicke(spec))
     converged = 0
     for xi_start in (1.0, 0.5, 0.25):
@@ -362,8 +397,56 @@ def test_every_converged_dicke_path_lands_on_the_handoff(spec):
                 continue
             converged += 1
             xis = [p.xi for p in trace.path]
-            assert xis[0] == xi_start and xis[-2] == XI_HANDOFF and xis[-1] == 0.0
+            assert xis[0] == xi_start and xis[-1] == 0.0
+            assert all(b < a for a, b in zip(xis, xis[1:]))
+            assert trace.final.max_abs <= 1e-10
     assert converged >= 2 * n_roots
+
+
+JC_LIKE = [DickeSpec((1.0,), (0.5,), 0.3, 1.1, n) for n in (1, 3)]
+
+
+@pytest.mark.parametrize("spec, patterns", [
+    pytest.param(spec, list(combinations_with_replacement(range(2), spec.n_excitations)),
+                 id=f"jc-n{spec.n_excitations}") for spec in JC_LIKE
+] + [pytest.param(M2, [(0, 0), (0, 2)], id="m2")])
+def test_the_dicke_limit_continues_back_up_to_the_outer_legs_start(spec, patterns):
+    # xi = 0 is a point of the single-copy family like any other: from the
+    # final point the path runs back up to xi_start and meets the outer leg's
+    # first point (M2 (2, 2) from 0.25 does not: along real xi, the family's
+    # states are not in one-to-one correspondence with the Dicke ones)
+    def family(xi, w):
+        return rg_core.deformed_dicke_residual(spec, xi, w)
+
+    converged = 0
+    for xi_start in (1.0, 0.25):
+        for pattern in patterns:
+            try:
+                final, _, trace = solve_dicke_branch(spec, list(pattern), xi_start=xi_start)
+            except (ConvergenceError, SingularJacobianError, CollisionError):
+                continue
+            converged += 1
+            path, status = solver._continue_path(family, 0.0, xi_start, final.as_array(),
+                                                 ContinuationPolicy())
+            assert status == "converged" and path[-1][0] == xi_start
+            # as multisets: the final point lists its rapidities in its own order
+            dist = np.abs(path[-1][1][:, None] - trace.path[0].rapidities.as_array())
+            assert np.max(dist.min(axis=0)) <= 1e-9 and np.max(dist.min(axis=1)) <= 1e-9
+    # at N = 3 every pattern escapes from xi_start = 1 and converges from 0.25
+    assert converged >= 4
+
+
+def test_a_dicke_branch_lists_its_rapidities_in_one_order():
+    # the seeds follow the pattern's order, the answer does not: by real part,
+    # the member of a conjugate pair with the positive imaginary part first
+    spec = DickeSpec((0.7, 1.2), (1.0, 0.5), 0.25, 1.4, 3)
+    answers = [solve_dicke_branch(spec, pattern, xi_start=0.25)[0].as_array()
+               for pattern in ([0, 1, 1], [1, 1, 0], [1, 0, 1])]
+    first = answers[0]
+    assert np.all(np.diff(first.real) > -1e-12) and abs(first[1].imag) > 1e-3
+    assert first[1].imag > 0.0 and abs(first[2] - np.conj(first[1])) <= 1e-12
+    for x in answers[1:]:
+        assert np.max(np.abs(x - first)) <= 1e-12
 
 
 def test_single_copy_continuation_reaches_jc_roots():
@@ -541,8 +624,9 @@ def test_the_program_loads_no_scipy_module(tmp_path):
              for i, (mode, spec) in enumerate([("ed-spectrum", dicke_spec),
                                                ("solve-dicke", dicke_spec),
                                                ("ed-spectrum", rg_spec)])]
-    # a subprocess: the pytest process itself has loaded scipy.sparse to
-    # resolve a warning filter
+    # a subprocess: the pytest process itself imports scipy (the brentq
+    # reference, the test-only dependency), and a fresh one shows what the
+    # program alone loads
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(calls)],
