@@ -278,19 +278,17 @@ def _dicke_branch_records(spec, branches):
     """The [branch] records, each state checked against ED on its sector.
 
     The Bethe vectors and H's sector-N block are exact at any boson cutoff
-    >= N, so they are built at N whatever --boson-cutoff says: b', every S'_k
-    and H are realized once, every vector is built at once
-    (dicke.bethe_coefficients), and all are checked by one eigencheck."""
+    >= N, and both come from the sector tables 0 .. N of one
+    dicke.bethe_ladder, whatever --boson-cutoff says: no product basis is
+    built.  Every vector is built at once (dicke.bethe_coefficients), H's
+    block is composed from the ladder's top step (dicke.sector_hamiltonian),
+    and all are checked by one eigencheck."""
     if not branches:
         return []
-    n = spec.n_excitations
-    ladder = dicke.bethe_ladder(spec, n)
-    ham = ed_oracle.realize(dicke.build_dicke_hamiltonian(spec), ladder.basis)
-    block = ed_oracle.MatrixOperator(ham.restrict(ladder.top.indices), ladder.top,
-                                     hermitian=True)
+    ladder = dicke.bethe_ladder(spec)
     states = [dicke.BetheProductState(spec, b["rapidities"]) for b in branches]
-    vectors, _ = dicke.bethe_coefficients(states, n, ladder)
-    rayleigh, rel = ed_oracle.eigencheck(block, vectors)
+    vectors, _ = dicke.bethe_coefficients(states, spec.n_excitations, ladder)
+    rayleigh, rel = ed_oracle.eigencheck(dicke.sector_hamiltonian(spec, ladder), vectors)
     lines = []
     for idx, b in enumerate(branches):
         lines += ["", "[branch %d]" % idx]
@@ -413,7 +411,9 @@ def run_verify(config):
     """Re-read a result document and re-assert its residuals and energies.
 
     A rapidity tampered at the 1e-3 level drives the recomputed Bethe residual
-    far above the acceptance threshold, so verification is discriminating.
+    far above the acceptance threshold, so verification is discriminating; a
+    smaller tamper still raises it above the recorded residual_max_abs by
+    more than --newton-tol.
     """
     with open(config.spec_path) as fh:
         triples = parse_kv_lines(fh)
@@ -450,8 +450,10 @@ def run_verify(config):
             worst = int(np.argmax(np.abs(report.residuals)))
             failures.append((bid, "residual %s" % _fmt(report.max_abs), worst))
             continue
+        # the recorded residual was taken on the same 17-digit rapidities, so
+        # the two differ by round-off only
         recorded = kv.get("residual_max_abs")
-        if recorded is not None and report.max_abs > float(recorded) + 1e-6:
+        if recorded is not None and report.max_abs > float(recorded) + config.newton_tol:
             failures.append((bid, "residual grew beyond recorded value", None))
     lines = _header(config)
     lines += ["", "[verify]"]

@@ -3,7 +3,13 @@ the partially deformed charge R0(xi), and Bethe product-state amplitudes,
 built for all the states of a spec at once on their excitation sectors.
 
 Operator expressions are symbolic sums of elementary-operator products; the
-oracle realizes them as matrices.  The deformed copy is handled through the
+oracle realizes them as matrices on truncated product bases.  The Bethe
+vectors need no product basis: each factor of a Bethe state raises the
+excitation number by one, so they are built on the sector tables 0 .. N
+(digit rows of the states of each sector, sector_tables) from the blocks of
+b' and S'_k between consecutive sectors (bethe_ladder), and H's sector-N
+block, which checks them, is composed from the top blocks
+(sector_hamiltonian).  The deformed copy is handled through the
 canonical su(2) triple, labelled by the levels' deformation map with
 s(1) = Omega = OMEGA0/4: s0(xi) = OMEGA0/(4 xi), the unique choice for which
 hbar_omega * R0(xi) reproduces the Dicke Hamiltonian in the contraction limit
@@ -156,43 +162,125 @@ class BetheProductState:
         if len(x) != self.spec.n_excitations:
             raise ValidationError(
                 f"{len(x)} rapidities for N = {self.spec.n_excitations} excitations")
-        for e in self.spec.epsilons:
-            if np.min(np.abs(x - e)) < algebra.COLLISION_TOL:
-                raise ValidationError("rapidity collides with a level epsilon")
+        if np.min(np.abs(x[:, None] - np.asarray(self.spec.epsilons))) < algebra.COLLISION_TOL:
+            raise ValidationError("rapidity collides with a level epsilon")
+
+
+class Sector(NamedTuple):
+    """The states of one excitation sector of a Dicke spec, in product-basis
+    order: their digit rows (b, k_1 .. k_m), the photon number and each
+    level's weight above lowest, and their indices b prod_k (2 s_k + 1) +
+    spin code in the product basis.  The photon is the leading digit, so
+    neither the order nor the indices depend on the boson cutoff."""
+
+    digits: np.ndarray
+    indices: np.ndarray
+
+    @property
+    def total_dim(self):
+        return len(self.indices)
+
+
+def _place_values(spec):
+    """The product-basis place values of the digits (b, k_1 .. k_m)."""
+    dims = [int(round(2 * s + 1)) for s in spec.spins]
+    return np.cumprod([1] + dims[::-1])[::-1]
+
+
+def sector_tables(spec):
+    """The Sectors 0 .. N of a spec.  Digit rows are built factor by factor,
+    the photon first, and a partial row is dropped as soon as its excitation
+    exceeds N, so no state above sector N is ever formed."""
+    n = spec.n_excitations
+    digits = np.arange(n + 1)[:, None]
+    excitation = digits[:, 0]
+    for s in spec.spins:
+        k = np.arange(int(round(2 * s + 1)))
+        excitation = (excitation[:, None] + k).ravel()
+        keep = excitation <= n
+        digits = np.column_stack((np.repeat(digits, len(k), axis=0),
+                                  np.tile(k, len(digits))))[keep]
+        excitation = excitation[keep]
+    indices = digits @ _place_values(spec)
+    return tuple(Sector(digits[excitation == a], indices[excitation == a])
+                 for a in range(n + 1))
 
 
 class BetheLadder(NamedTuple):
-    """What bethe_coefficients applies: the truncated Dicke `basis`, its
-    sector-N states (`top`, a RestrictedBasis), and per excitation a < N the
-    blocks of b' and of every S'_k from sector a to sector a + 1 (`steps`,
-    one (b' block, S' blocks) pair per a)."""
+    """What bethe_coefficients applies: the Sectors 0 .. N of a spec
+    (`sectors`, from sector_tables), and per excitation a < N the blocks of
+    b' and of every S'_k from sector a to sector a + 1 (`steps`, one (b'
+    block, S' blocks) pair per a).  Sector N (`top`) is the basis of the
+    Bethe vectors and of H's block (sector_hamiltonian)."""
 
-    basis: object
-    top: object
+    sectors: tuple
     steps: tuple
 
+    @property
+    def top(self):
+        return self.sectors[-1]
 
-def bethe_ladder(spec, boson_cutoff):
-    """The BetheLadder of a spec at a boson cutoff >= N: b' and every S'_k are
-    realized once on the truncated basis and cut into their blocks between
-    consecutive sectors 0 .. N (CooMatrix.restrict), once for all the states
-    of the spec.  A sector at or below the cutoff holds every state it has
-    at any larger cutoff, so the blocks do not depend on the cutoff."""
+
+def _raiser(down, up, column, amplitudes, place):
+    """The block from Sector `down` to Sector `up` of the operator that
+    raises digit `column` by one, with amplitudes[d] on a digit d below
+    len(amplitudes): a raised state lies `place` above its source in the
+    product basis.  Each state has one source, so the block has at most one
+    entry per row and per column."""
+    digit = down.digits[:, column]
+    cols = np.nonzero(digit < len(amplitudes))[0]
+    rows = np.searchsorted(up.indices, down.indices[cols] + place)
+    return ed_oracle.CooMatrix(rows, cols, amplitudes[digit[cols]].astype(complex),
+                               (up.total_dim, down.total_dim))
+
+
+def bethe_ladder(spec):
+    """The BetheLadder of a spec, once for all its states.  b' carries
+    sqrt(b + 1) and S'_k sqrt((k + 1)(2 s_k - k)) at weight k above lowest
+    (the entries of ed_oracle's local operators), and every block comes from
+    the sector tables alone: no product basis and no state above sector N.
+    A sector at or below a boson cutoff holds the same states at any
+    cutoff, so the blocks are those of b' and S'_k realized at any cutoff
+    >= N, cut to consecutive sectors."""
     n = spec.n_excitations
-    if boson_cutoff < n:
-        raise CutoffError(f"cutoff {boson_cutoff} < N = {n}")
-    basis = ed_oracle.HilbertBasis.dicke(spec, boson_cutoff)
+    sectors = sector_tables(spec)
+    amplitudes = [np.sqrt(np.arange(1.0, n + 1.0))]
+    for s in spec.spins:
+        k = np.arange(round(2 * s), dtype=float)
+        amplitudes.append(np.sqrt((k + 1.0) * (2 * s - k)))
+    place = _place_values(spec)
+    steps = []
+    for down, up in zip(sectors, sectors[1:]):
+        bdag, *raisers = (_raiser(down, up, c, amp, place[c])
+                          for c, amp in enumerate(amplitudes))
+        steps.append((bdag, tuple(raisers)))
+    return BetheLadder(sectors, tuple(steps))
 
-    def raiser(symbol, level):
-        return ed_oracle.realize(OperatorExpression(((1.0, ((symbol, level),)),)), basis).coo
 
-    bdag, raisers = raiser("bdag", None), [raiser("sp", k) for k in range(spec.m)]
-    sectors = [basis.sector_indices(a) for a in range(n + 1)]
-    steps = tuple(
-        (bdag.restrict(up, down), tuple(sp.restrict(up, down) for sp in raisers))
-        for down, up in zip(sectors, sectors[1:])
-    )
-    return BetheLadder(basis, ed_oracle.RestrictedBasis(basis, sectors[-1]), steps)
+def sector_hamiltonian(spec, ladder):
+    """H's block on sector N (ladder.top), composed from the ladder's top
+    step: its diagonal hw b + sum_k eps_k (k_k - s_k), and G sum_k (B P_k' +
+    P_k B') with B = b' and P_k = S'_k from sector N - 1 to N.  b commutes
+    with S'_k, so each product passes through sector N - 1 only, where the
+    blocks are exact.  Entry for entry, and summed in the same order, this is
+    realize(build_dicke_hamiltonian(spec)) at any cutoff >= N cut to sector
+    N; it is a MatrixOperator on ladder.top."""
+    top = ladder.top
+    diag = spec.hbar_omega * top.digits[:, 0]
+    for eps, s, k in zip(spec.epsilons, spec.spins, top.digits[:, 1:].T):
+        diag = diag + eps * (k - s)
+    rows, cols, data = [np.arange(top.total_dim)], [np.arange(top.total_dim)], [diag]
+    bdag, raisers = ladder.steps[-1]
+    # every state of sector N - 1 takes one photon: b' has one entry per
+    # column, in column order
+    for sp in raisers:
+        photon, coupling = bdag.rows[sp.cols], spec.coupling_G * (bdag.data[sp.cols] * sp.data)
+        rows += [photon, sp.rows]
+        cols += [sp.rows, photon]
+        data += [coupling, coupling]
+    coo = ed_oracle.CooMatrix(np.concatenate(rows), np.concatenate(cols),
+                              np.concatenate(data).astype(complex), (top.total_dim,) * 2)
+    return ed_oracle.MatrixOperator(coo, top, hermitian=True)
 
 
 def bethe_coefficients(states, boson_cutoff, ladder=None):
@@ -206,25 +294,31 @@ def bethe_coefficients(states, boson_cutoff, ladder=None):
     weight contributes zero.
 
     `states` is a sequence of BetheProductStates, whose vectors come back as
-    the columns of a (d, B) array on the sector-N basis (ladder.top, d
-    states), or one state, the batch of one, whose vector comes back on the
-    whole truncated basis (ladder.basis), zero outside sector N.  Returns
-    (amplitudes, basis).  A caller that expands the states of a spec in
-    several calls passes their bethe_ladder(spec, boson_cutoff) as `ladder`.
+    the columns of a (d, B) array on sector N (ladder.top, d states), or
+    one state, the batch of one, whose vector comes back on the truncated
+    product basis HilbertBasis.dicke(spec, boson_cutoff), zero outside
+    sector N.  Returns (amplitudes, basis).  A caller that expands the
+    states of a spec in several calls passes their bethe_ladder(spec) as
+    `ladder`.
     """
     single = isinstance(states, BetheProductState)
     batch = [states] if single else list(states)
     if not batch:
         raise ValidationError("bethe_coefficients needs at least one state")
     spec = batch[0].spec
+    if boson_cutoff < spec.n_excitations:
+        raise CutoffError(f"cutoff {boson_cutoff} < N = {spec.n_excitations}")
     if ladder is None:
-        ladder = bethe_ladder(spec, boson_cutoff)
+        ladder = bethe_ladder(spec)
     x = np.array([s.rapidities.as_array() for s in batch])
     v = np.ones((1, len(batch)), dtype=complex)
     for xa, (bdag, raisers) in zip(x.T, ladder.steps):
-        w = bdag @ v
+        # a raiser has at most one entry per row, so each block's products
+        # land on distinct rows of w
+        w = np.zeros((bdag.shape[0], len(batch)), dtype=complex)
+        w[bdag.rows] = bdag.data[:, None] * v[bdag.cols]
         for eps, sp in zip(spec.epsilons, raisers):
-            w -= spec.coupling_G / (eps - xa) * (sp @ v)
+            w[sp.rows] -= spec.coupling_G / (eps - xa) * (sp.data[:, None] * v[sp.cols])
         v = w
     nv = np.linalg.norm(v, axis=0)
     if not np.all(nv > 0.0):
@@ -232,6 +326,7 @@ def bethe_coefficients(states, boson_cutoff, ladder=None):
     v = v / nv
     if not single:
         return v, ladder.top
-    full = np.zeros(ladder.basis.total_dim, dtype=complex)
+    basis = ed_oracle.HilbertBasis.dicke(spec, boson_cutoff)
+    full = np.zeros(basis.total_dim, dtype=complex)
     full[ladder.top.indices] = v[:, 0]
-    return full, ladder.basis
+    return full, basis

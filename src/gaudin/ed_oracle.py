@@ -158,7 +158,7 @@ class CooMatrix:
     vector or a block of columns (`np.bincount` over the rows, in column
     order within a row) and with another CooMatrix, scalar multiples,
     differences, the conjugate transpose `H`, entrywise moduli, restriction
-    to index sets and a dense copy.  Moduli and scalar multiples keep the
+    to an index set and a dense copy.  Moduli and scalar multiples keep the
     triplets' order; the other results are put in canonical form anew.
     """
 
@@ -250,21 +250,14 @@ class CooMatrix:
                          np.repeat(self.data, counts) * other.data[take],
                          (self.shape[0], other.shape[1]))
 
-    def restrict(self, indices, columns=None):
-        """Sub-matrix on the given row indices and column indices (the row
-        indices by default), each in their order."""
+    def restrict(self, indices):
+        """Sub-matrix on the given indices, in their order."""
         indices = np.asarray(indices, dtype=np.int64)
-        columns = indices if columns is None else np.asarray(columns, dtype=np.int64)
-
-        def position(index, n):
-            where = np.full(n, -1, dtype=np.int64)
-            where[index] = np.arange(len(index))
-            return where
-
-        rows = position(indices, self.shape[0])[self.rows]
-        cols = position(columns, self.shape[1])[self.cols]
+        position = np.full(self.shape[0], -1, dtype=np.int64)
+        position[indices] = np.arange(len(indices))
+        rows, cols = position[self.rows], position[self.cols]
         keep = (rows >= 0) & (cols >= 0)
-        return CooMatrix(rows[keep], cols[keep], self.data[keep], (len(indices), len(columns)))
+        return CooMatrix(rows[keep], cols[keep], self.data[keep], (len(indices),) * 2)
 
     def toarray(self):
         dense = np.zeros(self.shape, dtype=self.data.dtype)

@@ -113,16 +113,28 @@ class Quadratics:
 
     def evaluate(self, u, t):
         """F, its Jacobian in U and dF/dt for paths u (P, m) at t (P,)."""
+        rhs = np.empty(u.shape + (2,), dtype=complex)
+        jac = self._system(u, *self._homotopy(t), rhs)
+        return rhs[..., 0], jac, rhs[..., 1]
+
+    def _homotopy(self, t):
+        """The coefficients of paths at t (P,) as columns: g(t), dg/dt and
+        w(t) - eps_k."""
         tc = t[:, None]
         g = self.g2 * tc * (1.0 + 1j * GAMMA * (1.0 - tc))
         dg = self.g2 * (1.0 + 1j * GAMMA * (1.0 - 2.0 * tc))
-        lin = self.lin + self.shift * (1.0 - tc)
+        return g, dg, self.lin + self.shift * (1.0 - tc)
+
+    def _system(self, u, g, dg, lin, rhs):
+        """The Jacobian in U of paths u (P, m) at homotopy coefficients g, dg,
+        lin (_homotopy); F and dF/dt go to rhs[..., 0] and rhs[..., 1]."""
         pairs = u * self.pair_sum - u @ self.pair.T
-        f = self.n * g + lin * u - u * u - g * pairs
+        rhs[..., 0] = self.n * g + lin * u - u * u - g * pairs
+        rhs[..., 1] = dg * (self.n - pairs) - self.shift * u
         jac = g[:, :, None] * self.pair
         idx = np.arange(self.m)
         jac[:, idx, idx] = lin - 2.0 * u - g * self.pair_sum
-        return f, jac, dg * (self.n - pairs) - self.shift * u
+        return jac
 
     def starts(self):
         """The 2^m subsets of flipped levels as a (2^m, m) bool array, and
@@ -137,20 +149,27 @@ class Quadratics:
         convergence predicts (size^2 / previous size), is below tol relative
         to |u|.  Each correction solves J against F and dF/dt together: a
         converged path's tangent dU/dt = -J^-1 dF/dt is that of its last
-        correction, taken where the correction started."""
+        correction, taken where the correction started.  The homotopy's
+        coefficients at t are computed once per call, and every correction
+        evaluates the system as evaluate does (_system)."""
         tol = TRACK_TOL if tol is None else tol
         todo = np.arange(len(u))
         converged = np.zeros(len(u), dtype=bool)
         used = np.zeros(len(u), dtype=int)
         tangent = np.zeros_like(u)
+        coeffs = self._homotopy(t)
+        # while every path is active, the corrections work on u itself
+        active = u
         prev = None
         for it in range(1, MAX_CORRECTIONS + 1):
-            f, jac, dfdt = self.evaluate(u[todo], t[todo])
-            sol = np.linalg.solve(jac, np.stack((f, dfdt), axis=-1))
+            rhs = np.empty(active.shape + (2,), dtype=complex)
+            sol = np.linalg.solve(self._system(active, *coeffs, rhs), rhs)
             delta = sol[..., 0]
-            u[todo] -= delta
+            active -= delta
+            if active is not u:
+                u[todo] = active
             size = np.max(np.abs(delta), axis=1)
-            scale = 1.0 + np.max(np.abs(u[todo]), axis=1)
+            scale = 1.0 + np.max(np.abs(active), axis=1)
             est = size if prev is None else np.minimum(size, size * size / prev)
             done = est <= tol * scale
             converged[todo[done]] = True
@@ -162,6 +181,8 @@ class Quadratics:
             todo, prev = todo[keep], size[keep]
             if not len(todo):
                 break
+            if not keep.all():
+                active, coeffs = u[todo], tuple(c[keep] for c in coeffs)
         return converged, used, tangent
 
     def track(self, u, max_step):

@@ -384,8 +384,10 @@ JC_DOCUMENT = "[spec]\n" + JC_SPEC + "\n[branch 0]\nrapidity_0 = (0.5, 0)\n"
      "verification failure: result document has no branch records"),
     ("verify", JC_DOCUMENT.replace("rapidity_0", "energy"), [], 3,
      "failure = branch 0: no rapidities recorded"),
-    ("verify", JC_DOCUMENT + "residual_max_abs = -1e-5\n", [], 3,
-     "failure = branch 0: residual grew beyond recorded value"),
+    # moved by 1e-8, the rapidity's residual reads 2e-8: below the absolute
+    # threshold 1e-6, above the recorded 0 by more than --newton-tol
+    ("verify", JC_DOCUMENT.replace("(0.5, 0)", "(0.50000001, 0)") + "residual_max_abs = 0\n",
+     [], 3, "failure = branch 0: residual grew beyond recorded value"),
 ], ids=["list-entry", "duplicate-key", "number", "unknown-rg-key", "missing-rg-key",
         "rg-without-spins", "branch-range", "sweep-xi-dicke", "gaudin-error", "convergence",
         "pair", "verify-no-spec", "verify-no-branch", "verify-no-rapidities",
@@ -599,21 +601,16 @@ def test_batched_records_match_the_single_state_reference(tmp_path, text, option
         assert pairs >= 1  # complex-conjugate pairs are covered
 
 
-def test_the_record_step_realizes_each_operator_once_on_sector_sized_vectors(
+def test_the_record_step_builds_no_product_basis_and_stays_on_sector_sized_vectors(
         tmp_path, monkeypatch):
     path = _write(tmp_path, "model.spec", SPIN1_SPEC)
     spec = parse_spec(path)
     n = spec.n_excitations
     sectors = ed_oracle.HilbertBasis.dicke(spec, n)
-    dims = {len(sectors.sector_indices(a)) for a in range(n + 1)}
-    top = len(sectors.sector_indices(n))
-    realized, products, calls = [], [], {"bethe": 0, "check": 0}
-    realize, matmul = ed_oracle.realize, ed_oracle.CooMatrix.__matmul__
-    bethe, check = dicke.bethe_coefficients, ed_oracle.eigencheck
-
-    def recording_realize(expr, basis):
-        realized.append(basis.total_dim)
-        return realize(expr, basis)
+    dims = [len(sectors.sector_indices(a)) for a in range(n + 1)]
+    ladders, products = [], []
+    calls = dict.fromkeys(("bethe", "check", "realize", "basis", "restricted", "restrict"), 0)
+    matmul, ladder = ed_oracle.CooMatrix.__matmul__, dicke.bethe_ladder
 
     def recording_matmul(self, other):
         out = matmul(self, other)
@@ -627,19 +624,28 @@ def test_the_record_step_realizes_each_operator_once_on_sector_sized_vectors(
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(ed_oracle, "realize", recording_realize)
+    for owner, name, key in ((ed_oracle, "realize", "realize"),
+                             (ed_oracle.HilbertBasis, "__init__", "basis"),
+                             (ed_oracle.RestrictedBasis, "__init__", "restricted"),
+                             (ed_oracle.CooMatrix, "restrict", "restrict"),
+                             (dicke, "bethe_coefficients", "bethe"),
+                             (ed_oracle, "eigencheck", "check")):
+        monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
     monkeypatch.setattr(ed_oracle.CooMatrix, "__matmul__", recording_matmul)
-    monkeypatch.setattr(dicke, "bethe_coefficients", counted("bethe", bethe))
-    monkeypatch.setattr(ed_oracle, "eigencheck", counted("check", check))
+    monkeypatch.setattr(dicke, "bethe_ladder", lambda s: ladders.append(ladder(s)) or ladders[-1])
     doc, code = run(RunConfig("solve-dicke", path, boson_cutoff=30))
     assert code == 0
-    # b', every S'_k and H, once each, on the basis at cutoff N whatever the
-    # option says; every state built by one call and checked by one more
-    assert realized == [sectors.total_dim] * (spec.m + 2)
-    assert calls == {"bethe": 1, "check": 1}
-    # every vector a product takes or gives is one sector long
-    assert products and all(a in dims and b in dims for a, b in products)
-    assert max(b for _, b in products) == top
+    # no operator realized, no product basis, nothing cut from one; every
+    # state built by one call and checked by one more
+    assert calls == {"bethe": 1, "check": 1, "realize": 0, "basis": 0, "restricted": 0,
+                     "restrict": 0}
+    # one ladder, whose blocks join consecutive sectors 0 .. N
+    (built,) = ladders
+    assert [s.total_dim for s in built.sectors] == dims
+    for a, (bdag, raisers) in enumerate(built.steps):
+        assert {block.shape for block in (bdag,) + raisers} == {(dims[a + 1], dims[a])}
+    # the check's products take and give vectors of sector N
+    assert products == [(dims[n], dims[n])] * 2
     # the records do not depend on the cutoff; the header keeps it
     default, _ = run(RunConfig("solve-dicke", path))
     assert "boson_cutoff = 30" in doc and "boson_cutoff = 15" in default

@@ -261,31 +261,100 @@ def test_energy_rapidity_relation():
 
 def test_one_bethe_ladder_serves_every_state_of_a_spec():
     cutoff = 6
-    ladder = dicke.bethe_ladder(M2, cutoff)
+    ladder = dicke.bethe_ladder(M2)
     for b in solver.enumerate_dicke_branches(M2):
         state = BetheProductState(M2, b["rapidities"])
         v, basis = bethe_coefficients(state, cutoff)
         shared, shared_basis = bethe_coefficients(state, cutoff, ladder)
         assert shared.tobytes() == v.tobytes()
-        assert shared_basis is ladder[0] and shared_basis.total_dim == basis.total_dim
+        assert shared_basis.total_dim == basis.total_dim == (cutoff + 1) * 4
 
 
 def test_a_batch_of_states_holds_their_single_vectors_on_sector_n():
     cutoff = 5
-    ladder = dicke.bethe_ladder(M2, cutoff)
+    ladder = dicke.bethe_ladder(M2)
     states = [BetheProductState(M2, b["rapidities"])
               for b in solver.enumerate_dicke_branches(M2)]
     block, top = bethe_coefficients(states, cutoff, ladder)
     assert top is ladder.top
     assert block.shape == (len(top.indices), len(states)) == (4, 4)
-    assert set(ladder.basis.excitation_numbers()[top.indices]) == {M2.n_excitations}
+    basis = ed_oracle.HilbertBasis.dicke(M2, cutoff)
+    assert set(basis.excitation_numbers()[top.indices]) == {M2.n_excitations}
     assert np.allclose(np.linalg.norm(block, axis=0), 1.0, rtol=0, atol=1e-15)
     for column, state in zip(block.T, states):
-        v, basis = bethe_coefficients(state, cutoff, ladder)
-        assert basis is ladder.basis
+        v, single_basis = bethe_coefficients(state, cutoff, ladder)
+        assert single_basis.total_dim == basis.total_dim
         assert np.max(np.abs(column - v[top.indices])) <= 1e-15
         assert np.linalg.norm(np.delete(v, top.indices)) == 0.0
     with pytest.raises(ValidationError):
         bethe_coefficients([], cutoff, ladder)
     with pytest.raises(ValidationError):
         BetheProductState(M2, RapiditySet((0.3,), DICKE_X))
+
+
+def _random_mixed_specs(count, seed):
+    """Seeded specs with m 1-4, spins from {1/2 .. 5/2}, N 1-4 and G of
+    either sign."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        yield DickeSpec(tuple(np.sort(rng.uniform(0.5, 1.5, m))),
+                        tuple(rng.choice([0.5, 1.0, 1.5, 2.0, 2.5], m)),
+                        float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.5, 1.5)), n)
+
+
+def _assert_same_triplets(got, want):
+    assert got.shape == want.shape
+    for name in ("rows", "cols", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sector_tables_list_each_sector_of_the_product_basis_in_its_order(seed):
+    for spec in _random_mixed_specs(10, seed):
+        n = spec.n_excitations
+        sectors = dicke.sector_tables(spec)
+        assert len(sectors) == n + 1
+        for cutoff in (n, n + 3):
+            basis = ed_oracle.HilbertBasis.dicke(spec, cutoff)
+            for a, sector in enumerate(sectors):
+                assert np.array_equal(sector.indices, basis.sector_indices(a))
+                assert np.all(sector.digits.sum(axis=1) == a)
+                # the digits are the product index's mixed-radix digits
+                dims = [cutoff + 1] + [int(round(2 * s + 1)) for s in spec.spins]
+                assert np.array_equal(np.ravel_multi_index(sector.digits.T, dims),
+                                      sector.indices)
+        assert sectors[-1].total_dim == spec.sector_dimension()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_ladder_block_is_the_realized_raiser_cut_to_its_sectors(seed):
+    # the blocks of b' and every S'_k between consecutive sectors, against
+    # the operators realized on the product basis at cutoff N and cut to
+    # those sectors: the same triplets, bit for bit
+    for spec in _random_mixed_specs(10, seed):
+        n = spec.n_excitations
+        basis = ed_oracle.HilbertBasis.dicke(spec, n)
+        raisers = [ed_oracle.realize(dicke.OperatorExpression(((1.0, factor),)), basis).coo
+                   for factor in [(("bdag", None),)] + [(("sp", k),) for k in range(spec.m)]]
+        ladder = dicke.bethe_ladder(spec)
+        assert len(ladder.steps) == n
+        for a, (bdag, sps) in enumerate(ladder.steps):
+            down, up = basis.sector_indices(a), basis.sector_indices(a + 1)
+            for block, full in zip((bdag,) + sps, raisers):
+                # the sectors are disjoint: (up, down) is a corner of their union
+                cut = full.restrict(np.concatenate((up, down))).toarray()[:len(up), len(up):]
+                want = ed_oracle.CooMatrix.from_dense(cut)
+                _assert_same_triplets(block, want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_composed_sector_hamiltonian_is_the_realized_one_cut_to_sector_n(seed):
+    for spec in _random_mixed_specs(10, seed):
+        n = spec.n_excitations
+        basis = ed_oracle.HilbertBasis.dicke(spec, n)
+        ham = ed_oracle.realize(build_dicke_hamiltonian(spec), basis)
+        block = dicke.sector_hamiltonian(spec, dicke.bethe_ladder(spec))
+        assert block.hermitian and block.basis.total_dim == spec.sector_dimension()
+        _assert_same_triplets(block.coo, ham.restrict(basis.sector_indices(n)))

@@ -707,22 +707,91 @@ def test_heine_stieltjes_roots_match_numpy_polyroots():
         assert np.max(dist.min(axis=0)) < 1e-10 and np.max(dist.min(axis=1)) < 1e-10
 
 
+BENCHMARK_BASES = [
+    pytest.param(DickeSpec((0.874, 1.054, 1.069), (0.5,) * 3, 0.146, 0.916, 2), id="m3-n2"),
+    pytest.param(DickeSpec((0.688, 1.229), (1.0, 0.5), 0.158, 0.955, 3), id="m2-n3-spin1"),
+]
+
+
 @pytest.mark.parametrize("spec, evaluations", [
-    pytest.param(DickeSpec((0.874, 1.054, 1.069), (0.5,) * 3, 0.146, 0.916, 2), 32, id="m3-n2"),
-    pytest.param(DickeSpec((0.688, 1.229), (1.0, 0.5), 0.158, 0.955, 3), 27,
-                 id="m2-n3-spin1"),
+    pytest.param(base.values[0], count, id=base.id)
+    for base, count in zip(BENCHMARK_BASES, (32, 27))
 ])
 def test_evb_evaluations_per_solve_on_the_benchmark_bases(monkeypatch, spec, evaluations):
     # every point is evaluated once: the tangent comes from the correction
-    # that accepted it, and the predictor is the Hermite one
+    # that accepted it, and the predictor is the Hermite one; a correction
+    # evaluates the system through its kernel, _system
     split, _ = solver.split_levels(spec, solver.split_delta(spec))
-    calls, evaluate = [], evb.Quadratics.evaluate
+    calls, system = [], evb.Quadratics._system
 
-    def counted(self, u, t):
+    def counted(self, u, *args):
         calls.append(len(u))
-        return evaluate(self, u, t)
+        return system(self, u, *args)
 
-    monkeypatch.setattr(evb.Quadratics, "evaluate", counted)
+    monkeypatch.setattr(evb.Quadratics, "_system", counted)
     _, ends, ok = evb.Quadratics(split).solve()
     assert ok.all() and len(evb.duplicates(ends, ok)) == 0
     assert len(calls) == evaluations
+
+
+def _reference_correct(q, u, t, tol=None):
+    """Quadratics.correct as a plain loop: every iteration evaluates the
+    active paths afresh (evaluate) and solves J against F and dF/dt."""
+    tol = evb.TRACK_TOL if tol is None else tol
+    todo = np.arange(len(u))
+    converged = np.zeros(len(u), dtype=bool)
+    used = np.zeros(len(u), dtype=int)
+    tangent = np.zeros_like(u)
+    prev = None
+    for it in range(1, evb.MAX_CORRECTIONS + 1):
+        f, jac, dfdt = q.evaluate(u[todo], t[todo])
+        sol = np.linalg.solve(jac, np.stack((f, dfdt), axis=-1))
+        delta = sol[..., 0]
+        u[todo] -= delta
+        size = np.max(np.abs(delta), axis=1)
+        scale = 1.0 + np.max(np.abs(u[todo]), axis=1)
+        est = size if prev is None else np.minimum(size, size * size / prev)
+        done = est <= tol * scale
+        converged[todo[done]] = True
+        used[todo[done]] = it
+        tangent[todo[done]] = -sol[done, :, 1]
+        keep = ~done & (size < scale)
+        todo, prev = todo[keep], size[keep]
+        if not len(todo):
+            break
+    return converged, used, tangent
+
+
+@pytest.mark.parametrize("spec", BENCHMARK_BASES)
+def test_a_correction_is_bitwise_the_plain_evaluate_and_solve_loop(monkeypatch, spec):
+    # correct builds the homotopy's coefficients once per call and works on
+    # u in place while every path is active: the same arithmetic as the loop
+    split, _ = solver.split_levels(spec, solver.split_delta(spec))
+    q = evb.Quadratics(split)
+    fast, calls = evb.Quadratics.correct, []
+
+    def recorded(self, u, t, tol=None):
+        calls.append((u.copy(), t.copy(), tol))
+        return fast(self, u, t, tol)
+
+    monkeypatch.setattr(evb.Quadratics, "correct", recorded)
+    flipped, ends, ok = q.solve()
+    monkeypatch.setattr(evb.Quadratics, "correct", _reference_correct)
+    _, ref_ends, ref_ok = q.solve()
+    assert ends.tobytes() == ref_ends.tobytes() and np.array_equal(ok, ref_ok)
+    # every call of the solve, replayed as made and with its points moved
+    # (seeded), so that paths converge after each number of corrections,
+    # and some run out of corrections or leave the basin
+    rng = np.random.default_rng(7)
+    outcomes = np.zeros(evb.MAX_CORRECTIONS + 1, dtype=int)
+    for u, t, tol in calls:
+        for spread in (0.0, 0.03, 3.0):
+            moved = u + spread * (rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape))
+            got_u, want_u = moved.copy(), moved.copy()
+            got = fast(q, got_u, t, tol)
+            want = _reference_correct(q, want_u, t, tol)
+            assert got_u.tobytes() == want_u.tobytes()
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            outcomes += np.bincount(got[1], minlength=len(outcomes))
+    assert np.all(outcomes > 0)
