@@ -6,7 +6,8 @@ documents (no timestamps, floats at 17 significant digits, complex numbers as
 (re, im) pairs).
 
 Exit codes: 0 success, 1 usage error or validation failure, 2 convergence
-failure, 3 verification failure.
+failure, 3 verification failure, 4 a solve-dicke enumeration short of its
+sector (the document is written, and verify passes its residuals).
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .errors import (
 log = logging.getLogger("gaudin")
 
 MODES = ("solve-rg", "solve-dicke", "sweep-xi", "verify", "ed-spectrum")
+# the exit code of a document that holds fewer states than its sector
+SHORT_COUNT = 4
 FORMATS = ("structured-text", "tabular-text")
 
 # keys accepted per model type in spec files
@@ -311,6 +314,7 @@ def run_solve_dicke(config, spec):
     # the records do not depend on the cutoff; the header keeps it, for an
     # ed-spectrum run of the same spec to read
     header = ["boson_cutoff = %d" % _boson_cutoff(config, spec)]
+    code = 0
     if config.occupation is not None:
         final, report, trace = solver.solve_dicke_branch(
             spec, config.occupation, policy=policy
@@ -319,18 +323,14 @@ def run_solve_dicke(config, spec):
             {"occupation": config.occupation, "rapidities": final, "report": report}
         ]
     else:
-        method = solver.enumeration_method(spec)
         branches = solver.enumerate_dicke_branches(spec, policy=policy)
         expected = spec.sector_dimension()
-        header.append("method = %s" % method)
-        delta = solver.split_delta(spec)
-        if method == solver.EVB and delta:
-            header.append("split_delta = %s" % _fmt(delta))
         header += ["branches_expected = %d" % expected,
                    "branches_found = %d" % len(branches)]
         if len(branches) < expected:
-            log.warning("solve-dicke found %d of %d states with N = %d (method %s)",
-                        len(branches), expected, spec.n_excitations, method)
+            log.warning("solve-dicke found %d of %d states with N = %d",
+                        len(branches), expected, spec.n_excitations)
+            code = SHORT_COUNT
     if config.branch is not None:
         if not 0 <= config.branch < len(branches):
             raise ValidationError(
@@ -341,7 +341,7 @@ def run_solve_dicke(config, spec):
     lines += [""] + _spec_section(spec)
     lines += _dicke_branch_records(spec, branches)
     lines += [""] + _environment_section(config)
-    return "\n".join(lines) + "\n", 0
+    return "\n".join(lines) + "\n", code
 
 
 def run_sweep_xi(config, spec):
@@ -413,7 +413,9 @@ def run_verify(config):
     A rapidity tampered at the 1e-3 level drives the recomputed Bethe residual
     far above the acceptance threshold, so verification is discriminating; a
     smaller tamper still raises it above the recorded residual_max_abs by
-    more than --newton-tol.
+    more than --newton-tol.  A solve-dicke document whose branches_found is
+    below its branches_expected, every residual passing, reads `verdict =
+    short` and exits SHORT_COUNT.
     """
     with open(config.spec_path) as fh:
         triples = parse_kv_lines(fh)
@@ -462,9 +464,12 @@ def run_verify(config):
     for bid, why, eq in failures:
         tail = "" if eq is None else " at equation %d" % eq
         lines.append("failure = %s: %s%s" % (bid, why, tail))
-    lines.append("verdict = %s" % ("pass" if not failures else "fail"))
+    header = {k: int(v) for s, k, v in triples if s is None and k.startswith("branches_")}
+    short = header.get("branches_found", 0) < header.get("branches_expected", 0)
+    verdict, code = ("fail", 3) if failures else ("short", SHORT_COUNT) if short else ("pass", 0)
+    lines.append("verdict = %s" % verdict)
     lines += [""] + _environment_section(config)
-    return "\n".join(lines) + "\n", (0 if not failures else 3)
+    return "\n".join(lines) + "\n", code
 
 
 def run(config):

@@ -1,48 +1,48 @@
-"""Dicke spectra of spin-1/2 levels in eigenvalue-based (EVB) variables.
+"""Dicke spectra in eigenvalue-based (EVB) variables, for levels of any spin.
 
-In U_k = G^2 sum_a 1/(eps_k - x_a), the Dicke equations of spin-1/2 levels
-(rg_core.dicke_rg_residual) summed against 1/(eps_k - x_a) become m
-quadratics with no poles (Babelon & Talalaev, J. Stat. Mech. P06013 (2007);
-Tschirhart & Faribault, J. Phys. A 47, 405204 (2014)):
-
-    F_k = N g + (w - eps_k) U_k - U_k^2 - g sum_{j != k} 2 s_j (U_k - U_j)/(eps_j - eps_k)
-
-at g = G^2, w = hbar_omega.  At g = 0 their solutions are U_k in
-{0, w - eps_k}, level k down or flipped: 2^m of them, and the system has no
-solutions at infinity, so following all 2^m starts along a homotopy from
-g = 0 to g = G^2 (Quadratics) reaches every solution.  The tracker predicts
-each step by the cubic Hermite extrapolation (hermite, the formula the
-solver's continuation uses too) through a path's last two points and their
-tangents dU/dt = -J^-1 dF/dt, and takes each tangent from the solve of the
-correction that accepted its point, against F and dF/dt together, so that no
-point is evaluated twice.  For N < m some endpoints are spurious: only a
-physical one
-has a monic degree-N polynomial P, with the rapidities as its roots, that
-solves the Heine-Stieltjes equation
+A state's rapidities are the roots of the monic degree-N P that solves the
+Heine-Stieltjes equation
 
     A [(w - x) P' - G^2 P''] - 2 G^2 sum_k s_k A_k P' = V P,
 
-A = prod_k (eps_k - x), A_k = prod_{j != k} (eps_j - x),
-V = -N A - 2 sum_k s_k U_k A_k.  Its least-squares residual is the
-physicality test.  The endpoint-independent parts of that equation are built
-once per spec (heine_stieltjes_matrices), and the roots of every endpoint's
-P come from one batched companion eigensolve.  Only numpy is used; the
-solver polishes the roots of P on the Dicke equations.
+A = prod_k (eps_k - x), A_k = prod_{j != k} (eps_j - x), w = hbar_omega,
+V = -N A - 2 sum_k s_k U_k A_k, where U_k = y(eps_k) for y = G^2 P'/P.
+Divided by A P/G^2 it reads, for any spins,
 
-A level of spin s > 1/2 enters as 2 s spin-1/2 levels a small spacing apart
-(solver.split_levels): the split spec is enumerated here and its states are
-polished on the equations of the unsplit one, the numerical shortcut to the
-degenerate-level treatment of El Araby, Gritsev & Faribault, PRB 85, 115130
-(2012).  heine_stieltjes itself takes any spins.
+    (w - x) y - y^2 - G^2 y' + N G^2 = 2 G^2 sum_j s_j (y(x) - U_j)/(eps_j - x).
+
+With y = sum_n c_{k,n} z^n about eps_k, z = x - eps_k, its order z^n,
+n = 0 .. 2 s_k - 1, is (El Araby, Gritsev & Faribault, PRB 85, 115130 (2012))
+
+    a_k c_n - c_{n-1} - sum_{i<=n} c_i c_{n-i} + G^2 (2 s_k - n - 1) c_{n+1}
+      + N G^2 delta_{n0}
+      - 2 G^2 sum_{j != k} s_j sum_{i<=n} (c_i - U_j delta_{i0})/(eps_j - eps_k)^(n-i+1) = 0,
+
+a_k = w - eps_k, c_{k,0} = U_k.  c_{2 s_k} drops out of the last order, so
+the system closes on sum_k 2 s_k unknowns; at spin 1/2 it is the quadratic
+F_k = N g + a_k U_k - U_k^2 - g sum_{j != k} 2 s_j (U_k - U_j)/(eps_j - eps_k),
+g = G^2 (Babelon & Talalaev, J. Stat. Mech. P06013 (2007)).  Quadratics
+tracks c^_{k,n} = g^n c_{k,n}, each order-n row times g^n, polynomial in
+(c^, g) and regular at g = 0, from g = 0 to G^2.  At g = 0, with p_k = 0 ..
+2 s_k flips of level k, c^_{k,0} = p_k a_k/(2 s_k) and c^_{k,n+1} =
+(sum_{i<=n} c^_i c^_{n-i} - a_k c^_{k,n})/(2 s_k - n - 1): one start per
+state of the sector (sum_k p_k <= N, DickeSpec.sector_dimension).  Each
+step is predicted by the cubic Hermite extrapolation (hermite, shared with
+the solver) through a path's last two points and their tangents
+dc^/dt = -J^-1 dF/dt, each from the correction that accepted its point.  An
+endpoint is physical when the Heine-Stieltjes equation at its U has a monic
+degree-N solution, by least squares (heine_stieltjes, its parts built once
+per spec by heine_stieltjes_matrices); the solver polishes the roots of P
+on the Dicke equations.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 
 import numpy as np
 
+from . import dicke
 from .errors import DomainError, ValidationError
 
 log = logging.getLogger("gaudin")
@@ -51,19 +51,19 @@ log = logging.getLogger("gaudin")
 GAMMA = 0.7
 SHIFT = 1.0
 # step control of the tracker: a step accepted within two corrections grows,
-# a rejected one halves, and a path whose step falls below MIN_STEP fails;
-# points along a path are corrected to TRACK_TOL, endpoints to END_TOL.  With
-# the Hermite predictor a cap of 0.3 takes 32 and 27 evaluations per solve on
-# the benchmark's two specs (0.1: 35, 35; 0.2: 31, 28) and finds every state
-# of 330 random specs with m <= 10, as 0.1 does
+# a rejected one halves, and a path that has not reached t = 1 after
+# MAX_ATTEMPTS steps, accepted or not, fails (the ladder then fills the
+# sector); points along a path are corrected to TRACK_TOL, endpoints to
+# END_TOL.  A cap of 0.3 takes 32 and 18 evaluations per solve on the
+# benchmark's two specs
 INITIAL_STEP = 1e-2
 MAX_STEP = 0.3
-MIN_STEP = 1e-9
+MAX_ATTEMPTS = 150
 MAX_CORRECTIONS = 3
 TRACK_TOL = 1e-6
 END_TOL = 1e-13
-# endpoints closer than this (max norm, relative to the largest |U|) count as
-# one; a round re-tracks them, and the failed paths, with the step cap / 4
+# endpoints closer than this (max norm, relative to the largest |c^|) count
+# as one; a round re-tracks them, and the failed paths, with the step cap / 4
 DISTINCT_TOL = 1e-7
 ROUNDS = 3
 # Heine-Stieltjes residual below which an endpoint is physical, and below
@@ -72,98 +72,141 @@ ROUNDS = 3
 # with m <= 8, 24 of 7159 spurious endpoints read below 1e-3, the lowest 5e-5)
 PHYSICAL_TOL = 1e-6
 CANDIDATE_TOL = 1e-3
-# the most paths one batch tracks: 2^12, m = 12 levels; a batch holds
-# (paths, m, m) Jacobians, which beyond this run to gigabytes
+# the most paths one batch tracks, one per state of the sector; a batch holds
+# (paths, 2, M, M + 2) system matrices, M = sum_k 2 s_k
 MAX_PATHS = 2**12
 # elements of one block of endpoint differences in duplicates()
 BLOCK_ELEMENTS = 2**18
 
 
 class Quadratics:
-    """The EVB system of a spin-1/2 Dicke spec along the homotopy, batched
-    over paths.
+    """The EVB system of a Dicke spec along the homotopy, batched over paths.
 
-    Along t the coupling runs g(t) = t G^2 (1 + i GAMMA (1 - t)) and the
-    photon energy w(t) = w + i SHIFT G^2 (1 - t); both are real at t = 1.
-    The shift keeps the starts U_k in {0, w(0) - eps_k} apart and their
-    Jacobian regular when a level is in resonance (eps_k = w), and the
-    coupling leaves the real axis at a finite angle, so paths stay clear of
-    the points where real solutions merge into complex pairs.
+    The unknowns c^_{k,n} are ordered by n, then k: the first m are U.  Along
+    t the coupling runs g(t) = t G^2 (1 + i GAMMA (1 - t)) and w(t) = w + i
+    SHIFT G^2 (1 - t), both real at t = 1: the shift keeps the starts apart
+    and regular when a level is in resonance (eps_k = w), and the complex
+    coupling keeps paths off the points where real solutions merge.
+
+    F = A(t) (c^, 0, 1) - K c^: A(t) = sum_p g(t)^p B_p + i SHIFT G^2 (1 - t)
+    I, with w - eps_k on B_0's diagonal and N in B_1's last column, is a
+    polynomial in t (`coef`, one row per power), and K = (c^, 0,
+    1)[partner] gathers c^_{k,n-i} at (row (k, n), unknown (k, i)), so the
+    Jacobian is A - 2 K.
     """
 
     def __init__(self, spec):
         if spec.coupling_G == 0.0:
             raise DomainError("EVB enumeration needs G != 0")
-        if 2 ** len(spec.epsilons) > MAX_PATHS:
+        if spec.sector_dimension() > MAX_PATHS:
             raise ValidationError(
-                f"EVB enumeration tracks 2^m paths; m = {len(spec.epsilons)} "
-                f"exceeds {MAX_PATHS} of them")
+                f"EVB enumeration tracks one path per state of the sector; its "
+                f"{spec.sector_dimension()} states exceed {MAX_PATHS}")
         eps = np.asarray(spec.epsilons, dtype=float)
         spins = np.asarray(spec.spins, dtype=float)
+        self.orders = np.rint(2.0 * spins).astype(int)
+        self.m = m = len(eps)
+        top = int(self.orders.max())
+        self.order, self.level = np.nonzero(np.arange(top)[:, None] < self.orders)
+        size = len(self.level)
+        index = np.full((m, top + 1), size)
+        index[self.level, self.order] = np.arange(size)
         diff = eps[None, :] - eps[:, None]  # eps_j - eps_k at [k, j]
         np.fill_diagonal(diff, 1.0)
-        self.pair = 2.0 * spins[None, :] / diff
-        np.fill_diagonal(self.pair, 0.0)
-        self.pair_sum = self.pair.sum(axis=1)
-        self.lin = spec.hbar_omega - eps
-        self.n = float(spec.n_excitations)
-        self.g2 = spec.coupling_G**2
-        self.shift = 1j * SHIFT * self.g2
-        self.m = len(eps)
+        # pair[p - 1][k, j] = 2 s_j/(eps_j - eps_k)^p, j != k
+        pair = 2.0 * spins[None, :] / diff ** np.arange(1, top + 1)[:, None, None]
+        pair[:, np.arange(m), np.arange(m)] = 0.0
+        self.lin = (spec.hbar_omega - eps)[self.level]
+        self.sector = dicke.sector_tables(spec)[-1]
+        self.shift = 1j * SHIFT * spec.coupling_G**2
+        coef = np.zeros((top + 1, size, size + 2))  # B_p over (c^, 0, 1)
+        coef[0, :, :size] = np.diag(self.lin)
+        coef[1, :m, size + 1] = spec.n_excitations
+        self.partner = np.full((size, size), size)
+        for r, (k, n) in enumerate(zip(self.level, self.order)):
+            if n + 1 < self.orders[k]:
+                coef[0, r, index[k, n + 1]] = self.orders[k] - n - 1
+            if n:
+                coef[1, r, index[k, n - 1]] = -1.0
+            for i in range(n + 1):
+                coef[n - i + 1, r, index[k, i]] -= pair[n - i, k].sum()
+                self.partner[r, index[k, i]] = index[k, n - i]
+            coef[n + 1, r, :m] += pair[n, k]
+        # g(t)^p in powers of t, g(t) = G^2 ((1 + i GAMMA) t - i GAMMA t^2)
+        g = spec.coupling_G**2 * np.array([0.0, 1.0 + 1j * GAMMA, -1j * GAMMA])
+        poly = np.zeros((2 * top + 1, size, size + 2), dtype=complex)
+        power = np.ones(1)
+        for p in range(top + 1):
+            poly[:2 * p + 1] += np.multiply.outer(power, coef[p])
+            power = np.convolve(power, g)
+        poly[:2, :, :size] += np.multiply.outer((self.shift, -self.shift), np.eye(size))
+        self.coef = poly.reshape(2 * top + 1, size * (size + 2))
+        self.powers = np.arange(2 * top + 1)
 
     def evaluate(self, u, t):
-        """F, its Jacobian in U and dF/dt for paths u (P, m) at t (P,)."""
+        """F, its Jacobian in c^ and dF/dt for paths u (P, M) at t (P,)."""
         rhs = np.empty(u.shape + (2,), dtype=complex)
-        jac = self._system(u, *self._homotopy(t), rhs)
+        jac = self._system(u, self._homotopy(t), rhs)
         return rhs[..., 0], jac, rhs[..., 1]
 
     def _homotopy(self, t):
-        """The coefficients of paths at t (P,) as columns: g(t), dg/dt and
-        w(t) - eps_k."""
-        tc = t[:, None]
-        g = self.g2 * tc * (1.0 + 1j * GAMMA * (1.0 - tc))
-        dg = self.g2 * (1.0 + 1j * GAMMA * (1.0 - 2.0 * tc))
-        return g, dg, self.lin + self.shift * (1.0 - tc)
+        """A(t) and dA/dt of paths at t (P,), stacked (P, 2, M, M + 2): the
+        weights t^q and q t^(q-1) of the polynomial's coefficients (coef)."""
+        weights = np.empty((len(t), 2, len(self.powers)))
+        weights[:, 0] = t[:, None] ** self.powers
+        weights[:, 1, 0] = 0.0
+        weights[:, 1, 1:] = self.powers[1:] * weights[:, 0, :-1]
+        size = len(self.level)
+        return (weights @ self.coef).reshape(len(t), 2, size, size + 2)
 
-    def _system(self, u, g, dg, lin, rhs):
-        """The Jacobian in U of paths u (P, m) at homotopy coefficients g, dg,
-        lin (_homotopy); F and dF/dt go to rhs[..., 0] and rhs[..., 1]."""
-        pairs = u * self.pair_sum - u @ self.pair.T
-        rhs[..., 0] = self.n * g + lin * u - u * u - g * pairs
-        rhs[..., 1] = dg * (self.n - pairs) - self.shift * u
-        jac = g[:, :, None] * self.pair
-        idx = np.arange(self.m)
-        jac[:, idx, idx] = lin - 2.0 * u - g * self.pair_sum
-        return jac
+    def _system(self, u, mats, rhs):
+        """The Jacobian in c^ of paths u (P, M) at A(t) and dA/dt (mats, from
+        _homotopy); F and dF/dt go to rhs[..., 0] and rhs[..., 1]."""
+        size = len(self.level)
+        ext = np.empty((len(u), size + 2), dtype=complex)
+        ext[:, :size] = u
+        ext[:, size:] = (0.0, 1.0)
+        quad = ext[:, self.partner]
+        out = (mats @ ext[:, None, :, None])[..., 0]
+        rhs[..., 0] = out[:, 0] - (quad @ u[:, :, None])[..., 0]
+        rhs[..., 1] = out[:, 1]
+        return mats[:, 0, :, :size] - 2.0 * quad
 
     def starts(self):
-        """The 2^m subsets of flipped levels as a (2^m, m) bool array, and
-        the paths' values at t = 0."""
-        flipped = np.array(list(itertools.product((False, True), repeat=self.m)), dtype=bool)
-        return flipped, np.where(flipped, self.lin + self.shift, 0.0)
+        """The sector's flips p_k (levels flipped, 0 .. 2 s_k each, at most N
+        in all: the spin digits of sector N's states) as a (P, m) int array,
+        and the paths' values at t = 0."""
+        flips = self.sector.digits[:, 1:]
+        a = self.lin[:self.m] + self.shift
+        c = np.zeros((len(flips), self.m, self.orders.max()), dtype=complex)
+        c[:, :, 0] = flips * (a / self.orders)
+        for n in range(self.orders.max() - 1):
+            conv = sum(c[:, :, i] * c[:, :, n - i] for i in range(n + 1))
+            c[:, :, n + 1] = (conv - a * c[:, :, n]) / np.maximum(self.orders - n - 1, 1)
+        return flips, c[:, self.level, self.order]
 
     def correct(self, u, t, tol=None):
-        """Up to MAX_CORRECTIONS Newton steps on each path u (in place) at t;
-        returns (converged mask, corrections used, tangents).  A path has
-        converged once its correction, or the next one that quadratic
-        convergence predicts (size^2 / previous size), is below tol relative
-        to |u|.  Each correction solves J against F and dF/dt together: a
-        converged path's tangent dU/dt = -J^-1 dF/dt is that of its last
-        correction, taken where the correction started.  The homotopy's
-        coefficients at t are computed once per call, and every correction
-        evaluates the system as evaluate does (_system)."""
+        """Up to MAX_CORRECTIONS Newton steps on each path u (P, M), in place,
+        at t (P,); returns (converged mask, corrections used, tangents).  A
+        path has converged once its correction, or the next one that
+        quadratic convergence predicts (size^2 / previous size), is below tol
+        relative to |u|.  Each correction solves J against F and dF/dt
+        together: a converged path's tangent du/dt = -J^-1 dF/dt is that of
+        its last correction, taken where the correction started.  The
+        homotopy's matrices at t are computed once per call, and every
+        correction evaluates the system as evaluate does (_system)."""
         tol = TRACK_TOL if tol is None else tol
         todo = np.arange(len(u))
         converged = np.zeros(len(u), dtype=bool)
         used = np.zeros(len(u), dtype=int)
         tangent = np.zeros_like(u)
-        coeffs = self._homotopy(t)
+        mats = self._homotopy(t)
         # while every path is active, the corrections work on u itself
         active = u
         prev = None
         for it in range(1, MAX_CORRECTIONS + 1):
             rhs = np.empty(active.shape + (2,), dtype=complex)
-            sol = np.linalg.solve(self._system(active, *coeffs, rhs), rhs)
+            sol = np.linalg.solve(self._system(active, mats, rhs), rhs)
             delta = sol[..., 0]
             active -= delta
             if active is not u:
@@ -182,13 +225,14 @@ class Quadratics:
             if not len(todo):
                 break
             if not keep.all():
-                active, coeffs = u[todo], tuple(c[keep] for c in coeffs)
+                active, mats = u[todo], mats[keep]
         return converged, used, tangent
 
     def track(self, u, max_step):
-        """Follow paths u (P, m) from t = 0 to t = 1 with an adaptive step per
+        """Follow paths u (P, M) from t = 0 to t = 1 with an adaptive step per
         path, then correct the endpoints to END_TOL.  Returns (u at t = 1,
-        ok).
+        ok, capped): a path fails once a step no longer moves its t, or when
+        it has not reached t = 1 after MAX_ATTEMPTS steps (capped).
 
         A step is predicted by the cubic Hermite extrapolation (hermite)
         through the path's last two accepted points and their tangents, by
@@ -200,6 +244,8 @@ class Quadratics:
         t = np.zeros(n)
         h = np.full(n, min(INITIAL_STEP, max_step))
         alive, _, du = self.correct(u, t)
+        attempts = np.zeros(n, dtype=int)
+        capped = np.zeros(n, dtype=bool)
         # the last accepted point before the current one, once there is one
         before = np.zeros(n, dtype=bool)
         t0, u0, du0 = t.copy(), u.copy(), du.copy()
@@ -216,7 +262,7 @@ class Quadratics:
                 moved = np.max(np.abs(ends - arrived), axis=1)
                 keep = moved <= 1e3 * TRACK_TOL * (1.0 + np.max(np.abs(arrived), axis=1))
                 u[idx[keep]] = ends[keep]
-                return u, alive
+                return u, alive, capped
             ta = t[act]
             t1 = np.where(h[act] >= 1.0 - ta, 1.0, ta + h[act])
             tau = (t1 - ta)[:, None]
@@ -232,28 +278,34 @@ class Quadratics:
             grow = acc[used[ok] <= 2]
             h[grow] = np.minimum(2.0 * h[grow], max_step)
             h[rej] *= 0.5
-            alive[rej[h[rej] < MIN_STEP]] = False
+            alive[rej[t[rej] + h[rej] <= t[rej]]] = False
+            attempts[act] += 1
+            out = act[alive[act] & (t[act] < 1.0) & (attempts[act] >= MAX_ATTEMPTS)]
+            alive[out] = False
+            capped[out] = True
 
     def solve(self):
-        """(flipped subsets, endpoints at g = G^2, ok mask): every start
+        """(flips, endpoints at g = G^2, ok mask): every start (starts)
         tracked; duplicate endpoints and failed paths are re-tracked with a
         smaller step cap, for at most ROUNDS rounds.  Duplicates left after
         the last round stay in: the paths of a group reached one solution,
-        which is real, and the solver keeps one state per solution."""
-        flipped, seeds = self.starts()
+        which is real, and the solver keeps one state per solution.  The
+        endpoints are the c^ of each path; their first m columns are U."""
+        flips, seeds = self.starts()
         ends = np.empty_like(seeds)
         ok = np.zeros(len(seeds), dtype=bool)
         redo = np.arange(len(seeds))
         for r in range(ROUNDS):
             max_step = MAX_STEP / 4.0**r
-            ends[redo], ok[redo] = self.track(seeds[redo], max_step)
+            ends[redo], ok[redo], capped = self.track(seeds[redo], max_step)
             dup = duplicates(ends, ok)
-            log.debug("evb round %d: %d paths at step cap %.3g, %d failed, %d duplicate",
-                      r, len(redo), max_step, int(np.sum(~ok[redo])), len(dup))
+            log.debug("evb round %d: %d paths at step cap %.3g, %d failed (%d at the "
+                      "attempt cap), %d duplicate", r, len(redo), max_step,
+                      int(np.sum(~ok[redo])), int(np.sum(capped)), len(dup))
             redo = np.union1d(np.nonzero(~ok)[0], dup)
             if not len(redo):
                 break
-        return flipped, ends, ok
+        return flips, ends, ok
 
 
 def hermite(y0, d0, y1, d1, h, tau):

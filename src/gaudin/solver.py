@@ -28,16 +28,20 @@ share a root, at CLUSTER_T0, from the family's own rows and rate.  A
 ContinuationPolicy sets the Newton tolerance and the largest step; the rest
 of the step control is fixed below.
 
-enumerate_dicke_branches picks its method from the spins.  A level of spin
-s counts as 2 s spin-1/2 levels a small spacing apart (split_delta,
-split_levels); while there are at most twelve of those, it tracks the
-eigenvalue-based homotopy (evb) of the split spec and polishes the physical
-endpoints on the Dicke equations of the spec itself.  Otherwise, or when the
-levels are too close for any spacing, it runs solve_dicke_branch over every
-occupation pattern, on a ladder of xi starts.  Both tell states apart by
-their eigenvalue-based variables (evb.eigenvalue_variables, within
-evb.distinct_tol), and either stops once it holds as many distinct states as
-the sector has (DickeSpec.sector_dimension).
+enumerate_dicke_branches tracks the eigenvalue-based homotopy (evb) of the
+spec, for levels of any spin: one path per state of the sector from its
+g = 0 start, on the exact Taylor-order equations of each level, order z^n,
+n = 0 .. 2 s_k - 1, of
+
+    (w - x) y - y^2 - G^2 y' + N G^2 = 2 G^2 sum_j s_j (y(x) - U_j)/(eps_j - x)
+
+about eps_k, y = G^2 P'/P (evb), and polishes the physical endpoints on the
+Dicke equations.  While the sector is short, or when it exceeds one batch
+(evb.MAX_PATHS), it runs solve_dicke_branch over every occupation pattern,
+on a ladder of xi starts.  Both tell states apart by their eigenvalue-based
+variables (evb.eigenvalue_variables, within evb.distinct_tol), and either
+stops once it holds as many distinct states as the sector has
+(DickeSpec.sector_dimension).
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from .errors import (
     SelectionError,
     SingularJacobianError,
 )
-from .rg_core import DICKE_X, RG_ETA, DickeSpec, RapiditySet
+from .rg_core import DICKE_X, RG_ETA, RapiditySet
 
 log = logging.getLogger("gaudin")
 
@@ -486,125 +490,65 @@ def solve_dicke_branch(spec, occupation, policy=None, xi_start=1.0):
     return trace.final.rapidities, report, trace
 
 
-XI_START_LADDER = (1.0, 0.5, 0.25, 0.1, 0.04)
-
-# enumeration methods, chosen from the spins of the spec
-EVB = "evb"
-XI_CONTINUATION = "xi-continuation"
+# xi starts of the ladder, falling: the (0, 0, 1) state of levels 0.91002 and
+# 0.91155 at spins 1/2 and 5/2 (G 0.1857, hbar_omega 1.2, N 3) needs 0.01
+XI_START_LADDER = (1.0, 0.5, 0.25, 0.1, 0.04, 0.01)
 
 # a polish that stalls above the Newton tolerance still counts when every
 # residual is within this many ulps of the rapidities times its Jacobian row,
 # |J| |x|: with a rapidity between two close levels that floor exceeds 1e-10
 ROUNDOFF_ULPS = 8.0
 
-# split levels (split_delta): their spacing relative to the Heine-Stieltjes
-# scale h, the share of a level gap that two split neighbours may fill, and
-# the spacing relative to h below which no split fits.  On random mixed-spin
-# specs, at 5e-2 h some polishes land on another state, and near 1e-3 h the
-# split levels lose paths and Heine-Stieltjes accuracy
-SPLIT_DELTA = 1e-2
-SPLIT_GAP = 0.25
-SPLIT_FLOOR = 3e-3
-
-
-def enumeration_method(spec):
-    """EVB when the spec's split into spin-1/2 levels (split_delta) exists and
-    its 2^(sum 2 s_k) paths fit in one batch (evb.MAX_PATHS), the
-    xi-continuation ladder otherwise."""
-    if (2 ** sum(_multiplicities(spec)) <= evb.MAX_PATHS
-            and split_delta(spec) is not None):
-        return EVB
-    return XI_CONTINUATION
-
-
-def _multiplicities(spec):
-    return [int(round(2.0 * s)) for s in spec.spins]
-
-
-def split_delta(spec):
-    """Spacing of the 2 s spin-1/2 levels that stand for a level of spin s on
-    the EVB path: SPLIT_DELTA times the Heine-Stieltjes scale h (evb.frame),
-    capped so that the split levels of two neighbours, each group widened by
-    the spacing, fill at most SPLIT_GAP of the gap between them.  0.0 when
-    every spin is 1/2; None when the cap is below SPLIT_FLOOR * h."""
-    sizes = _multiplicities(spec)
-    if max(sizes) == 1:
-        return 0.0
-    h = evb.frame(spec)[1]
-    delta = SPLIT_DELTA * h
-    order = np.argsort(spec.epsilons)
-    for k, j in zip(order[:-1], order[1:]):
-        if sizes[k] + sizes[j] > 2:
-            gap = spec.epsilons[j] - spec.epsilons[k]
-            delta = min(delta, SPLIT_GAP * gap / (0.5 * (sizes[k] + sizes[j])))
-    return delta if delta >= SPLIT_FLOOR * h else None
-
-
-def split_levels(spec, delta):
-    """The spin-1/2 spec in which level k is 2 s_k levels delta apart,
-    centred on eps_k, and the original level of each of its levels; a
-    spin-1/2 spec is its own split."""
-    eps, owner = [], []
-    for k, (e, n) in enumerate(zip(spec.epsilons, _multiplicities(spec))):
-        eps += [e + (j - 0.5 * (n - 1)) * delta for j in range(n)]
-        owner += [k] * n
-    split = DickeSpec(tuple(eps), (0.5,) * len(eps), spec.coupling_G, spec.hbar_omega,
-                      spec.n_excitations)
-    return split, np.array(owner)
-
 
 def enumerate_dicke_branches(spec, policy=None):
-    """Every Bethe branch of the Dicke spec that the method for its spins
-    (enumeration_method) finds, sorted by energy (sum of x).
+    """Every Bethe branch of the Dicke spec found, sorted by energy (sum of
+    x): the EVB states (_evb_branches) when the sector fits one batch
+    (evb.MAX_PATHS), and then, while the sector is short, the ladder's
+    (_ladder_branches), which runs alone past the bound.
 
     Each branch is a dict with "rapidities" (x frame) and "report" (the Dicke
-    residual), and "evb_start" (the level of each spin-1/2 level flipped at
-    the start of its EVB path) or "occupation" (the extended secular roots it
-    was seeded from).
+    residual), and "evb_start" (each level listed once per flip at the start
+    of its EVB path) or "occupation" (the extended secular roots it was
+    seeded from).
     """
     policy = policy or ContinuationPolicy()
-    if enumeration_method(spec) == EVB:
-        branches = _evb_branches(spec, policy)
-    else:
-        branches = _ladder_branches(spec, policy)
+    full = spec.sector_dimension()
+    branches = _evb_branches(spec, policy) if full <= evb.MAX_PATHS else []
+    if len(branches) < full:
+        added = _ladder_branches(spec, policy, branches)
+        log.debug("ladder: %d states added to %d from evb, of %d", len(added),
+                  len(branches), full)
+        branches += added
     branches.sort(key=lambda b: float(np.sum(b["rapidities"].as_array().real)))
     return branches
 
 
 def _evb_branches(spec, policy):
-    """Branches from all EVB endpoints (evb.Quadratics) of the spec split
-    into spin-1/2 levels (split_levels), which is the spec itself when every
-    spin is 1/2.
+    """Branches from all EVB endpoints (evb.Quadratics) of the spec.
 
     Each endpoint whose Heine-Stieltjes residual is at most evb.CANDIDATE_TOL
-    seeds newton_solve on the Dicke equations of the spec with the roots of
-    its polynomial; a converged state is kept unless its eigenvalue-based
-    variables repeat a kept one's.  The physical endpoints (evb.PHYSICAL_TOL)
-    give the states; the rest of the candidates recover a state whose
-    endpoint sits where solutions nearly meet, and whose residual is then no
-    better than a spurious neighbour's.  Of a split level's states, those of
-    its lower multiplets are exact split-spec solutions that fail the polish
-    or repeat a kept state, and their split partners sit far apart in U
-    (_partner_spread: 8.9, about 4 G^2/delta, on the benchmark's spin-1 spec,
-    against at most 0.023 for its states).  So the candidates are polished
-    by spread, then most physical first (the order of rel alone on spin-1/2
-    specs, where the spread is 0), and polishing stops once the sector is
-    full: the kept states have distinct eigenvalue-based variables, so no
-    later candidate can be new.
+    seeds newton_solve on the Dicke equations with the roots of its
+    polynomial, most physical first; a converged state is kept unless its
+    eigenvalue-based variables repeat a kept one's.  The physical endpoints
+    (evb.PHYSICAL_TOL) give the states; the rest of the candidates recover a
+    state whose endpoint sits where solutions nearly meet, and whose residual
+    is then no better than a spurious neighbour's.  Polishing stops once the
+    sector is full: the kept states have distinct eigenvalue-based
+    variables, so no later candidate can be new.
     """
-    split, owner = split_levels(spec, split_delta(spec))
-    flipped, ends, ok = evb.Quadratics(split).solve()
-    roots, rel = evb.heine_stieltjes(split, ends)
+    m = len(spec.epsilons)
+    flips, ends, ok = evb.Quadratics(spec).solve()
+    u = ends[:, :m]
+    roots, rel = evb.heine_stieltjes(spec, u)
     candidates = np.nonzero(ok & (rel <= evb.CANDIDATE_TOL))[0]
-    spread = _partner_spread(ends[candidates], owner)
-    candidates = candidates[np.lexsort((rel[candidates], spread))]
-    tol = evb.distinct_tol(ends[ok])
+    candidates = candidates[np.argsort(rel[candidates], kind="stable")]
+    tol = evb.distinct_tol(u[ok])
     full = spec.sector_dimension()
 
     def exact(w):
         return rg_core.dicke_rg_residual(spec, w)
 
-    kept = np.empty((len(candidates), len(spec.epsilons)), dtype=complex)
+    kept = np.empty((len(candidates), m), dtype=complex)
     branches = []
     polished = 0
     for p in candidates:
@@ -615,12 +559,12 @@ def _evb_branches(spec, policy):
             values, report = _polish(exact, roots[p], policy.newton_tol)
         except (ConvergenceError, SingularJacobianError, CollisionError):
             continue
-        u = evb.eigenvalue_variables(spec, values)
-        if np.any(np.max(np.abs(kept[:len(branches)] - u), axis=1) <= tol):
+        state = evb.eigenvalue_variables(spec, values)
+        if np.any(np.max(np.abs(kept[:len(branches)] - state), axis=1) <= tol):
             continue
-        kept[len(branches)] = u
+        kept[len(branches)] = state
         branches.append({
-            "evb_start": [int(k) for k in owner[flipped[p]]],
+            "evb_start": [int(k) for k in np.repeat(np.arange(m), flips[p])],
             "rapidities": RapiditySet(tuple(_ordered(values)), DICKE_X),
             "report": report,
         })
@@ -629,14 +573,6 @@ def _evb_branches(spec, policy):
               int(np.sum(ok)), len(ok), int(np.sum(rel[candidates] <= evb.PHYSICAL_TOL)),
               len(candidates), len(branches), polished, len(candidates) - polished)
     return branches
-
-
-def _partner_spread(ends, owner):
-    """Per endpoint (rows of ends, U of the split spec), the largest |U_j -
-    U_k| between two split levels j, k of one original level (owner); 0 when
-    no level is split."""
-    j, k = np.nonzero(np.triu(owner[:, None] == owner[None, :], 1))
-    return np.abs(ends[:, j] - ends[:, k]).max(axis=1, initial=0.0)
 
 
 def _ordered(values):
@@ -667,15 +603,16 @@ def _polish(residual_fn, w0, tol):
         raise
 
 
-def _ladder_branches(spec, policy):
+def _ladder_branches(spec, policy, found=()):
     """Attempt every occupation multiset of the extended secular roots and
-    return the distinct converged branches.
+    return the converged branches distinct from each other and from the
+    branches `found` already.
 
     Patterns that fail at xi_start = 1 (typically branches escaping to
-    infinity because the deformed copy is too small) or converge onto an
-    already-found branch (eigenvalue-based variables within evb.distinct_tol
-    of its) are retried at smaller xi_start values, where the larger deformed
-    copy holds every finite solution.  No pattern is tried once the sector is
+    infinity because the deformed copy is too small) or converge onto a
+    known branch (eigenvalue-based variables within evb.distinct_tol of its)
+    are retried at smaller xi_start values, where the larger deformed copy
+    holds every finite solution.  No pattern is tried once the sector is
     full.
     """
     from itertools import combinations_with_replacement
@@ -683,13 +620,13 @@ def _ladder_branches(spec, policy):
     n = spec.n_excitations
     n_roots = len(tda_roots_dicke(spec, XI_START_LADDER[0]))
     pending = list(combinations_with_replacement(range(n_roots), n))
+    known = [evb.eigenvalue_variables(spec, b["rapidities"].values) for b in found]
     branches = []
     full = spec.sector_dimension()
 
     def attempt(pattern, xi_start):
         try:
-            final, report, trace = solve_dicke_branch(spec, list(pattern), policy, xi_start)
-            return final, report
+            return solve_dicke_branch(spec, list(pattern), policy, xi_start)[:2]
         except (ConvergenceError, SingularJacobianError, CollisionError,
                 SelectionError):
             return None
@@ -699,7 +636,7 @@ def _ladder_branches(spec, policy):
             break
         still = []
         for i, pattern in enumerate(pending):
-            if len(branches) == full:
+            if len(known) == full:
                 log.debug("ladder: the sector is full at %d states; %d patterns left "
                           "at xi_start %g", full, len(pending) - i, xi_start)
                 still = []
@@ -710,13 +647,12 @@ def _ladder_branches(spec, policy):
                 continue
             final, report = res
             u = evb.eigenvalue_variables(spec, final.values)
-            if any(np.max(np.abs(k - u)) <= evb.distinct_tol((k, u)) for k, *_ in branches):
+            if any(np.max(np.abs(k - u)) <= evb.distinct_tol((k, u)) for k in known):
                 # relabeled onto a known branch; look deeper down the ladder
                 still.append(pattern)
                 continue
-            branches.append((u, pattern, final, report))
+            known.append(u)
+            branches.append({"occupation": list(pattern), "rapidities": final,
+                             "report": report})
         pending = still
-    return [
-        {"occupation": list(pat), "rapidities": fin, "report": rep}
-        for _, pat, fin, rep in branches
-    ]
+    return branches

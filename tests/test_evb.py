@@ -1,5 +1,5 @@
-"""Dicke enumeration in eigenvalue-based variables (gaudin.evb), on spin-1/2
-levels and on levels of higher spin split into spin-1/2 levels."""
+"""Dicke enumeration in eigenvalue-based variables (gaudin.evb), on levels of
+any spin, and the xi-continuation ladder that fills a short sector."""
 
 import functools
 import logging
@@ -69,15 +69,48 @@ def _record_solve(monkeypatch):
     pytest.param(DickeSpec(tuple(0.5 + 0.1 * k for k in range(10)), (0.5,) * 10,
                            0.2, 1.0, 3), id="resonant-grid"),
 ])
-def test_evb_m10_finds_all_176_states_from_1024_distinct_endpoints(monkeypatch, spec):
+def test_evb_m10_finds_all_176_states_from_176_distinct_endpoints(monkeypatch, spec):
+    # one path per state of the sector: up to N = 3 of the 10 levels flipped
     runs = _record_solve(monkeypatch)
     branches = solver.enumerate_dicke_branches(spec)
-    [(flipped, ends, ok)] = runs
-    assert flipped.shape == ends.shape == (1024, 10) and ok.all()
+    [(flips, ends, ok)] = runs
+    assert flips.shape == ends.shape == (176, 10) and ok.all()
+    assert flips.max() == 1 and flips.sum(axis=1).max() == 3
     assert len(evb.duplicates(ends, ok)) == 0
     _, sector = _sector(spec, 20)
     assert len(branches) == len(sector) == spec.sector_dimension() == 176
     assert np.max(np.abs(_energies(spec, branches) - sector)) < 1e-9
+
+
+# specs of the 80-spec mixed-spin draw (default_rng(2026), see ROADMAP): the
+# split levels and the ladder found 4 of 6 (#26) and 6 of 7 (#65), ran past
+# 60 s (#73) and tracked 4096 paths for 4 states (#19); EVB alone comes up
+# short on close high-spin levels (#7, #65), and the ladder fills them.
+# And 13 spin-1/2 levels at N = 2, of whose 92 states the ladder found 90
+SECTOR_SPECS = [
+    pytest.param(DickeSpec((1.21783, 1.21879), (0.5, 1.0), 0.1833562480316897, 1.35055, 3),
+                 id="mixed-26"),
+    pytest.param(DickeSpec((1.08286, 1.29328, 1.32501), (1.5, 1.5, 1.0), 0.3643676337812122,
+                           0.84996, 3), id="mixed-73"),
+    pytest.param(DickeSpec((0.87214, 0.92019), (2.0, 2.5), 0.32967646683167195, 0.99483, 2),
+                 id="mixed-7"),
+    pytest.param(DickeSpec((0.91002, 0.91155), (0.5, 2.5), 0.18568913097337125, 1.20007, 3),
+                 id="mixed-65"),
+    pytest.param(DickeSpec((0.84379, 1.21739, 1.34223), (2.0, 1.5, 2.5), 0.3425747262443108,
+                           1.18879, 1), id="mixed-19"),
+    pytest.param(_random_spec(13, 2, seed=13), id="half-m13-n2"),
+]
+
+
+@pytest.mark.parametrize("spec", SECTOR_SPECS)
+def test_every_state_matches_a_distinct_sector_eigenvalue(spec):
+    branches = solver.enumerate_dicke_branches(spec)
+    h_n = dicke.sector_hamiltonian(spec, dicke.bethe_ladder(spec))
+    sector = np.linalg.eigvalsh(h_n.matrix)
+    # both sorted: each state matches its own eigenvalue, with multiplicity
+    assert len(branches) == len(sector) == spec.sector_dimension()
+    assert np.max(np.abs(_energies(spec, branches) - sector)) < 1e-9
+    assert all(b["report"].max_abs <= 1e-10 for b in branches)
 
 
 def test_evb_finds_the_states_the_ladder_missed():
@@ -92,11 +125,13 @@ def test_evb_finds_the_states_the_ladder_missed():
 def test_evb_endpoints_solve_the_quadratics():
     spec = _random_spec(4, 2, seed=3)
     q = evb.Quadratics(spec)
-    flipped, starts = q.starts()
-    # at t = 0 the coupling vanishes and each level sits on one of its two roots
+    flips, starts = q.starts()
+    # at t = 0 the coupling vanishes and each level sits on one of its two
+    # roots; one start per state of the sector, at most N = 2 levels flipped
     f0, _, _ = q.evaluate(starts, np.zeros(len(starts)))
     assert np.max(np.abs(f0)) < 1e-15
-    assert len(set(map(tuple, flipped))) == 16
+    assert len(set(map(tuple, flips))) == len(flips) == spec.sector_dimension() == 11
+    assert flips.sum(axis=1).max() == 2
     _, ends, ok = q.solve()
     assert ok.all()
     f1, _, _ = q.evaluate(ends, np.ones(len(ends)))
@@ -104,15 +139,14 @@ def test_evb_endpoints_solve_the_quadratics():
     # the physical endpoints carry the rapidities: U_k = G^2 sum_a 1/(eps_k - x_a)
     roots, rel = evb.heine_stieltjes(spec, ends)
     physical = rel <= evb.PHYSICAL_TOL
-    assert np.sum(physical) == spec.sector_dimension() == 11
+    # every start of the sector reaches a physical endpoint
+    assert physical.all()
     eps = np.asarray(spec.epsilons)
     for x, u in zip(roots[physical], ends[physical]):
         assert np.allclose(spec.coupling_G**2 * np.sum(1.0 / (eps[:, None] - x), axis=1),
                            u, atol=1e-9)
     assert np.allclose(_energy_sum(spec, ends[physical]),
                        np.sum(roots[physical], axis=1), atol=1e-9)
-    # the spurious ones have none
-    assert np.min(rel[~physical]) > 1e3 * evb.PHYSICAL_TOL
 
 
 def test_evb_tangent_is_the_derivative_along_t():
@@ -130,6 +164,75 @@ def test_evb_tangent_is_the_derivative_along_t():
         assert np.allclose(jac[:, :, k], (fk - f) / 1e-7, atol=1e-6)
 
 
+def _random_mixed_spec(rng):
+    """One to four levels of spins 1/2 to 5/2, N = 1 to 4."""
+    m = int(rng.integers(1, 5))
+    return DickeSpec(tuple(np.sort(rng.uniform(0.5, 1.5, m))),
+                     tuple(float(s) for s in rng.choice([0.5, 1.0, 1.5, 2.0, 2.5], m)),
+                     float(rng.uniform(0.1, 0.5)), float(rng.uniform(0.5, 1.5)),
+                     int(rng.integers(1, 5)))
+
+
+def test_the_jacobian_and_the_rate_match_finite_differences_on_mixed_spins():
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        q = evb.Quadratics(_random_mixed_spec(rng))
+        size = len(q.level)
+        u = 0.3 * (rng.normal(size=(3, size)) + 1j * rng.normal(size=(3, size)))
+        t, h = rng.uniform(0.1, 0.9, 3), 1e-6
+        f, jac, dfdt = q.evaluate(u, t)
+        scale = 1.0 + np.max(np.abs(f))
+        ahead, behind = q.evaluate(u, t + h)[0], q.evaluate(u, t - h)[0]
+        assert np.max(np.abs(dfdt - (ahead - behind) / (2 * h))) < 1e-7 * scale
+        for k in range(size):
+            du = np.zeros(size)
+            du[k] = h
+            fd = (q.evaluate(u + du, t)[0] - q.evaluate(u - du, t)[0]) / (2 * h)
+            assert np.max(np.abs(jac[:, :, k] - fd)) < 1e-7 * scale
+
+
+def test_spin_half_rows_are_the_quadratics_f_k():
+    # F_k = N g + (w(t) - eps_k) U_k - U_k^2 - g sum_{j != k} 2 s_j (U_k - U_j)/(eps_j - eps_k)
+    rng = np.random.default_rng(12)
+    for m in (1, 2, 5, 9):
+        spec = _random_spec(m, int(rng.integers(1, 5)), seed=m)
+        q = evb.Quadratics(spec)
+        u = rng.normal(size=(4, m)) + 1j * rng.normal(size=(4, m))
+        t = rng.uniform(0.0, 1.0, 4)[:, None]
+        g = spec.coupling_G**2 * t * (1.0 + 1j * evb.GAMMA * (1.0 - t))
+        w = spec.hbar_omega + 1j * evb.SHIFT * spec.coupling_G**2 * (1.0 - t)
+        eps = np.asarray(spec.epsilons)
+        diff = eps[None, :] - eps[:, None]
+        np.fill_diagonal(diff, 1.0)
+        pair = 1.0 / diff
+        np.fill_diagonal(pair, 0.0)
+        terms = [spec.n_excitations * g, (w - eps) * u, u * u,
+                 g * (u * pair.sum(axis=1)), g * (u @ pair.T)]
+        want = terms[0] + terms[1] - terms[2] - terms[3] + terms[4]
+        f = q.evaluate(u, t[:, 0])[0]
+        assert np.max(np.abs(f - want)) <= 1e-15 * max(np.max(np.abs(x)) for x in terms)
+
+
+def test_the_starts_solve_the_system_at_g_0_one_per_state_of_the_sector():
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        spec = _random_mixed_spec(rng)
+        q = evb.Quadratics(spec)
+        flips, starts = q.starts()
+        orders = np.rint(2 * np.asarray(spec.spins)).astype(int)
+        assert len(flips) == len(starts) == spec.sector_dimension()
+        assert len(set(map(tuple, flips))) == len(flips)
+        assert np.all((flips >= 0) & (flips <= orders))
+        assert np.all(flips.sum(axis=1) <= spec.n_excitations)
+        # U_k = p_k a_k(0)/(2 s_k), a_k(0) = w(0) - eps_k
+        a = spec.hbar_omega + 1j * evb.SHIFT * spec.coupling_G**2 - np.asarray(spec.epsilons)
+        assert np.allclose(starts[:, :spec.m], flips * a / orders, rtol=1e-15, atol=0.0)
+        f0, jac, _ = q.evaluate(starts, np.zeros(len(starts)))
+        assert np.max(np.abs(f0)) < 1e-14
+        # each start is a regular point of the system
+        assert np.all(np.abs(np.linalg.det(jac)) > 0.0)
+
+
 def test_duplicates_flags_both_members_of_a_pair():
     u = np.array([[0.0, 1.0], [0.5, 0.5], [1e-9, 1.0], [2.0, 2.0]], dtype=complex)
     ok = np.array([True, True, True, False])
@@ -144,18 +247,21 @@ def test_a_duplicate_pair_left_after_the_last_round_keeps_one_member(monkeypatch
     def merging(self, u, max_step):
         # every round, the path of start 1 lands on the endpoint of start 0
         # (the later rounds re-track starts 0 and 1 only)
-        ends, ok = track(self, u, max_step)
+        ends, ok, capped = track(self, u, max_step)
         ends[1] = ends[0]
-        return ends, ok
+        return ends, ok, capped
 
     monkeypatch.setattr(evb.Quadratics, "track", merging)
     _, ends, ok = evb.Quadratics(spec).solve()
     assert list(evb.duplicates(ends, ok)) == [0, 1]
-    # the pair's solution gives one state, and the lost one is missing
+    # the pair's solution gives one state; the ladder finds the lost one
+    evb_states = solver._evb_branches(spec, solver.ContinuationPolicy())
+    assert len(evb_states) == spec.sector_dimension() - 1
     branches = solver.enumerate_dicke_branches(spec)
-    assert len(branches) == spec.sector_dimension() - 1
-    energies = _energies(spec, branches)
-    assert np.min(np.diff(np.sort(energies))) > 1e-6
+    assert len(branches) == spec.sector_dimension()
+    assert sum("occupation" in b for b in branches) == 1
+    _, sector = _sector(spec, spec.n_excitations)
+    assert np.max(np.abs(_energies(spec, branches) - sector)) < 1e-9
 
 
 # two levels 3.6e-4 or 6.3e-4 apart: a rapidity between them puts the Dicke
@@ -184,8 +290,9 @@ def test_close_levels_keep_the_states_whose_polish_stalls_at_round_off(spec):
 
 
 def test_an_endpoint_where_solutions_nearly_meet_still_gives_its_state(monkeypatch):
-    # three levels within 0.0033: one physical endpoint reads a Heine-Stieltjes
-    # residual of 4.4e-6, next to a spurious one at 1.3e-5
+    # three levels within 0.0033: one endpoint reads a Heine-Stieltjes
+    # residual of 2.9e-6, above PHYSICAL_TOL, and its polish still gives
+    # its state
     spec = DickeSpec((0.5395928766642029, 0.704952555997677, 0.7051622850873662,
                       0.7082261522634622, 1.4172977047909026),
                      (0.5,) * 5, 0.18214731581500543, 0.8756015297312423, 3)
@@ -194,7 +301,7 @@ def test_an_endpoint_where_solutions_nearly_meet_still_gives_its_state(monkeypat
     [(_, ends, ok)] = runs
     _, rel = evb.heine_stieltjes(spec, ends)
     assert np.sum(ok & (rel <= evb.PHYSICAL_TOL)) == spec.sector_dimension() - 1 == 25
-    assert np.sum(ok & (rel > evb.PHYSICAL_TOL) & (rel <= evb.CANDIDATE_TOL)) == 2
+    assert np.sum(ok & (rel > evb.PHYSICAL_TOL) & (rel <= evb.CANDIDATE_TOL)) == 1
     _, sector = _sector(spec, 3)
     assert len(branches) == len(sector) == 26
     assert np.max(np.abs(_energies(spec, branches) - sector)) < 1e-9
@@ -229,37 +336,30 @@ def test_sector_dimension_counts_the_ed_sector(spins, n, expected):
         assert len(basis.sector_indices(n)) == expected
 
 
-def test_enumeration_method_follows_the_spins():
-    assert solver.enumeration_method(DickeSpec((1.0,), (0.5,), 0.5, 1.0, 1)) == "evb"
-    # a spin-1 level enumerates as two spin-1/2 levels
-    assert solver.enumeration_method(DickeSpec((0.7, 1.2), (1.0, 0.5), 0.2, 1.0, 2)) == "evb"
-    # one spin-7 level splits into 14 spin-1/2 levels: beyond one batch
-    assert solver.enumeration_method(
-        DickeSpec((1.0,), (7.0,), 0.2, 1.0, 2)) == "xi-continuation"
-
-
 def _grid_spec(m, n):
     return DickeSpec(tuple(0.5 + 0.07 * k for k in range(m)), (0.5,) * m, 0.2, 1.0, n)
 
 
-def test_enumeration_method_bounds_the_evb_batch():
-    # 2^m paths in one batch: m = 12 is the last spec EVB takes
-    assert solver.enumeration_method(_grid_spec(12, 1)) == "evb"
-    assert solver.enumeration_method(_grid_spec(13, 1)) == "xi-continuation"
+def test_the_evb_batch_is_bounded_by_the_sector():
+    # one path per state: 13 levels at N = 6 fill the 2^12 paths of one
+    # batch, at N = 7 they do not
+    assert _grid_spec(13, 6).sector_dimension() == evb.MAX_PATHS
+    assert len(evb.Quadratics(_grid_spec(13, 6)).starts()[0]) == evb.MAX_PATHS
     with pytest.raises(ValidationError):
-        evb.Quadratics(_grid_spec(13, 1))
-    # beyond the bound one excitation over 13 levels runs on the ladder
+        evb.Quadratics(_grid_spec(13, 7))
+    # 13 levels at N = 1 track their 14 states, not 2^13 subsets
     branches = solver.enumerate_dicke_branches(_grid_spec(13, 1))
     assert len(branches) == _grid_spec(13, 1).sector_dimension() == 14
-    assert all("occupation" in b for b in branches)
+    assert all("evb_start" in b for b in branches)
 
 
 def test_specs_on_each_side_of_the_batch_bound_enumerate(monkeypatch):
     monkeypatch.setattr(evb, "MAX_PATHS", 2**3)
     inside = solver.enumerate_dicke_branches(_grid_spec(3, 2))
     assert len(inside) == 7 and all("evb_start" in b for b in inside)
-    outside = solver.enumerate_dicke_branches(_grid_spec(4, 1))
-    assert len(outside) == 5 and all("occupation" in b for b in outside)
+    # 10 states: beyond the bound the ladder runs alone
+    outside = solver.enumerate_dicke_branches(_grid_spec(9, 1))
+    assert len(outside) == 10 and all("occupation" in b for b in outside)
 
 
 SPIN_ONE_SPEC = """\
@@ -273,88 +373,55 @@ N = 1
 
 JC_SPEC = SPIN_ONE_SPEC.replace("spins = [1.0]", "spins = [0.5]")
 
+HEADER_KEYS = {"format", "version", "mode", "newton_tol", "boson_cutoff",
+               "branches_expected", "branches_found"}
 
-def _document(tmp_path, text):
+
+def _document(tmp_path, text, code=0):
     path = tmp_path / "model.spec"
     path.write_text(text)
-    doc, code = cli.run(cli.RunConfig("solve-dicke", str(path)))
-    assert code == 0
+    doc, got = cli.run(cli.RunConfig("solve-dicke", str(path)))
+    assert got == code
     return cli.parse_kv_lines(doc.splitlines())
 
 
-def test_solve_dicke_document_records_method_and_counts(tmp_path):
+def test_solve_dicke_document_records_its_counts(tmp_path):
     triples = _document(tmp_path, JC_SPEC)
     header = {k: v for s, k, v in triples if s is None}
-    assert header["method"] == "evb"
+    # no key names a method or a level spacing: every spec runs one system
+    assert set(header) == HEADER_KEYS
     assert header["branches_expected"] == header["branches_found"] == "2"
     starts = sorted(tuple(v) for s, k, v in triples if k == "evb_start")
     assert starts == [(), (0.0,)]
     assert not any(k == "occupation" for _, k, _ in triples)
 
 
-def test_spin_one_spec_enumerates_on_split_levels(tmp_path):
+def test_spin_one_spec_enumerates_on_its_own_level(tmp_path):
     triples = _document(tmp_path, SPIN_ONE_SPEC)
     header = {k: v for s, k, v in triples if s is None}
-    assert header["method"] == "evb"
     assert header["branches_expected"] == header["branches_found"] == "2"
-    spec = DickeSpec((1.0,), (1.0,), 0.5, 1.0, 1)
-    assert float(header["split_delta"]) == solver.split_delta(spec) > 0.0
-    # one entry per flipped spin-1/2 level, each naming the level it splits
+    assert set(header) == HEADER_KEYS
+    # the level is listed once per flip at the start of its path
     starts = sorted(tuple(v) for s, k, v in triples if k == "evb_start")
     assert starts == [(), (0.0,)]
     assert not any(k == "occupation" for _, k, _ in triples)
 
 
-def test_spin_half_documents_carry_no_split_delta(tmp_path):
-    header = {k: v for s, k, v in _document(tmp_path, JC_SPEC) if s is None}
-    assert "split_delta" not in header
-
-
-def test_split_levels_centre_2s_levels_on_each_level():
-    spec = DickeSpec((0.5, 1.0, 1.6), (1.0, 0.5, 1.5), 0.2, 1.0, 2)
-    split, owner = solver.split_levels(spec, 0.01)
-    assert split.spins == (0.5,) * 6
-    assert np.allclose(split.epsilons, (0.495, 0.505, 1.0, 1.59, 1.6, 1.61), atol=1e-15)
-    assert list(owner) == [0, 0, 1, 2, 2, 2]
-    assert split.sector_dimension() > spec.sector_dimension()
-
-
-def test_split_delta_follows_the_scale_and_the_level_gaps():
-    assert solver.split_delta(_random_spec(3, 2, seed=1)) == 0.0
-    far = DickeSpec((0.6, 1.4), (1.0, 0.5), 0.2, 1.0, 2)
-    h = evb.frame(far)[1]
-    assert solver.split_delta(far) == pytest.approx(solver.SPLIT_DELTA * h)
-    # a gap of 0.03 between a spin-1 and a spin-3/2 level: the two groups,
-    # each widened by the spacing, fill SPLIT_GAP of it
-    near = DickeSpec((0.6, 0.63, 1.4), (1.0, 1.5, 0.5), 0.2, 1.0, 2)
-    assert solver.split_delta(near) == pytest.approx(solver.SPLIT_GAP * 0.03 / 2.5)
-    assert solver.split_delta(near) < solver.SPLIT_DELTA * evb.frame(near)[1]
-    # close spin-1/2 levels are not split and do not cap the spacing
-    halves = DickeSpec((0.6, 0.6001, 1.4), (0.5, 0.5, 1.0), 0.2, 1.0, 2)
-    assert solver.split_delta(halves) == pytest.approx(solver.SPLIT_DELTA * evb.frame(halves)[1])
-
-
-def test_split_routing_at_its_bounds(monkeypatch):
-    # 5 + 5 + 2 = 12 spin-1/2 levels fill one batch; 13 do not
-    assert solver.enumeration_method(
-        DickeSpec((0.6, 1.0, 1.4), (2.5, 2.5, 1.0), 0.2, 1.0, 2)) == "evb"
-    assert solver.enumeration_method(
-        DickeSpec((0.6, 1.0, 1.4), (2.5, 2.5, 1.5), 0.2, 1.0, 2)) == "xi-continuation"
-    # a spin-1 pair 1e-3 apart leaves no spacing above SPLIT_FLOOR * h
-    close = DickeSpec((1.0, 1.001), (1.0, 1.0), 0.2, 1.0, 1)
-    assert solver.split_delta(close) is None
-    assert solver.enumeration_method(close) == "xi-continuation"
-    # either side of a bound of 8 paths runs: 3 split levels on EVB, 4 on the ladder
-    monkeypatch.setattr(evb, "MAX_PATHS", 2**3)
-    inside = solver.enumerate_dicke_branches(DickeSpec((0.7, 1.2), (1.0, 0.5), 0.2, 1.0, 2))
-    assert len(inside) == 5 and all("evb_start" in b for b in inside)
-    outside = solver.enumerate_dicke_branches(DickeSpec((0.7, 1.2), (1.0, 1.0), 0.2, 1.0, 1))
-    assert len(outside) == 3 and all("occupation" in b for b in outside)
+def test_close_high_spin_levels_run_on_evb():
+    # a spin-1 pair 3e-3 apart, and a spin-7 level (14 unknowns): one
+    # system each, and every state from its own start
+    for spec, states in ((DickeSpec((1.0, 1.003), (1.0, 1.0), 0.2, 1.0, 2), 6),
+                         (DickeSpec((1.0,), (7.0,), 0.2, 1.0, 2), 3)):
+        branches = solver.enumerate_dicke_branches(spec)
+        _, sector = _sector(spec, spec.n_excitations)
+        assert len(branches) == len(sector) == spec.sector_dimension() == states
+        assert all("evb_start" in b for b in branches)
+        assert np.max(np.abs(_energies(spec, branches) - sector)) < 1e-9
 
 
 # mixed-spin specs; (0.8, 1.2) at spins (5/2, 5/2) and hbar_omega = 1 has a
 # degenerate pair at E = -2
-SPLIT_SPECS = [
+MIXED_SPECS = [
     pytest.param(DickeSpec((0.688, 1.229), (1.0, 0.5), 0.158, 0.955, 3), id="m2-n3-spin1"),
     pytest.param(DickeSpec((0.7, 1.2), (1.0, 0.5), 0.25, 1.1, 3), id="spin1-half"),
     pytest.param(DickeSpec((1.0,), (2.5,), 0.3, 1.0, 4), id="one-spin5half"),
@@ -364,13 +431,13 @@ SPLIT_SPECS = [
 
 
 @functools.cache
-def _split_branches(spec):
+def _mixed_branches(spec):
     return solver.enumerate_dicke_branches(spec)
 
 
-@pytest.mark.parametrize("spec", SPLIT_SPECS)
-def test_split_levels_enumerate_the_ed_sector(spec):
-    branches = _split_branches(spec)
+@pytest.mark.parametrize("spec", MIXED_SPECS)
+def test_mixed_spins_enumerate_the_ed_sector(spec):
+    branches = _mixed_branches(spec)
     ham, sector = _sector(spec, spec.n_excitations)
     assert len(branches) == len(sector) == spec.sector_dimension()
     # both sorted: each branch matches its own eigenvalue, with multiplicity
@@ -389,9 +456,9 @@ def test_split_levels_enumerate_the_ed_sector(spec):
     assert np.max(np.abs(gram - np.eye(len(vectors)))) < 1e-8
 
 
-def test_split_levels_find_the_state_the_ladder_missed():
+def test_the_spin_one_base_gives_the_state_the_ladder_missed():
     spec = DickeSpec((0.688, 1.229), (1.0, 0.5), 0.158, 0.955, 3)
-    branches = _split_branches(spec)
+    branches = _mixed_branches(spec)
     real = [b for b in branches if np.max(np.abs(b["rapidities"].as_array().imag)) < 1e-10]
     [state] = real
     assert np.allclose(np.sort(state["rapidities"].as_array().real),
@@ -399,10 +466,10 @@ def test_split_levels_find_the_state_the_ladder_missed():
     assert _energies(spec, [state])[0] == pytest.approx(1.62993, abs=1e-5)
 
 
-@pytest.mark.parametrize("spec", SPLIT_SPECS[1:])
+@pytest.mark.parametrize("spec", MIXED_SPECS[1:])
 def test_branches_carry_eigenvalues_of_every_dicke_charge(spec):
     """r_k = r_k(vacuum) + 2 s_k U_k is an eigenvalue of the k-th charge."""
-    branches = _split_branches(spec)
+    branches = _mixed_branches(spec)
     basis = ed_oracle.HilbertBasis.dicke(spec, spec.n_excitations)
     eps, spins = np.asarray(spec.epsilons), np.asarray(spec.spins)
     g2 = spec.coupling_G**2
@@ -418,74 +485,84 @@ def test_branches_carry_eigenvalues_of_every_dicke_charge(spec):
             assert np.min(np.abs(values - r)) < 1e-9
 
 
-def test_short_enumeration_is_reported(tmp_path, monkeypatch, caplog):
+def _short_by_one(monkeypatch):
     enumerate_all = solver.enumerate_dicke_branches
     monkeypatch.setattr(solver, "enumerate_dicke_branches",
                         lambda spec, policy=None: enumerate_all(spec, policy)[1:])
+
+
+def test_short_enumeration_is_reported(tmp_path, monkeypatch, caplog):
+    _short_by_one(monkeypatch)
     with caplog.at_level(logging.WARNING, logger="gaudin"):
-        triples = _document(tmp_path, JC_SPEC)
+        triples = _document(tmp_path, JC_SPEC, code=cli.SHORT_COUNT)
     header = {k: v for s, k, v in triples if s is None}
     assert (header["branches_expected"], header["branches_found"]) == ("2", "1")
     assert "found 1 of 2 states" in caplog.text
 
 
+def test_a_short_count_exits_4_from_solve_dicke_and_from_verify(tmp_path, monkeypatch):
+    spec, doc, checked = tmp_path / "jc.spec", tmp_path / "jc.out", tmp_path / "jc.verify"
+    spec.write_text(JC_SPEC)
+    _short_by_one(monkeypatch)
+    # the document is written, with its one state
+    assert cli.main(["--mode", "solve-dicke", "--spec", str(spec), "--out", str(doc)]) == 4
+    assert "branches_found = 1" in doc.read_text().splitlines()
+    # its residual passes, and verify reads the short count
+    assert cli.main(["--mode", "verify", "--spec", str(doc), "--out", str(checked)]) == 4
+    lines = checked.read_text().splitlines()
+    assert "failures = 0" in lines and "verdict = short" in lines
+    # a failing residual is a verification failure, whatever the count
+    text = doc.read_text()
+    target = next(line for line in text.splitlines() if line.startswith("rapidity_0"))
+    doc.write_text(text.replace(target, "rapidity_0 = (0.25, 0)"))
+    assert cli.main(["--mode", "verify", "--spec", str(doc), "--out", str(checked)]) == 3
+    assert "verdict = fail" in checked.read_text().splitlines()
+    # a complete document passes
+    monkeypatch.undo()
+    assert cli.main(["--mode", "solve-dicke", "--spec", str(spec), "--out", str(doc)]) == 0
+    assert cli.main(["--mode", "verify", "--spec", str(doc), "--out", str(checked)]) == 0
+    assert "verdict = pass" in checked.read_text().splitlines()
+
+
 def test_evb_rounds_are_logged_at_debug(caplog):
     with caplog.at_level(logging.DEBUG, logger="gaudin"):
         solver.enumerate_dicke_branches(DickeSpec((0.8, 1.3), (0.5, 0.5), 0.2, 1.0, 2))
-    assert "evb round 0: 4 paths" in caplog.text
+    assert "evb round 0: 4 paths at step cap 0.3, 0 failed (0 at the attempt cap)" \
+        in caplog.text
     assert "4 physical, 4 candidates, 4 states; 4 polished, 0 left once the sector was full" \
         in caplog.text
+    # a full sector runs no ladder
+    assert "ladder" not in caplog.text
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="gaudin"):
         solver.enumerate_dicke_branches(SPIN_ONE_ENUM)
-    assert "evb round 0: 8 paths" in caplog.text
-    assert "8 physical, 8 candidates, 6 states; 6 polished, 2 left once the sector was full" \
+    assert "evb round 0: 6 paths" in caplog.text
+    assert "6 physical, 6 candidates, 6 states; 6 polished, 0 left once the sector was full" \
         in caplog.text
 
 
-# the dicke-enum benchmark's spin-1 spec at seed 0: two of its eight
-# candidates are lower-multiplet states of the split level
+# the dicke-enum benchmark's spin-1 spec at seed 0
 SPIN_ONE_ENUM = DickeSpec((0.5005841988931976, 0.8942121808717152), (1.0, 0.5),
                           0.11495974335047272, 0.6948516132892497, 3)
 
 
-def test_a_full_sector_stops_the_polish_before_the_lower_multiplets(monkeypatch):
-    spec = SPIN_ONE_ENUM
-    runs = _record_solve(monkeypatch)
-    calls, starts = [], []
-    residual, polish = rg_core.dicke_rg_residual, solver._polish
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("jacobian", args[2] if len(args) > 2 else True))
-        return residual(*args, **kwargs)
-
-    def recorded(residual_fn, w0, tol):
-        starts.append(np.array(w0))
-        return polish(residual_fn, w0, tol)
-
-    monkeypatch.setattr(rg_core, "dicke_rg_residual", counted)
-    monkeypatch.setattr(solver, "_polish", recorded)
-    branches = solver.enumerate_dicke_branches(spec)
-    assert len(branches) == spec.sector_dimension() == 6
-    assert len(calls) <= 40
-    # every call is a Newton evaluation: a kept state's report is its polish's
-    assert all(calls)
-    # which endpoints were polished, and the largest |U_j - U_k| between the
-    # two split levels of the spin-1 level at each
-    delta = solver.split_delta(spec)
-    split, owner = solver.split_levels(spec, delta)
-    [(flipped, ends, ok)] = runs
-    roots, rel = evb.heine_stieltjes(split, ends)
-    candidates = [p for p in range(len(ends)) if ok[p] and rel[p] <= evb.CANDIDATE_TOL]
-    pair = [j for j in range(split.m) if owner[j] == 0]
-    assert len(pair) == 2
-    spread = {p: abs(ends[p, pair[0]] - ends[p, pair[1]]) for p in candidates}
-    polished = [p for w0 in starts for p in candidates if np.array_equal(roots[p], w0)]
-    assert len(polished) == len(starts) == 6
-    bound = spec.coupling_G**2 / delta
-    assert all(spread[p] < bound for p in polished)
-    # the lower multiplets were candidates and were left unpolished
-    assert sum(spread[p] >= bound for p in candidates) == 2
+def test_a_path_past_the_attempt_cap_fails_and_the_ladder_fills_the_sector(monkeypatch,
+                                                                          caplog):
+    spec = DickeSpec((0.6, 1.0, 1.4), (0.5, 1.0, 0.5), 0.25, 1.1, 1)
+    _, sector = _sector(spec, spec.n_excitations)
+    # 8 attempts stop 2 of the 4 paths in every round, 4 stop all of them
+    for cap, stopped in ((8, 2), (4, 4)):
+        monkeypatch.setattr(evb, "MAX_ATTEMPTS", cap)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="gaudin"):
+            branches = solver.enumerate_dicke_branches(spec)
+        for r, paths in enumerate((4, stopped, stopped)):
+            assert (f"evb round {r}: {paths} paths at step cap {evb.MAX_STEP / 4**r:.3g}, "
+                    f"{stopped} failed ({stopped} at the attempt cap)") in caplog.text
+        assert f"ladder: {stopped} states added to {4 - stopped} from evb, of 4" in caplog.text
+        assert sum("occupation" in b for b in branches) == stopped
+        assert len(branches) == len(sector) == 4
+        assert np.max(np.abs(_energies(spec, branches) - sector)) < 1e-9
 
 
 def _mixed_spec(seed):
@@ -503,8 +580,18 @@ def _mixed_spec(seed):
 
 def test_the_sector_stop_changes_no_result(monkeypatch):
     specs = [_mixed_spec(seed) for seed in range(24)]
-    assert all(solver.enumeration_method(spec) == "evb" for spec in specs)
     sizes = [spec.sector_dimension() for spec in specs]
+    policy = solver.ContinuationPolicy()
+    # every endpoint twice, as when two paths of a round meet one solution:
+    # each state has two candidates, and the stop leaves one of them
+    solve = evb.Quadratics.solve
+
+    def twice(self):
+        flips, ends, ok = solve(self)
+        return (np.concatenate((flips, flips)), np.concatenate((ends, ends)),
+                np.concatenate((ok, ok)))
+
+    monkeypatch.setattr(evb.Quadratics, "solve", twice)
     polishes, polish = [], solver._polish
 
     def counted(*args):
@@ -512,13 +599,16 @@ def test_the_sector_stop_changes_no_result(monkeypatch):
         return polish(*args)
 
     monkeypatch.setattr(solver, "_polish", counted)
-    stopped = [solver.enumerate_dicke_branches(spec) for spec in specs]
+    stopped = [solver._evb_branches(spec, policy) for spec in specs]
     assert [len(b) for b in stopped] == sizes
+    assert all("evb_start" in b for found in stopped for b in found)
     stopped_polishes = len(polishes)
     # no sector is ever full: every candidate is polished
+    monkeypatch.setattr(evb, "MAX_PATHS", 10**10)
     monkeypatch.setattr(DickeSpec, "sector_dimension", lambda self: 10**9)
-    polished_all = [solver.enumerate_dicke_branches(spec) for spec in specs]
-    assert stopped_polishes < len(polishes) - stopped_polishes
+    polished_all = [solver._evb_branches(spec, policy) for spec in specs]
+    assert len(polishes) - stopped_polishes == 2 * sum(sizes)
+    assert stopped_polishes == 2 * sum(sizes) - len(specs)
     for spec, a, b in zip(specs, stopped, polished_all):
         assert len(a) == len(b)
         # the same states from the same endpoints, so the same energies
@@ -619,8 +709,8 @@ def test_documents_list_rapidities_in_one_order_whatever_the_roots_order(tmp_pat
     found = rapidities()
     heine_stieltjes = evb.heine_stieltjes
 
-    def reversed_roots(split, ends):
-        roots, rel = heine_stieltjes(split, ends)
+    def reversed_roots(spec, ends):
+        roots, rel = heine_stieltjes(spec, ends)
         return roots[:, ::-1], rel
 
     monkeypatch.setattr(evb, "heine_stieltjes", reversed_roots)
@@ -715,13 +805,12 @@ BENCHMARK_BASES = [
 
 @pytest.mark.parametrize("spec, evaluations", [
     pytest.param(base.values[0], count, id=base.id)
-    for base, count in zip(BENCHMARK_BASES, (32, 27))
+    for base, count in zip(BENCHMARK_BASES, (32, 18))
 ])
 def test_evb_evaluations_per_solve_on_the_benchmark_bases(monkeypatch, spec, evaluations):
     # every point is evaluated once: the tangent comes from the correction
     # that accepted it, and the predictor is the Hermite one; a correction
     # evaluates the system through its kernel, _system
-    split, _ = solver.split_levels(spec, solver.split_delta(spec))
     calls, system = [], evb.Quadratics._system
 
     def counted(self, u, *args):
@@ -729,7 +818,8 @@ def test_evb_evaluations_per_solve_on_the_benchmark_bases(monkeypatch, spec, eva
         return system(self, u, *args)
 
     monkeypatch.setattr(evb.Quadratics, "_system", counted)
-    _, ends, ok = evb.Quadratics(split).solve()
+    _, ends, ok = evb.Quadratics(spec).solve()
+    assert len(ends) == spec.sector_dimension()
     assert ok.all() and len(evb.duplicates(ends, ok)) == 0
     assert len(calls) == evaluations
 
@@ -764,10 +854,9 @@ def _reference_correct(q, u, t, tol=None):
 
 @pytest.mark.parametrize("spec", BENCHMARK_BASES)
 def test_a_correction_is_bitwise_the_plain_evaluate_and_solve_loop(monkeypatch, spec):
-    # correct builds the homotopy's coefficients once per call and works on
-    # u in place while every path is active: the same arithmetic as the loop
-    split, _ = solver.split_levels(spec, solver.split_delta(spec))
-    q = evb.Quadratics(split)
+    # correct builds the homotopy's matrices once per call and works on u in
+    # place while every path is active: the same arithmetic as the loop
+    q = evb.Quadratics(spec)
     fast, calls = evb.Quadratics.correct, []
 
     def recorded(self, u, t, tol=None):
@@ -775,7 +864,7 @@ def test_a_correction_is_bitwise_the_plain_evaluate_and_solve_loop(monkeypatch, 
         return fast(self, u, t, tol)
 
     monkeypatch.setattr(evb.Quadratics, "correct", recorded)
-    flipped, ends, ok = q.solve()
+    _, ends, ok = q.solve()
     monkeypatch.setattr(evb.Quadratics, "correct", _reference_correct)
     _, ref_ends, ref_ok = q.solve()
     assert ends.tobytes() == ref_ends.tobytes() and np.array_equal(ok, ref_ok)

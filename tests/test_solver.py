@@ -822,8 +822,8 @@ def test_a_real_path_in_float64_matches_the_same_path_in_complex(monkeypatch, ca
 
 def test_a_complex_split_and_the_evb_polish_stay_complex(monkeypatch):
     # two rapidities on the secular root of a spin-1 level split into a
-    # conjugate pair, and the EVB endpoints carry imaginary parts: both keep
-    # complex arithmetic and converge
+    # conjugate pair, and an EVB polish from roots with imaginary parts:
+    # both keep complex arithmetic and converge
     dtypes = _recorded_dtypes(monkeypatch)
     _, seeds = solver._cluster_seeds(ONE_LEVEL.xi_family, solve_tda(ONE_LEVEL).as_array())
     assert np.all(np.abs(seeds.imag) > 1e-3)
@@ -832,8 +832,20 @@ def test_a_complex_split_and_the_evb_polish_stay_complex(monkeypatch):
     final = trace.final.rapidities.as_array()
     assert final[0] == np.conj(final[1]) and abs(final[0].imag) > 1e-2
     assert dtypes and {str(d) for d in dtypes} == {"complex128"}
-    dtypes.clear()
+    # each polish runs in the dtype of its start: complex where the roots
+    # of P carry an imaginary part, float64 where round-off left none
+    polishes, polish = [], solver._polish
+
+    def recorded(residual_fn, w0, tol):
+        dtypes.clear()
+        out = polish(residual_fn, w0, tol)
+        polishes.append((bool(np.any(np.imag(w0))), {str(d) for d in dtypes}))
+        return out
+
+    monkeypatch.setattr(solver, "_polish", recorded)
     branches = enumerate_dicke_branches(M2)
-    assert solver.enumeration_method(M2) == solver.EVB
-    assert len(branches) == M2.sector_dimension()
-    assert dtypes and {str(d) for d in dtypes} == {"complex128"}
+    assert all("evb_start" in b for b in branches)
+    assert len(branches) == len(polishes) == M2.sector_dimension()
+    assert any(cplx for cplx, _ in polishes)
+    for cplx, seen in polishes:
+        assert seen == ({"complex128"} if cplx else {"float64"})
