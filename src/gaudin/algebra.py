@@ -158,21 +158,24 @@ def check_collisions(sites, rapidities):
 
 
 def _fill_pairwise(kind, coords):
-    n = len(coords)
-    complex_entries = kind == TRIGONOMETRIC or np.iscomplexobj(coords)
-    dtype = complex if complex_entries else float
-    x = np.zeros((n, n), dtype=dtype)
-    z = np.zeros((n, n), dtype=dtype)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            x[i, j] = pair_x(kind, coords[i], coords[j])
-            z[i, j] = pair_z(kind, coords[i], coords[j])
-    if not np.iscomplexobj(coords) and complex_entries:
+    """X and Z over every coordinate pair, zero on the diagonal: pair_x and
+    pair_z's formulas as array formulas over the (n, n) array of differences
+    u_i - u_j, whose diagonal is set to 1 and its entries to 0 afterwards."""
+    _check_kind(kind)
+    u = np.asarray(coords)
+    d = u[:, None] - u  # d[i, j] = u_i - u_j
+    np.fill_diagonal(d, 1.0)
+    if kind == RATIONAL:
+        x, z = 1.0 / d, 1.0 / d
+    else:
+        root = np.sqrt(1.0 + u * u + 0j)
+        x = np.multiply.outer(root, root) / d
+        z = (1.0 + np.multiply.outer(u, u)) / d
+    np.fill_diagonal(x, 0.0)
+    np.fill_diagonal(z, 0.0)
+    if not np.iscomplexobj(coords) and x.dtype.kind == "c":
         # real coordinates give real matrices even in the trigonometric case
-        x = x.real.astype(float) if np.max(np.abs(x.imag)) == 0.0 else x
-        z = z.real.astype(float) if np.max(np.abs(z.imag)) == 0.0 else z
+        x = x.real.copy() if np.max(np.abs(x.imag)) == 0.0 else x
     return x, z
 
 
@@ -239,15 +242,12 @@ def grid_label(s, omega, xi):
 
 
 def gaudin_residual(matrices):
-    """Max |X_ij X_jk - X_ik (Z_ij + Z_jk)| over all distinct triples."""
+    """Max |X_ij X_jk - X_ik (Z_ij + Z_jk)| over all distinct triples (0 with
+    fewer than three coordinates), over the (n, n, n) array of triples."""
     n = matrices.dim
+    if n < 3:
+        return 0.0
     x, z = matrices.x, matrices.z
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if i == j or j == k or i == k:
-                    continue
-                r = abs(x[i, j] * x[j, k] - x[i, k] * (z[i, j] + z[j, k]))
-                worst = max(worst, r)
-    return worst
+    r = np.abs(x[:, :, None] * x[None, :, :] - x[:, None, :] * (z[:, :, None] + z[None, :, :]))
+    i, j, k = np.ogrid[:n, :n, :n]
+    return float(r[(i != j) & (j != k) & (i != k)].max())

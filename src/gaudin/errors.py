@@ -26,16 +26,23 @@ class SelectionError(GaudinError):
 
 
 class ConvergenceError(GaudinError):
-    """Newton iteration failed to reach tolerance; carries the best iterate."""
+    """Newton iteration failed to reach tolerance; carries the best iterate
+    and, from newton_solve, the iterations it made."""
 
-    def __init__(self, message, best=None, max_abs=None):
+    def __init__(self, message, best=None, max_abs=None, iterations=None):
         super().__init__(message)
         self.best = best
         self.max_abs = max_abs
+        self.iterations = iterations
 
 
 class SingularJacobianError(GaudinError):
-    """Jacobian condition estimate exceeds the trust threshold."""
+    """Jacobian condition estimate exceeds the trust threshold; carries the
+    Newton iterations made, the one that refused its Jacobian included."""
+
+    def __init__(self, message, iterations=None):
+        super().__init__(message)
+        self.iterations = iterations
 
 
 class RepresentationError(GaudinError):

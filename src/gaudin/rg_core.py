@@ -291,13 +291,16 @@ class _Homotopy:
     """A family affine in its parameter t, F(t, w) = A(w) + t B(w): its rows
     at t = 0 and t = 1, built once per spec, and their difference, the row of
     the rate B = dF/dt.  The row at t interpolates the two ends, which it
-    reproduces exactly at t = 0 and t = 1."""
+    reproduces exactly at t = 0 and t = 1.  The last (t, row) a report used
+    is kept: a path evaluates each of its points a few times, one t after
+    another."""
 
-    __slots__ = ("ends", "rate")
+    __slots__ = ("ends", "rate", "_last")
 
     def __init__(self, row0, row1):
         self.ends = (row0, row1)
         self.rate = _Row(row0.e, *(b - a for a, b in zip(row0[1:], row1[1:])))
+        self._last = (None, None)
 
     def row(self, t):
         """The family's _Row at the Python float t."""
@@ -309,7 +312,11 @@ class _Homotopy:
     def report(self, t, w, jacobian):
         """The family's ResidualReport at the Python float t; its rate is
         formed when first read."""
-        return ResidualReport(*_evaluate(self.row(t), w, jacobian, self.rate))
+        at, row = self._last
+        if at != t:
+            row = self.row(t)
+            self._last = (t, row)
+        return ResidualReport(*_evaluate(row, w, jacobian, self.rate))
 
 
 def secular_row(row, w):

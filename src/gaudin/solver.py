@@ -8,25 +8,27 @@ rg_core.tau_family), are the eigenvalues of a symmetric matrix
 predictor-corrector, _continue_path, tracks the solution along the homotopy
 parameter to the coupled equations, its last step landing on the end
 exactly.  It evaluates every accepted point once, in the corrector, and takes
-the point's tangent from that evaluation alone: every family it tracks is
-affine in its parameter and reports its exact rate dF/dt, formed only when
-the tangent reads it.  The predictor (_predict) extrapolates the cubic
-Hermite interpolant through the last two accepted points and their tangents,
-an Euler step on a path's first step.  Each Jacobian is inverted once
-(_inverse): the inverse gives the step and, through the Frobenius condition
-number, the decision to refuse it; an SVD runs only when that number cannot
-decide.  The closures hand their arrays straight to the rg_core families,
-which compute in the iterate's dtype: newton_solve corrects a start with no
-imaginary part in float64, and every family row is real, so a real seed's
-path, its inverses, tangents and predictions included, never leaves float64,
-while a complex seed (a conjugate-pair split, an EVB endpoint) stays
-complex.  The RG path runs xi 0 -> 1 (continue_in_xi); the Dicke path runs
-tau 0 -> 1 and then xi down to 0 (solve_dicke_branch).  Both inner families
-have a secular row affine in their parameter and a rapidity coupling
-proportional to it, so one rule, _cluster_seeds, splits rapidities that
-share a root, at CLUSTER_T0, from the family's own rows and rate.  A
-ContinuationPolicy sets the Newton tolerance and the largest step; the rest
-of the step control is fixed below.
+the point's tangent from the corrector's last iteration, whose inverse and
+report, one Newton step from the point, need no further evaluation or
+inverse: every family it tracks is affine in its parameter and reports its
+exact rate dF/dt, formed only when the tangent reads it.  The predictor
+(_predict) extrapolates the cubic Hermite interpolant through the last two
+accepted points and their tangents, an Euler step on a path's first step,
+and the measured error of each prediction sizes the next step (Allgower &
+Georg, ch. 6).  Each Jacobian is inverted once (_inverse): the inverse gives
+the step and, through the Frobenius condition number, the decision to refuse
+it; an SVD runs only when that number cannot decide.  The closures hand
+their arrays straight to the rg_core families, which compute in the
+iterate's dtype: newton_solve corrects a start with no imaginary part in
+float64, and every family row is real, so a real seed's path, its inverses,
+tangents and predictions included, never leaves float64, while a complex
+seed (a conjugate-pair split, an EVB endpoint) stays complex.  The RG path
+runs xi 0 -> 1 (continue_in_xi); the Dicke path runs tau 0 -> 1 and then xi
+down to 0 (solve_dicke_branch).  Both inner families have a secular row
+affine in their parameter and a rapidity coupling proportional to it, so one
+rule, _cluster_seeds, splits rapidities that share a root, at CLUSTER_T0,
+from the family's own rows and rate.  A ContinuationPolicy sets the Newton
+tolerance and the largest step; the rest of the step control is fixed below.
 
 enumerate_dicke_branches tracks the eigenvalue-based homotopy (evb) of the
 spec, for levels of any spin: one path per state of the sector from its
@@ -69,13 +71,25 @@ log = logging.getLogger("gaudin")
 # homotopy value at which rapidities sharing a secular root start, split
 CLUSTER_T0 = 1e-3
 
-# step control: a rejected step shrinks, a step accepted within three Newton
-# iterations grows, and a path stalls once its step falls below MIN_STEP;
-# newton_solve gives up after MAX_NEWTON_ITERS iterations
+# step control (Allgower & Georg, Introduction to Numerical Continuation
+# Methods, ch. 6): a rejected step halves, and a path stalls once its step
+# falls below MIN_STEP.  An accepted step sets the next from its predictor's
+# relative error d = max|corrected - predicted| / (1 + max|corrected|): the
+# Hermite predictor errs as the fourth power of the step, so a step 4x (2x)
+# longer errs 256x (16x) more, and the step grows x4 while d <= PREDICTION_TOL
+# / 256, x2 while d <= PREDICTION_TOL / 16, and stays otherwise.  The factors
+# are discrete so that round-off in d, which differs between a float64 and a
+# complex run of one path, cannot move the path's grid.  newton_solve gives
+# up after MAX_NEWTON_ITERS iterations
 MIN_STEP = 1e-8
 STEP_SHRINK = 0.5
-STEP_GROW = 1.3
+PREDICTION_TOL = 1e-3
+STEP_GROWTH = ((PREDICTION_TOL / 256.0, 4.0), (PREDICTION_TOL / 16.0, 2.0))
 MAX_NEWTON_ITERS = 50
+
+# a tangent is refused (the point kept as its own prediction) when its
+# Jacobian's condition number exceeds this
+TANGENT_COND = 1e12
 
 
 @dataclass(frozen=True)
@@ -148,6 +162,18 @@ def _inverse(jac, limit):
     return inv
 
 
+class NewtonResult(tuple):
+    """newton_solve's (values, report, iterations), carrying in `last` the
+    last iteration's (inverse, report it inverted), None when no iteration
+    ran: the inverse of a Jacobian one Newton step from the values, which
+    the continuation reuses for the point's tangent (_reused_tangent)."""
+
+    def __new__(cls, values, report, iterations, last=None):
+        result = super().__new__(cls, (values, report, iterations))
+        result.last = last
+        return result
+
+
 def newton_solve(residual_fn, w0, tol=1e-10):
     """Damped Newton iteration on a holomorphic residual system.
 
@@ -157,20 +183,23 @@ def newton_solve(residual_fn, w0, tol=1e-10):
     dtype, and their real rows cannot give it an imaginary part), any other
     in complex128; the values come back in that dtype.  Each iteration
     inverts its Jacobian once (_inverse), for the step and for the condition
-    test, and refuses a Jacobian whose condition number exceeds 1e14.
-    Returns (values, report, iterations).
+    test, and refuses a Jacobian whose condition number exceeds 1e14.  Its
+    errors carry the iterations made (a CollisionError comes from the start,
+    before any).  Returns (values, report, iterations) as a NewtonResult,
+    whose `last` keeps the last iteration's inverse and the report it
+    inverted.
     """
     w = np.array(w0, dtype=complex)
     if not w.imag.any():
         w = w.real.copy()
     report = residual_fn(w)
     if report.max_abs <= tol:
-        return w, report, 0
+        return NewtonResult(w, report, 0)
     for it in range(1, MAX_NEWTON_ITERS + 1):
         inv = _inverse(report.jacobian, 1e14)
         if inv is None:
             raise SingularJacobianError(
-                f"Jacobian condition estimate exceeds 1e14 at iteration {it}"
+                f"Jacobian condition estimate exceeds 1e14 at iteration {it}", iterations=it
             )
         step = inv @ report.residuals
         # damping: halve the step while it fails to reduce the residual
@@ -189,16 +218,19 @@ def newton_solve(residual_fn, w0, tol=1e-10):
                 f"Newton stalled at residual {report.max_abs:.3e}",
                 best=w,
                 max_abs=report.max_abs,
+                iterations=it,
             )
         w = w - scale * step
+        last = (inv, report)
         report = trial
         if report.max_abs <= tol:
-            return w, report, it
+            return NewtonResult(w, report, it, last)
     raise ConvergenceError(
         f"no convergence in {MAX_NEWTON_ITERS} iterations "
         f"(residual {report.max_abs:.3e})",
         best=w,
         max_abs=report.max_abs,
+        iterations=MAX_NEWTON_ITERS,
     )
 
 
@@ -213,9 +245,15 @@ def _real_roots(row):
     [[diag(e), z], [z^T, -base/lin]] with z_i^2 = n_i/lin, or, at lin = 0, of
     diag(e) + (sum(n)/base) q q^T with q along sqrt(|n_i|).  In a basis that
     starts with q the rank-one term is one corner entry; at base = 0 its root
-    is at infinity and the other m - 1 are the eigenvalues of the rest.  Newton
-    on secular_row finishes each root, a step kept while it is shorter than
-    the last and stays between the poles next to the root.
+    is at infinity and the other m - 1 are the eigenvalues of the rest.
+    Each root's bracket, the poles next to it, comes from its rank in the
+    interlacing, not from where round-off put it (within an ulp of a pole at
+    weak coupling): root k of the arrowhead lies between poles k - 1 and k,
+    and so does that of a negative rank-one term sum(n)/base (whose sign is
+    that of n_0/base), while a positive one, and base = 0, put it between
+    poles k and k + 1.  Newton on
+    secular_row finishes each root from inside its bracket, a step kept
+    while it is shorter than the last and stays inside.
     """
     live = row.n != 0.0
     e, n, base, lin = row.e[live], row.n[live], row.base, row.lin
@@ -232,10 +270,11 @@ def _real_roots(row):
     else:
         return []
     w = np.sort(np.linalg.eigvalsh(mat))
-    poles = np.sort(e)
-    side = np.searchsorted(poles, w)
-    lo = np.append(-np.inf, poles)[side]
-    hi = np.append(poles, np.inf)[side]
+    poles = np.concatenate(([-np.inf], np.sort(e), [np.inf]))
+    # root k lies between poles[k + shift] and poles[k + shift + 1]
+    shift = 0 if lin or (base and n[0] / base < 0.0) else 1
+    lo, hi = poles[shift:shift + len(w)], poles[shift + 1:shift + 1 + len(w)]
+    w = np.minimum(np.maximum(w, np.nextafter(lo, hi)), np.nextafter(hi, lo))
     last = np.full(len(w), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(MAX_NEWTON_ITERS):
@@ -331,44 +370,85 @@ def _continue_path(residual_at, t_start, t_end, values, policy):
     """Predictor-corrector tracking of residual_at(t, values) = 0 from t_start
     to t_end; residual_at(t, values) returns a ResidualReport with its
     Jacobian and its rate dF/dt.  Each step is predicted by _predict from the
-    last two accepted points and their tangents, and the last step lands on
-    t_end exactly.  Returns ([(t, values, max_abs), ...], status)."""
+    last two accepted points and their tangents, the tangent taken from the
+    corrector's last inverse where it can be (_reused_tangent); the step
+    after it is sized from its predictor's error (_growth), and the last step
+    lands on t_end exactly.  Logs one DEBUG line per path.  Returns ([(t,
+    values, max_abs), ...], status)."""
     tol = policy.newton_tol
-    values, report, _ = newton_solve(lambda w: residual_at(t_start, w), values, tol)
+    evaluations = accepted = rejected = corrections = reused = fresh = 0
+    smallest = math.inf
+
+    def at(t):
+        def fn(w):
+            nonlocal evaluations
+            evaluations += 1
+            return residual_at(t, w)
+        return fn
+
+    def done(status):
+        log.debug("path %g -> %g %s: %d steps accepted, %d rejected, smallest %.3g; "
+                  "%d evaluations; %d inverses: %d Newton iterations, %d tangents afresh "
+                  "(%d reused)", t_start, t_end, status, accepted, rejected, smallest,
+                  evaluations, corrections + fresh, corrections, fresh, reused)
+        return path, status
+
+    solved = newton_solve(at(t_start), values, tol)
+    values, report, corrections = solved
     path = [(t_start, values, report.max_abs)]
     direction = 1.0 if t_end > t_start else -1.0
     t = t_start
     step = policy.initial_step
     last = None
     while (t_end - t) * direction > 0.0:
-        here = (t, values, _tangent(report))
+        tangent = _reused_tangent(solved)
+        if tangent is None:
+            fresh += 1
+            tangent = _tangent(report)
+        else:
+            reused += 1
+        here = (t, values, tangent)
         # retry from (t, values) with shrinking steps until the corrector lands
         while True:
             step = min(step, abs(t_end - t))
+            smallest = min(smallest, step)
             t_next = t_end if step == abs(t_end - t) else t + direction * step
             predicted = _predict(last, here, t_next)
             try:
-                new_vals, report, iters = newton_solve(
-                    lambda w: residual_at(t_next, w), predicted, tol
-                )
+                solved = newton_solve(at(t_next), predicted, tol)
                 break
-            except (ConvergenceError, SingularJacobianError):
+            except (ConvergenceError, SingularJacobianError) as err:
                 failure = "stalled"
+                corrections += err.iterations
             except CollisionError:
                 failure = "collision_detected"
+            rejected += 1
             step *= STEP_SHRINK
             if step < MIN_STEP:
-                return path, failure
+                return done(failure)
+        accepted += 1
         last = here
         t = t_next
-        values = new_vals
+        values, report, iters = solved
+        corrections += iters
         path.append((t, values, report.max_abs))
         # branches that leave every finite scale are escaping to infinity
-        if np.max(np.abs(values)) > 1e8:
-            return path, "stalled"
-        if iters <= 3:
-            step = min(step * STEP_GROW, policy.max_step)
-    return path, "converged"
+        size = np.max(np.abs(values))
+        if size > 1e8:
+            return done("stalled")
+        step = min(step * _growth(values, predicted, size), policy.max_step)
+    return done("converged")
+
+
+def _growth(corrected, predicted, size):
+    """The factor of the step after an accepted one, from the relative error
+    d = max|corrected - predicted| / (1 + size) of its prediction, size =
+    max|corrected| (STEP_GROWTH): 1 when d exceeds every bound."""
+    d = np.max(np.abs(corrected - predicted)) / (1.0 + size)
+    for bound, factor in STEP_GROWTH:
+        if d <= bound:
+            return factor
+    return 1.0
 
 
 def _predict(last, here, t):
@@ -396,9 +476,25 @@ def _tangent(here):
     report `here`: J and the family's exact rate dF/dt, which every family
     on a path reports (each is affine in its parameter, the outer Dicke path
     in the x frame included).  None (keep the point as the prediction) when
-    J's condition number exceeds 1e12 (_inverse)."""
-    inv = _inverse(here.jacobian, 1e12)
+    J's condition number exceeds TANGENT_COND (_inverse)."""
+    inv = _inverse(here.jacobian, TANGENT_COND)
     return None if inv is None else -(inv @ here.rate)
+
+
+def _reused_tangent(solved):
+    """The path tangent at the values of a NewtonResult from its last
+    iteration: -J^-1 dF/dt with that iteration's inverse and the rate of the
+    report it inverted, at an iterate one Newton step (within the predictor's
+    error) from the values, so no further inverse is needed.  None when no
+    iteration ran, or when the inverse's Frobenius condition number exceeds
+    TANGENT_COND / 2, below which _inverse accepts for certain; _tangent then
+    decides at the point itself."""
+    if solved.last is None:
+        return None
+    inv, inverted = solved.last
+    if not _frobenius(inverted.jacobian) * _frobenius(inv) <= 0.5 * TANGENT_COND:
+        return None
+    return -(inv @ inverted.rate)
 
 
 def _trace(path, status, frame):

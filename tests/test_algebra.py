@@ -307,3 +307,32 @@ def test_random_level_sets_satisfy_identities():
         c = 0.0 if kind == RATIONAL else 1.0
         off = ~np.eye(ext.dim, dtype=bool)
         assert np.max(np.abs(ext.x[off] ** 2 - ext.z[off] ** 2 - c)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, TRIGONOMETRIC])
+def test_the_matrices_and_the_identity_residual_are_the_pair_formulas(kind):
+    # the array formulas give pair_x and pair_z entry by entry, bit for bit
+    # on real coordinates and within round-off on complex ones (array and
+    # scalar complex division round differently), and gaudin_residual the
+    # maximum of the triple loop
+    rng = np.random.default_rng(3)
+    ls = LevelSet.from_spins(tuple(np.sort(rng.uniform(-2.0, 2.0, 5))), (0.5, 1.0, 0.5, 1.5, 0.5))
+    mats = build_gaudin(kind, ls)
+    raps = RapiditySet((0.3 + 0.7j, 0.3 - 0.7j, 2.6), RG_ETA)
+    ext = extend_with_rapidities(mats, ls, raps)
+    for got, coords, exact in ((mats, ls.etas, True), (ext, ls.etas + raps.values, False)):
+        n = len(coords)
+        for matrix, pair in ((got.x, algebra.pair_x), (got.z, algebra.pair_z)):
+            want = np.array([[pair(kind, coords[i], coords[j]) if i != j else 0.0
+                              for j in range(n)] for i in range(n)])
+            if exact:
+                assert matrix.dtype == (float if np.all(want.imag == 0) else complex)
+                assert np.array_equal(matrix, want)
+            else:
+                assert np.max(np.abs(matrix - want)) <= 4e-16 * np.max(np.abs(want))
+        x, z = got.x, got.z
+        worst = max(abs(x[i, j] * x[j, k] - x[i, k] * (z[i, j] + z[j, k]))
+                    for i in range(n) for j in range(n) for k in range(n)
+                    if len({i, j, k}) == 3)
+        assert gaudin_residual(got) == worst
+    assert gaudin_residual(build_gaudin(kind, LevelSet.from_spins((1.0, 2.0), (0.5, 0.5)))) == 0.0

@@ -457,7 +457,7 @@ def test_solve_rg_at_the_benchmark_shape(tmp_path):
 
 def test_solve_rg_at_the_benchmark_shape_pins_its_work(tmp_path, monkeypatch):
     # every residual call is a Newton evaluation (the tangent comes from the
-    # accepted point's report), and no SVD runs: every Jacobian on this path
+    # corrector's reports and inverses), and no SVD runs: every Jacobian on this path
     # is decided by its Frobenius condition number alone
     spec = parse_spec(_write(tmp_path, "large.spec", _benchmark_shape_spec()))
     family, newton, svd = rg_core.deformed_rg_residual, solver.newton_solve, np.linalg.svd

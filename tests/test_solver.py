@@ -1,6 +1,9 @@
+import importlib.util
 import inspect
 import json
+import logging
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaudin import algebra, ed_oracle, rg_core, solver
+from gaudin.cli import parse_spec
 from gaudin.algebra import RATIONAL, TRIGONOMETRIC, LevelSet
 from gaudin.dicke import OperatorExpression
 from gaudin.errors import (
@@ -264,7 +268,7 @@ def test_continue_path_evaluates_each_accepted_point_once(monkeypatch, case):
 
 @pytest.mark.parametrize("case", ["rg", "dicke"])
 def test_paths_make_no_jacobian_free_call(monkeypatch, case):
-    # the tangent is -J^-1 rate from the accepted point's own report: every
+    # the tangent is -J^-1 rate from a report the corrector made: every
     # family call on a path is a Newton evaluation, with its Jacobian
     calls, newton = [], solver.newton_solve
     for name in ("deformed_rg_residual", "extended_dicke_residual",
@@ -309,9 +313,9 @@ def test_the_hermite_prediction_error_falls_as_the_fourth_power_of_the_step(kind
         return xi, y, solver._tangent(rg_core.deformed_rg_residual(spec, xi, y))
 
     def errors(h):
-        # the steps of a path that grows its step after an easy corrector
+        # two steps of a path, the second 1.3 times the first
         last, here = point(0.5 - h), point(0.5)
-        t = 0.5 + solver.STEP_GROW * h
+        t = 0.5 + 1.3 * h
         exact = point(t)[1]
         return [abs(solver._predict(*pair, t) - exact)[0] for pair in ((last, here), (None, here))]
 
@@ -343,25 +347,108 @@ def test_the_predictor_falls_back_to_euler_and_to_the_point():
 def test_the_rate_is_formed_once_per_step_and_never_on_a_newton_trial(monkeypatch):
     spec = ModelSpec(LevelSet.from_spins((0.6, 0.85, 1.1, 1.35), (1.0,) * 4), RATIONAL, 4,
                      -0.15)
-    formed, calls = [], []
-    form_rate, family = rg_core._form_rate, rg_core.deformed_rg_residual
+    formed, solves, at = [], [], {}
+    form_rate, newton = rg_core._form_rate, solver.newton_solve
 
     def forming(rate, row, w, *arrays):
         formed.append(w.copy())
         return form_rate(rate, row, w, *arrays)
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return family(*args, **kwargs)
+    def recording(residual_fn, w0, tol=1e-10):
+        def evaluated(w):
+            report = residual_fn(w)
+            at[id(report)] = (report, w.copy())
+            return report
+        solves.append(newton(evaluated, w0, tol))
+        return solves[-1]
 
     monkeypatch.setattr(rg_core, "_form_rate", forming)
-    monkeypatch.setattr(rg_core, "deformed_rg_residual", counted)
+    monkeypatch.setattr(solver, "newton_solve", recording)
     _, _, trace = solve_rg(spec)
-    # one rate per accepted point that starts a step, from that point's own
-    # report: the endpoint and every Newton trial form none
+    assert len(solves) == len(trace.path) and len(at) > 2 * len(formed)
+    # one rate per accepted point that starts a step, the endpoint's solve
+    # forming none: at the iterate whose inverse, the last of the Newton
+    # solve that accepted the point, gives the tangent, or at the point
+    # itself when that solve made no iteration; no other trial forms one
+    want = [at[id(s.last[1])][1] if s.last else s[0] for s in solves[:-1]]
+    assert len(formed) == len(want)
+    assert all(np.array_equal(w, v) for w, v in zip(formed, want))
     starts = [p.rapidities.as_array() for p in trace.path[:-1]]
-    assert len(formed) == len(starts) and len(calls) > 2 * len(formed)
-    assert all(np.array_equal(w, v) for w, v in zip(formed, starts))
+    reused = [s.last is not None for s in solves[:-1]]
+    assert sum(reused) >= len(starts) - 1
+    assert all(not np.array_equal(w, v) for w, v, r in zip(formed, starts, reused) if r)
+
+
+def _perfbench_specs(workload, seed):
+    """The specs perfbench/specs.py generates for a workload and seed."""
+    path = SRC.parent / "perfbench" / "specs.py"
+    loader = importlib.util.spec_from_file_location("perfbench_specs", path)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module.generate(workload, seed)
+
+
+@pytest.mark.parametrize("index, points, evaluations, inverses",
+                         [(0, 13, 40, 27), (1, 13, 40, 27)], ids=["m32-n16", "m48-n24"])
+def test_xi_path_work_per_solve_on_the_benchmark_specs(tmp_path, monkeypatch, index, points,
+                                                       evaluations, inverses):
+    # the step grows with its predictor's measured error and every tangent
+    # after a Newton iteration reuses that iteration's inverse: 13 points, 40
+    # kernel evaluations (the last one solve_rg's check of the answer) and 27
+    # inverses per solve, where a x1.3 step growth and a fresh inverse per
+    # tangent take 17 points, 47-50 evaluations and 46-48 inverses
+    bench = _perfbench_specs("rg-large", 0)[index]
+    path = tmp_path / "rg.spec"
+    path.write_text(bench.text)
+    spec = parse_spec(str(path))
+    counts = Counter()
+    evaluate, inverse = rg_core._evaluate, np.linalg.inv
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(rg_core, "_evaluate", counted("evaluations", evaluate))
+    monkeypatch.setattr(np.linalg, "inv", counted("inverses", inverse))
+    _, _, trace = solve_rg(spec)
+    assert trace.status == "converged"
+    assert all(p.max_abs <= ContinuationPolicy().newton_tol for p in trace.path)
+    assert (len(trace.path), counts["evaluations"], counts["inverses"]) == (
+        points, evaluations, inverses)
+
+
+def test_each_path_logs_one_debug_line_of_its_work(monkeypatch, caplog):
+    runs, _ = _record_paths(monkeypatch)
+    inverses = Counter()
+    inverse = np.linalg.inv
+
+    def counted(*args, **kwargs):
+        inverses["path"] += 1
+        return inverse(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    with caplog.at_level(logging.DEBUG, logger="gaudin"):
+        solve_rg(RG4)
+    [(counts, _, path)] = runs
+    [record] = [r for r in caplog.records if r.getMessage().startswith("path ")]
+    # formatted only when emitted
+    assert record.args and "%d" in record.msg
+    found = re.fullmatch(
+        r"path 0 -> 1 converged: (\d+) steps accepted, (\d+) rejected, smallest (\S+); "
+        r"(\d+) evaluations; (\d+) inverses: (\d+) Newton iterations, (\d+) tangents "
+        r"afresh \((\d+) reused\)", record.getMessage())
+    steps, rejected, smallest, evaluations, total, newton, fresh, reused = found.groups()
+    assert (int(steps), int(rejected)) == (len(path) - 1, 0)
+    xis = [t for t, _, _ in path]
+    assert float(smallest) == pytest.approx(min(np.diff(xis)), rel=1e-3)
+    # every kernel evaluation and every inverse the path made
+    assert int(evaluations) == sum(counts.values())
+    assert int(total) == int(newton) + int(fresh) == inverses["path"]
+    # a tangent at each point that starts a step, the first one afresh (the
+    # TDA seed needs no Newton iteration) and every later one reused
+    assert (int(fresh), int(reused)) == (1, len(path) - 2)
 
 
 @pytest.mark.parametrize("pattern, xi_start", [([0, 2], 1.0), ([2, 2], 0.25)])
@@ -574,6 +661,47 @@ def test_strong_attraction_starts_from_the_collective_root(spec, collective):
     final, _, _ = solve_rg(spec)
     # the residual is met to 1e-10 on a row whose slope is about 1e-2
     assert final.values[0] == pytest.approx(collective, rel=1e-10)
+
+
+WEAK = LevelSet.from_spins((0.25, 0.75, 1.0), (0.5, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, TRIGONOMETRIC])
+@pytest.mark.parametrize("g", [1e-20, -1e-20])
+def test_weak_coupling_roots_lie_on_their_side_of_each_pole(kind, g):
+    # a root within round-off of its pole: the eigensolve may put it on
+    # either side, and the bracket comes from its rank, not its value; the
+    # secular row 1 + sum_i n_i/(e_i - w) puts root k just above pole k when
+    # g > 0 (n > 0) and just below it when g < 0
+    roots = solver._real_roots(ModelSpec(WEAK, kind, 1, g).xi_family.ends[0])
+    poles = list(WEAK.etas)
+    assert len(roots) == 3
+    for k, root in enumerate(roots):
+        if g > 0:
+            assert poles[k] < root < (poles[k + 1] if k < 2 else np.inf)
+        else:
+            assert (poles[k - 1] if k else -np.inf) < root < poles[k]
+        assert abs(root - poles[k]) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, TRIGONOMETRIC])
+@pytest.mark.parametrize("g", [1e-8, -1e-8])
+def test_weak_coupling_roots_match_mpmath(kind, g):
+    mpmath = pytest.importorskip("mpmath")
+    row = ModelSpec(WEAK, kind, 1, g).xi_family.ends[0]
+    roots = solver._real_roots(row)
+    assert len(roots) == 3
+    with mpmath.workdps(40):
+        def secular(w):
+            return (mpmath.mpf(row.base) + mpmath.mpf(row.lin) * w
+                    + sum(mpmath.mpf(n) / (mpmath.mpf(e) - w) for e, n in zip(row.e, row.n)))
+
+        for root in roots:
+            # secant from two points 1e-14 apart, both within round-off of
+            # the root and far inside its 1e-8 distance from the pole
+            start = mpmath.mpf(root)
+            ref = mpmath.findroot(secular, (start, start * (1 + mpmath.mpf("1e-14"))))
+            assert abs(root - float(ref)) <= 1e-15 * abs(float(ref))
 
 
 def test_a_secular_row_with_zero_base_has_only_its_finite_roots():
