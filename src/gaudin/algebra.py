@@ -174,7 +174,9 @@ def _fill_pairwise(kind, coords):
     np.fill_diagonal(x, 0.0)
     np.fill_diagonal(z, 0.0)
     if not np.iscomplexobj(coords) and x.dtype.kind == "c":
-        # real coordinates give real matrices even in the trigonometric case
+        # real coordinates give real matrices even in the trigonometric case;
+        # the complex square root is kept, as in pair_x, whose last bits a
+        # real one does not reproduce
         x = x.real.copy() if np.max(np.abs(x.imag)) == 0.0 else x
     return x, z
 
