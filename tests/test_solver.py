@@ -396,7 +396,7 @@ def test_xi_path_work_per_solve_on_the_benchmark_specs(tmp_path, monkeypatch, in
     # after a Newton iteration reuses that iteration's inverse: 13 points, 40
     # kernel evaluations (the last one solve_rg's check of the answer) and 27
     # inverses per solve, where a x1.3 step growth and a fresh inverse per
-    # tangent take 17 points, 47-50 evaluations and 46-48 inverses
+    # tangent take 17 points, 47 and 50 evaluations and 45 and 48 inverses
     bench = _perfbench_specs("rg-large", 0)[index]
     path = tmp_path / "rg.spec"
     path.write_text(bench.text)
