@@ -188,6 +188,16 @@ def _place_values(spec):
 
 
 def sector_tables(spec):
+    """The Sectors 0 .. N of a spec, built on first use (_sector_tables) and
+    kept on the spec, their arrays read-only: the EVB batch and the records
+    of one solve-dicke call read the same tables."""
+    kept = spec._sectors
+    if not kept:
+        kept.append(_sector_tables(spec))
+    return kept[0]
+
+
+def _sector_tables(spec):
     """The Sectors 0 .. N of a spec.  Digit rows are built factor by factor,
     the photon first, and a partial row is dropped as soon as its excitation
     exceeds N, so no state above sector N is ever formed."""
@@ -202,8 +212,11 @@ def sector_tables(spec):
                                   np.tile(k, len(digits))))[keep]
         excitation = excitation[keep]
     indices = digits @ _place_values(spec)
-    return tuple(Sector(digits[excitation == a], indices[excitation == a])
-                 for a in range(n + 1))
+    sectors = tuple(Sector(digits[excitation == a], indices[excitation == a])
+                    for a in range(n + 1))
+    for sector in sectors:
+        sector.digits.flags.writeable = sector.indices.flags.writeable = False
+    return sectors
 
 
 class BetheLadder(NamedTuple):

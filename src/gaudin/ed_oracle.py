@@ -30,6 +30,10 @@ BOSON = "boson"
 SPIN = "spin"
 TRUNC_SPIN = "trunc_spin"  # lowest weights of a (possibly large) spin irrep
 
+# entries of one block of temporaries: a block product's (nnz, columns)
+# products, or evb.duplicates' endpoint differences
+BLOCK_ELEMENTS = 2**18
+
 
 @dataclass(frozen=True)
 class Factor:
@@ -230,12 +234,21 @@ class CooMatrix:
         vec = np.asarray(other)
         if vec.ndim not in (1, 2) or len(vec) != self.shape[1]:
             raise BasisMismatchError("vector length does not match the matrix")
-        # one bin per (row, column) of a block, each column summed as alone
+        # one bin per (row, column) of a group of a block's columns, each
+        # column summed as alone; a group's (nnz, k) products hold about
+        # BLOCK_ELEMENTS entries
         block = vec if vec.ndim == 2 else vec[:, None]
-        k = block.shape[1]
-        bins = (self.rows[:, None] * k + np.arange(k)).ravel()
-        out = _bincount(bins, (self.data[:, None] * block[self.cols]).ravel(), self.shape[0] * k)
-        return out.reshape((self.shape[0],) + vec.shape[1:])
+        n, width = self.shape[0], block.shape[1]
+        k = max(1, BLOCK_ELEMENTS // max(1, self.nnz))
+        groups = []
+        for start in range(0, max(width, 1), k):  # one group for an empty block
+            part = block[self.cols, start:start + k]
+            g = part.shape[1]
+            bins = (self.rows[:, None] * g + np.arange(g)).ravel()
+            groups.append(_bincount(bins, (self.data[:, None] * part).ravel(), n * g)
+                          .reshape(n, g))
+        out = np.concatenate(groups, axis=1)
+        return out.reshape((n,) + vec.shape[1:])
 
     def _matmat(self, other):
         """Every entry (i, k) of self times every entry (k, j) of other,

@@ -42,7 +42,7 @@ import logging
 
 import numpy as np
 
-from . import dicke
+from . import dicke, ed_oracle
 from .errors import DomainError, ValidationError
 
 log = logging.getLogger("gaudin")
@@ -75,8 +75,6 @@ CANDIDATE_TOL = 1e-3
 # the most paths one batch tracks, one per state of the sector; a batch holds
 # (paths, 2, M, M + 2) system matrices, M = sum_k 2 s_k
 MAX_PATHS = 2**12
-# elements of one block of endpoint differences in duplicates()
-BLOCK_ELEMENTS = 2**18
 
 
 class Quadratics:
@@ -333,7 +331,7 @@ def duplicates(u, ok):
         return idx
     tol = distinct_tol(pts)
     dup = np.zeros(len(pts), dtype=bool)
-    block = max(1, BLOCK_ELEMENTS // pts.size)  # bounds the (block, P, m) differences
+    block = max(1, ed_oracle.BLOCK_ELEMENTS // pts.size)  # bounds the (block, P, m) differences
     for i in range(0, len(pts), block):
         d = np.max(np.abs(pts[i:i + block, None, :] - pts[None, :, :]), axis=2)
         rows = np.arange(len(d))

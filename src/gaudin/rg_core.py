@@ -3,11 +3,13 @@
 All residual evaluators return a ResidualReport carrying the residual vector,
 its max modulus, and the analytic Jacobian with respect to the rapidities
 (holomorphic derivative matrix; the residuals are holomorphic in the complex
-rapidities for fixed model parameters).  Each takes its rapidities as a
-RapiditySet, whose frame it checks, or as an array in its frame, which it
-uses as is and computes in its dtype: the solver's continuation passes its
-iterate that way, in float64 when the iterate is real.  Every row is real,
-so a real array gives a real report.
+rapidities for fixed model parameters), formed from the evaluation's arrays
+only when it is read: the solver reads it only where it inverts it.  A
+rational row's pair sum forms no pair products, only 1/(w_b - w_a).  Each
+takes its rapidities as a RapiditySet, whose frame it checks, or as an
+array in its frame, which it uses as is and computes in its dtype: the
+solver's continuation passes its iterate that way, in float64 when the
+iterate is real.  Every row is real, so a real array gives a real report.
 
 The three homotopy families (deformed RG in xi, extended Dicke in tau,
 deformed Dicke in xi) are affine in their parameter t, F(t, w) = A(w) +
@@ -98,7 +100,12 @@ class DickeSpec:
 
     def sector_dimension(self):
         """Number of eigenstates with N excitations: the ways to raise level k
-        by 0..2 s_k steps, at most N in all, the boson taking the rest."""
+        by 0..2 s_k steps, at most N in all, the boson taking the rest.
+        Counted once per spec, without building the sector's states."""
+        return self._sector_count
+
+    @functools.cached_property
+    def _sector_count(self):
         ways = [1]  # ways[j]: number of spin configurations j steps above |theta>
         for s in self.spins:
             top = int(round(2.0 * s))
@@ -122,6 +129,11 @@ class DickeSpec:
     def _tau_families(self):
         """extended_dicke_residual's rows by xi (tau_family)."""
         return {}
+
+    @functools.cached_property
+    def _sectors(self):
+        """dicke.sector_tables' Sectors, held once built."""
+        return []
 
 
 @dataclass(frozen=True)
@@ -147,17 +159,24 @@ class ResidualReport:
     """Residual vector, its max modulus, and (optionally) the analytic Jacobian
     and, for a family at a point t of its homotopy, the rate dF/dt.
 
-    The rate may be given as a function of no arguments that forms it: it is
-    then formed on the first read of `rate`, and kept.
+    The Jacobian and the rate may each be given as a function of no
+    arguments that forms it: it is then formed on the first read of
+    `jacobian` or `rate`, and kept.
     """
 
-    __slots__ = ("residuals", "max_abs", "jacobian", "_rate")
+    __slots__ = ("residuals", "max_abs", "_jacobian", "_rate")
 
     def __init__(self, residuals, max_abs, jacobian=None, rate=None):
         self.residuals = residuals
         self.max_abs = max_abs
-        self.jacobian = jacobian
+        self._jacobian = jacobian
         self._rate = rate
+
+    @property
+    def jacobian(self):
+        if callable(self._jacobian):
+            self._jacobian = self._jacobian()
+        return self._jacobian
 
     @property
     def rate(self):
@@ -221,17 +240,18 @@ def _row(kind, sites, weights, g_site, g_pair, const=1.0, lin=0.0, scale=1.0):
 def _evaluate(row, w, jacobian, rate=None):
     """The one residual kernel behind every family, on a _Row, as numpy
     reductions: the site sum over an (N, m) array of rapidity-site terms, the
-    pair sum and its Jacobian over the (N, N) array of rapidity pairs, whose
-    diagonal is masked.  Collisions are found by one reduction over each
-    array; algebra.check_collisions then names the first in rapidity order.
-    With g_pair == 0 the pair sum is skipped, so the Jacobian is exactly
-    diagonal.  `rate`, a _Row of parameter differences, asks for the kernel's
-    derivative along them, the dF/dt of a family affine in t: it comes back
-    as a _form_rate call on this evaluation's arrays, to be made when the
-    rate is read, so w must not change in place before then.  Everything is
-    computed in w's dtype, float64 for a real w (integers are taken as
-    float64) and complex128 for a complex one.  Returns (residuals, max
-    modulus, Jacobian or None, that call or None)."""
+    pair sum over the (N, N) array of rapidity pairs, whose diagonal is
+    masked.  Collisions are found by one reduction over each array;
+    algebra.check_collisions then names the first in rapidity order.  With
+    g_pair == 0 the pair sum is skipped, so the Jacobian is exactly diagonal.
+    The Jacobian (`jacobian` true) comes back as a _form_jacobian call on
+    this evaluation's arrays, and `rate`, a _Row of parameter differences,
+    asks for the kernel's derivative along them, the dF/dt of a family affine
+    in t, as a _form_rate call: each is made when the report reads it, so w
+    must not change in place before then.  Everything is computed in w's
+    dtype, float64 for a real w (integers are taken as float64) and
+    complex128 for a complex one.  Returns (residuals, max modulus, the
+    Jacobian's call or None, the rate's call or None)."""
     e, n, base, lin, g_pair, c = row
     w = np.asarray(w)
     if w.dtype.kind not in "fc":  # integer rapidities, say: inf must fit in dw
@@ -243,22 +263,11 @@ def _evaluate(row, w, jacobian, rate=None):
         algebra.check_collisions(e, w)
     q = n / d
     res = base + lin * w + q.sum(-1)
-    diag = lin + (q / d).sum(-1) if jacobian else None
-    jac = None
     pairs = None
     if g_pair:
         pairs = _pair_sum(w, dw, c)
-        inv, _, num, pair = pairs
-        res = res - g_pair * pair
-        if jacobian:
-            # dr_a/dw_b = g_pair (1 + c w_a^2)/(w_b - w_a)^2 off the
-            # diagonal, and dr_a/dw_a gains -sum_b g_pair (1 + c w_b^2)/(w_b - w_a)^2
-            dd = g_pair * inv * inv
-            p = num.diagonal()
-            jac = dd * p[:, None]
-            np.fill_diagonal(jac, diag - dd @ p)
-    if jacobian and jac is None:
-        jac = np.diag(diag)
+        res = res - g_pair * pairs[3]  # the pair sum
+    jac = functools.partial(_form_jacobian, lin, g_pair, d, q, pairs) if jacobian else None
     form = None if rate is None else functools.partial(_form_rate, rate, row, w, d, dw, pairs)
     return res, float(np.abs(res).max()), jac, form
 
@@ -266,23 +275,52 @@ def _evaluate(row, w, jacobian, rate=None):
 def _pair_sum(w, dw, c):
     """The pair arrays of the kernel at w, given dw (w_b - w_a, its diagonal
     inf): 1/dw, w_a w_b, 1 + c w_a w_b and the pair sum
-    sum_{b != a} (1 + c w_a w_b)/(w_b - w_a)."""
+    sum_{b != a} (1 + c w_a w_b)/(w_b - w_a).  A rational row (c = 0) has
+    numerators 1: it forms neither product array (None for both), and its
+    pair sum is the row sums of 1/dw."""
     inv = 1.0 / dw
+    if not c:
+        return inv, None, None, inv.sum(1)
     ww = np.multiply.outer(w, w)
     num = 1.0 + c * ww
     return inv, ww, num, (num * inv).sum(1)
+
+
+def _form_jacobian(lin, g_pair, d, q, pairs):
+    """The kernel's Jacobian dr_a/dw_b on the arrays of its evaluation
+    (_evaluate): off the diagonal g_pair (1 + c w_a^2)/(w_b - w_a)^2, and on
+    it lin + sum_i n_i/(e_i - w_a)^2 - sum_b g_pair (1 + c w_b^2)/(w_b -
+    w_a)^2; diagonal when the evaluation had no pair sum (pairs None).  A
+    rational row's numerators are 1: its pair block is g_pair/dw^2 as it is,
+    and its diagonal correction the row sums dd @ 1, the same numbers as
+    scaling by and multiplying with a vector of ones."""
+    diag = lin + (q / d).sum(-1)
+    if pairs is None:
+        return np.diag(diag)
+    inv, _, num, _ = pairs
+    dd = g_pair * inv * inv
+    if num is None:
+        jac = dd
+        p = np.ones(len(diag))
+    else:
+        p = num.diagonal()
+        jac = dd * p[:, None]
+    np.fill_diagonal(jac, diag - dd @ p)
+    return jac
 
 
 def _form_rate(rate, row, w, d, dw, pairs):
     """dF/dt of a family affine in t, on the arrays of its evaluation of `row`
     at w (_evaluate): the kernel's derivative along the parameter differences
     `rate`, with the pair arrays formed here when the evaluation had no pair
-    sum (pairs None)."""
+    sum (pairs None), and w_a w_b when its row is rational."""
     dres = rate.base + rate.lin * w + (rate.n / d).sum(-1)
     if rate.g_pair or rate.c:
         inv, ww, _, pair = pairs or _pair_sum(w, dw, row.c)
         dres = dres - rate.g_pair * pair
         if rate.c:
+            if ww is None:
+                ww = np.multiply.outer(w, w)
             dres = dres - (row.g_pair * rate.c) * (ww * inv).sum(1)
     return dres
 

@@ -178,20 +178,25 @@ def newton_solve(residual_fn, w0, tol=1e-10):
     """Damped Newton iteration on a holomorphic residual system.
 
     residual_fn maps a rapidity array to a ResidualReport with an analytic
-    Jacobian; w0 is the starting array.  A start with no nonzero imaginary
-    part is corrected in float64 (the families compute in the iterate's
-    dtype, and their real rows cannot give it an imaginary part), any other
-    in complex128; the values come back in that dtype.  Each iteration
-    inverts its Jacobian once (_inverse), for the step and for the condition
-    test, and refuses a Jacobian whose condition number exceeds 1e14.  Its
+    Jacobian; w0 is the starting array.  A float64 start is taken as it is,
+    any other with no nonzero imaginary part is corrected in float64 (the
+    families compute in the iterate's dtype, and their real rows cannot give
+    it an imaginary part), and the rest in complex128; the values come back
+    in that dtype.  Each trial point is evaluated once, and the array it was
+    evaluated at becomes the iterate.  Each iteration inverts its Jacobian
+    once (_inverse), for the step and for the condition test, and refuses a
+    Jacobian whose condition number exceeds 1e14: the Jacobian of the trial
+    that ends the solve is never read, so never formed.  Its
     errors carry the iterations made (a CollisionError comes from the start,
     before any).  Returns (values, report, iterations) as a NewtonResult,
     whose `last` keeps the last iteration's inverse and the report it
     inverted.
     """
-    w = np.array(w0, dtype=complex)
-    if not w.imag.any():
-        w = w.real.copy()
+    w = np.asarray(w0)
+    if w.dtype != np.float64:
+        w = np.array(w0, dtype=complex)
+        if not w.imag.any():
+            w = w.real.copy()
     report = residual_fn(w)
     if report.max_abs <= tol:
         return NewtonResult(w, report, 0)
@@ -205,8 +210,9 @@ def newton_solve(residual_fn, w0, tol=1e-10):
         # damping: halve the step while it fails to reduce the residual
         scale = 1.0
         for _ in range(12):
+            point = w - scale * step
             try:
-                trial = residual_fn(w - scale * step)
+                trial = residual_fn(point)
             except CollisionError:
                 scale *= 0.5
                 continue
@@ -220,7 +226,7 @@ def newton_solve(residual_fn, w0, tol=1e-10):
                 max_abs=report.max_abs,
                 iterations=it,
             )
-        w = w - scale * step
+        w = point
         last = (inv, report)
         report = trial
         if report.max_abs <= tol:
@@ -252,8 +258,12 @@ def _real_roots(row):
     and so does that of a negative rank-one term sum(n)/base (whose sign is
     that of n_0/base), while a positive one, and base = 0, put it between
     poles k and k + 1.  Newton on
-    secular_row finishes each root from inside its bracket, a step kept
-    while it is shorter than the last and stays inside.
+    secular_row finishes each root from inside its bracket, a move kept
+    while it is shorter than the last: a Newton step that would leave the
+    bracket (at weak coupling it overshoots the pole next to the root) goes
+    halfway to the end it crossed instead, and the loop stops when no root
+    moves, so a root closer to its pole than any double ends on the double
+    next to the pole.
     """
     live = row.n != 0.0
     e, n, base, lin = row.e[live], row.n[live], row.base, row.lin
@@ -280,6 +290,8 @@ def _real_roots(row):
         for _ in range(MAX_NEWTON_ITERS):
             value, slope = rg_core.secular_row(row, w)
             step = value / slope
+            step = np.where(w - step <= lo, 0.5 * (w - lo),
+                            np.where(w - step >= hi, 0.5 * (w - hi), step))
             keep = (lo < w - step) & (w - step < hi) & (np.abs(step) < last)
             if not np.any(keep):
                 break
@@ -499,7 +511,7 @@ def _reused_tangent(solved):
 
 def _trace(path, status, frame):
     return SolutionTrace(
-        [TracePoint(t, RapiditySet(tuple(v), frame), r) for t, v, r in path], status
+        [TracePoint(t, RapiditySet(tuple(v.tolist()), frame), r) for t, v, r in path], status
     )
 
 

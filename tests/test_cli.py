@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaudin import cli, dicke, ed_oracle, rg_core, solver
+from gaudin import cli, dicke, ed_oracle, evb, rg_core, solver
 from gaudin.algebra import LevelSet
 from gaudin.cli import RunConfig, emit_spec, parse_kv_lines, parse_spec, run
 from gaudin.errors import SpecFormatError, ValidationError
@@ -650,3 +650,31 @@ def test_the_record_step_builds_no_product_basis_and_stays_on_sector_sized_vecto
     default, _ = run(RunConfig("solve-dicke", path))
     assert "boson_cutoff = 30" in doc and "boson_cutoff = 15" in default
     assert doc.split("[branch 0]")[1] == default.split("[branch 0]")[1]
+
+
+@pytest.mark.parametrize("extra", [[], ["--occupation", "0,1"]], ids=["enumerate", "occupation"])
+def test_solve_dicke_builds_the_sector_tables_once(tmp_path, monkeypatch, extra):
+    # the EVB batch and the records read one set of tables, kept on the spec
+    built, build = [], dicke._sector_tables
+
+    def counted(spec):
+        built.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(dicke, "_sector_tables", counted)
+    path = _write(tmp_path, "m3.spec", M3_SPEC)
+    out = str(tmp_path / "out.txt")
+    assert cli.main(["--mode", "solve-dicke", "--spec", path, "--out", out] + extra) == 0
+    assert len(built) == 1
+    for sector in dicke.sector_tables(built[0]):
+        assert not sector.digits.flags.writeable and not sector.indices.flags.writeable
+    assert len(built) == 1
+
+
+def test_the_sector_count_builds_no_tables(monkeypatch):
+    # Quadratics refuses an oversized sector before it builds anything
+    monkeypatch.setattr(dicke, "_sector_tables", lambda spec: pytest.fail("tables built"))
+    spec = rg_core.DickeSpec(tuple(np.linspace(0.5, 1.5, 14)), (0.5,) * 14, 0.25, 1.0, 7)
+    assert spec.sector_dimension() > evb.MAX_PATHS
+    with pytest.raises(ValidationError):
+        evb.Quadratics(spec)

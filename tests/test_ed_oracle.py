@@ -652,3 +652,28 @@ def test_eigencheck_of_a_block_checks_each_column():
     block[:, 2] = 0.0
     with pytest.raises(ValidationError):
         eigencheck(ham, block)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("block_elements", [1, 211, 500, 2**18])
+def test_block_products_in_column_groups_are_bitwise_one_group(monkeypatch, dtype,
+                                                               block_elements):
+    # each group of columns takes the bins of a block of its width, so every
+    # entry sums its terms in the order the one-group product does
+    rng = np.random.default_rng(block_elements)
+    n, nnz = 30, 70
+    rows, cols = rng.integers(0, n, nnz), rng.integers(0, n, nnz)
+    data = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
+    monkeypatch.setattr(ed_oracle, "BLOCK_ELEMENTS", block_elements)
+    for coo in (CooMatrix(rows, cols, data, (n, n)), abs(CooMatrix(rows, cols, data, (n, n)))):
+        for width in (1, 7, 23):
+            block = rng.normal(size=(n, width)).astype(dtype)
+            if dtype is complex:
+                block += 1j * rng.normal(size=(n, width))
+            k = block.shape[1]
+            bins = (coo.rows[:, None] * k + np.arange(k)).ravel()
+            want = ed_oracle._bincount(bins, (coo.data[:, None] * block[coo.cols]).ravel(),
+                                       n * k).reshape(n, k)
+            got = coo @ block
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert (coo @ block[:, 0]).tobytes() == want[:, 0].tobytes()

@@ -415,9 +415,9 @@ def test_secular_row_is_the_kernel_at_one_rapidity(row, family):
         assert value.shape == slope.shape == w.shape
         assert np.isrealobj(value) == np.isrealobj(w)
         # one rapidity has no partner, whatever the pair coupling
-        kernel = [rg_core._evaluate(row, [wa], True) for wa in w]
-        res = np.array([k[0][0] for k in kernel])
-        jac = np.array([k[2][0, 0] for k in kernel])
+        kernel = [rg_core.ResidualReport(*rg_core._evaluate(row, [wa], True)) for wa in w]
+        res = np.array([k.residuals[0] for k in kernel])
+        jac = np.array([k.jacobian[0, 0] for k in kernel])
         assert np.max(np.abs(value - res)) <= 1e-13 * np.max(np.abs(res))
         assert np.max(np.abs(slope - jac)) <= 1e-13 * np.max(np.abs(jac))
         if family is not None:
@@ -486,7 +486,8 @@ def _kernel_cases(draw):
 def test_array_kernel_matches_the_scalar_reference(case):
     params = dict(case)
     w = params.pop("w")
-    res, max_abs, jac, _ = rg_core._evaluate(rg_core._row(**params), w, True)
+    report = rg_core.ResidualReport(*rg_core._evaluate(rg_core._row(**params), w, True))
+    res, max_abs, jac = report.residuals, report.max_abs, report.jacobian
     ref, ref_jac, size, jac_size = _scalar_kernel(**case)
     assert np.all(np.abs(res - ref) <= 1e-13 * size)
     assert max_abs == np.max(np.abs(res))
@@ -660,3 +661,76 @@ def test_every_family_row_is_real(degeneracies):
     for w in (np.array([0.3, 0.9, 1.6]), [0, 1, 3]):
         report = family.report(0.3, w, True)
         assert all(a.dtype == np.float64 for a in (report.residuals, report.jacobian, report.rate))
+
+
+# -- rational rows without pair products --------------------------------------
+
+def _product_kernel(row, w):
+    """The kernel with the pair numerators 1 + c w_a w_b formed as arrays
+    whatever c is: residuals, Jacobian and the rate's w_a w_b sum term."""
+    e, n, base, lin, g_pair, c = row
+    d = e - w[:, None]
+    dw = w - w[:, None]
+    np.fill_diagonal(dw, np.inf)
+    q = n / d
+    inv = 1.0 / dw
+    ww = np.multiply.outer(w, w)
+    num = 1.0 + c * ww
+    res = base + lin * w + q.sum(-1) - g_pair * (num * inv).sum(1)
+    dd = g_pair * inv * inv
+    p = num.diagonal()
+    jac = dd * p[:, None]
+    np.fill_diagonal(jac, lin + (q / d).sum(-1) - dd @ p)
+    return res, jac, (ww * inv).sum(1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_rational_rows_are_bitwise_the_product_formula(n):
+    # a rational row forms 1/dw alone; its residuals and Jacobian are the
+    # numbers that numerators 1 + 0 w_a w_b, a scaling by them and a product
+    # with their diagonal give
+    rng = np.random.default_rng(n)
+    levels = LevelSet.from_spins(tuple(np.sort(rng.uniform(0.5, 1.5, 6))), (0.5, 1.0) * 3)
+    dspec = DickeSpec(tuple(np.sort(rng.uniform(0.5, 1.5, 4))), (0.5, 1.0, 1.5, 0.5),
+                      0.3, 1.1, n)
+    rows = [ModelSpec(levels, RATIONAL, n, -0.17).xi_family.row(t) for t in (0.4, 1.0)]
+    rows += [dspec._dicke, dspec.xi_family.row(0.0)]
+    for row in rows:
+        assert row.c == 0.0 and row.g_pair != 0.0
+        for _ in range(5):
+            real = rng.uniform(-1.0, 3.0, n)
+            for w in (real, real + 1j * rng.uniform(-1.0, 1.0, n)):
+                report = rg_core.ResidualReport(*rg_core._evaluate(row, w, True))
+                res, jac, _ = _product_kernel(row, w)
+                assert report.residuals.dtype == res.dtype
+                assert report.residuals.tobytes() == res.tobytes()
+                assert report.jacobian.tobytes() == jac.tobytes()
+    # the deformed Dicke family's rate at xi = 0, where its row is rational
+    # and its rate's is not, reads w_a w_b formed for it alone
+    family = dspec.xi_family
+    real = rng.uniform(-1.0, 3.0, n)
+    for w in (real, real + 1j * rng.uniform(-1.0, 1.0, n)):
+        rate, ref = family.report(0.0, w, False).rate, family.rate
+        _, _, pair_ww = _product_kernel(family.row(0.0), w)
+        inv = 1.0 / (w - w[:, None] + np.diag(np.full(n, np.inf)))
+        want = (ref.base + ref.lin * w + (ref.n / (ref.e - w[:, None])).sum(-1)
+                - ref.g_pair * inv.sum(1) - (family.row(0.0).g_pair * ref.c) * pair_ww)
+        assert rate.tobytes() == want.tobytes()
+
+
+def test_the_jacobian_is_formed_on_first_read_and_kept(monkeypatch):
+    formed = []
+    form = rg_core._form_jacobian
+
+    def counted(*args):
+        formed.append(args)
+        return form(*args)
+
+    monkeypatch.setattr(rg_core, "_form_jacobian", counted)
+    spec = ModelSpec(LevelSet.from_spins((1.0, 2.0, 3.0), (0.5, 0.5, 1.0)), RATIONAL, 2, -0.2)
+    report = rg_core.deformed_rg_residual(spec, 0.5, np.array([0.4, 2.5]))
+    assert formed == []
+    jac = report.jacobian
+    assert len(formed) == 1 and report.jacobian is jac
+    assert rg_core.deformed_rg_residual(spec, 0.5, np.array([0.4, 2.5]), False).jacobian is None
+    assert len(formed) == 1

@@ -396,13 +396,15 @@ def test_xi_path_work_per_solve_on_the_benchmark_specs(tmp_path, monkeypatch, in
     # after a Newton iteration reuses that iteration's inverse: 13 points, 40
     # kernel evaluations (the last one solve_rg's check of the answer) and 27
     # inverses per solve, where a x1.3 step growth and a fresh inverse per
-    # tangent take 17 points, 47 and 50 evaluations and 45 and 48 inverses
+    # tangent take 17 points, 47 and 50 evaluations and 45 and 48 inverses;
+    # a Jacobian is formed only for an inverse, where forming one with every
+    # evaluation that may read it formed 39
     bench = _perfbench_specs("rg-large", 0)[index]
     path = tmp_path / "rg.spec"
     path.write_text(bench.text)
     spec = parse_spec(str(path))
     counts = Counter()
-    evaluate, inverse = rg_core._evaluate, np.linalg.inv
+    evaluate, inverse, form = rg_core._evaluate, np.linalg.inv, rg_core._form_jacobian
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -412,11 +414,13 @@ def test_xi_path_work_per_solve_on_the_benchmark_specs(tmp_path, monkeypatch, in
 
     monkeypatch.setattr(rg_core, "_evaluate", counted("evaluations", evaluate))
     monkeypatch.setattr(np.linalg, "inv", counted("inverses", inverse))
+    monkeypatch.setattr(rg_core, "_form_jacobian", counted("jacobians", form))
     _, _, trace = solve_rg(spec)
     assert trace.status == "converged"
     assert all(p.max_abs <= ContinuationPolicy().newton_tol for p in trace.path)
     assert (len(trace.path), counts["evaluations"], counts["inverses"]) == (
         points, evaluations, inverses)
+    assert counts["jacobians"] == inverses
 
 
 def test_each_path_logs_one_debug_line_of_its_work(monkeypatch, caplog):
@@ -977,3 +981,49 @@ def test_a_complex_split_and_the_evb_polish_stay_complex(monkeypatch):
     assert any(cplx for cplx, _ in polishes)
     for cplx, seen in polishes:
         assert seen == ({"complex128"} if cplx else {"float64"})
+
+
+def test_newton_takes_a_float64_start_as_it_is():
+    def square(w, jacobian=True):
+        return rg_core.ResidualReport(w * w - 4.0, float(np.max(np.abs(w * w - 4.0))),
+                                      np.diag(2.0 * w))
+
+    start = np.array([2.0, -2.0])
+    values, _, iters = newton_solve(square, start)
+    assert iters == 0 and values is start
+    # each trial point is evaluated once and becomes the iterate
+    seen = []
+
+    def recording(w, jacobian=True):
+        seen.append(w)
+        return square(w)
+
+    values, _, iters = newton_solve(recording, np.array([3.0, -1.5]))
+    assert iters > 0 and values is seen[-1] and values.dtype == np.float64
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, TRIGONOMETRIC])
+@pytest.mark.parametrize("g", [1e-20, -1e-20])
+def test_weak_coupling_roots_are_the_doubles_nearest_the_root_on_its_side(kind, g):
+    # each root lies about 1e-20 from its pole, far inside one ulp: the double
+    # nearest it, among those on its side of the pole, is the pole's neighbour
+    mpmath = pytest.importorskip("mpmath")
+    row = ModelSpec(WEAK, kind, 1, g).xi_family.ends[0]
+    roots = solver._real_roots(row)
+    assert len(roots) == 3
+    with mpmath.workdps(40):
+        def secular(w):
+            return (mpmath.mpf(row.base) + mpmath.mpf(row.lin) * w
+                    + sum(mpmath.mpf(n) / (mpmath.mpf(e) - w) for e, n in zip(row.e, row.n)))
+
+        for root, pole in zip(roots, WEAK.etas):
+            # the root lies between the pole and the pole moved by 1e-16 to
+            # its side: above the pole when g > 0, below it when g < 0
+            side = mpmath.mpf(pole) + mpmath.mpf(np.sign(g)) * mpmath.mpf("1e-16")
+            ref = mpmath.findroot(secular, (mpmath.mpf(pole) + (side - pole) * 1e-12, side),
+                                  solver="anderson")
+            nearest = float(ref)
+            if nearest == pole:
+                nearest = float(np.nextafter(pole, np.sign(g) * np.inf))
+            assert (nearest - pole) * g > 0.0
+            assert root == nearest
