@@ -194,7 +194,7 @@ class RunConfig:
     spec_path: str
     out_path: str | None = None
     out_format: str = "structured-text"
-    xi_steps: int = 10
+    xi_steps: int = 1
     newton_tol: float = 1e-10
     boson_cutoff: int | None = None
     branch: int | None = None
@@ -499,8 +499,9 @@ def build_parser():
                         help="model-spec file (or result document for verify)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", default="structured-text", choices=FORMATS)
-    parser.add_argument("--xi-steps", type=int, default=10,
-                        help="cap continuation steps at 1/xi-steps")
+    parser.add_argument("--xi-steps", type=int, default=1,
+                        help="cap continuation steps at 1/xi-steps (default 1: no cap); "
+                             "the Dicke outer leg steps at most 0.1 at any value")
     parser.add_argument("--newton-tol", type=float, default=1e-10)
     parser.add_argument("--boson-cutoff", type=int, default=None)
     parser.add_argument("--branch", type=int, default=None,

@@ -388,21 +388,25 @@ def _perfbench_specs(workload, seed):
     return module.generate(workload, seed)
 
 
-@pytest.mark.parametrize("index, points, evaluations, inverses",
-                         [(0, 13, 40, 27), (1, 13, 40, 27)], ids=["m32-n16", "m48-n24"])
-def test_xi_path_work_per_solve_on_the_benchmark_specs(tmp_path, monkeypatch, index, points,
-                                                       evaluations, inverses):
-    # the step grows with its predictor's measured error and every tangent
-    # after a Newton iteration reuses that iteration's inverse: 13 points, 40
-    # kernel evaluations (the last one solve_rg's check of the answer) and 27
-    # inverses per solve, where a x1.3 step growth and a fresh inverse per
-    # tangent take 17 points, 47 and 50 evaluations and 45 and 48 inverses;
-    # a Jacobian is formed only for an inverse, where forming one with every
-    # evaluation that may read it formed 39
+@pytest.mark.parametrize("index, max_step, points, evaluations, inverses", [
+    (0, 1.0, 6, 19, 13), (1, 1.0, 6, 19, 13), (0, 0.1, 13, 40, 27), (1, 0.1, 13, 40, 27),
+], ids=["m32-n16", "m48-n24", "m32-n16-capped", "m48-n24-capped"])
+def test_xi_path_work_per_solve_on_the_benchmark_specs(tmp_path, monkeypatch, index, max_step,
+                                                       points, evaluations, inverses):
+    # the step grows with its predictor's measured error alone and every
+    # tangent after a Newton iteration reuses that iteration's inverse: 6
+    # points, 19 kernel evaluations (the last one solve_rg's check of the
+    # answer) and 13 inverses per solve, where a step cap of 0.1 (--xi-steps
+    # 10, the old default) takes 13, 40 and 27, a x1.3 step growth and a
+    # fresh inverse per tangent under that cap 17 points, 47 and 50
+    # evaluations and 45 and 48 inverses; a Jacobian is formed only for an
+    # inverse, where forming one with every evaluation that may read it
+    # formed 39 under the cap
     bench = _perfbench_specs("rg-large", 0)[index]
     path = tmp_path / "rg.spec"
     path.write_text(bench.text)
     spec = parse_spec(str(path))
+    policy = ContinuationPolicy(max_step=max_step)
     counts = Counter()
     evaluate, inverse, form = rg_core._evaluate, np.linalg.inv, rg_core._form_jacobian
 
@@ -415,12 +419,64 @@ def test_xi_path_work_per_solve_on_the_benchmark_specs(tmp_path, monkeypatch, in
     monkeypatch.setattr(rg_core, "_evaluate", counted("evaluations", evaluate))
     monkeypatch.setattr(np.linalg, "inv", counted("inverses", inverse))
     monkeypatch.setattr(rg_core, "_form_jacobian", counted("jacobians", form))
-    _, _, trace = solve_rg(spec)
+    _, _, trace = solve_rg(spec, policy)
     assert trace.status == "converged"
-    assert all(p.max_abs <= ContinuationPolicy().newton_tol for p in trace.path)
+    assert all(p.max_abs <= policy.newton_tol for p in trace.path)
+    # each step is at most the cap, up to the round-off of t + step
+    assert max(np.diff([p.xi for p in trace.path])) <= max_step * (1.0 + 1e-12)
     assert (len(trace.path), counts["evaluations"], counts["inverses"]) == (
         points, evaluations, inverses)
     assert counts["jacobians"] == inverses
+
+
+def _same_state(a, b):
+    """Whether a and b list one state's rapidities, in any order: each value
+    lies within 1e-8 (relative to max|b|) of its nearest in the other list,
+    which, the rapidities of a state being distinct, is its partner."""
+    d = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
+    return max(d.min(axis=0).max(), d.min(axis=1).max()) <= 1e-8 * (1.0 + np.max(np.abs(b)))
+
+
+def test_the_uncapped_xi_path_keeps_the_adiabatic_label():
+    # 36 random RG specs, rational and trigonometric, m 3-12, spins 1/2 and
+    # 1, g within 0.3, an --occupation on every fourth: wherever the path in
+    # steps of at most 0.01 converges (28 specs here), the default path, its
+    # step sized by its predictor alone, converges on the same state, where
+    # a cap of 0.1 lands one of them (i = 15) on another
+    rng = np.random.default_rng(0)
+    checked = 0
+    for i in range(36):
+        m = int(rng.integers(3, 13))
+        etas = np.sort(rng.uniform(0.5, 2.5, m))
+        spins = rng.choice([0.5, 1.0], m)
+        g = float(rng.uniform(-0.3, 0.3))
+        n = int(rng.integers(1, m // 2 + 2))
+        occupation = sorted(int(k) for k in rng.integers(0, m, n)) if i % 4 == 3 else None
+        spec = ModelSpec(LevelSet.from_spins(tuple(etas), tuple(spins)),
+                         (RATIONAL, TRIGONOMETRIC)[i % 2], n, g)
+        try:
+            reference = solve_rg(spec, ContinuationPolicy(max_step=0.01), occupation)[0]
+        except (ConvergenceError, SingularJacobianError, CollisionError):
+            continue
+        checked += 1
+        final = solve_rg(spec, occupation=occupation)[0]
+        assert _same_state(final.values, reference.values), (i, spec, occupation)
+    assert checked == 28
+
+
+def test_the_dicke_outer_leg_keeps_its_step_cap(monkeypatch):
+    # capped at OUTER_MAX_STEP, whatever the policy's cap, the outer leg of
+    # this branch lands where steps of 0.01 do; uncapped, its steps grow long
+    # enough to jump to another state
+    spec = DickeSpec((0.8742, 1.207), (0.5, 0.5), 0.0818, 1.0963, 1)
+    reference = solve_dicke_branch(spec, [0], ContinuationPolicy(max_step=0.01))[0]
+    final, _, trace = solve_dicke_branch(spec, [0])
+    assert reference.values[0] == pytest.approx(0.845407, abs=1e-6)
+    assert final.values[0] == pytest.approx(reference.values[0], abs=1e-12)
+    # the trace is the outer leg, xi 1 -> 0
+    assert max(-np.diff([p.xi for p in trace.path])) <= solver.OUTER_MAX_STEP * (1.0 + 1e-12)
+    monkeypatch.setattr(solver, "OUTER_MAX_STEP", 1.0)
+    assert solve_dicke_branch(spec, [0])[0].values[0] == pytest.approx(1.077528, abs=1e-6)
 
 
 def test_each_path_logs_one_debug_line_of_its_work(monkeypatch, caplog):
@@ -440,10 +496,10 @@ def test_each_path_logs_one_debug_line_of_its_work(monkeypatch, caplog):
     # formatted only when emitted
     assert record.args and "%d" in record.msg
     found = re.fullmatch(
-        r"path 0 -> 1 converged: (\d+) steps accepted, (\d+) rejected, smallest (\S+); "
-        r"(\d+) evaluations; (\d+) inverses: (\d+) Newton iterations, (\d+) tangents "
-        r"afresh \((\d+) reused\)", record.getMessage())
-    steps, rejected, smallest, evaluations, total, newton, fresh, reused = found.groups()
+        r"path 0 -> 1 converged: (\d+) steps accepted, (\d+) rejected, smallest (\S+), "
+        r"cap (\S+); (\d+) evaluations; (\d+) inverses: (\d+) Newton iterations, (\d+) "
+        r"tangents afresh \((\d+) reused\)", record.getMessage())
+    steps, rejected, smallest, cap, evaluations, total, newton, fresh, reused = found.groups()
     assert (int(steps), int(rejected)) == (len(path) - 1, 0)
     xis = [t for t, _, _ in path]
     assert float(smallest) == pytest.approx(min(np.diff(xis)), rel=1e-3)
@@ -453,6 +509,16 @@ def test_each_path_logs_one_debug_line_of_its_work(monkeypatch, caplog):
     # a tangent at each point that starts a step, the first one afresh (the
     # TDA seed needs no Newton iteration) and every later one reused
     assert (int(fresh), int(reused)) == (1, len(path) - 2)
+    # the cap each path ran with: none by default, 1/xi-steps when given,
+    # and at most OUTER_MAX_STEP on the Dicke outer leg
+    assert float(cap) == 1.0
+    for max_step, caps in ((1.0, (1.0, 0.1)), (0.25, (0.25, 0.1)), (0.05, (0.05, 0.05))):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="gaudin"):
+            solve_dicke_branch(M2, [0, 2], ContinuationPolicy(max_step=max_step))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("path ")]
+        assert [re.search(r"^path (\S+ -> \S+) .*, cap (\S+);", line).groups()
+                for line in lines] == [("0 -> 1", "%g" % caps[0]), ("1 -> 0", "%g" % caps[1])]
 
 
 @pytest.mark.parametrize("pattern, xi_start", [([0, 2], 1.0), ([2, 2], 0.25)])
