@@ -283,15 +283,21 @@ def _dicke_branch_records(spec, branches):
     The Bethe vectors and H's sector-N block are exact at any boson cutoff
     >= N, and both come from the sector tables 0 .. N of one
     dicke.bethe_ladder, whatever --boson-cutoff says: no product basis is
-    built.  Every vector is built at once (dicke.bethe_coefficients), H's
-    block is composed from the ladder's top step (dicke.sector_hamiltonian),
-    and all are checked by one eigencheck."""
+    built.  H's block is composed from the ladder's top step
+    (dicke.sector_hamiltonian); the vectors are built
+    (dicke.bethe_coefficients) and checked (eigencheck) a batch at a time,
+    each (d, batch) block of at most ed_oracle.BLOCK_ELEMENTS entries, d the
+    sector's dimension (one state at least)."""
     if not branches:
         return []
     ladder = dicke.bethe_ladder(spec)
+    ham = dicke.sector_hamiltonian(spec, ladder)
     states = [dicke.BetheProductState(spec, b["rapidities"]) for b in branches]
-    vectors, _ = dicke.bethe_coefficients(states, spec.n_excitations, ladder)
-    rayleigh, rel = ed_oracle.eigencheck(dicke.sector_hamiltonian(spec, ladder), vectors)
+    batch = max(1, ed_oracle.BLOCK_ELEMENTS // ladder.top.total_dim)
+    checks = [ed_oracle.eigencheck(
+        ham, dicke.bethe_coefficients(states[i:i + batch], spec.n_excitations, ladder)[0])
+        for i in range(0, len(states), batch)]
+    rayleigh, rel = (np.concatenate(parts) for parts in zip(*checks))
     lines = []
     for idx, b in enumerate(branches):
         lines += ["", "[branch %d]" % idx]

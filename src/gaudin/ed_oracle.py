@@ -31,7 +31,8 @@ SPIN = "spin"
 TRUNC_SPIN = "trunc_spin"  # lowest weights of a (possibly large) spin irrep
 
 # entries of one block of temporaries: a block product's (nnz, columns)
-# products, or evb.duplicates' endpoint differences
+# products, evb.duplicates' endpoint differences, an EVB batch's system
+# matrices, or a batch of the solve-dicke records' Bethe vectors
 BLOCK_ELEMENTS = 2**18
 
 

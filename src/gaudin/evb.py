@@ -43,7 +43,7 @@ import logging
 import numpy as np
 
 from . import dicke, ed_oracle
-from .errors import DomainError, ValidationError
+from .errors import DomainError
 
 log = logging.getLogger("gaudin")
 
@@ -72,9 +72,6 @@ ROUNDS = 3
 # with m <= 8, 24 of 7159 spurious endpoints read below 1e-3, the lowest 5e-5)
 PHYSICAL_TOL = 1e-6
 CANDIDATE_TOL = 1e-3
-# the most paths one batch tracks, one per state of the sector; a batch holds
-# (paths, 2, M, M + 2) system matrices, M = sum_k 2 s_k
-MAX_PATHS = 2**12
 
 
 class Quadratics:
@@ -96,10 +93,6 @@ class Quadratics:
     def __init__(self, spec):
         if spec.coupling_G == 0.0:
             raise DomainError("EVB enumeration needs G != 0")
-        if spec.sector_dimension() > MAX_PATHS:
-            raise ValidationError(
-                f"EVB enumeration tracks one path per state of the sector; its "
-                f"{spec.sector_dimension()} states exceed {MAX_PATHS}")
         eps = np.asarray(spec.epsilons, dtype=float)
         spins = np.asarray(spec.spins, dtype=float)
         self.orders = np.rint(2.0 * spins).astype(int)
@@ -288,19 +281,32 @@ class Quadratics:
         smaller step cap, for at most ROUNDS rounds.  Duplicates left after
         the last round stay in: the paths of a group reached one solution,
         which is real, and the solver keeps one state per solution.  The
-        endpoints are the c^ of each path; their first m columns are U."""
+        endpoints are the c^ of each path; their first m columns are U.
+
+        Paths are tracked independently, so each round tracks its paths in
+        consecutive batches whose (paths, 2, M, M + 2) system matrices hold
+        at most ed_oracle.BLOCK_ELEMENTS entries (one path at least)."""
         flips, seeds = self.starts()
         ends = np.empty_like(seeds)
         ok = np.zeros(len(seeds), dtype=bool)
+        size = len(self.level)
+        batch = max(1, ed_oracle.BLOCK_ELEMENTS // (2 * size * (size + 2)))
         redo = np.arange(len(seeds))
         for r in range(ROUNDS):
             max_step = MAX_STEP / 4.0**r
-            ends[redo], ok[redo], capped = self.track(seeds[redo], max_step)
+            capped = 0
+            for i in range(0, len(redo), batch):
+                part = redo[i:i + batch]
+                ends[part], ok[part], stopped = self.track(seeds[part], max_step)
+                capped += int(np.sum(stopped))
             dup = duplicates(ends, ok)
             log.debug("evb round %d: %d paths at step cap %.3g, %d failed (%d at the "
-                      "attempt cap), %d duplicate", r, len(redo), max_step,
-                      int(np.sum(~ok[redo])), int(np.sum(capped)), len(dup))
-            redo = np.union1d(np.nonzero(~ok)[0], dup)
+                      "attempt cap), %d duplicate; %d batches of at most %d paths", r,
+                      len(redo), max_step, int(np.sum(~ok[redo])), capped, len(dup),
+                      -(-len(redo) // batch), min(batch, len(redo)))
+            again = ~ok
+            again[dup] = True
+            redo = np.nonzero(again)[0]
             if not len(redo):
                 break
         return flips, ends, ok

@@ -39,10 +39,10 @@ n = 0 .. 2 s_k - 1, of
 
     (w - x) y - y^2 - G^2 y' + N G^2 = 2 G^2 sum_j s_j (y(x) - U_j)/(eps_j - x)
 
-about eps_k, y = G^2 P'/P (evb), and polishes the physical endpoints on the
-Dicke equations.  While the sector is short, or when it exceeds one batch
-(evb.MAX_PATHS), it runs solve_dicke_branch over every occupation pattern,
-on a ladder of xi starts.  Both tell states apart by their eigenvalue-based
+about eps_k, y = G^2 P'/P (evb), in batches of bounded memory, and
+polishes the physical endpoints on the Dicke equations.  While the sector is
+short, it runs solve_dicke_branch over every occupation pattern, on a ladder
+of xi starts.  Both tell states apart by their eigenvalue-based
 variables (evb.eigenvalue_variables, within evb.distinct_tol), and either
 stops once it holds as many distinct states as the sector has
 (DickeSpec.sector_dimension).
@@ -630,9 +630,8 @@ ROUNDOFF_ULPS = 8.0
 
 def enumerate_dicke_branches(spec, policy=None):
     """Every Bethe branch of the Dicke spec found, sorted by energy (sum of
-    x): the EVB states (_evb_branches) when the sector fits one batch
-    (evb.MAX_PATHS), and then, while the sector is short, the ladder's
-    (_ladder_branches), which runs alone past the bound.
+    x): the EVB states (_evb_branches), and then, while the sector is
+    short, the ladder's (_ladder_branches).
 
     Each branch is a dict with "rapidities" (x frame) and "report" (the Dicke
     residual), and "evb_start" (each level listed once per flip at the start
@@ -641,7 +640,7 @@ def enumerate_dicke_branches(spec, policy=None):
     """
     policy = policy or ContinuationPolicy()
     full = spec.sector_dimension()
-    branches = _evb_branches(spec, policy) if full <= evb.MAX_PATHS else []
+    branches = _evb_branches(spec, policy)
     if len(branches) < full:
         added = _ladder_branches(spec, policy, branches)
         log.debug("ladder: %d states added to %d from evb, of %d", len(added),

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from gaudin import cli, dicke, ed_oracle, evb, rg_core, solver
+from gaudin import cli, dicke, ed_oracle, rg_core, solver
 from gaudin.algebra import LevelSet
 from gaudin.cli import RunConfig, emit_spec, parse_kv_lines, parse_spec, run
 from gaudin.errors import SpecFormatError, ValidationError
@@ -601,6 +603,35 @@ def test_batched_records_match_the_single_state_reference(tmp_path, text, option
         assert pairs >= 1  # complex-conjugate pairs are covered
 
 
+def test_records_checked_in_batches_match_one_block(tmp_path, monkeypatch):
+    path = _write(tmp_path, "model.spec", SPIN1_SPEC)
+    spec = parse_spec(path)
+    branches = solver.enumerate_dicke_branches(spec)
+    whole = cli._dicke_branch_records(spec, branches)
+    built, coefficients = [], dicke.bethe_coefficients
+
+    def counted(states, *args):
+        built.append(len(states))
+        return coefficients(states, *args)
+
+    monkeypatch.setattr(dicke, "bethe_coefficients", counted)
+    # a (6, batch) block of at most 12 entries: the 6 states in batches of 2
+    monkeypatch.setattr(ed_oracle, "BLOCK_ELEMENTS", 2 * spec.sector_dimension())
+    assert cli._dicke_branch_records(spec, branches) == whole
+    assert built == [2, 2, 2]
+    # a batch of one state sums its norms in another order: its checked
+    # values agree to round-off, and every other line is the same
+    monkeypatch.setattr(ed_oracle, "BLOCK_ELEMENTS", spec.sector_dimension())
+    single = cli._dicke_branch_records(spec, branches)
+    assert built[3:] == [1] * 6
+    for a, b in zip(single, whole):
+        key, _, value = a.partition(" = ")
+        if key in ("rayleigh_energy", "oracle_residual"):
+            assert abs(float(value) - float(b.partition(" = ")[2])) <= 1e-15
+        else:
+            assert a == b
+
+
 def test_the_record_step_builds_no_product_basis_and_stays_on_sector_sized_vectors(
         tmp_path, monkeypatch):
     path = _write(tmp_path, "model.spec", SPIN1_SPEC)
@@ -672,9 +703,7 @@ def test_solve_dicke_builds_the_sector_tables_once(tmp_path, monkeypatch, extra)
 
 
 def test_the_sector_count_builds_no_tables(monkeypatch):
-    # Quadratics refuses an oversized sector before it builds anything
+    # the count comes from the spins alone: 14 spin-1/2 levels flip 0 .. 7 times
     monkeypatch.setattr(dicke, "_sector_tables", lambda spec: pytest.fail("tables built"))
     spec = rg_core.DickeSpec(tuple(np.linspace(0.5, 1.5, 14)), (0.5,) * 14, 0.25, 1.0, 7)
-    assert spec.sector_dimension() > evb.MAX_PATHS
-    with pytest.raises(ValidationError):
-        evb.Quadratics(spec)
+    assert spec.sector_dimension() == sum(math.comb(14, k) for k in range(8)) == 9908

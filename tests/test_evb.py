@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gaudin import cli, dicke, ed_oracle, evb, rg_core, solver
-from gaudin.errors import ConvergenceError, DomainError, ValidationError
+from gaudin.errors import ConvergenceError, DomainError
 from gaudin.rg_core import DICKE_X, DickeSpec, RapiditySet
 
 
@@ -340,26 +340,73 @@ def _grid_spec(m, n):
     return DickeSpec(tuple(0.5 + 0.07 * k for k in range(m)), (0.5,) * m, 0.2, 1.0, n)
 
 
-def test_the_evb_batch_is_bounded_by_the_sector():
-    # one path per state: 13 levels at N = 6 fill the 2^12 paths of one
-    # batch, at N = 7 they do not
-    assert _grid_spec(13, 6).sector_dimension() == evb.MAX_PATHS
-    assert len(evb.Quadratics(_grid_spec(13, 6)).starts()[0]) == evb.MAX_PATHS
-    with pytest.raises(ValidationError):
-        evb.Quadratics(_grid_spec(13, 7))
-    # 13 levels at N = 1 track their 14 states, not 2^13 subsets
-    branches = solver.enumerate_dicke_branches(_grid_spec(13, 1))
-    assert len(branches) == _grid_spec(13, 1).sector_dimension() == 14
+def _tracked_batches(monkeypatch):
+    """The number of paths of each Quadratics.track call, in order."""
+    sizes, track = [], evb.Quadratics.track
+
+    def counted(self, u, max_step):
+        sizes.append(len(u))
+        return track(self, u, max_step)
+
+    monkeypatch.setattr(evb.Quadratics, "track", counted)
+    return sizes
+
+
+def test_the_evb_batch_is_bounded_by_the_sector(monkeypatch):
+    # one path per state: 13 levels at N = 6 start 2^12 paths, and at N = 1
+    # they track their 14 states, not 2^13 subsets, in one batch
+    assert len(evb.Quadratics(_grid_spec(13, 6)).starts()[0]) == 2**12
+    spec = _grid_spec(13, 1)
+    sizes = _tracked_batches(monkeypatch)
+    branches = solver.enumerate_dicke_branches(spec)
+    assert sizes[0] == len(branches) == spec.sector_dimension() == 14
     assert all("evb_start" in b for b in branches)
+    # a batch's (paths, 2, M, M + 2) system matrices hold at most
+    # BLOCK_ELEMENTS entries: room for 5 paths of M = 13 tracks 5, 5 and 4
+    monkeypatch.setattr(ed_oracle, "BLOCK_ELEMENTS", 5 * 2 * 13 * 15 + 1)
+    sizes.clear()
+    evb.Quadratics(spec).solve()
+    assert sizes[:3] == [5, 5, 4]
+    # a path larger than the bound is a batch of its own
+    monkeypatch.setattr(ed_oracle, "BLOCK_ELEMENTS", 1)
+    sizes.clear()
+    evb.Quadratics(_grid_spec(3, 1)).solve()
+    assert sizes[:4] == [1, 1, 1, 1]
 
 
 def test_specs_on_each_side_of_the_batch_bound_enumerate(monkeypatch):
-    monkeypatch.setattr(evb, "MAX_PATHS", 2**3)
-    inside = solver.enumerate_dicke_branches(_grid_spec(3, 2))
-    assert len(inside) == 7 and all("evb_start" in b for b in inside)
-    # 10 states: beyond the bound the ladder runs alone
-    outside = solver.enumerate_dicke_branches(_grid_spec(9, 1))
-    assert len(outside) == 10 and all("occupation" in b for b in outside)
+    # with room for 8 paths a batch, 7 states fit one batch and 10 take two;
+    # both sectors come from EVB alone
+    sizes = _tracked_batches(monkeypatch)
+    for spec, batches in ((_grid_spec(3, 2), [7]), (_grid_spec(9, 1), [8, 2])):
+        size = len(spec.epsilons)
+        monkeypatch.setattr(ed_oracle, "BLOCK_ELEMENTS", 8 * 2 * size * (size + 2))
+        sizes.clear()
+        branches = solver.enumerate_dicke_branches(spec)
+        assert sizes[:len(batches)] == batches
+        assert len(branches) == spec.sector_dimension()
+        assert all("evb_start" in b for b in branches)
+
+
+def test_a_sector_tracked_in_batches_gives_the_states_of_one_batch(monkeypatch, caplog):
+    # M = 6 unknowns, 15 states; room for 4 paths splits them into 4 batches.
+    # Batches of other sizes round differently, so the endpoints agree as
+    # states, not bit for bit
+    spec = DickeSpec((0.62, 0.97, 1.31), (0.5, 1.0, 1.5), 0.2, 1.05, 3)
+    whole = solver.enumerate_dicke_branches(spec)
+    sizes = _tracked_batches(monkeypatch)
+    monkeypatch.setattr(ed_oracle, "BLOCK_ELEMENTS", 4 * 2 * 6 * 8)
+    with caplog.at_level(logging.DEBUG, logger="gaudin"):
+        split = solver.enumerate_dicke_branches(spec)
+    assert sizes[:4] == [4, 4, 4, 3]
+    assert "evb round 0: 15 paths" in caplog.text
+    assert "; 4 batches of at most 4 paths" in caplog.text
+    assert len(whole) == len(split) == spec.sector_dimension() == 15
+    assert all("evb_start" in b for b in whole + split)
+    assert np.max(np.abs(_energies(spec, whole) - _energies(spec, split))) < 1e-10
+    assert sorted(b["evb_start"] for b in whole) == sorted(b["evb_start"] for b in split)
+    _, sector = _sector(spec, spec.n_excitations)
+    assert np.max(np.abs(_energies(spec, split) - sector)) < 1e-9
 
 
 SPIN_ONE_SPEC = """\
@@ -527,8 +574,8 @@ def test_a_short_count_exits_4_from_solve_dicke_and_from_verify(tmp_path, monkey
 def test_evb_rounds_are_logged_at_debug(caplog):
     with caplog.at_level(logging.DEBUG, logger="gaudin"):
         solver.enumerate_dicke_branches(DickeSpec((0.8, 1.3), (0.5, 0.5), 0.2, 1.0, 2))
-    assert "evb round 0: 4 paths at step cap 0.3, 0 failed (0 at the attempt cap)" \
-        in caplog.text
+    assert ("evb round 0: 4 paths at step cap 0.3, 0 failed (0 at the attempt cap), "
+            "0 duplicate; 1 batches of at most 4 paths") in caplog.text
     assert "4 physical, 4 candidates, 4 states; 4 polished, 0 left once the sector was full" \
         in caplog.text
     # a full sector runs no ladder
@@ -604,7 +651,6 @@ def test_the_sector_stop_changes_no_result(monkeypatch):
     assert all("evb_start" in b for found in stopped for b in found)
     stopped_polishes = len(polishes)
     # no sector is ever full: every candidate is polished
-    monkeypatch.setattr(evb, "MAX_PATHS", 10**10)
     monkeypatch.setattr(DickeSpec, "sector_dimension", lambda self: 10**9)
     polished_all = [solver._evb_branches(spec, policy) for spec in specs]
     assert len(polishes) - stopped_polishes == 2 * sum(sizes)

@@ -807,7 +807,8 @@ def scipy_modules():
 import gaudin.cli
 after_import = scipy_modules()
 codes = [gaudin.cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"import": after_import, "main": scipy_modules(), "codes": codes}))
+print(json.dumps({"import": after_import, "main": scipy_modules(), "codes": codes,
+                  "numpy.ma": "numpy.ma" in sys.modules}))
 """
 
 
@@ -833,6 +834,8 @@ def test_the_program_loads_no_scipy_module(tmp_path):
     assert result["codes"] == [0, 0, 0]
     assert result["import"] == []
     assert result["main"] == []
+    # nor numpy.ma, which np.unique's masked-array check imports
+    assert result["numpy.ma"] is False
 
 
 def _bethe_vector(spec, rapidities, basis):
