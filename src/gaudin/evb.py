@@ -29,11 +29,12 @@ tracks c^_{k,n} = g^n c_{k,n}, each order-n row times g^n, polynomial in
 state of the sector (sum_k p_k <= N, DickeSpec.sector_dimension).  Each
 step is predicted by the cubic Hermite extrapolation (hermite, shared with
 the solver) through a path's last two points and their tangents
-dc^/dt = -J^-1 dF/dt, each from the correction that accepted its point.  An
-endpoint is physical when the Heine-Stieltjes equation at its U has a monic
-degree-N solution, by least squares (heine_stieltjes, its parts built once
-per spec by heine_stieltjes_matrices); the solver polishes the roots of P
-on the Dicke equations.
+dc^/dt = -J^-1 dF/dt, each from the correction that accepted its point.  Each
+endpoint's rapidities are the roots of the monic degree-N P that solves the
+Heine-Stieltjes equation at its U by least squares (heine_stieltjes, its
+parts built once per spec by heine_stieltjes_matrices); the solver polishes
+them on the Dicke equations, the endpoints with the lowest least-squares
+residual first.
 """
 
 from __future__ import annotations
@@ -66,12 +67,6 @@ END_TOL = 1e-13
 # as one; a round re-tracks them, and the failed paths, with the step cap / 4
 DISTINCT_TOL = 1e-7
 ROUNDS = 3
-# Heine-Stieltjes residual below which an endpoint is physical, and below
-# which it is still worth a polish: where solutions nearly meet, a physical
-# endpoint and its spurious neighbours read 1e-5 alike (over 150 random specs
-# with m <= 8, 24 of 7159 spurious endpoints read below 1e-3, the lowest 5e-5)
-PHYSICAL_TOL = 1e-6
-CANDIDATE_TOL = 1e-3
 
 
 class Quadratics:

@@ -40,12 +40,12 @@ n = 0 .. 2 s_k - 1, of
     (w - x) y - y^2 - G^2 y' + N G^2 = 2 G^2 sum_j s_j (y(x) - U_j)/(eps_j - x)
 
 about eps_k, y = G^2 P'/P (evb), in batches of bounded memory, and
-polishes the physical endpoints on the Dicke equations.  While the sector is
+polishes every tracked endpoint on the Dicke equations.  While the sector is
 short, it runs solve_dicke_branch over every occupation pattern, on a ladder
-of xi starts.  Both tell states apart by their eigenvalue-based
-variables (evb.eigenvalue_variables, within evb.distinct_tol), and either
-stops once it holds as many distinct states as the sector has
-(DickeSpec.sector_dimension).
+of xi starts.  Both accept a Dicke answer by one rule: its polish converges
+(_polish) and its eigenvalue-based variables differ from every kept state's
+(_is_new); either stops once it holds as many distinct states as the sector
+has (DickeSpec.sector_dimension).
 """
 
 from __future__ import annotations
@@ -585,8 +585,9 @@ def solve_dicke_branch(spec, occupation, policy=None, xi_start=1.0):
     inner homotopy tau 0 -> 1 (reintroducing the rapidity coupling), then the
     single-copy deformation from xi_start down to xi = 0, in steps of at most
     OUTER_MAX_STEP, where the family is the Dicke equations over hbar_omega;
-    that last point is polished on the Dicke equations in energy units and
-    listed in one order (_ordered).
+    that last point is polished on the Dicke equations in energy units
+    (_polish, as every enumerated state is) and listed in one order
+    (_ordered).
     xi_start = 1 is the natural top of the family; branches that escape to
     infinity there need a smaller xi_start (a larger deformed copy).
     Returns (RapiditySet in the x frame, the polish's ResidualReport, trace).
@@ -612,7 +613,7 @@ def solve_dicke_branch(spec, occupation, policy=None, xi_start=1.0):
     capped = replace(policy, max_step=min(policy.max_step, OUTER_MAX_STEP))
     path, status = _continue_path(outer, xi_start, 0.0, path[-1][1], capped)
     _require_converged(path[-1], status, "outer continuation", "xi")
-    values, report, _ = newton_solve(exact, path[-1][1], policy.newton_tol)
+    values, report = _polish(exact, path[-1][1], policy.newton_tol)
     path[-1] = (0.0, _ordered(values), report.max_abs)
     trace = _trace(path, status, DICKE_X)
     return trace.final.rapidities, report, trace
@@ -653,53 +654,66 @@ def enumerate_dicke_branches(spec, policy=None):
 def _evb_branches(spec, policy):
     """Branches from all EVB endpoints (evb.Quadratics) of the spec.
 
-    Each endpoint whose Heine-Stieltjes residual is at most evb.CANDIDATE_TOL
-    seeds newton_solve on the Dicke equations with the roots of its
-    polynomial, most physical first; a converged state is kept unless its
-    eigenvalue-based variables repeat a kept one's.  The physical endpoints
-    (evb.PHYSICAL_TOL) give the states; the rest of the candidates recover a
-    state whose endpoint sits where solutions nearly meet, and whose residual
-    is then no better than a spurious neighbour's.  Polishing stops once the
-    sector is full: the kept states have distinct eigenvalue-based
-    variables, so no later candidate can be new.
+    Every tracked endpoint seeds _polish on the Dicke equations with the roots
+    of its Heine-Stieltjes polynomial, the lowest least-squares residual
+    first, and a converged state is kept when it is new (_is_new).  The
+    residual only orders the polishes: where solutions nearly meet, an
+    endpoint whose residual is no better than a spurious neighbour's, or far
+    worse, still polishes into its state.  Polishing stops once the sector is
+    full: the kept states are distinct, so no later endpoint can be new.
     """
     m = len(spec.epsilons)
     flips, ends, ok = evb.Quadratics(spec).solve()
-    u = ends[:, :m]
-    roots, rel = evb.heine_stieltjes(spec, u)
-    candidates = np.nonzero(ok & (rel <= evb.CANDIDATE_TOL))[0]
-    candidates = candidates[np.argsort(rel[candidates], kind="stable")]
-    tol = evb.distinct_tol(u[ok])
+    roots, rel = evb.heine_stieltjes(spec, ends[:, :m])
+    tracked = np.nonzero(ok)[0]
+    tracked = tracked[np.argsort(rel[tracked], kind="stable")]
     full = spec.sector_dimension()
 
     def exact(w):
         return rg_core.dicke_rg_residual(spec, w)
 
-    kept = np.empty((len(candidates), m), dtype=complex)
+    kept = np.empty((len(tracked), m), dtype=complex)
     branches = []
-    polished = 0
-    for p in candidates:
+    polished = failed = 0
+    worst = 0.0
+    for p in tracked:
         if len(branches) == full:
             break
         polished += 1
         try:
             values, report = _polish(exact, roots[p], policy.newton_tol)
         except (ConvergenceError, SingularJacobianError, CollisionError):
+            failed += 1
             continue
         state = evb.eigenvalue_variables(spec, values)
-        if np.any(np.max(np.abs(kept[:len(branches)] - state), axis=1) <= tol):
+        if not _is_new(state, kept[:len(branches)]):
             continue
         kept[len(branches)] = state
+        worst = max(worst, rel[p])
         branches.append({
             "evb_start": [int(k) for k in np.repeat(np.arange(m), flips[p])],
             "rapidities": RapiditySet(tuple(_ordered(values)), DICKE_X),
             "report": report,
         })
-    log.debug("evb: %d of %d endpoints tracked, %d physical, %d candidates, %d states; "
-              "%d polished, %d left once the sector was full",
-              int(np.sum(ok)), len(ok), int(np.sum(rel[candidates] <= evb.PHYSICAL_TOL)),
-              len(candidates), len(branches), polished, len(candidates) - polished)
+    log.debug("evb: %d of %d endpoints tracked, %d states; %d polished, %d failed, %d left "
+              "once the sector was full; largest Heine-Stieltjes residual of a kept "
+              "state %.3g",
+              len(tracked), len(ok), len(branches), polished, failed,
+              len(tracked) - polished, worst)
     return branches
+
+
+def _is_new(state, known):
+    """Whether the eigenvalue-based variables `state` (m,) of a polished
+    state differ from each of `known` (K of them, as rows or a list) by more
+    than evb.distinct_tol of the pair, in the max norm: the one rule by which
+    EVB and the ladder tell a new state from a kept one."""
+    known = np.reshape(known, (-1, len(state)))
+    far = np.max(np.abs(known - state), axis=1)
+    # a row's modulus is at most state's plus its distance, and so is its
+    # pair's tolerance: only the rows within that can repeat the state
+    near = known[far <= evb.distinct_tol(state) + evb.DISTINCT_TOL * far]
+    return not any(np.max(np.abs(k - state)) <= evb.distinct_tol((k, state)) for k in near)
 
 
 def _ordered(values):
@@ -737,10 +751,9 @@ def _ladder_branches(spec, policy, found=()):
 
     Patterns that fail at xi_start = 1 (typically branches escaping to
     infinity because the deformed copy is too small) or converge onto a
-    known branch (eigenvalue-based variables within evb.distinct_tol of its)
-    are retried at smaller xi_start values, where the larger deformed copy
-    holds every finite solution.  No pattern is tried once the sector is
-    full.
+    known branch (not _is_new) are retried at smaller xi_start values, where
+    the larger deformed copy holds every finite solution.  No pattern is
+    tried once the sector is full.
     """
     from itertools import combinations_with_replacement
 
@@ -774,7 +787,7 @@ def _ladder_branches(spec, policy, found=()):
                 continue
             final, report = res
             u = evb.eigenvalue_variables(spec, final.values)
-            if any(np.max(np.abs(k - u)) <= evb.distinct_tol((k, u)) for k in known):
+            if not _is_new(u, known):
                 # relabeled onto a known branch; look deeper down the ladder
                 still.append(pattern)
                 continue

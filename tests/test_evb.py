@@ -3,6 +3,7 @@ any spin, and the xi-continuation ladder that fills a short sector."""
 
 import functools
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ def test_evb_endpoints_solve_the_quadratics():
     assert np.max(np.abs(f1)) < 1e-12
     # the physical endpoints carry the rapidities: U_k = G^2 sum_a 1/(eps_k - x_a)
     roots, rel = evb.heine_stieltjes(spec, ends)
-    physical = rel <= evb.PHYSICAL_TOL
+    physical = rel <= 1e-6
     # every start of the sector reaches a physical endpoint
     assert physical.all()
     eps = np.asarray(spec.epsilons)
@@ -291,8 +292,8 @@ def test_close_levels_keep_the_states_whose_polish_stalls_at_round_off(spec):
 
 def test_an_endpoint_where_solutions_nearly_meet_still_gives_its_state(monkeypatch):
     # three levels within 0.0033: one endpoint reads a Heine-Stieltjes
-    # residual of 2.9e-6, above PHYSICAL_TOL, and its polish still gives
-    # its state
+    # residual of 2.9e-6, where spurious endpoints read alike, and its polish
+    # still gives its state
     spec = DickeSpec((0.5395928766642029, 0.704952555997677, 0.7051622850873662,
                       0.7082261522634622, 1.4172977047909026),
                      (0.5,) * 5, 0.18214731581500543, 0.8756015297312423, 3)
@@ -300,8 +301,8 @@ def test_an_endpoint_where_solutions_nearly_meet_still_gives_its_state(monkeypat
     branches = solver.enumerate_dicke_branches(spec)
     [(_, ends, ok)] = runs
     _, rel = evb.heine_stieltjes(spec, ends)
-    assert np.sum(ok & (rel <= evb.PHYSICAL_TOL)) == spec.sector_dimension() - 1 == 25
-    assert np.sum(ok & (rel > evb.PHYSICAL_TOL) & (rel <= evb.CANDIDATE_TOL)) == 1
+    assert np.sum(ok & (rel <= 1e-6)) == spec.sector_dimension() - 1 == 25
+    assert np.sum(ok & (rel > 1e-6) & (rel <= 1e-3)) == 1
     _, sector = _sector(spec, 3)
     assert len(branches) == len(sector) == 26
     assert np.max(np.abs(_energies(spec, branches) - sector)) < 1e-9
@@ -309,7 +310,7 @@ def test_an_endpoint_where_solutions_nearly_meet_still_gives_its_state(monkeypat
 
 def test_three_levels_within_0_018_give_all_57_states():
     # the endpoint of this spec that read 9e-6 behind an Euler predictor reads
-    # below PHYSICAL_TOL behind the Hermite one; all its states still come out
+    # below 1e-6 behind the Hermite one; all its states still come out
     spec = DickeSpec((0.5770838085005388, 0.6326962975467872, 0.7128309953403343,
                       0.9884492270855239, 1.000356430736871, 1.006064922529373),
                      (0.5,) * 6, 0.1, 0.7950064428055195, 4)
@@ -466,6 +467,110 @@ def test_close_high_spin_levels_run_on_evb():
         assert np.max(np.abs(_energies(spec, branches) - sector)) < 1e-9
 
 
+CLOSE_SPIN_ONE_PAIR = """\
+model = dicke
+epsilons = [1.0, 1.001]
+spins = [1.0, 1.0]
+G = 0.2
+hbar_omega = 1.0
+N = 1
+"""
+
+
+def test_the_close_spin_one_pair_gives_its_middle_state(tmp_path, caplog):
+    # the state whose rapidity sits between the levels 1e-3 apart has an
+    # endpoint whose Heine-Stieltjes residual reads above 1e-3, as no
+    # physical endpoint does; its polish gives the state all the same
+    spec, doc, checked = tmp_path / "pair.spec", tmp_path / "pair.out", tmp_path / "pair.verify"
+    spec.write_text(CLOSE_SPIN_ONE_PAIR)
+    with caplog.at_level(logging.DEBUG, logger="gaudin"):
+        assert cli.main(["--mode", "solve-dicke", "--spec", str(spec), "--out", str(doc)]) == 0
+    assert _evb_summary(caplog.text)[:-1] == ("3 of 3", "3", "3", "0", "0")
+    assert float(_evb_summary(caplog.text)[-1]) > 1e-3
+    triples = cli.parse_kv_lines(doc.read_text().splitlines())
+    header = {k: v for s, k, v in triples if s is None}
+    assert header["branches_expected"] == header["branches_found"] == "3"
+    records = [{k: v for s, k, v in triples if s == "branch %d" % i} for i in range(3)]
+    middle = records[1]
+    assert middle["evb_start"] == [1.0]
+    assert float(middle["rayleigh_energy"]) == pytest.approx(-1.0005, abs=1e-6)
+    assert max(float(r["oracle_residual"]) for r in records) < 1e-8
+    assert cli.main(["--mode", "verify", "--spec", str(doc), "--out", str(checked)]) == 0
+    assert "verdict = pass" in checked.read_text().splitlines()
+
+
+def test_solve_dicke_branch_polishes_by_the_enumerations_rule(monkeypatch):
+    # its last point goes through _polish, as every enumerated state does: a
+    # polish that stalls at the round-off floor of close levels counts
+    tolerances, polish = [], solver._polish
+
+    def counted(residual_fn, w0, tol):
+        tolerances.append(tol)
+        return polish(residual_fn, w0, tol)
+
+    monkeypatch.setattr(solver, "_polish", counted)
+    spec = DickeSpec((1.0, 1.001), (1.0, 1.0), 0.2, 1.0, 1)
+    final, report, trace = solver.solve_dicke_branch(spec, [0])
+    assert tolerances == [solver.ContinuationPolicy().newton_tol]
+    assert trace.final.xi == 0.0 and trace.final.max_abs == report.max_abs <= 1e-10
+
+
+def _orthonormality_error(spec, branches):
+    """max |V^H V - I| over the unit Bethe vectors V of the branches: the
+    check that holds where energies are degenerate, since distinct
+    eigenstates of the conserved charges are orthogonal."""
+    states = [dicke.BetheProductState(spec, b["rapidities"]) for b in branches]
+    v, _ = dicke.bethe_coefficients(states, spec.n_excitations)
+    return np.max(np.abs(v.conj().T @ v - np.eye(len(states))))
+
+
+def test_evb_gives_six_states_at_random_m20_n1():
+    # 6 of the 21 paths track, and every one of their endpoints reads a
+    # Heine-Stieltjes residual above 1e-6; each polishes into its own state
+    spec = _random_spec(20, 1, seed=20)
+    branches = solver._evb_branches(spec, solver.ContinuationPolicy())
+    assert spec.sector_dimension() == 21
+    assert len(branches) == 6
+    assert _orthonormality_error(spec, branches) < 1e-8
+
+
+def _mixed_draw():
+    """The 80-spec mixed-spin draw of ROADMAP's Baseline: the levels and
+    hbar_omega rounded to 5 digits, G not."""
+    rng = np.random.default_rng(2026)
+    specs = []
+    for _ in range(80):
+        m = int(rng.integers(2, 4))
+        spins = tuple(float(s) for s in rng.choice([0.5, 1.0, 1.5, 2.0, 2.5], m))
+        n = int(rng.integers(1, 4))
+        coupling = float(rng.uniform(0.05, 0.5))
+        eps = tuple(float(e) for e in np.round(np.sort(rng.uniform(0.5, 1.5, m)), 5))
+        specs.append(DickeSpec(eps, spins, coupling, round(float(rng.uniform(0.5, 1.5)), 5), n))
+    return specs
+
+
+def test_the_mixed_spin_draw_is_complete():
+    # as enumerate_dicke_branches runs it: EVB, then the ladder's fill-in
+    policy = solver.ContinuationPolicy()
+    from_evb = from_ladder = 0
+    ladder = set()
+    for i, spec in enumerate(_mixed_draw()):
+        found = solver._evb_branches(spec, policy)
+        short = len(found) < spec.sector_dimension()
+        added = solver._ladder_branches(spec, policy, found) if short else []
+        assert len(found) + len(added) == spec.sector_dimension()
+        assert _orthonormality_error(spec, found + added) < 1e-8
+        from_evb += len(found)
+        from_ladder += len(added)
+        if added:
+            ladder.add(i)
+    assert from_evb + from_ladder == 634
+    assert from_evb >= 599
+    # EVB completes every spec it completed when only the endpoints whose
+    # Heine-Stieltjes residual read up to 1e-3 were polished
+    assert ladder <= {7, 17, 19, 42, 50, 65, 66, 78}
+
+
 # mixed-spin specs; (0.8, 1.2) at spins (5/2, 5/2) and hbar_omega = 1 has a
 # degenerate pair at E = -2
 MIXED_SPECS = [
@@ -576,16 +681,28 @@ def test_evb_rounds_are_logged_at_debug(caplog):
         solver.enumerate_dicke_branches(DickeSpec((0.8, 1.3), (0.5, 0.5), 0.2, 1.0, 2))
     assert ("evb round 0: 4 paths at step cap 0.3, 0 failed (0 at the attempt cap), "
             "0 duplicate; 1 batches of at most 4 paths") in caplog.text
-    assert "4 physical, 4 candidates, 4 states; 4 polished, 0 left once the sector was full" \
-        in caplog.text
+    assert _evb_summary(caplog.text)[:-1] == ("4 of 4", "4", "4", "0", "0")
+    # every endpoint is physical
+    assert float(_evb_summary(caplog.text)[-1]) < 1e-6
     # a full sector runs no ladder
     assert "ladder" not in caplog.text
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="gaudin"):
         solver.enumerate_dicke_branches(SPIN_ONE_ENUM)
     assert "evb round 0: 6 paths" in caplog.text
-    assert "6 physical, 6 candidates, 6 states; 6 polished, 0 left once the sector was full" \
-        in caplog.text
+    assert _evb_summary(caplog.text)[:-1] == ("6 of 6", "6", "6", "0", "0")
+    assert float(_evb_summary(caplog.text)[-1]) < 1e-6
+
+
+def _evb_summary(text):
+    """The fields of _evb_branches' DEBUG line: endpoints tracked of all,
+    states, polishes tried, failed and left, and the largest Heine-Stieltjes
+    residual of a kept state."""
+    [fields] = re.findall(
+        r"evb: (\d+ of \d+) endpoints tracked, (\d+) states; (\d+) polished, (\d+) "
+        r"failed, (\d+) left once the sector was full; largest Heine-Stieltjes residual "
+        r"of a kept state (\S+)", text)
+    return fields
 
 
 # the dicke-enum benchmark's spin-1 spec at seed 0
