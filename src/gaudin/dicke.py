@@ -239,12 +239,15 @@ def _raiser(down, up, column, amplitudes, place):
     raises digit `column` by one, with amplitudes[d] on a digit d below
     len(amplitudes): a raised state lies `place` above its source in the
     product basis.  Each state has one source, so the block has at most one
-    entry per row and per column."""
+    entry per row and per column.  Its triplets are canonical as built: the
+    rows rise with the columns, as both sectors list their states in
+    product-basis order, and every amplitude is positive, so the CooMatrix
+    takes them as given."""
     digit = down.digits[:, column]
     cols = np.nonzero(digit < len(amplitudes))[0]
     rows = np.searchsorted(up.indices, down.indices[cols] + place)
-    return ed_oracle.CooMatrix(rows, cols, amplitudes[digit[cols]].astype(complex),
-                               (up.total_dim, down.total_dim))
+    return ed_oracle.CooMatrix._canonical(rows, cols, amplitudes[digit[cols]].astype(complex),
+                                          (up.total_dim, down.total_dim))
 
 
 def bethe_ladder(spec):

@@ -32,8 +32,9 @@ the solver) through a path's last two points and their tangents
 dc^/dt = -J^-1 dF/dt, each from the correction that accepted its point.  Each
 endpoint's rapidities are the roots of the monic degree-N P that solves the
 Heine-Stieltjes equation at its U by least squares (heine_stieltjes, its
-parts built once per spec by heine_stieltjes_matrices); the solver polishes
-them on the Dicke equations, the endpoints with the lowest least-squares
+parts built once per spec by heine_stieltjes_matrices); the solver takes
+those that meet its Newton tolerance on the Dicke equations as they stand
+and polishes the others, the endpoints with the lowest least-squares
 residual first.
 """
 
@@ -180,14 +181,16 @@ class Quadratics:
         together: a converged path's tangent du/dt = -J^-1 dF/dt is that of
         its last correction, taken where the correction started.  The
         homotopy's matrices at t are computed once per call, and every
-        correction evaluates the system as evaluate does (_system)."""
+        correction evaluates the system as evaluate does (_system).  The
+        corrections work on u itself while every path is active, a
+        correction after which every path converged ends the call, and the
+        paths that continue are gathered anew only when some stop."""
         tol = TRACK_TOL if tol is None else tol
         todo = np.arange(len(u))
         converged = np.zeros(len(u), dtype=bool)
         used = np.zeros(len(u), dtype=int)
         tangent = np.zeros_like(u)
         mats = self._homotopy(t)
-        # while every path is active, the corrections work on u itself
         active = u
         prev = None
         for it in range(1, MAX_CORRECTIONS + 1):
@@ -197,78 +200,101 @@ class Quadratics:
             active -= delta
             if active is not u:
                 u[todo] = active
-            size = np.max(np.abs(delta), axis=1)
-            scale = 1.0 + np.max(np.abs(active), axis=1)
+            size = np.abs(delta).max(axis=1)
+            scale = 1.0 + np.abs(active).max(axis=1)
             est = size if prev is None else np.minimum(size, size * size / prev)
             done = est <= tol * scale
-            converged[todo[done]] = True
-            used[todo[done]] = it
-            tangent[todo[done]] = -sol[done, :, 1]
+            if done.all():
+                converged[todo], used[todo], tangent[todo] = True, it, -sol[..., 1]
+                break
+            if done.any():
+                finished = todo[done]
+                converged[finished], used[finished] = True, it
+                tangent[finished] = -sol[done, :, 1]
             # a path whose correction is of the order of its values has left
             # the basin; evaluating it again could overflow
             keep = ~done & (size < scale)
+            if keep.all():
+                prev = size
+                continue
             todo, prev = todo[keep], size[keep]
             if not len(todo):
                 break
-            if not keep.all():
-                active, mats = u[todo], mats[keep]
+            active, mats = u[todo], mats[keep]
         return converged, used, tangent
 
     def track(self, u, max_step):
         """Follow paths u (P, M) from t = 0 to t = 1 with an adaptive step per
         path, then correct the endpoints to END_TOL.  Returns (u at t = 1,
         ok, capped): a path fails once a step no longer moves its t, or when
-        it has not reached t = 1 after MAX_ATTEMPTS steps (capped).
+        it has not reached t = 1 after MAX_ATTEMPTS steps (capped).  A path
+        is active from the first step until it fails or reaches t = 1, so
+        every active path has made as many attempts as the loop has made
+        steps, and the cap is tested on that count alone.
 
         A step is predicted by the cubic Hermite extrapolation (hermite)
         through the path's last two accepted points and their tangents, by
         an Euler step from its start.  Every tangent comes from the
         correction that accepted its point (correct), the start's from a
-        correction at t = 0, so no point is evaluated twice."""
+        correction at t = 0, so no point is evaluated twice.  The active
+        paths' points, tangents and steps are held in arrays of their own,
+        in path order: a step that every path accepts only passes them on,
+        and a path leaves them, its last point written to u, once it reaches
+        t = 1 or fails."""
         u = u.copy()
-        n = len(u)
-        t = np.zeros(n)
-        h = np.full(n, min(INITIAL_STEP, max_step))
-        alive, _, du = self.correct(u, t)
-        attempts = np.zeros(n, dtype=int)
-        capped = np.zeros(n, dtype=bool)
-        # the last accepted point before the current one, once there is one
-        before = np.zeros(n, dtype=bool)
-        t0, u0, du0 = t.copy(), u.copy(), du.copy()
-        while True:
-            act = np.nonzero(alive & (t < 1.0))[0]
-            if not len(act):
-                idx = np.nonzero(alive)[0]
-                ends = u[idx]
-                self.correct(ends, t[idx], END_TOL)
-                # an ill-conditioned endpoint stops at its round-off floor
-                # above END_TOL; the polish is kept unless it moved the point
-                # far beyond the accuracy the path arrived with
-                arrived = u[idx]
-                moved = np.max(np.abs(ends - arrived), axis=1)
-                keep = moved <= 1e3 * TRACK_TOL * (1.0 + np.max(np.abs(arrived), axis=1))
-                u[idx[keep]] = ends[keep]
-                return u, alive, capped
-            ta = t[act]
-            t1 = np.where(h[act] >= 1.0 - ta, 1.0, ta + h[act])
-            tau = (t1 - ta)[:, None]
-            v = np.where(before[act, None],
-                         hermite(u0[act], du0[act], u[act], du[act],
-                                 np.where(before[act], ta - t0[act], 1.0)[:, None], tau),
-                         u[act] + tau * du[act])
+        alive, _, du = self.correct(u, np.zeros(len(u)))
+        capped = np.zeros(len(u), dtype=bool)
+        idx = np.nonzero(alive)[0]
+        # each active path's last accepted point (t, x, dx) and, once it has
+        # one (prior), the accepted point before it (t0, x0, dx0)
+        t, x, dx = np.zeros(len(idx)), u[idx], du[idx]
+        t0, x0, dx0 = t.copy(), x.copy(), dx.copy()
+        prior = np.zeros(len(idx), dtype=bool)
+        h = np.full(len(idx), min(INITIAL_STEP, max_step))
+        steps = 0
+        while len(idx):
+            steps += 1
+            t1 = np.where(h >= 1.0 - t, 1.0, t + h)
+            tau = (t1 - t)[:, None]
+            if prior.all():
+                v = hermite(x0, dx0, x, dx, (t - t0)[:, None], tau)
+            else:
+                v = np.where(prior[:, None],
+                             hermite(x0, dx0, x, dx, np.where(prior, t - t0, 1.0)[:, None], tau),
+                             x + tau * dx)
             ok, used, dv = self.correct(v, t1)
-            acc, rej = act[ok], act[~ok]
-            t0[acc], u0[acc], du0[acc] = t[acc], u[acc], du[acc]
-            before[acc] = True
-            t[acc], u[acc], du[acc] = t1[ok], v[ok], dv[ok]
-            grow = acc[used[ok] <= 2]
+            if ok.all():
+                t0, x0, dx0, t, x, dx, prior = t, x, dx, t1, v, dv, ok
+                grow = used <= 2
+                out = t >= 1.0
+            else:
+                t0[ok], x0[ok], dx0[ok] = t[ok], x[ok], dx[ok]
+                t[ok], x[ok], dx[ok] = t1[ok], v[ok], dv[ok]
+                prior |= ok
+                grow = ok & (used <= 2)
+                h[~ok] *= 0.5
+                out = (t >= 1.0) | (~ok & (t + h <= t))
             h[grow] = np.minimum(2.0 * h[grow], max_step)
-            h[rej] *= 0.5
-            alive[rej[t[rej] + h[rej] <= t[rej]]] = False
-            attempts[act] += 1
-            out = act[alive[act] & (t[act] < 1.0) & (attempts[act] >= MAX_ATTEMPTS)]
-            alive[out] = False
-            capped[out] = True
+            if steps >= MAX_ATTEMPTS:
+                capped[idx[~out]] = True
+                out[:] = True
+            if out.any():
+                u[idx[out]] = x[out]
+                alive[idx[out & (t < 1.0)]] = False
+                keep = ~out
+                idx, t, x, dx, t0, x0, dx0, prior, h = (
+                    a[keep] for a in (idx, t, x, dx, t0, x0, dx0, prior, h))
+        idx = np.nonzero(alive)[0]
+        ends = u[idx]
+        self.correct(ends, np.ones(len(idx)), END_TOL)
+        # an ill-conditioned endpoint stops at its round-off floor above
+        # END_TOL; the polish is kept unless it moved the point far beyond
+        # the accuracy the path arrived with
+        arrived = u[idx]
+        moved = np.max(np.abs(ends - arrived), axis=1)
+        keep = moved <= 1e3 * TRACK_TOL * (1.0 + np.max(np.abs(arrived), axis=1))
+        u[idx[keep]] = ends[keep]
+        return u, alive, capped
 
     def solve(self):
         """(flips, endpoints at g = G^2, ok mask): every start (starts)
@@ -433,6 +459,8 @@ def heine_stieltjes(spec, u):
 
 
 def eigenvalue_variables(spec, x):
-    """U_k = G^2 sum_a 1/(eps_k - x_a) of the rapidities x."""
+    """U_k = G^2 sum_a 1/(eps_k - x_a) of the rapidities x (..., N), one
+    (..., m) row per rapidity array."""
     eps = np.asarray(spec.epsilons, dtype=float)
-    return spec.coupling_G**2 * np.sum(1.0 / (eps[:, None] - np.asarray(x)), axis=1)
+    return spec.coupling_G**2 * np.sum(1.0 / (eps[:, None] - np.asarray(x)[..., None, :]),
+                                       axis=-1)

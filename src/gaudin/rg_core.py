@@ -239,28 +239,38 @@ def _row(kind, sites, weights, g_site, g_pair, const=1.0, lin=0.0, scale=1.0):
 
 def _evaluate(row, w, jacobian, rate=None):
     """The one residual kernel behind every family, on a _Row, as numpy
-    reductions: the site sum over an (N, m) array of rapidity-site terms, the
-    pair sum over the (N, N) array of rapidity pairs, whose diagonal is
-    masked.  Collisions are found by one reduction over each array;
-    algebra.check_collisions then names the first in rapidity order.  With
-    g_pair == 0 the pair sum is skipped, so the Jacobian is exactly diagonal.
-    The Jacobian (`jacobian` true) comes back as a _form_jacobian call on
-    this evaluation's arrays, and `rate`, a _Row of parameter differences,
-    asks for the kernel's derivative along them, the dF/dt of a family affine
-    in t, as a _form_rate call: each is made when the report reads it, so w
-    must not change in place before then.  Everything is computed in w's
-    dtype, float64 for a real w (integers are taken as float64) and
-    complex128 for a complex one.  Returns (residuals, max modulus, the
-    Jacobian's call or None, the rate's call or None)."""
+    reductions over the rapidities' last axis: the site sum over an (..., N,
+    m) array of rapidity-site terms, the pair sum over the (..., N, N) array
+    of rapidity pairs, whose diagonal is masked.  A w of shape (..., N)
+    holds one rapidity array per leading index, each evaluated with the
+    arithmetic of a 1-D call, so a batch's rows are bitwise those of its
+    rows' own calls.  Collisions are found by one reduction over each array;
+    algebra.check_collisions then names the first in rapidity order, in the
+    first array that has one.  With g_pair == 0 the pair sum is skipped, so
+    the Jacobian is exactly diagonal.  The Jacobian (`jacobian` true) comes
+    back as a _form_jacobian call on this evaluation's arrays, and `rate`, a
+    _Row of parameter differences, asks for the kernel's derivative along
+    them, the dF/dt of a family affine in t, as a _form_rate call: each is
+    made when the report reads it, so w must not change in place before
+    then, and each is formed for a 1-D w only.  Everything is computed in
+    w's dtype, float64 for a real w (integers are taken as float64) and
+    complex128 for a complex one.  Returns (residuals, max modulus over the
+    last axis, a float for a 1-D w, the Jacobian's call or None, the rate's
+    call or None)."""
     e, n, base, lin, g_pair, c = row
     w = np.asarray(w)
+    if w.ndim != 1 and (jacobian or rate is not None):
+        raise ValidationError("a Jacobian or rate is formed for one rapidity array only")
     if w.dtype.kind not in "fc":  # integer rapidities, say: inf must fit in dw
         w = w.astype(float)
-    d = e - w[:, None]  # d[a, i] = e_i - w_a
-    dw = w - w[:, None]  # dw[a, b] = w_b - w_a
-    np.fill_diagonal(dw, np.inf)  # masks b == a: |dw| = inf and 1/dw = 0 there
+    size = w.shape[-1]
+    d = e - w[..., None]  # d[..., a, i] = e_i - w_a
+    dw = w[..., None, :] - w[..., None]  # dw[..., a, b] = w_b - w_a
+    # masks b == a: |dw| = inf and 1/dw = 0 there
+    dw.reshape(dw.shape[:-2] + (size * size,))[..., ::size + 1] = np.inf
     if np.abs(d).min() < algebra.COLLISION_TOL or np.abs(dw).min() < algebra.COLLISION_TOL:
-        algebra.check_collisions(e, w)
+        for values in w.reshape(-1, size):
+            algebra.check_collisions(e, values)
     q = n / d
     res = base + lin * w + q.sum(-1)
     pairs = None
@@ -269,21 +279,22 @@ def _evaluate(row, w, jacobian, rate=None):
         res = res - g_pair * pairs[3]  # the pair sum
     jac = functools.partial(_form_jacobian, lin, g_pair, d, q, pairs) if jacobian else None
     form = None if rate is None else functools.partial(_form_rate, rate, row, w, d, dw, pairs)
-    return res, float(np.abs(res).max()), jac, form
+    largest = np.abs(res).max(-1)
+    return res, float(largest) if w.ndim == 1 else largest, jac, form
 
 
 def _pair_sum(w, dw, c):
-    """The pair arrays of the kernel at w, given dw (w_b - w_a, its diagonal
-    inf): 1/dw, w_a w_b, 1 + c w_a w_b and the pair sum
+    """The pair arrays of the kernel at w (..., N), given dw (w_b - w_a, its
+    diagonal inf): 1/dw, w_a w_b, 1 + c w_a w_b and the pair sum
     sum_{b != a} (1 + c w_a w_b)/(w_b - w_a).  A rational row (c = 0) has
     numerators 1: it forms neither product array (None for both), and its
     pair sum is the row sums of 1/dw."""
     inv = 1.0 / dw
     if not c:
-        return inv, None, None, inv.sum(1)
-    ww = np.multiply.outer(w, w)
+        return inv, None, None, inv.sum(-1)
+    ww = w[..., None] * w[..., None, :]
     num = 1.0 + c * ww
-    return inv, ww, num, (num * inv).sum(1)
+    return inv, ww, num, (num * inv).sum(-1)
 
 
 def _form_jacobian(lin, g_pair, d, q, pairs):

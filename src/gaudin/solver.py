@@ -39,11 +39,14 @@ n = 0 .. 2 s_k - 1, of
 
     (w - x) y - y^2 - G^2 y' + N G^2 = 2 G^2 sum_j s_j (y(x) - U_j)/(eps_j - x)
 
-about eps_k, y = G^2 P'/P (evb), in batches of bounded memory, and
-polishes every tracked endpoint on the Dicke equations.  While the sector is
-short, it runs solve_dicke_branch over every occupation pattern, on a ladder
-of xi starts.  Both accept a Dicke answer by one rule: its polish converges
-(_polish) and its eigenvalue-based variables differ from every kept state's
+about eps_k, y = G^2 P'/P (evb), in batches of bounded memory.  It
+evaluates the Dicke equations once at the Heine-Stieltjes roots of every
+tracked endpoint, one batch per dtype (_first_evaluation), takes the
+endpoints already within the Newton tolerance as they stand, and polishes
+the others.  While the sector is short, it runs solve_dicke_branch over
+every occupation pattern, on a ladder of xi starts.  Both accept a Dicke
+answer by one rule: it meets the Newton tolerance, at once or by its polish
+(_polish), and its eigenvalue-based variables differ from every kept state's
 (_is_new); either stops once it holds as many distinct states as the sector
 has (DickeSpec.sector_dimension).
 """
@@ -654,13 +657,17 @@ def enumerate_dicke_branches(spec, policy=None):
 def _evb_branches(spec, policy):
     """Branches from all EVB endpoints (evb.Quadratics) of the spec.
 
-    Every tracked endpoint seeds _polish on the Dicke equations with the roots
-    of its Heine-Stieltjes polynomial, the lowest least-squares residual
-    first, and a converged state is kept when it is new (_is_new).  The
-    residual only orders the polishes: where solutions nearly meet, an
-    endpoint whose residual is no better than a spurious neighbour's, or far
-    worse, still polishes into its state.  Polishing stops once the sector is
-    full: the kept states are distinct, so no later endpoint can be new.
+    The roots of each tracked endpoint's Heine-Stieltjes polynomial are the
+    start of its state on the Dicke equations, the lowest least-squares
+    residual first.  One batched evaluation of the Dicke equations at every
+    endpoint's roots (_first_evaluation) accepts those within the Newton
+    tolerance as they stand, which is what newton_solve returns for them
+    before any iteration; every other endpoint seeds _polish.  A converged
+    state is kept when it is new (_is_new).  The residual only orders the
+    endpoints: where solutions nearly meet, an endpoint whose residual is no
+    better than a spurious neighbour's, or far worse, still polishes into
+    its state.  The loop stops once the sector is full: the kept states are
+    distinct, so no later endpoint can be new.
     """
     m = len(spec.epsilons)
     flips, ends, ok = evb.Quadratics(spec).solve()
@@ -668,39 +675,75 @@ def _evb_branches(spec, policy):
     tracked = np.nonzero(ok)[0]
     tracked = tracked[np.argsort(rel[tracked], kind="stable")]
     full = spec.sector_dimension()
+    first = _first_evaluation(spec, roots[tracked], policy.newton_tol)
 
     def exact(w):
         return rg_core.dicke_rg_residual(spec, w)
 
     kept = np.empty((len(tracked), m), dtype=complex)
     branches = []
-    polished = failed = 0
+    accepted = polished = failed = 0
     worst = 0.0
-    for p in tracked:
+    for i, p in enumerate(tracked):
         if len(branches) == full:
             break
-        polished += 1
-        try:
-            values, report = _polish(exact, roots[p], policy.newton_tol)
-        except (ConvergenceError, SingularJacobianError, CollisionError):
-            failed += 1
-            continue
-        state = evb.eigenvalue_variables(spec, values)
+        if i in first:
+            accepted += 1
+            state, values, report = first[i]
+        else:
+            polished += 1
+            try:
+                values, report = _polish(exact, roots[p], policy.newton_tol)
+            except (ConvergenceError, SingularJacobianError, CollisionError):
+                failed += 1
+                continue
+            state = evb.eigenvalue_variables(spec, values)
+            values = _ordered(values)
         if not _is_new(state, kept[:len(branches)]):
             continue
         kept[len(branches)] = state
         worst = max(worst, rel[p])
         branches.append({
             "evb_start": [int(k) for k in np.repeat(np.arange(m), flips[p])],
-            "rapidities": RapiditySet(tuple(_ordered(values)), DICKE_X),
+            "rapidities": RapiditySet(tuple(values), DICKE_X),
             "report": report,
         })
-    log.debug("evb: %d of %d endpoints tracked, %d states; %d polished, %d failed, %d left "
-              "once the sector was full; largest Heine-Stieltjes residual of a kept "
-              "state %.3g",
-              len(tracked), len(ok), len(branches), polished, failed,
-              len(tracked) - polished, worst)
+    log.debug("evb: %d of %d endpoints tracked, %d states; %d accepted at their first "
+              "evaluation, %d polished, %d failed, %d left once the sector was full; "
+              "largest Heine-Stieltjes residual of a kept state %.3g",
+              len(tracked), len(ok), len(branches), accepted, polished, failed,
+              len(tracked) - accepted - polished, worst)
     return branches
+
+
+def _first_evaluation(spec, roots, tol):
+    """The rows of `roots` (P, N) whose Dicke residual is within tol before
+    any Newton iteration, each as newton_solve would return it at iteration
+    0: {row: (eigenvalue-based variables, rapidities in _ordered's order,
+    ResidualReport)}.  Rows with no nonzero imaginary part are evaluated in
+    float64, as newton_solve takes them, and the rest in complex128: one
+    rg_core.dicke_rg_residual call per group, whose rows are bitwise the
+    1-D calls'.  A group that raises CollisionError accepts no row: each
+    then meets the collision in its own polish."""
+    first = {}
+    real = ~roots.imag.any(axis=1)
+    for group, w in ((real, roots.real[real]), (~real, roots[~real])):
+        if not len(w):
+            continue
+        try:
+            report = rg_core.dicke_rg_residual(spec, w, jacobian=False)
+        except CollisionError:
+            continue
+        good = report.max_abs <= tol
+        if not good.any():
+            continue
+        values = w[good]
+        answers = zip(evb.eigenvalue_variables(spec, values), _ordered(values),
+                      report.residuals[good], report.max_abs[good].tolist())
+        for row, (state, ordered, residuals, max_abs) in zip(
+                np.nonzero(group)[0][good].tolist(), answers):
+            first[row] = (state, ordered, rg_core.ResidualReport(residuals, max_abs))
+    return first
 
 
 def _is_new(state, known):
@@ -721,12 +764,16 @@ def _ordered(values):
     found in: by real part, the two members of a conjugate pair (|x_a - conj
     x_b| within round-off of their size: 1e-12, where pairs read at most 4e-16)
     sorted by the lower of their real parts, the one with the positive
-    imaginary part first.  Only the order changes."""
+    imaginary part first.  Only the order changes.  values (..., N) orders
+    each rapidity array along the last axis."""
     x = np.asarray(values)
-    pair = np.abs(x[:, None] - x.conj()) <= 1e-12 * np.maximum.outer(np.abs(x), np.abs(x))
-    np.fill_diagonal(pair, False)
-    key = np.where(pair, np.minimum.outer(x.real, x.real), x.real[:, None]).min(axis=1)
-    return x[np.lexsort((-x.imag, key))]
+    size, re = np.abs(x), x.real
+    pair = np.abs(x[..., None] - x.conj()[..., None, :]) <= 1e-12 * np.maximum(
+        size[..., None], size[..., None, :])
+    diagonal = np.arange(x.shape[-1])
+    pair[..., diagonal, diagonal] = False
+    key = np.where(pair, np.minimum(re[..., None], re[..., None, :]), re[..., None]).min(axis=-1)
+    return np.take_along_axis(x, np.lexsort((-x.imag, key), axis=-1), axis=-1)
 
 
 def _polish(residual_fn, w0, tol):

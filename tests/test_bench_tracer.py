@@ -89,19 +89,25 @@ def _traced_run(tmp_path, workload, index):
 
 def test_a_traced_solve_dicke_call_reaches_every_patched_name(tmp_path):
     # every name the tracer patches on this path is reached through the
-    # patched attribute, and its hook reads what it expects (newton_solve's
-    # iteration count at res[2]: 0, as the roots of the exact spin-1 system
-    # meet the Newton tolerance already); the record step realizes nothing
+    # patched attribute; the record step realizes nothing.  The roots of the
+    # exact spin-1 system meet the Newton tolerance already: all six
+    # endpoints, complex, are accepted by one batched Dicke evaluation, which
+    # reads no Jacobian, and no newton_solve runs (its res[2] hook is read on
+    # the solve-rg call below)
     originals = [cli.main, solver.enumerate_dicke_branches, solver.newton_solve,
-                 ed_oracle.realize, ed_oracle.eigencheck, dicke.bethe_coefficients]
+                 rg_core.dicke_rg_residual, ed_oracle.realize, ed_oracle.eigencheck,
+                 dicke.bethe_coefficients]
     _, tracer = _traced_run(tmp_path, "dicke-enum", 1)  # m2-n3-spin1
-    assert [cli.main, solver.enumerate_dicke_branches, solver.newton_solve, ed_oracle.realize,
-            ed_oracle.eigencheck, dicke.bethe_coefficients] == originals
+    assert [cli.main, solver.enumerate_dicke_branches, solver.newton_solve,
+            rg_core.dicke_rg_residual, ed_oracle.realize, ed_oracle.eigencheck,
+            dicke.bethe_coefficients] == originals
     metrics = tracer.metrics()
     spans = tracer.spans
     assert spans["cli.main"].calls == 1 and spans["solver.enumerate"].calls == 1
-    assert metrics["solver.newton.calls"] == 6
-    assert metrics["solver.newton.iters"] == 0
+    assert metrics["solver.newton.calls"] == 0
+    assert metrics["rg_core.dicke_rg.calls"] == metrics["rg_core.residual.calls"] == 1
+    assert tracer.edges[("solver.enumerate", "rg_core.dicke_rg")] == 1
+    assert metrics["rg_core.residual.jac_calls"] == 0
     assert metrics["ed_oracle.realize.calls"] == 0
     assert metrics["ed_oracle.realize.max_dim"] == 0
     assert spans["ed_oracle.eigencheck"].calls == 1

@@ -485,7 +485,9 @@ def test_the_close_spin_one_pair_gives_its_middle_state(tmp_path, caplog):
     spec.write_text(CLOSE_SPIN_ONE_PAIR)
     with caplog.at_level(logging.DEBUG, logger="gaudin"):
         assert cli.main(["--mode", "solve-dicke", "--spec", str(spec), "--out", str(doc)]) == 0
-    assert _evb_summary(caplog.text)[:-1] == ("3 of 3", "3", "3", "0", "0")
+    # no endpoint meets the Newton tolerance at its roots: the middle state
+    # comes from its polish, as every other one does
+    assert _evb_summary(caplog.text)[:-1] == ("3 of 3", "3", "0", "3", "0", "0")
     assert float(_evb_summary(caplog.text)[-1]) > 1e-3
     triples = cli.parse_kv_lines(doc.read_text().splitlines())
     header = {k: v for s, k, v in triples if s is None}
@@ -569,6 +571,49 @@ def test_the_mixed_spin_draw_is_complete():
     # EVB completes every spec it completed when only the endpoints whose
     # Heine-Stieltjes residual read up to 1e-3 were polished
     assert ladder <= {7, 17, 19, 42, 50, 65, 66, 78}
+
+
+def test_the_raiser_blocks_are_canonical_as_built():
+    # bethe_ladder takes _raiser's triplets as canonical: on every spec of
+    # the draw, putting each block's triplets in canonical form gives them
+    # back unchanged
+    for spec in _mixed_draw():
+        for bdag, raisers in dicke.bethe_ladder(spec).steps:
+            for block in (bdag,) + raisers:
+                canon = ed_oracle.CooMatrix(block.rows, block.cols, block.data, block.shape)
+                assert canon.shape == block.shape
+                for a, b in ((canon.rows, block.rows), (canon.cols, block.cols),
+                             (canon.data, block.data)):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_a_colliding_batch_falls_back_to_the_polish(monkeypatch, caplog):
+    # one complex endpoint's root put on a level: its dtype group's batched
+    # evaluation raises, so every row of that group goes through its own
+    # polish, where the colliding one fails and the others converge; the
+    # float64 group is accepted as it stands
+    spec = DickeSpec((0.8, 1.3), (0.5, 0.5), 0.2, 1.0, 2)
+    roots_of = evb.heine_stieltjes
+
+    def colliding(spec, u):
+        roots, rel = roots_of(spec, u)
+        row = np.nonzero(roots.imag.any(axis=1))[0][0]
+        roots[row, np.argmin(np.abs(roots[row].imag))] = spec.epsilons[0]
+        return roots, rel
+
+    polishes, polish = [], solver._polish
+
+    def counted(residual_fn, w0, tol):
+        polishes.append(w0)
+        return polish(residual_fn, w0, tol)
+
+    monkeypatch.setattr(evb, "heine_stieltjes", colliding)
+    monkeypatch.setattr(solver, "_polish", counted)
+    with caplog.at_level(logging.DEBUG, logger="gaudin"):
+        branches = solver._evb_branches(spec, solver.ContinuationPolicy())
+    assert _evb_summary(caplog.text)[:-1] == ("4 of 4", "3", "1", "3", "1", "0")
+    assert len(polishes) == 3 and all(np.any(np.imag(w)) for w in polishes)
+    assert len(branches) == 3
 
 
 # mixed-spin specs; (0.8, 1.2) at spins (5/2, 5/2) and hbar_omega = 1 has a
@@ -681,7 +726,8 @@ def test_evb_rounds_are_logged_at_debug(caplog):
         solver.enumerate_dicke_branches(DickeSpec((0.8, 1.3), (0.5, 0.5), 0.2, 1.0, 2))
     assert ("evb round 0: 4 paths at step cap 0.3, 0 failed (0 at the attempt cap), "
             "0 duplicate; 1 batches of at most 4 paths") in caplog.text
-    assert _evb_summary(caplog.text)[:-1] == ("4 of 4", "4", "4", "0", "0")
+    # every endpoint meets the Newton tolerance at its roots, and none is polished
+    assert _evb_summary(caplog.text)[:-1] == ("4 of 4", "4", "4", "0", "0", "0")
     # every endpoint is physical
     assert float(_evb_summary(caplog.text)[-1]) < 1e-6
     # a full sector runs no ladder
@@ -690,18 +736,24 @@ def test_evb_rounds_are_logged_at_debug(caplog):
     with caplog.at_level(logging.DEBUG, logger="gaudin"):
         solver.enumerate_dicke_branches(SPIN_ONE_ENUM)
     assert "evb round 0: 6 paths" in caplog.text
-    assert _evb_summary(caplog.text)[:-1] == ("6 of 6", "6", "6", "0", "0")
+    assert _evb_summary(caplog.text)[:-1] == ("6 of 6", "6", "6", "0", "0", "0")
     assert float(_evb_summary(caplog.text)[-1]) < 1e-6
 
 
+def _evb_summaries(text):
+    """The fields of each of _evb_branches' DEBUG lines: endpoints tracked of
+    all, states, endpoints accepted at their first evaluation, polishes
+    tried, failed and left, and the largest Heine-Stieltjes residual of a
+    kept state."""
+    return re.findall(
+        r"evb: (\d+ of \d+) endpoints tracked, (\d+) states; (\d+) accepted at their "
+        r"first evaluation, (\d+) polished, (\d+) failed, (\d+) left once the sector was "
+        r"full; largest Heine-Stieltjes residual of a kept state (\S+)", text)
+
+
 def _evb_summary(text):
-    """The fields of _evb_branches' DEBUG line: endpoints tracked of all,
-    states, polishes tried, failed and left, and the largest Heine-Stieltjes
-    residual of a kept state."""
-    [fields] = re.findall(
-        r"evb: (\d+ of \d+) endpoints tracked, (\d+) states; (\d+) polished, (\d+) "
-        r"failed, (\d+) left once the sector was full; largest Heine-Stieltjes residual "
-        r"of a kept state (\S+)", text)
+    """The fields of the one _evb_branches DEBUG line in text (_evb_summaries)."""
+    [fields] = _evb_summaries(text)
     return fields
 
 
@@ -742,7 +794,7 @@ def _mixed_spec(seed):
                      float(rng.uniform(0.8, 1.3)), int(rng.integers(1, 4)))
 
 
-def test_the_sector_stop_changes_no_result(monkeypatch):
+def test_the_sector_stop_changes_no_result(monkeypatch, caplog):
     specs = [_mixed_spec(seed) for seed in range(24)]
     sizes = [spec.sector_dimension() for spec in specs]
     policy = solver.ContinuationPolicy()
@@ -756,22 +808,23 @@ def test_the_sector_stop_changes_no_result(monkeypatch):
                 np.concatenate((ok, ok)))
 
     monkeypatch.setattr(evb.Quadratics, "solve", twice)
-    polishes, polish = [], solver._polish
 
-    def counted(*args):
-        polishes.append(args)
-        return polish(*args)
+    def considered():
+        # the branches of every spec, and the endpoints considered, accepted
+        # at their first evaluation or polished, by the DEBUG lines
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="gaudin"):
+            found = [solver._evb_branches(spec, policy) for spec in specs]
+        return found, sum(int(f[2]) + int(f[3]) for f in _evb_summaries(caplog.text))
 
-    monkeypatch.setattr(solver, "_polish", counted)
-    stopped = [solver._evb_branches(spec, policy) for spec in specs]
+    stopped, stopped_considered = considered()
     assert [len(b) for b in stopped] == sizes
     assert all("evb_start" in b for found in stopped for b in found)
-    stopped_polishes = len(polishes)
-    # no sector is ever full: every candidate is polished
+    # no sector is ever full: every candidate is considered
     monkeypatch.setattr(DickeSpec, "sector_dimension", lambda self: 10**9)
-    polished_all = [solver._evb_branches(spec, policy) for spec in specs]
-    assert len(polishes) - stopped_polishes == 2 * sum(sizes)
-    assert stopped_polishes == 2 * sum(sizes) - len(specs)
+    polished_all, all_considered = considered()
+    assert all_considered == 2 * sum(sizes)
+    assert stopped_considered == 2 * sum(sizes) - len(specs)
     for spec, a, b in zip(specs, stopped, polished_all):
         assert len(a) == len(b)
         # the same states from the same endpoints, so the same energies

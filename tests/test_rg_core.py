@@ -734,3 +734,52 @@ def test_the_jacobian_is_formed_on_first_read_and_kept(monkeypatch):
     assert len(formed) == 1 and report.jacobian is jac
     assert rg_core.deformed_rg_residual(spec, 0.5, np.array([0.4, 2.5]), False).jacobian is None
     assert len(formed) == 1
+
+
+BATCH_DICKE = DickeSpec((0.55, 0.9, 1.3), (0.5, 1.0, 1.5), 0.23, 1.05, 3)
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_a_batched_dicke_evaluation_is_bitwise_each_row_alone(rows, dtype):
+    # every row of a (P, N) batch reads the residuals and max modulus of
+    # its own 1-D call, to the bit, in the batch's dtype
+    rng = np.random.default_rng(rows)
+    w = rng.uniform(0.3, 1.6, (rows, 3)).astype(dtype)
+    if dtype is complex:
+        w[:, 1:] += 1j * rng.uniform(-0.2, 0.2, (rows, 2))
+    batch = dicke_rg_residual(BATCH_DICKE, w, jacobian=False)
+    assert batch.residuals.shape == (rows, 3) and batch.residuals.dtype == w.dtype
+    assert batch.max_abs.shape == (rows,) and batch.jacobian is None
+    for row, res, largest in zip(w, batch.residuals, batch.max_abs):
+        alone = dicke_rg_residual(BATCH_DICKE, row)
+        assert res.tobytes() == alone.residuals.tobytes()
+        assert isinstance(alone.max_abs, float) and largest == alone.max_abs
+
+
+def test_a_batched_trigonometric_row_is_bitwise_each_row_alone():
+    # the pair products w_a w_b of a row with c != 0, on a batch of two
+    row = rg_core._row(TRIGONOMETRIC, (0.9, 2.1), (1.0, 2.0), -0.12, -0.12)
+    w = np.array([[0.3 + 0.2j, 1.4 - 0.1j, 2.6 + 0.05j], [0.5, 1.7 + 0.3j, 2.9]])
+    res, largest, jac, rate = rg_core._evaluate(row, w, False)
+    assert jac is None and rate is None
+    for values, r, m in zip(w, res, largest):
+        alone = rg_core._evaluate(row, values, False)
+        assert r.tobytes() == alone[0].tobytes() and m == alone[1]
+
+
+def test_a_batch_forms_no_jacobian_or_rate_and_names_its_collision():
+    w = np.array([[0.3, 0.7], [0.55, 1.2]])
+    with pytest.raises(ValidationError):
+        dicke_rg_residual(BATCH_DICKE, w)
+    with pytest.raises(ValidationError):
+        deformed_dicke_residual(BATCH_DICKE, 0.5, w, jacobian=False)
+    # the second row's first rapidity sits on level 0: the batch raises that
+    # row's own error
+    w = np.array([[0.3, 0.7, 1.1], [0.55, 0.8, 1.4]])
+    with pytest.raises(CollisionError) as exc:
+        dicke_rg_residual(BATCH_DICKE, w, jacobian=False)
+    with pytest.raises(CollisionError) as ref:
+        dicke_rg_residual(BATCH_DICKE, w[1])
+    assert exc.value.pair == ref.value.pair == ("level", 0, 0)
+    assert str(exc.value) == str(ref.value)

@@ -1033,8 +1033,23 @@ def test_a_complex_split_and_the_evb_polish_stay_complex(monkeypatch):
     final = trace.final.rapidities.as_array()
     assert final[0] == np.conj(final[1]) and abs(final[0].imag) > 1e-2
     assert dtypes and {str(d) for d in dtypes} == {"complex128"}
-    # each polish runs in the dtype of its start: complex where the roots
-    # of P carry an imaginary part, float64 where round-off left none
+    # the EVB endpoints are evaluated in one batch per dtype: the roots of P
+    # with an imaginary part in complex128, those where round-off left none
+    # in float64; on M2 every endpoint is accepted there
+    groups, exact = [], rg_core.dicke_rg_residual
+
+    def batched(spec, w, jacobian=True):
+        groups.append((str(w.dtype), len(w), bool(np.all(np.any(w.imag, axis=1)))))
+        return exact(spec, w, jacobian)
+
+    monkeypatch.setattr(rg_core, "dicke_rg_residual", batched)
+    branches = enumerate_dicke_branches(M2)
+    assert all("evb_start" in b for b in branches)
+    assert len(branches) == M2.sector_dimension() == 4
+    assert groups == [("float64", 1, False), ("complex128", 3, True)]
+    monkeypatch.setattr(rg_core, "dicke_rg_residual", exact)
+    # with the batch accepting none, each polish runs in the dtype of its
+    # start, as newton_solve takes it
     polishes, polish = [], solver._polish
 
     def recorded(residual_fn, w0, tol):
@@ -1044,10 +1059,11 @@ def test_a_complex_split_and_the_evb_polish_stay_complex(monkeypatch):
         return out
 
     monkeypatch.setattr(solver, "_polish", recorded)
-    branches = enumerate_dicke_branches(M2)
-    assert all("evb_start" in b for b in branches)
-    assert len(branches) == len(polishes) == M2.sector_dimension()
-    assert any(cplx for cplx, _ in polishes)
+    monkeypatch.setattr(solver, "_first_evaluation", lambda spec, roots, tol: {})
+    polished = enumerate_dicke_branches(M2)
+    assert [b["rapidities"] for b in polished] == [b["rapidities"] for b in branches]
+    assert len(polishes) == M2.sector_dimension()
+    assert {cplx for cplx, _ in polishes} == {True, False}
     for cplx, seen in polishes:
         assert seen == ({"complex128"} if cplx else {"float64"})
 
